@@ -7,15 +7,14 @@ Every bound ships next to an exact dense-oracle path so dominance can be
 checked entry by entry.
 """
 
-from .bounds import (DecayBoundReport, ExpEnvelopeParams, FreundParams,
-                     ResolventParams, cauchy_entry_bound, cauchy_shifted_bound,
+from .bounds import (DecayBoundReport, cauchy_entry_bound, cauchy_shifted_bound,
                      demko_bound, demko_constant, exp_entry_bound, exp_envelope,
                      freund_resolvent_bound, invsqrt_closed_bound,
-                     laplace_entry_bound, laplace_entry_bound_shifted, phi)
+                     laplace_entry_bound)
 from .graphdist import DistanceVector, bound_with_distance, geodesic_from
 from .kron import (cauchy_kron_bound, exp_kron_bound, exp_kron_entry_exact,
                    invsqrt_kron_split_bound, laplace_kron_bound,
-                   laplace_kron_bound_3d, sincos_kron_exact)
+                   sincos_kron_exact)
 from .matrices import (BandedHermitianMatrix, KroneckerSum, MatrixFormatError,
                        SparseHermitianMatrix, SpectralInterval,
                        banded_from_stencil, load_matrix_market,
@@ -31,9 +30,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandedHermitianMatrix", "CauchyMeasure", "DecayBoundReport",
-    "DistanceVector", "EigenDecomposition", "ExpEnvelopeParams",
-    "FreundParams", "KroneckerSum", "LaplaceMeasure", "MatrixFormatError",
-    "QuadratureResult", "ResolventParams", "SparseHermitianMatrix",
+    "DistanceVector", "EigenDecomposition", "KroneckerSum", "LaplaceMeasure",
+    "MatrixFormatError", "QuadratureResult", "SparseHermitianMatrix",
     "SpectralInterval", "banded_from_stencil", "bound_with_distance",
     "cauchy_catalog", "cauchy_entry_bound", "cauchy_kron_bound",
     "cauchy_shifted_bound", "demko_bound", "demko_constant",
@@ -42,9 +40,8 @@ __all__ = [
     "function_column", "geodesic_from", "integrate",
     "integrate_semi_infinite", "invsqrt_closed_bound",
     "invsqrt_kron_split_bound", "lancaster_column", "laplace_catalog",
-    "laplace_entry_bound", "laplace_entry_bound_shifted",
-    "laplace_kron_bound", "laplace_kron_bound_3d",
+    "laplace_entry_bound", "laplace_kron_bound",
     "laplace_transform_of_cauchy", "load_matrix_market", "make_test_matrix",
-    "matrix_function", "oracle_floor", "parse_matrix_spec", "phi",
+    "matrix_function", "oracle_floor", "parse_matrix_spec",
     "resolvent_column", "sincos_kron_exact", "spectral_interval",
 ]

@@ -24,90 +24,6 @@ _LOG10 = math.log(10.0)
 
 
 @dataclass(frozen=True)
-class ExpEnvelopeParams:
-    """Data for the semigroup envelope: spectrum of M - lambda_min I inside
-    [0, 4 rho], time tau, bandwidth beta and the shift lambda_min."""
-
-    rho: float
-    tau: float
-    beta: int
-    lambda_min: float = 0.0
-
-    def __post_init__(self):
-        if self.rho < 0 or self.tau <= 0 or self.beta < 0:
-            raise ValueError("need rho >= 0, tau > 0, beta >= 0")
-
-
-@dataclass(frozen=True)
-class ResolventParams:
-    """Shifted-resolvent decay data for (M - omega I)^{-1}, omega <= 0."""
-
-    lambda_min: float
-    lambda_max: float
-    omega: float = 0.0
-
-    def __post_init__(self):
-        if self.omega > 0:
-            raise ValueError("omega must be <= 0")
-        if self.lambda_min - self.omega <= 0:
-            raise ValueError("shifted matrix must be positive definite")
-
-    @property
-    def kappa(self):
-        return (self.lambda_max - self.omega) / (self.lambda_min - self.omega)
-
-    @property
-    def q(self):
-        s = math.sqrt(self.kappa)
-        return (s - 1.0) / (s + 1.0)
-
-    @property
-    def c0(self):
-        return (1.0 + math.sqrt(self.kappa)) ** 2 / (2.0 * (self.lambda_max - self.omega))
-
-    @property
-    def c(self):
-        return max(1.0 / (self.lambda_min - self.omega), self.c0)
-
-
-@dataclass(frozen=True)
-class FreundParams:
-    """Resolvent decay data for (M - i zeta I - omega I)^{-1}: the ellipse
-    through the origin with foci at the shifted spectral endpoints."""
-
-    lambda_min: float
-    lambda_max: float
-    zeta: float
-    omega: float = 0.0
-
-    def __post_init__(self):
-        if self.lambda_max <= self.lambda_min:
-            raise ValueError("degenerate spectrum: lambda_min must be < lambda_max")
-
-    @property
-    def lambda1(self):
-        return complex(self.lambda_min - self.omega, -self.zeta)
-
-    @property
-    def lambda2(self):
-        return complex(self.lambda_max - self.omega, -self.zeta)
-
-    @property
-    def alpha(self):
-        return (abs(self.lambda1) + abs(self.lambda2)) / abs(self.lambda2 - self.lambda1)
-
-    @property
-    def radius(self):
-        a = self.alpha
-        return a + math.sqrt(a * a - 1.0)
-
-    @property
-    def c(self):
-        r = self.radius
-        return (2.0 * r / abs(self.lambda1 - self.lambda2)) * 4.0 * r * r / (r * r - 1.0) ** 2
-
-
-@dataclass(frozen=True)
 class DecayBoundReport:
     """Per-entry bound with provenance: distance used, integral pieces,
     quadrature error estimate and whether the stated validity region holds."""
@@ -161,14 +77,6 @@ def exp_envelope(rho_tau, d):
     return float(out[0]) if scalar else out
 
 
-def phi(params, d):
-    """The envelope as a function of the scaled distance d = |i - j| / beta
-    (or a geodesic distance).  Diagonal entries (d <= 0) are not covered."""
-    if d <= 0:
-        raise ValueError("the envelope only covers off-diagonal entries (d > 0)")
-    return exp_envelope(params.rho * params.tau, d)
-
-
 def _distance(k, t, beta, distance):
     if distance is not None:
         return float(distance)
@@ -188,6 +96,27 @@ def exp_entry_bound(interval, beta, tau, k, t, *, distance=None):
     return math.exp(-tau * interval.lambda_min) * exp_envelope(interval.rho * tau, d)
 
 
+def _demko_kernel(lmin, lmax, s):
+    """Constant and rate (C, q) of |(M + s I)^{-1}|_{k t} <= C q^d for
+    spectrum(M) in [lmin, lmax], lmin + s > 0; vectorized over s."""
+    kap = (lmax + s) / (lmin + s)
+    sq = np.sqrt(kap)
+    return (np.maximum(1.0 / (lmin + s), (1.0 + sq) ** 2 / (2.0 * (lmax + s))),
+            (sq - 1.0) / (sq + 1.0))
+
+
+def _freund_kernel(lmin, lmax, zeta, s):
+    """Constant and radius (C, R) of |(M + s I - i zeta I)^{-1}|_{k t}
+    <= C R^{-d}: the ellipse through the origin with foci at the shifted
+    spectral endpoints; vectorized over s."""
+    if lmax <= lmin:
+        raise ValueError("degenerate spectrum: lambda_min must be < lambda_max")
+    delta = lmax - lmin
+    alpha = (np.hypot(lmin + s, zeta) + np.hypot(lmax + s, zeta)) / delta
+    r = alpha + np.sqrt(alpha * alpha - 1.0)
+    return (2.0 * r / delta) * 4.0 * r * r / (r * r - 1.0) ** 2, r
+
+
 def demko_constant(lambda_min, lambda_max):
     """Scale-invariant resolvent constant max{1/lmin, (1+sqrt(k))^2/(2 lmax)}.
 
@@ -198,8 +127,7 @@ def demko_constant(lambda_min, lambda_max):
     """
     if lambda_min <= 0:
         raise ValueError("positive definiteness required")
-    kappa = lambda_max / lambda_min
-    return max(1.0 / lambda_min, (1.0 + math.sqrt(kappa)) ** 2 / (2.0 * lambda_max))
+    return float(_demko_kernel(lambda_min, lambda_max, 0.0)[0])
 
 
 def demko_bound(M, interval, k, t, *, distance=None):
@@ -215,17 +143,17 @@ def demko_bound(M, interval, k, t, *, distance=None):
     d = _distance(k, t, getattr(M, "beta", getattr(M, "bandwidth", 0)), distance)
     s = M.diagonal_max()
     s = s if s > 1.0 else 1.0
-    scaled = ResolventParams(interval.lambda_min / s, interval.lambda_max / s)
-    return (scaled.c / s) * scaled.q ** d
+    c, q = _demko_kernel(interval.lambda_min / s, interval.lambda_max / s, 0.0)
+    return float((c / s) * q ** d)
 
 
 def freund_resolvent_bound(interval, beta, zeta, k, t, *, distance=None):
     """Bound for |(M - i zeta I)^{-1}|_{k t}, k != t."""
     if distance is None and k == t:
         raise ValueError("the resolvent bound covers off-diagonal entries only")
-    p = FreundParams(interval.lambda_min, interval.lambda_max, zeta)
+    c, r = _freund_kernel(interval.lambda_min, interval.lambda_max, zeta, 0.0)
     d = _distance(k, t, beta, distance)
-    return p.c * p.radius ** (-d)
+    return float(c * r ** (-d))
 
 
 def _envelope_breakpoints(d, rho):
@@ -255,67 +183,59 @@ def _envelope_breakpoints(d, rho):
     return tuple(pts)
 
 
-def _laplace_pieces(interval, measure, d, quad_tol, max_panels):
-    """Integrals of exp(-lambda_min tau) * envelope(rho tau, d) against the
-    measure over the three envelope regimes; atoms are added to the piece
-    containing their location.  Piece I carries the superexponential
-    branch, II the Gaussian branch, III the trivial tail."""
-    lmin, rho = interval.lambda_min, interval.rho
-    hi = measure.support_upper
+def _envelope_integral(factors, weight, upper, singularity, atoms, quad_tol,
+                       max_panels):
+    """Integral of the product envelope prod_L exp(-lambda_min_L tau)
+    E(rho_L tau, d_L) against weight(tau) dtau on (0, upper], plus the
+    envelope at each atom (location, mass).
 
-    def kernel(taus):
+    ``factors`` holds one (SpectralInterval, distance) pair per Kronecker
+    factor; a single matrix is the one-factor case, since the semigroup of
+    a Kronecker sum factorizes entrywise.  The quadrature is split at every
+    factor's envelope breakpoints, ``singularity`` (the weight's exponent
+    at 0) applies to the first segment, and ``weight=None`` integrates the
+    atoms only.  Returns (total, segments, error, evaluations, converged);
+    ``segments`` lists (lo, hi, value) in edge order followed by one
+    (location, location, value) per atom, and ``total`` sums them in that
+    order.
+    """
+    terms = [(iv.lambda_min, iv.rho, float(d)) for iv, d in factors]
+    first, *rest = terms
+
+    def integrand(taus):
         taus = np.asarray(taus, dtype=float)
-        env = exp_envelope(rho * taus, d)
-        return np.exp(-lmin * taus) * env * measure.density(taus)
+        lmin, rho, d = first
+        out = np.exp(-lmin * taus) * exp_envelope(rho * taus, d)
+        for lmin, rho, d in rest:
+            out = out * np.exp(-lmin * taus) * exp_envelope(rho * taus, d)
+        return out * weight(taus)
 
-    if rho > 0:
-        b1 = d / (2.0 * rho)
-        b2 = d * d / (4.0 * rho)
-        cuts = sorted(set(_envelope_breakpoints(d, rho)))
-    else:
-        b1 = b2 = 0.0
-        cuts = []
-    edges = [0.0] + [c for c in cuts if 0.0 < c < hi] + [hi]
-
-    labels = []
-    for lo_e, hi_e in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo_e + hi_e) if math.isfinite(hi_e) else lo_e + 1.0
-        if rho <= 0:
-            labels.append("III")
-        elif mid <= b1:
-            labels.append("I")
-        elif mid <= b2:
-            labels.append("II")
-        else:
-            labels.append("III")
-
-    pieces = {"I": 0.0, "II": 0.0, "III": 0.0}
-    err = 0.0
-    evals = 0
-    converged = True
-    if measure.density is not None:
-        for (lo_e, hi_e), lab in zip(zip(edges[:-1], edges[1:]), labels):
-            sing = measure.singularity_exponent if lo_e == 0.0 else 0.0
-            if math.isinf(hi_e):
-                r = integrate_semi_infinite(kernel, lo_e, 0.0, rtol=quad_tol,
+    cuts = sorted({c for _, rho, d in terms for c in _envelope_breakpoints(d, rho)
+                   if 0.0 < c < upper})
+    edges = [0.0] + cuts + [upper]
+    segments, err, evals, converged = [], 0.0, 0, True
+    if weight is not None:
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            sing = singularity if lo == 0.0 else 0.0
+            if math.isinf(hi):
+                r = integrate_semi_infinite(integrand, lo, 0.0, rtol=quad_tol,
                                             singularity_a=sing,
                                             max_panels=max_panels)
             else:
-                r = integrate(kernel, lo_e, hi_e, 0.0, rtol=quad_tol,
+                r = integrate(integrand, lo, hi, 0.0, rtol=quad_tol,
                               singularity_a=sing, max_panels=max_panels)
-            pieces[lab] += float(np.asarray(r.value))
+            segments.append((lo, hi, float(np.asarray(r.value))))
             err += r.error_estimate
             evals += r.evaluations
             converged = converged and r.converged
-    for loc, weight in measure.atoms:
-        contrib = weight * math.exp(-lmin * loc) * exp_envelope(rho * loc, d)
-        if rho > 0 and loc <= b1:
-            pieces["I"] += contrib
-        elif rho > 0 and loc <= b2:
-            pieces["II"] += contrib
-        else:
-            pieces["III"] += contrib
-    return pieces, err, evals, converged
+    for loc, mass in atoms:
+        segments.append((loc, loc, mass * math.prod(
+            math.exp(-lmin * loc) * exp_envelope(rho * loc, d)
+            for lmin, rho, d in terms)))
+    total = 0.0
+    for _, _, value in segments:
+        total += value
+    return total, segments, err, evals, converged
 
 
 def laplace_entry_bound(interval, beta, measure, k, t, *, quad_tol=1e-10,
@@ -323,11 +243,14 @@ def laplace_entry_bound(interval, beta, measure, k, t, *, quad_tol=1e-10,
     """Entry bound for f(M) with f completely monotonic, M banded HPD.
 
     Integrates the capped semigroup envelope against the representing
-    measure, split at the envelope's regime boundaries (pieces I, II, III
-    in the report).  Stated validity requires d = |k - t|/beta >= 2;
-    smaller distances either raise (``on_invalid='raise'``) or are
-    evaluated with the capped envelope and flagged ``valid=False``
-    (``on_invalid='extend'``).
+    measure, split at the envelope's regime boundaries.  The report's
+    pieces I, II, III sum the segments (and atoms) in the superexponential,
+    Gaussian and trivial regimes.  Stated validity requires
+    d = |k - t|/beta >= 2; smaller distances either raise
+    (``on_invalid='raise'``) or are evaluated with the capped envelope and
+    flagged ``valid=False`` (``on_invalid='extend'``).  The same number
+    bounds |f(M + i zeta I)|_{k t} for every real zeta: the shift only
+    rotates the semigroup by a unimodular phase.
     """
     if not interval.is_positive_definite:
         raise ValueError("Laplace-class bounds need a positive definite matrix")
@@ -339,20 +262,23 @@ def laplace_entry_bound(interval, beta, measure, k, t, *, quad_tol=1e-10,
         raise ValueError(
             f"bound is stated for |k-t|/beta >= 2; got distance {d} "
             "(use on_invalid='extend' for the capped-envelope extension)")
-    pieces, err, evals, converged = _laplace_pieces(
-        interval, measure, d, quad_tol, max_panels)
+    _, segments, err, evals, converged = _envelope_integral(
+        ((interval, d),), measure.density, measure.support_upper,
+        measure.singularity_exponent, measure.atoms, quad_tol, max_panels)
+    rho = interval.rho
+    pieces = {"I": 0.0, "II": 0.0, "III": 0.0}
+    for lo, hi, value in segments:
+        mid = 0.5 * (lo + hi) if math.isfinite(hi) else lo + 1.0
+        if rho > 0 and mid <= d / (2.0 * rho):
+            pieces["I"] += value
+        elif rho > 0 and mid <= d * d / (4.0 * rho):
+            pieces["II"] += value
+        else:
+            pieces["III"] += value
     total = pieces["I"] + pieces["II"] + pieces["III"]
     return DecayBoundReport(k=k, t=t, distance=d, bound=total, pieces=pieces,
                             error_estimate=err, evaluations=evals,
                             converged=converged, valid=valid)
-
-
-def laplace_entry_bound_shifted(interval, beta, measure, zeta, k, t, **kwargs):
-    """Same numeric bound applied to |f(M + i zeta I)|_{k t}: the imaginary
-    shift only rotates the semigroup factors by a unimodular phase, so the
-    envelope integral is unchanged for every real zeta."""
-    del zeta
-    return laplace_entry_bound(interval, beta, measure, k, t, **kwargs)
 
 
 def _total_variation_quadrature(kernel, measure, quad_tol, max_panels):
@@ -398,12 +324,8 @@ def cauchy_entry_bound(M, interval, beta, measure, k, t, *, quad_tol=1e-10,
     lmin, lmax = interval.lambda_min, interval.lambda_max
 
     def kernel(s):
-        s = np.asarray(s, dtype=float)
-        kap = (lmax + s) / (lmin + s)
-        sq = np.sqrt(kap)
-        q = (sq - 1.0) / (sq + 1.0)
-        return np.maximum(1.0 / (lmin + s),
-                          (1.0 + sq) ** 2 / (2.0 * (lmax + s))) * q ** d
+        c, q = _demko_kernel(lmin, lmax, np.asarray(s, dtype=float))
+        return c * q ** d
 
     value, err, evals, converged = _total_variation_quadrature(
         kernel, measure, quad_tol, max_panels)
@@ -451,20 +373,12 @@ def cauchy_shifted_bound(interval, beta, measure, zeta, k, t, *,
     """
     if distance is None and k == t:
         raise ValueError("the shifted bound covers off-diagonal entries only")
-    if interval.lambda_max <= interval.lambda_min:
-        raise ValueError("degenerate spectrum: lambda_min must be < lambda_max")
     d = _distance(k, t, beta, distance)
     lmin, lmax = interval.lambda_min, interval.lambda_max
-    delta = lmax - lmin
 
     def kernel(s):
-        s = np.asarray(s, dtype=float)
-        a1 = np.hypot(lmin + s, zeta)
-        a2 = np.hypot(lmax + s, zeta)
-        alpha = (a1 + a2) / delta
-        radius = alpha + np.sqrt(alpha * alpha - 1.0)
-        c = (2.0 * radius / delta) * 4.0 * radius ** 2 / (radius ** 2 - 1.0) ** 2
-        return c * radius ** (-d)
+        c, r = _freund_kernel(lmin, lmax, zeta, np.asarray(s, dtype=float))
+        return c * r ** (-d)
 
     value, err, evals, converged = _total_variation_quadrature(
         kernel, measure, quad_tol, max_panels)

@@ -13,12 +13,11 @@ did not converge), 3 dominance violation detected in self-check mode.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
-from . import figures, oracle
+from . import figures
 from .figures import FIGURE_IDS, FigureSpec
 from .matrices import KroneckerSum, MatrixFormatError, parse_matrix_spec
 
@@ -114,16 +113,6 @@ def build_parser():
     return parser
 
 
-def _echo_csv(rows, header, out):
-    if out is not None:
-        return
-    w = csv.writer(sys.stdout)
-    w.writerow(header)
-    for row in rows:
-        w.writerow(["" if c is None else (c if isinstance(c, str) else f"{c:.17g}")
-                    for c in row])
-
-
 def _load_matrix(args):
     try:
         return parse_matrix_spec(args.matrix, args.n)
@@ -136,14 +125,14 @@ def _cmd_bound(args, self_check=False):
     if not (1 <= args.column <= M.n):
         raise UsageError(f"--column {args.column} outside 1..{M.n}")
     try:
-        summary, rows = figures.run_compare(
+        summary, header, rows = figures.run_compare(
             M, args.column, args.function, args.klass, tau=args.tau,
             zeta=args.zeta, distance_mode=args.distance,
             drop_tol=args.pattern_drop_tol, quad_tol=args.quad_tol,
-            max_panels=args.quad_max_panels, out_path=args.out)
+            max_panels=args.quad_max_panels)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _echo_csv(rows, ("k", "distance", "bound", "oracle", "ratio"), args.out)
+    figures._write_csv(args.out, header, rows)
     if self_check or args.command == "compare":
         s = summary
         fmt = lambda v: "n/a" if v is None else f"{v:.6g}"
@@ -174,16 +163,12 @@ def _cmd_kron(args):
             FileNotFoundError) as exc:
         raise UsageError(str(exc)) from exc
     try:
-        summary, rows = figures.run_kron_compare(
+        summary, header, rows = figures.run_kron_compare(
             A, t, args.function, args.klass, tau=args.tau,
-            quad_tol=args.quad_tol, max_panels=args.quad_max_panels,
-            out_path=args.out)
+            quad_tol=args.quad_tol, max_panels=args.quad_max_panels)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    nfac = len(A.factors)
-    header = (["k"] + [f"k{i+1}" for i in range(nfac)]
-              + [f"d{i+1}" for i in range(nfac)] + ["bound", "oracle"])
-    _echo_csv(rows, header, args.out)
+    figures._write_csv(args.out, header, rows)
     return 0 if summary["converged"] else 2
 
 
@@ -195,15 +180,10 @@ def _cmd_oracle(args):
         f, kind, _ = figures.resolve_function(args.function, args.klass, args.tau)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if kind == "resolvent" and args.zeta != 0.0:
-        col = np.abs(oracle.resolvent_column(M, 1j * args.zeta, args.column))
-    else:
-        col = oracle.function_column(M, f, args.column)
+    col = figures._oracle_column(M, f, kind, args.zeta, args.column)
     rows = [(k, float(np.real(col[k - 1])) if np.isrealobj(col) else abs(col[k - 1]))
             for k in range(1, M.n + 1)]
-    if args.out is not None:
-        figures._write_csv(args.out, ("k", "value"), rows)
-    _echo_csv(rows, ("k", "value"), args.out)
+    figures._write_csv(args.out, ("k", "value"), rows)
     return 0
 
 

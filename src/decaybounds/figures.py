@@ -8,8 +8,10 @@ with a header row and 17 significant digits, and is byte-deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +65,9 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    """Write CSV to ``path``, or to standard output when it is None."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="")) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -91,94 +95,43 @@ def _ratio_stats(pairs, floor):
     return stats
 
 
-def _single_figure_rows(spec, quad_tol):
+# Quadrature presets are argument sets for the comparison drivers:
+# (driver, --function, --class).
+_DRIVER_PRESETS = {
+    "fig2-ls-invsqrt": ("compare", "inv_sqrt", "laplace"),
+    "fig3-ls-phi1": ("compare", "phi1", "laplace"),
+    "fig6-kron-phi1": ("kron", "phi1", "laplace"),
+    "fig7-kron-invsqrt": ("kron", "inv_sqrt", "cauchy"),
+}
+
+
+def _closed_form_rows(spec):
+    """Rows (k, oracle, bound) of the presets no comparison class covers:
+    the shifted exponential and the closed-form inverse square root."""
     M = make_test_matrix(spec.matrix_kind, spec.n)
     iv = spectral_interval(M)
     t, tau, beta = spec.t, spec.tau, M.beta
-    fid = spec.figure_id
-    converged = True
-    err_rel_max = 0.0
-
-    if fid == "fig1-exp":
+    if spec.figure_id == "fig1-exp":
         f = lambda x: np.exp(-tau * (x - iv.lambda_min))
         shifted = SpectralInterval(0.0, iv.lambda_max - iv.lambda_min)
-        col = np.abs(oracle.function_column(M, f, t))
         floor = max(_EXP_FIGURE_CUTOFF, oracle.oracle_floor(M, f))
-        rows = []
-        for k in range(1, spec.n + 1):
+    else:
+        f = lambda x: x ** -0.5
+        floor = oracle.oracle_floor(M, f)
+    col = np.abs(oracle.function_column(M, f, t))
+    rows = []
+    for k in range(1, spec.n + 1):
+        b = None
+        if spec.figure_id == "fig1-exp":
             if col[k - 1] < floor:
                 continue
-            d = abs(k - t) / beta
-            b = None
-            if k != t and d >= math.sqrt(4.0 * shifted.rho * tau):
+            if k != t and abs(k - t) / beta >= math.sqrt(4.0 * shifted.rho * tau):
                 b = bounds.exp_entry_bound(shifted, beta, tau, k, t)
-            rows.append((k, float(col[k - 1]), b))
-        return rows, ("k", "oracle", "bound"), floor, converged, err_rel_max
-
-    if fid in ("fig2-ls-invsqrt", "fig3-ls-phi1"):
-        measure = laplace_catalog("inv_sqrt" if fid == "fig2-ls-invsqrt" else "phi1")
-        f = measure.closed_form
-        col = np.abs(oracle.function_column(M, f, t))
-        floor = oracle.oracle_floor(M, f)
-        rows = []
-        for k in range(1, spec.n + 1):
-            b = None
-            if abs(k - t) >= 2 * beta:
-                rep = bounds.laplace_entry_bound(iv, beta, measure, k, t,
-                                                 quad_tol=quad_tol)
-                b = rep.bound
-                converged = converged and rep.converged
-                if b > 0:
-                    err_rel_max = max(err_rel_max, rep.error_estimate / b)
-            rows.append((k, float(col[k - 1]), b))
-        return rows, ("k", "oracle", "bound"), floor, converged, err_rel_max
-
-    if fid == "fig4-cs-invsqrt":
-        f = lambda x: x ** -0.5
-        col = np.abs(oracle.function_column(M, f, t))
-        floor = oracle.oracle_floor(M, f)
-        rows = []
-        for k in range(1, spec.n + 1):
-            b = None
-            if k != t:
-                b = bounds.invsqrt_closed_bound(iv, beta, k, t,
-                                                diag_max=M.diagonal_max())
-            rows.append((k, float(col[k - 1]), b))
-        return rows, ("k", "oracle", "bound"), floor, converged, err_rel_max
-
-    raise AssertionError(fid)
-
-
-def _kron_figure_rows(spec, quad_tol):
-    M = make_test_matrix(spec.matrix_kind, spec.factor_n)
-    A = KroneckerSum(factors=(M, M))
-    ivs = tuple(spectral_interval(f) for f in A.factors)
-    t = spec.t_kron
-    converged = True
-    err_rel_max = 0.0
-    if spec.figure_id == "fig6-kron-phi1":
-        measure = laplace_catalog("phi1")
-        evaluate = lambda k: kron.laplace_kron_bound(
-            A, measure, k, t, quad_tol=quad_tol, on_invalid="extend",
-            intervals=ivs)
-    else:
-        measure = cauchy_catalog("inv_sqrt")
-        evaluate = lambda k: kron.cauchy_kron_bound(
-            A, measure, k, t, quad_tol=quad_tol, on_invalid="extend",
-            intervals=ivs)
-    f = measure.closed_form
-    col = np.abs(oracle.function_column(A, f, t))
-    floor = oracle.oracle_floor(A, f)
-    rows = []
-    for k in range(1, A.total_order + 1):
-        k1, k2 = A.delinearize(k)
-        rep = evaluate(k)
-        converged = converged and rep.converged
-        b = rep.bound if rep.valid else None
-        if b is not None and b > 0:
-            err_rel_max = max(err_rel_max, rep.error_estimate / b)
-        rows.append((k, k1, k2, float(col[k - 1]), b))
-    return rows, ("k", "k1", "k2", "oracle", "bound"), floor, converged, err_rel_max
+        elif k != t:
+            b = bounds.invsqrt_closed_bound(iv, beta, k, t,
+                                            diag_max=M.diagonal_max())
+        rows.append((k, float(col[k - 1]), b))
+    return rows, floor
 
 
 def run_figure(spec, out_path, quad_tol=1e-10):
@@ -187,18 +140,36 @@ def run_figure(spec, out_path, quad_tol=1e-10):
     Rows where the bound's stated validity precondition fails carry an
     empty bound cell; for the exponential preset, rows whose oracle entry
     falls below max(1e-60, oracle resolution floor) are omitted entirely.
+    The quadrature presets run through :func:`run_compare` or
+    :func:`run_kron_compare` and keep the columns k[, k1, k2], oracle,
+    bound.
     """
-    if spec.figure_id in ("fig6-kron-phi1", "fig7-kron-invsqrt"):
-        rows, header, floor, converged, err_rel = _kron_figure_rows(spec, quad_tol)
-        pairs = [(r[-1], r[-2]) for r in rows]
+    fid = spec.figure_id
+    if fid not in _DRIVER_PRESETS:
+        rows, floor = _closed_form_rows(spec)
+        header = ("k", "oracle", "bound")
+        summary = dict(_ratio_stats([(b, o) for _, o, b in rows], floor),
+                       converged=True, max_relative_error_estimate=0.0,
+                       oracle_floor=floor)
+    elif _DRIVER_PRESETS[fid][0] == "compare":
+        M = make_test_matrix(spec.matrix_kind, spec.n)
+        summary, _, out = run_compare(M, spec.t, *_DRIVER_PRESETS[fid][1:],
+                                      quad_tol=quad_tol)
+        header = ("k", "oracle", "bound")
+        rows = [(k, o, b) for k, _, b, o, _ in out]
     else:
-        rows, header, floor, converged, err_rel = _single_figure_rows(spec, quad_tol)
-        pairs = [(r[-1], r[-2]) for r in rows]
+        M = make_test_matrix(spec.matrix_kind, spec.factor_n)
+        summary, _, out = run_kron_compare(
+            KroneckerSum(factors=(M, M)), spec.t_kron,
+            *_DRIVER_PRESETS[fid][1:], quad_tol=quad_tol)
+        header = ("k", "k1", "k2", "oracle", "bound")
+        # the extended bounds of rows below the stated validity are blanked
+        rows = [(k, k1, k2, o, b if min(d1, d2) >= 2.0 else None)
+                for k, k1, k2, d1, d2, b, o in out]
+        summary.update(_ratio_stats([(r[-1], r[-2]) for r in rows],
+                                    summary["oracle_floor"]))
     _write_csv(out_path, header, rows)
-    summary = _ratio_stats(pairs, floor)
-    summary.update(figure_id=spec.figure_id, matrix_kind=spec.matrix_kind,
-                   rows=len(rows), converged=converged,
-                   max_relative_error_estimate=err_rel, oracle_floor=floor)
+    summary.update(figure_id=fid, matrix_kind=spec.matrix_kind, rows=len(rows))
     return summary
 
 
@@ -233,11 +204,32 @@ def resolve_function(name, klass, tau):
     raise ValueError(f"unknown class {klass!r}")
 
 
+def _oracle_column(M, f, kind, zeta, t):
+    """Exact column t for a resolved bound kind: the shifted resolvent
+    (M - i zeta I)^{-1} when a resolvent has zeta != 0, else f(M)."""
+    if kind == "resolvent" and zeta != 0.0:
+        return oracle.resolvent_column(M, 1j * zeta, t)
+    return oracle.function_column(M, f, t)
+
+
+def _summary(pairs, floor, reports, nrows):
+    """Dominance statistics plus convergence over the quadrature reports."""
+    summary = _ratio_stats(pairs, floor)
+    summary.update(
+        rows=nrows, converged=all(r.converged for r in reports),
+        max_relative_error_estimate=max(
+            (r.error_estimate / r.bound for r in reports if r.bound > 0),
+            default=0.0),
+        oracle_floor=floor)
+    return summary
+
+
 def run_compare(M, t, function, klass, *, tau=1.0, zeta=0.0,
                 distance_mode="band", drop_tol=0.0, quad_tol=1e-8,
                 max_panels=10000, out_path=None):
-    """Bound/oracle comparison for one column; emits CSV
-    ``k,distance,bound,oracle,ratio`` and returns summary statistics.
+    """Bound/oracle comparison for one column; returns (summary, header,
+    rows) with CSV columns ``k,distance,bound,oracle,ratio``, written to
+    ``out_path`` when given.
 
     Dominance violations are counted against oracle entries at or above
     the dense oracle's resolution floor; smaller entries are rounding
@@ -247,14 +239,11 @@ def run_compare(M, t, function, klass, *, tau=1.0, zeta=0.0,
     beta = getattr(M, "beta", None) or M.bandwidth
     iv = spectral_interval(M)
     f, kind, measure = resolve_function(function, klass, tau)
-    if kind == "resolvent" and zeta != 0.0:
-        col = np.abs(oracle.resolvent_column(M, 1j * zeta, t))
-    else:
-        col = np.abs(oracle.function_column(M, f, t))
+    col = np.abs(_oracle_column(M, f, kind, zeta, t))
     floor = oracle.oracle_floor(M, f)
     dist = geodesic_from(M, t, drop_tol=drop_tol) if distance_mode == "graph" else None
 
-    converged = True
+    reports = []
     rows = []
     for k in range(1, n + 1):
         if dist is not None:
@@ -275,30 +264,30 @@ def run_compare(M, t, function, klass, *, tau=1.0, zeta=0.0,
                 b = bounds.freund_resolvent_bound(iv, beta, zeta, k, t, distance=d)
         elif kind == "laplace":
             if d >= 2.0:
-                rep = bounds.laplace_entry_bound(iv, beta, measure, k, t,
-                                                 quad_tol=quad_tol, distance=d,
-                                                 max_panels=max_panels)
-                b = rep.bound
-                converged = converged and rep.converged
+                reports.append(bounds.laplace_entry_bound(
+                    iv, beta, measure, k, t, quad_tol=quad_tol, distance=d,
+                    max_panels=max_panels))
+                b = reports[-1].bound
         elif kind == "cauchy":
-            rep = bounds.cauchy_entry_bound(M, iv, beta, measure, k, t,
-                                            quad_tol=quad_tol, distance=d,
-                                            max_panels=max_panels)
-            b = rep.bound
-            converged = converged and rep.converged
+            reports.append(bounds.cauchy_entry_bound(
+                M, iv, beta, measure, k, t, quad_tol=quad_tol, distance=d,
+                max_panels=max_panels))
+            b = reports[-1].bound
         o = float(col[k - 1])
         ratio = (b / o) if (b is not None and o > 0) else None
         rows.append((k, d, b, o, ratio))
+    header = ("k", "distance", "bound", "oracle", "ratio")
     if out_path is not None:
-        _write_csv(out_path, ("k", "distance", "bound", "oracle", "ratio"), rows)
-    summary = _ratio_stats([(r[2], r[3]) for r in rows], floor)
-    summary.update(rows=len(rows), converged=converged, oracle_floor=floor)
-    return summary, rows
+        _write_csv(out_path, header, rows)
+    summary = _summary([(r[2], r[3]) for r in rows], floor, reports, len(rows))
+    return summary, header, rows
 
 
 def run_kron_compare(A, t, function, klass, *, tau=1.0, quad_tol=1e-8,
                      max_panels=10000, out_path=None):
-    """Kronecker-sum comparison; CSV ``k,k1,...,d1,...,bound,oracle``."""
+    """Kronecker-sum comparison; returns (summary, header, rows) with CSV
+    columns ``k,k1,...,d1,...,bound,oracle``, written to ``out_path`` when
+    given."""
     ivs = tuple(spectral_interval(f) for f in A.factors)
     nfac = len(A.factors)
     if klass in ("laplace", "cauchy") and function is None:
@@ -322,8 +311,7 @@ def run_kron_compare(A, t, function, klass, *, tau=1.0, quad_tol=1e-8,
         raise ValueError(f"class {klass!r} is not available for Kronecker sums")
     col = np.abs(oracle.function_column(A, f, t))
     floor = oracle.oracle_floor(A, f)
-    tm = A.delinearize(t)
-    converged = True
+    reports = []
     rows = []
     for k in range(1, A.total_order + 1):
         km = A.delinearize(k)
@@ -331,15 +319,14 @@ def run_kron_compare(A, t, function, klass, *, tau=1.0, quad_tol=1e-8,
             rows.append((k, *km, *(0.0,) * nfac, None, float(col[k - 1])))
             continue
         rep = evaluate(k)
-        converged = converged and rep.converged
+        reports.append(rep)
         rows.append((k, *km, *rep.distance, rep.bound, float(col[k - 1])))
     header = (["k"] + [f"k{i+1}" for i in range(nfac)]
               + [f"d{i+1}" for i in range(nfac)] + ["bound", "oracle"])
     if out_path is not None:
         _write_csv(out_path, header, rows)
-    summary = _ratio_stats([(r[-2], r[-1]) for r in rows], floor)
-    summary.update(rows=len(rows), converged=converged, oracle_floor=floor)
-    return summary, rows
+    summary = _summary([(r[-2], r[-1]) for r in rows], floor, reports, len(rows))
+    return summary, header, rows
 
 
 def run_surface(function, tau, grid_n, out_path):

@@ -14,10 +14,11 @@ import math
 import numpy as np
 
 from . import oracle
-from .bounds import DecayBoundReport, exp_envelope, _envelope_breakpoints
+from .bounds import DecayBoundReport, _envelope_integral, exp_envelope
 from .matrices import spectral_interval
-from .measures import laplace_transform_of_cauchy
-from .quadrature import integrate, integrate_semi_infinite
+# Not called here; perfbench/tracer.py wraps kron.integrate* when it times
+# the quadrature layer, so the names must exist.
+from .quadrature import integrate, integrate_semi_infinite  # noqa: F401
 
 
 def _intervals(A):
@@ -83,53 +84,7 @@ def sincos_kron_exact(A, k, t, which):
     return complex(val) if np.iscomplexobj(np.asarray(val)) else float(val)
 
 
-def _product_envelope(ivs, dists):
-    """tau-vectorized product of shifted per-factor envelopes."""
-
-    def env(taus):
-        taus = np.asarray(taus, dtype=float)
-        out = np.ones_like(taus)
-        for iv, d in zip(ivs, dists):
-            out = out * np.exp(-iv.lambda_min * taus) * exp_envelope(iv.rho * taus, d)
-        return out
-
-    return env
-
-
-def _all_breakpoints(ivs, dists, hi):
-    cuts = set()
-    for iv, d in zip(ivs, dists):
-        for c in _envelope_breakpoints(d, iv.rho):
-            if 0.0 < c < hi:
-                cuts.add(c)
-    return sorted(cuts)
-
-
-def _integrate_product(envfun, weight, edges, last_to_inf, quad_tol,
-                       singularity, max_panels):
-    f = lambda taus: envfun(taus) * weight(taus)
-    total, err, evals = 0.0, 0.0, 0
-    converged = True
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        r = integrate(f, lo, hi, 0.0, rtol=quad_tol,
-                      singularity_a=singularity if lo == 0.0 else 0.0,
-                      max_panels=max_panels)
-        total += float(np.asarray(r.value))
-        err += r.error_estimate
-        evals += r.evaluations
-        converged = converged and r.converged
-    if last_to_inf:
-        r = integrate_semi_infinite(f, edges[-1], 0.0, rtol=quad_tol,
-                                    singularity_a=singularity if edges[-1] == 0.0 else 0.0,
-                                    max_panels=max_panels)
-        total += float(np.asarray(r.value))
-        err += r.error_estimate
-        evals += r.evaluations
-        converged = converged and r.converged
-    return total, err, evals, converged
-
-
-def _check_validity(A, dists, on_invalid):
+def _check_validity(dists, on_invalid):
     valid = all(d >= 2.0 for d in dists)
     if not valid and on_invalid == "raise":
         raise ValueError(
@@ -137,6 +92,27 @@ def _check_validity(A, dists, on_invalid):
             f"|k_i - t_i|/beta_i >= 2; got {dists} "
             "(use on_invalid='extend' for the capped-envelope extension)")
     return valid
+
+
+def _kron_bound(A, k, t, intervals, on_invalid, weight, upper, singularity,
+                atoms, quad_tol, max_panels):
+    """Shared wrapper of the Laplace and Cauchy routes: the product-envelope
+    integral over the factors of A at the component distances of (k, t)."""
+    if len(A.factors) not in (2, 3):
+        raise ValueError("Kronecker bounds support two or three factors")
+    ivs = _intervals(A) if intervals is None else intervals
+    for iv in ivs:
+        if not iv.is_positive_definite:
+            raise ValueError("Kronecker bounds need positive definite factors")
+    dists = _component_distances(A, k, t)
+    valid = _check_validity(dists, on_invalid)
+    total, _, err, evals, converged = _envelope_integral(
+        tuple(zip(ivs, dists)), weight, upper, singularity, atoms, quad_tol,
+        max_panels)
+    return DecayBoundReport(k=A.delinearize(k), t=A.delinearize(t),
+                            distance=dists, bound=total,
+                            error_estimate=err, evaluations=evals,
+                            converged=converged, valid=valid)
 
 
 def laplace_kron_bound(A, measure, k, t, *, quad_tol=1e-10,
@@ -147,35 +123,11 @@ def laplace_kron_bound(A, measure, k, t, *, quad_tol=1e-10,
     representing measure; the integration is split at every factor's
     envelope regime boundaries.  Handles two or three factors.
     """
-    if len(A.factors) not in (2, 3):
-        raise ValueError("Kronecker bounds support two or three factors")
-    for iv in (intervals or _intervals(A)):
-        if not iv.is_positive_definite:
-            raise ValueError("Kronecker Laplace bounds need positive definite factors")
     if not measure.has_representation:
         raise ValueError(f"measure {measure.name!r} has no stored representation")
-    ivs = _intervals(A) if intervals is None else intervals
-    dists = _component_distances(A, k, t)
-    valid = _check_validity(A, dists, on_invalid)
-    envfun = _product_envelope(ivs, dists)
-    total, err, evals, converged = 0.0, 0.0, 0, True
-    if measure.density is not None:
-        hi = measure.support_upper
-        cuts = _all_breakpoints(ivs, dists, hi)
-        edges = [0.0] + cuts + ([] if math.isinf(hi) else [hi])
-        total, err, evals, converged = _integrate_product(
-            envfun, measure.density, edges, math.isinf(hi), quad_tol,
-            measure.singularity_exponent, max_panels)
-    for loc, weight in measure.atoms:
-        total += weight * float(envfun(np.asarray([loc]))[0])
-    return DecayBoundReport(k=A.delinearize(k), t=A.delinearize(t),
-                            distance=dists, bound=total,
-                            error_estimate=err, evaluations=evals,
-                            converged=converged, valid=valid)
-
-
-# Three-factor sums go through the same product-envelope integral.
-laplace_kron_bound_3d = laplace_kron_bound
+    return _kron_bound(A, k, t, intervals, on_invalid, measure.density,
+                       measure.support_upper, measure.singularity_exponent,
+                       measure.atoms, quad_tol, max_panels)
 
 
 def cauchy_kron_bound(A, measure, k, t, *, quad_tol=1e-10,
@@ -185,33 +137,15 @@ def cauchy_kron_bound(A, measure, k, t, *, quad_tol=1e-10,
     The resolvent route reduces to a Laplace-type integral: the inner
     integral over the measure is its Laplace transform g(tau), and the
     bound is the product-envelope integral against g.  For signed measures
-    g is replaced by the transform of the total variation.
+    g is replaced by the measure's closed-form bound on the transform of
+    its total variation.
     """
-    if len(A.factors) not in (2, 3):
-        raise ValueError("Kronecker bounds support two or three factors")
-    ivs = _intervals(A) if intervals is None else intervals
-    for iv in ivs:
-        if not iv.is_positive_definite:
-            raise ValueError("Kronecker Cauchy bounds need positive definite factors")
-    dists = _component_distances(A, k, t)
-    valid = _check_validity(A, dists, on_invalid)
-    envfun = _product_envelope(ivs, dists)
-
-    if measure.laplace_transform is not None and not measure.signed:
-        weight = measure.laplace_transform
-    else:
-        weight = np.vectorize(
-            lambda tau: laplace_transform_of_cauchy(measure, tau, tol=quad_tol,
-                                                    use_abs=True))
-    cuts = _all_breakpoints(ivs, dists, math.inf)
-    edges = [0.0] + cuts
-    total, err, evals, converged = _integrate_product(
-        envfun, weight, edges, True, quad_tol,
-        measure.transform_singularity, max_panels)
-    return DecayBoundReport(k=A.delinearize(k), t=A.delinearize(t),
-                            distance=dists, bound=total,
-                            error_estimate=err, evaluations=evals,
-                            converged=converged, valid=valid)
+    weight = (measure.variation_transform if measure.signed
+              else measure.laplace_transform)
+    if weight is None:
+        raise ValueError(f"measure {measure.name!r} has no closed-form transform")
+    return _kron_bound(A, k, t, intervals, on_invalid, weight, math.inf,
+                       measure.transform_singularity, (), quad_tol, max_panels)
 
 
 def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
@@ -228,14 +162,9 @@ def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
     dists = _component_distances(A, k, t)
     out = 1.0 / math.sqrt(math.pi)
     for iv, d in zip(ivs, dists):
-        def f(taus, iv=iv, d=d):
-            taus = np.asarray(taus, dtype=float)
-            e = np.exp(-iv.lambda_min * taus) * exp_envelope(iv.rho * taus, d)
-            return e * e * taus ** -0.5
-        edges = [0.0] + _all_breakpoints((iv,), (d,), math.inf)
-        val, _, _, conv = _integrate_product(
-            lambda taus: np.ones_like(np.asarray(taus, dtype=float)), f,
-            edges, True, quad_tol, -0.5, max_panels)
+        val, _, _, _, conv = _envelope_integral(
+            ((iv, d), (iv, d)), lambda taus: taus ** -0.5, math.inf, -0.5, (),
+            quad_tol, max_panels)
         if not conv:
             raise RuntimeError("split-bound quadrature did not converge")
         out *= math.sqrt(val)

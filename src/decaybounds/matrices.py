@@ -347,8 +347,3 @@ class KroneckerSum:
             acc = acc + functools.reduce(np.kron, mats[::-1])
         return acc
 
-
-def kron_product_dense(blocks):
-    """Dense Kronecker product paired with the same first-component-fastest
-    linearization used by :class:`KroneckerSum`."""
-    return functools.reduce(np.kron, [np.asarray(b) for b in blocks][::-1])

@@ -73,6 +73,9 @@ class CauchyMeasure:
     laplace_transform: object = None   # closed-form g(tau) = int exp(tau w) dgamma(w)
     transform_singularity: float = 0.0  # g(tau) ~ tau**p as tau -> 0+
     signed: bool = False
+    # Signed measures: closed-form upper bound on the transform of the
+    # total variation, int exp(-tau s) |v(-s)| ds, as a function of tau.
+    variation_transform: object = None
     # Oscillatory |density| tails make total-variation integrals expensive;
     # beyond tail_start (in s = -omega) the bounds may integrate this smooth
     # pointwise upper envelope instead, staying rigorous.
@@ -82,6 +85,8 @@ class CauchyMeasure:
     def __post_init__(self):
         if self.support_upper > 0:
             raise ValueError("support must lie in (-inf, 0]")
+        if self.signed and self.variation_transform is None:
+            raise ValueError("a signed measure needs a variation_transform")
 
     def density_s(self, s):
         """Density in the reflected variable s = -omega >= -support_upper."""
@@ -204,6 +209,10 @@ def cauchy_catalog(name):
             singularity_exponent=-0.5,
             laplace_transform=lambda t: erf(tpar / (2.0 * np.sqrt(t))),
             signed=True,
+            # |sin(t sqrt(s))| <= min(t sqrt(s), 1), split at s = 1/t^2
+            variation_transform=lambda tau: (
+                tpar * erf(np.sqrt(tau) / tpar) / np.sqrt(math.pi * tau)
+                + exp1(tau / tpar ** 2) / math.pi),
             tail_envelope=lambda s: np.minimum(
                 tpar / (math.pi * np.sqrt(np.asarray(s, dtype=float))),
                 1.0 / (math.pi * np.asarray(s, dtype=float))),

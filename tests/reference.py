@@ -5,9 +5,11 @@ cancellation-free Taylor series for exponentials of matrices with
 nonpositive off-diagonal entries (accurate in the relative sense at any
 magnitude, far below the eigensolver's noise floor), high-precision
 analytic eigenpair sums for the tridiagonal Toeplitz test matrix, exact
-rational inversion, and Floyd-Warshall distances.
+rational inversion, Floyd-Warshall distances, and scipy quadrature of
+total-variation transforms.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -92,3 +94,26 @@ def floyd_warshall(adjacency):
     for mid in range(n):
         dist = np.minimum(dist, dist[:, mid:mid + 1] + dist[mid:mid + 1, :])
     return dist
+
+
+def expsqrt_variation_transform(tpar, tau):
+    """int_0^inf exp(-tau s) |sin(tpar sqrt(s))| / (pi s) ds, the transform
+    of the total variation of the expsqrt:<tpar> Markov measure.
+
+    scipy ``quad`` in u = sqrt(s), one half-period of the sine per call so
+    every piece is smooth; stops once the remaining tail, at most
+    exp(-tau u^2) / (pi tau u^2), is below 1e-13 of the sum.
+    """
+    from scipy.integrate import quad
+
+    def f(u):
+        return math.exp(-tau * u * u) * abs(math.sin(tpar * u)) * 2.0 / (math.pi * u)
+
+    width = math.pi / tpar
+    total, j = 0.0, 0
+    while True:
+        total += quad(f, j * width, (j + 1) * width, epsabs=0.0, epsrel=1e-12)[0]
+        j += 1
+        x = tau * (j * width) ** 2
+        if x > 1.0 and math.exp(-x) / (math.pi * x) < 1e-13 * total:
+            return total

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decaybounds import (ExpEnvelopeParams, FreundParams, ResolventParams,
+from decaybounds import (SpectralInterval, banded_from_stencil,
                          cauchy_catalog, cauchy_entry_bound,
                          cauchy_shifted_bound, demko_bound, demko_constant,
                          eigendecomposition, exp_entry_bound, exp_envelope,
                          freund_resolvent_bound, function_column,
                          invsqrt_closed_bound, laplace_catalog,
-                         laplace_entry_bound, laplace_entry_bound_shifted,
-                         make_test_matrix, oracle_floor, phi,
+                         laplace_entry_bound, make_test_matrix, oracle_floor,
                          resolvent_column, spectral_interval)
 from reference import expm_column_nonneg, tridiag_entry_mp, tridiag_lambda_min
 
@@ -65,10 +64,12 @@ def test_envelope_vectorized_over_rho_tau():
 
 
 def test_phi_guards_diagonal():
-    params = ExpEnvelopeParams(rho=1.0, tau=4.0, beta=1)
+    # spectrum [0, 4 rho] with rho = 1 and tau = 4: the entry bound is the
+    # bare envelope at rho * tau = 4
+    iv = SpectralInterval(0.0, 4.0)
     with pytest.raises(ValueError):
-        phi(params, 0.0)
-    assert phi(params, 8.0) == exp_envelope(4.0, 8.0)
+        exp_entry_bound(iv, 1, 4.0, 3, 7, distance=0.0)
+    assert exp_entry_bound(iv, 1, 4.0, 3, 7, distance=8.0) == exp_envelope(4.0, 8.0)
 
 
 # ------------------------------------------------------- exponential bound
@@ -137,7 +138,7 @@ def test_demko_zero_for_scaled_identity():
 def test_demko_normalization_cancels():
     m = make_test_matrix("tridiag", 60)
     iv = spectral_interval(m)
-    q = ResolventParams(iv.lambda_min, iv.lambda_max).q
+    q = (math.sqrt(iv.kappa) - 1.0) / (math.sqrt(iv.kappa) + 1.0)
     for k, t in ((5, 30), (30, 30), (58, 12)):
         direct = demko_constant(iv.lambda_min, iv.lambda_max) * q ** abs(k - t)
         assert demko_bound(m, iv, k, t) == pytest.approx(direct, rel=1e-12)
@@ -174,20 +175,28 @@ def test_demko_requires_positive_definite():
 
 # ----------------------------------------------------------- Freund bound
 
+def _freund_radius(lmin, lmax, zeta):
+    # the bound is C R^{-d}: consecutive distances give the radius R
+    iv = SpectralInterval(lmin, lmax)
+    return (freund_resolvent_bound(iv, 1, zeta, 1, 2, distance=3.0)
+            / freund_resolvent_bound(iv, 1, zeta, 1, 2, distance=4.0))
+
+
 def test_freund_parameters_closed_form():
-    p = FreundParams(2.0, 6.0, zeta=0.0)
-    assert p.alpha == pytest.approx(2.0)
-    assert p.radius == pytest.approx(2.0 + math.sqrt(3.0))
+    # spectrum [2, 6], zeta = 0: ellipse parameter alpha = 2, radius 2 + sqrt 3
+    r = _freund_radius(2.0, 6.0, 0.0)
+    assert (r + 1.0 / r) / 2.0 == pytest.approx(2.0)
+    assert r == pytest.approx(2.0 + math.sqrt(3.0))
 
 
 def test_freund_radius_grows_with_shift():
     # the spectrum moves away from the singularity as |zeta| grows, so the
     # decay radius improves and the bound tightens
-    p0 = FreundParams(2.0, 6.0, zeta=0.0)
-    p3 = FreundParams(2.0, 6.0, zeta=1e3)
-    assert p3.radius > p0.radius
+    r0 = _freund_radius(2.0, 6.0, 0.0)
+    r3 = _freund_radius(2.0, 6.0, 1e3)
+    assert r3 > r0
     zs = [0.0, 0.5, 1.0, 5.0, 50.0, 1e3]
-    radii = [FreundParams(2.0, 6.0, zeta=z).radius for z in zs]
+    radii = [_freund_radius(2.0, 6.0, z) for z in zs]
     assert all(r2 > r1 for r1, r2 in zip(radii, radii[1:]))
 
 
@@ -208,18 +217,27 @@ def test_freund_guards():
     with pytest.raises(ValueError):
         freund_resolvent_bound(iv, 1, 0.0, 3, 3)
     with pytest.raises(ValueError):
-        FreundParams(2.0, 2.0, zeta=1.0)
+        freund_resolvent_bound(SpectralInterval(2.0, 2.0), 1, 1.0, 3, 5)
 
 
 # --------------------------------------------------- resolvent parameters
 
+def _demko_rate(iv):
+    # unit-diagonal identity storage keeps the normalizer at one; the
+    # bound is C q^d, so consecutive distances give the rate q
+    m = banded_from_stencil((0.0, 1.0, 0.0), 4)
+    return (demko_bound(m, iv, 1, 2, distance=4.0)
+            / demko_bound(m, iv, 1, 2, distance=3.0))
+
+
 @given(st.floats(0.1, 10.0), st.floats(0.0, 1000.0))
 def test_shifted_kernel_never_worse_than_unshifted(width, shift):
+    # the resolvent at omega = -shift is the inverse of M + shift I
     lmin = 1.0
-    base = ResolventParams(lmin, lmin + width, omega=0.0)
-    shifted = ResolventParams(lmin, lmin + width, omega=-shift)
+    base = SpectralInterval(lmin, lmin + width)
+    shifted = SpectralInterval(lmin + shift, lmin + width + shift)
     assert shifted.kappa <= base.kappa + 1e-12
-    assert shifted.q <= base.q + 1e-12
+    assert _demko_rate(shifted) <= _demko_rate(base) + 1e-12
 
 
 # ---------------------------------------------------- Laplace-class bound
@@ -267,6 +285,24 @@ def test_laplace_phi1_first_piece_dominates_far_out():
         assert rep.pieces["I"] / total > 0.9
 
 
+@pytest.mark.parametrize("mode", ["exact", "gershgorin"])
+@pytest.mark.parametrize("fname", ["inv_sqrt", "phi1", "exp", "log1p_inv",
+                                   "inv_pow:0.55"])
+def test_laplace_pieces_sum_to_bound(fname, mode):
+    # the regime pieces are a relabelling of the one envelope integral;
+    # phi1 has finite support and exp is a single atom
+    m = make_test_matrix("pentadiag", 60)
+    iv = spectral_interval(m, mode)
+    measure = laplace_catalog(fname)
+    for d in (1.0, 2.0, 20.0):
+        rep = laplace_entry_bound(iv, 2, measure, 30, 32, distance=d,
+                                  on_invalid="extend")
+        assert rep.valid == (d >= 2.0)
+        assert rep.converged
+        assert min(rep.pieces.values()) >= 0.0
+        assert rep.pieces["I"] + rep.pieces["II"] + rep.pieces["III"] == rep.bound
+
+
 def test_laplace_atom_measure_reduces_to_exp_bound():
     m = make_test_matrix("tridiag", 60)
     iv = spectral_interval(m)
@@ -288,17 +324,6 @@ def test_laplace_validity_guard_and_extension():
     assert rep.bound > 0
 
 
-def test_laplace_shifted_is_bit_identical():
-    m = make_test_matrix("tridiag", 50)
-    iv = spectral_interval(m)
-    measure = laplace_catalog("inv_sqrt")
-    for zeta in (0.0, 1.0, -3.5):
-        a = laplace_entry_bound(iv, 1, measure, 10, 25)
-        b = laplace_entry_bound_shifted(iv, 1, measure, zeta, 10, 25)
-        assert a.bound == b.bound
-        assert a.pieces == b.pieces
-
-
 def test_laplace_shifted_dominates_complex_shift_oracle():
     # principal-branch oracle for f(M + i zeta I), f = inverse square root
     n, t, zeta = 50, 25, 1.0
@@ -312,7 +337,7 @@ def test_laplace_shifted_dominates_complex_shift_oracle():
     for k in range(1, n + 1):
         if abs(k - t) < 2 or col[k - 1] < floor:
             continue
-        rep = laplace_entry_bound_shifted(iv, 1, measure, zeta, k, t)
+        rep = laplace_entry_bound(iv, 1, measure, k, t)
         assert rep.bound >= col[k - 1] * SLACK
 
 
@@ -441,6 +466,8 @@ def test_cauchy_shifted_guards():
     measure = cauchy_catalog("inv_sqrt")
     with pytest.raises(ValueError):
         cauchy_shifted_bound(iv, 1, measure, 1.0, 3, 3)
+    with pytest.raises(ValueError):
+        cauchy_shifted_bound(SpectralInterval(2.0, 2.0), 1, measure, 1.0, 3, 5)
 
 
 def test_exp_bound_next_to_diagonal_is_the_trivial_cap():

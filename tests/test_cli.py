@@ -3,7 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from decaybounds import make_test_matrix
+from decaybounds import (KroneckerSum, cauchy_catalog, make_test_matrix,
+                         oracle_floor)
 from decaybounds.cli import main
 from decaybounds.figures import FigureSpec, run_compare, run_figure
 
@@ -179,8 +180,8 @@ def test_run_figure_library_api(tmp_path):
 
 def test_run_compare_library_api(tmp_path):
     m = make_test_matrix("tridiag", 50)
-    summary, rows = run_compare(m, 25, "inv", "cauchy",
-                                out_path=str(tmp_path / "c.csv"))
+    summary, header, rows = run_compare(m, 25, "inv", "cauchy",
+                                        out_path=str(tmp_path / "c.csv"))
     assert summary["violations"] == 0
     assert summary["ratio_min"] is not None and summary["ratio_min"] >= 1.0
 
@@ -225,9 +226,9 @@ def test_self_check_violation_exits_three(monkeypatch, tmp_path):
     real = figures_mod.run_compare
 
     def tampered(*args, **kwargs):
-        summary, rows = real(*args, **kwargs)
+        summary, header, rows = real(*args, **kwargs)
         summary["violations"] = 1
-        return summary, rows
+        return summary, header, rows
 
     monkeypatch.setattr(figures_mod, "run_compare", tampered)
     code = main(["compare", "--matrix", "tridiag", "--n", "12", "--function",
@@ -260,3 +261,38 @@ def test_out_of_range_columns_are_usage_errors(tmp_path):
                  "--column", "99", "--out", out]) == 1
     assert main(["oracle", "--matrix", "tridiag", "--n", "10", "--function",
                  "inv", "--class", "laplace", "--column", "0", "--out", out]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--matrix", "pentadiag", "--n", "30", "--function",
+     "inv_sqrt", "--class", "laplace", "--column", "12"],
+    ["kron", "--factors", "tridiag,pentadiag", "--n", "6", "--function",
+     "inv_sqrt", "--class", "cauchy", "--column", "2,5"],
+])
+def test_stdout_csv_matches_out_file(argv, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_kron_cauchy_signed_measure_command(tmp_path):
+    # expsqrt has a signed Markov measure: the Kronecker route integrates
+    # against its closed-form total-variation transform
+    out = tmp_path / "k.csv"
+    assert main(["kron", "--factors", "tridiag,tridiag", "--n", "20",
+                 "--class", "cauchy", "--function", "expsqrt:1",
+                 "--column", "94", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 400
+    m = make_test_matrix("tridiag", 20)
+    floor = oracle_floor(KroneckerSum(factors=(m, m)),
+                         cauchy_catalog("expsqrt:1").closed_form)
+    resolved = 0
+    for row in rows:
+        b, o = float(row[5]), float(row[6])
+        if o >= floor:
+            assert b >= o * (1 - 1e-10)
+            resolved += 1
+    assert resolved > 200

@@ -9,7 +9,7 @@ from decaybounds import (KroneckerSum, LaplaceMeasure, cauchy_catalog,
                          exp_kron_entry_exact, function_column,
                          invsqrt_kron_split_bound, laplace_catalog,
                          laplace_entry_bound, laplace_kron_bound,
-                         laplace_kron_bound_3d, make_test_matrix,
+                         make_test_matrix,
                          banded_from_stencil, oracle_floor, sincos_kron_exact,
                          spectral_interval)
 from reference import expm_column_nonneg
@@ -245,7 +245,7 @@ def test_laplace_kron_three_factors_dominates():
     col = np.abs(function_column(a, measure.closed_form, t))
     floor = oracle_floor(a, measure.closed_form)
     for k in range(1, 126, 2):
-        rep = laplace_kron_bound_3d(a, measure, k, t, on_invalid="extend")
+        rep = laplace_kron_bound(a, measure, k, t, on_invalid="extend")
         if col[k - 1] >= floor:
             assert rep.bound >= col[k - 1] * SLACK
 
@@ -259,7 +259,7 @@ def test_laplace_kron_three_factors_single_active_distance():
     phi1 = laplace_catalog("phi1")
     t = a.linearize((1, 3, 4))
     k = a.linearize((5, 3, 4))
-    rep = laplace_kron_bound_3d(a, phi1, k, t, on_invalid="extend")
+    rep = laplace_kron_bound(a, phi1, k, t, on_invalid="extend")
     damped = LaplaceMeasure(
         name="phi1-damped",
         closed_form=phi1.closed_form,
@@ -273,7 +273,7 @@ def test_kron_atom_measure_three_factors(kron10):
     m = make_test_matrix("tridiag", 5)
     a = KroneckerSum(factors=(m, m, m))
     measure = laplace_catalog("exp")
-    rep = laplace_kron_bound_3d(a, measure, 7, 100, on_invalid="extend")
+    rep = laplace_kron_bound(a, measure, 7, 100, on_invalid="extend")
     expect = exp_kron_bound(a, 1.0, 7, 100)
     assert rep.bound == pytest.approx(expect.bound, rel=1e-12)
 

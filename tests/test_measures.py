@@ -7,6 +7,7 @@ from scipy.special import exp1
 from decaybounds import (cauchy_catalog, laplace_catalog,
                          laplace_transform_of_cauchy)
 from decaybounds.quadrature import integrate_semi_infinite
+from reference import expsqrt_variation_transform
 
 RECONSTRUCTION_POINTS = (0.5, 1.0, 2.0, 5.0)
 
@@ -100,6 +101,23 @@ def test_transform_total_variation_dominates_signed():
     signed = laplace_transform_of_cauchy(m, 1.0)
     total = laplace_transform_of_cauchy(m, 1.0, use_abs=True)
     assert total >= abs(signed)
+
+
+@pytest.mark.parametrize("tpar", [1.0, 1.2])
+def test_expsqrt_variation_transform_bounds_total_variation(tpar):
+    # closed-form weight of the Kronecker Cauchy route: above the true
+    # total-variation transform, and within a small factor of it
+    m = cauchy_catalog(f"expsqrt:{tpar}")
+    for tau in (1e-6, 1e-4, 1e-2, 1.0, 1e2):
+        ref = expsqrt_variation_transform(tpar, tau)
+        got = float(m.variation_transform(tau))
+        assert ref * (1 - 1e-9) <= got <= 1.5 * ref
+
+
+def test_signed_cauchy_measure_needs_variation_transform():
+    m = cauchy_catalog("expsqrt:1.0")
+    with pytest.raises(ValueError):
+        type(m)(**{**m.__dict__, "variation_transform": None})
 
 
 def test_transform_requires_positive_tau():
