@@ -12,7 +12,7 @@ import pathlib
 import sys
 import time
 
-from decaybounds.figures import FIGURE_IDS, FigureSpec, run_figure, run_surface
+from decaybounds.figures import FIGURE_IDS, run_figure, run_surface
 
 
 def main(argv=None):
@@ -26,10 +26,9 @@ def main(argv=None):
     failures = 0
     for figure_id in FIGURE_IDS:
         for kind in ("tridiag", "pentadiag"):
-            spec = FigureSpec(figure_id=figure_id, matrix_kind=kind)
             path = out_dir / f"{figure_id}-{kind}.csv"
             t0 = time.perf_counter()
-            s = run_figure(spec, str(path), quad_tol=args.quad_tol)
+            s = run_figure(figure_id, kind, str(path), args.quad_tol)
             dt = time.perf_counter() - t0
             ok = s["violations"] == 0 and s["converged"]
             failures += 0 if ok else 1

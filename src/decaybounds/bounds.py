@@ -37,7 +37,6 @@ class DecayBoundReport:
     evaluations: int = 0
     converged: bool = True
     valid: bool = True
-    oracle: float = None
 
 
 def exp_envelope(rho_tau, d):
@@ -140,7 +139,7 @@ def demko_bound(M, interval, k, t, *, distance=None):
     """
     if not interval.is_positive_definite:
         raise ValueError("the resolvent bound needs a positive definite matrix")
-    d = _distance(k, t, getattr(M, "beta", getattr(M, "bandwidth", 0)), distance)
+    d = _distance(k, t, M.beta, distance)
     s = M.diagonal_max()
     s = s if s > 1.0 else 1.0
     c, q = _demko_kernel(interval.lambda_min / s, interval.lambda_max / s, 0.0)

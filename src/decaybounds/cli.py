@@ -8,6 +8,9 @@ function).
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (a quadrature
 did not converge), 3 dominance violation detected in self-check mode.
+:func:`main` is the one place that turns an input error (``ValueError``,
+which ``UsageError`` and ``MatrixFormatError`` subclass, or
+``FileNotFoundError``) into exit 1.
 """
 
 from __future__ import annotations
@@ -18,11 +21,11 @@ import sys
 import numpy as np
 
 from . import figures
-from .figures import FIGURE_IDS, FigureSpec
-from .matrices import KroneckerSum, MatrixFormatError, parse_matrix_spec
+from .figures import FIGURE_IDS
+from .matrices import KroneckerSum, parse_matrix_spec
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -113,25 +116,15 @@ def build_parser():
     return parser
 
 
-def _load_matrix(args):
-    try:
-        return parse_matrix_spec(args.matrix, args.n)
-    except (MatrixFormatError, ValueError, FileNotFoundError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _cmd_bound(args, self_check=False):
-    M = _load_matrix(args)
+    M = parse_matrix_spec(args.matrix, args.n)
     if not (1 <= args.column <= M.n):
         raise UsageError(f"--column {args.column} outside 1..{M.n}")
-    try:
-        summary, header, rows = figures.run_compare(
-            M, args.column, args.function, args.klass, tau=args.tau,
-            zeta=args.zeta, distance_mode=args.distance,
-            drop_tol=args.pattern_drop_tol, quad_tol=args.quad_tol,
-            max_panels=args.quad_max_panels)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    summary, header, rows = figures.run_compare(
+        M, args.column, args.function, args.klass, tau=args.tau,
+        zeta=args.zeta, distance_mode=args.distance,
+        drop_tol=args.pattern_drop_tol, quad_tol=args.quad_tol,
+        max_panels=args.quad_max_panels)
     figures._write_csv(args.out, header, rows)
     if self_check or args.command == "compare":
         s = summary
@@ -148,38 +141,29 @@ def _cmd_bound(args, self_check=False):
 
 
 def _cmd_kron(args):
-    specs = args.factors.split(",")
+    factors = tuple(parse_matrix_spec(s, args.n) for s in args.factors.split(","))
     try:
-        factors = tuple(parse_matrix_spec(s, args.n) for s in specs)
         A = KroneckerSum(factors=factors)
         if "," in args.column:
-            comps = tuple(int(c) for c in args.column.split(","))
-            t = A.linearize(comps)
+            t = A.linearize(tuple(int(c) for c in args.column.split(",")))
         else:
             t = int(args.column)
             if not (1 <= t <= A.total_order):
-                raise IndexError(f"--column {t} outside 1..{A.total_order}")
-    except (MatrixFormatError, ValueError, TypeError, IndexError,
-            FileNotFoundError) as exc:
+                raise UsageError(f"--column {t} outside 1..{A.total_order}")
+    except (TypeError, IndexError) as exc:
         raise UsageError(str(exc)) from exc
-    try:
-        summary, header, rows = figures.run_kron_compare(
-            A, t, args.function, args.klass, tau=args.tau,
-            quad_tol=args.quad_tol, max_panels=args.quad_max_panels)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    summary, header, rows = figures.run_kron_compare(
+        A, t, args.function, args.klass, tau=args.tau,
+        quad_tol=args.quad_tol, max_panels=args.quad_max_panels)
     figures._write_csv(args.out, header, rows)
     return 0 if summary["converged"] else 2
 
 
 def _cmd_oracle(args):
-    M = _load_matrix(args)
+    M = parse_matrix_spec(args.matrix, args.n)
     if not (1 <= args.column <= M.n):
         raise UsageError(f"--column {args.column} outside 1..{M.n}")
-    try:
-        f, kind, _ = figures.resolve_function(args.function, args.klass, args.tau)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    f, kind, _ = figures.resolve_function(args.function, args.klass, args.tau)
     col = figures._oracle_column(M, f, kind, args.zeta, args.column)
     rows = [(k, float(np.real(col[k - 1])) if np.isrealobj(col) else abs(col[k - 1]))
             for k in range(1, M.n + 1)]
@@ -188,12 +172,9 @@ def _cmd_oracle(args):
 
 
 def _cmd_figure(args):
-    try:
-        spec = FigureSpec(figure_id=args.figure_id, matrix_kind=args.matrix_kind)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    out = args.out or f"{spec.figure_id}-{spec.matrix_kind}.csv"
-    summary = figures.run_figure(spec, out, quad_tol=args.quad_tol)
+    out = args.out or f"{args.figure_id}-{args.matrix_kind}.csv"
+    summary = figures.run_figure(args.figure_id, args.matrix_kind, out,
+                                 args.quad_tol)
     print(f"# wrote {out}: rows {summary['rows']} violations "
           f"{summary['violations']} (resolved {summary['resolved']})",
           file=sys.stderr)
@@ -222,7 +203,7 @@ def main(argv=None):
         if args.command == "surface":
             return _cmd_surface(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"decay: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

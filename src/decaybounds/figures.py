@@ -12,7 +12,6 @@ import contextlib
 import csv
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,26 +37,10 @@ _EXP_FIGURE_CUTOFF = 1e-60
 _DOMINANCE_SLACK = 1e-10
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """A figure preset; defaults are the standard desk-scale configuration
-    (single matrices of order 200, column 127, tau = 4; Kronecker sums of
-    two order-20 factors, column 94)."""
-
-    figure_id: str
-    matrix_kind: str = "tridiag"
-    n: int = 200
-    factor_n: int = 20
-    t: int = 127
-    t_kron: int = 94
-    tau: float = 4.0
-
-    def __post_init__(self):
-        if self.figure_id not in FIGURE_IDS:
-            raise ValueError(f"unknown figure id {self.figure_id!r}; "
-                             f"known: {', '.join(FIGURE_IDS)}")
-        if self.matrix_kind not in ("tridiag", "pentadiag"):
-            raise ValueError(f"unknown matrix kind {self.matrix_kind!r}")
+# The presets' standard desk-scale configuration: single matrices of order
+# 200, column 127, tau = 4; Kronecker sums of two order-20 factors, column 94.
+_N, _T, _TAU = 200, 127, 4.0
+_FACTOR_N, _T_KRON = 20, 94
 
 
 def _fmt(x):
@@ -105,13 +88,13 @@ _DRIVER_PRESETS = {
 }
 
 
-def _closed_form_rows(spec):
+def _closed_form_rows(figure_id, matrix_kind):
     """Rows (k, oracle, bound) of the presets no comparison class covers:
     the shifted exponential and the closed-form inverse square root."""
-    M = make_test_matrix(spec.matrix_kind, spec.n)
+    M = make_test_matrix(matrix_kind, _N)
     iv = spectral_interval(M)
-    t, tau, beta = spec.t, spec.tau, M.beta
-    if spec.figure_id == "fig1-exp":
+    t, tau, beta = _T, _TAU, M.beta
+    if figure_id == "fig1-exp":
         f = lambda x: np.exp(-tau * (x - iv.lambda_min))
         shifted = SpectralInterval(0.0, iv.lambda_max - iv.lambda_min)
         floor = max(_EXP_FIGURE_CUTOFF, oracle.oracle_floor(M, f))
@@ -120,9 +103,9 @@ def _closed_form_rows(spec):
         floor = oracle.oracle_floor(M, f)
     col = np.abs(oracle.function_column(M, f, t))
     rows = []
-    for k in range(1, spec.n + 1):
+    for k in range(1, _N + 1):
         b = None
-        if spec.figure_id == "fig1-exp":
+        if figure_id == "fig1-exp":
             if col[k - 1] < floor:
                 continue
             if k != t and abs(k - t) / beta >= math.sqrt(4.0 * shifted.rho * tau):
@@ -134,7 +117,7 @@ def _closed_form_rows(spec):
     return rows, floor
 
 
-def run_figure(spec, out_path, quad_tol=1e-10):
+def run_figure(figure_id, matrix_kind, out_path, quad_tol):
     """Write the preset's CSV and return dominance/convergence summary.
 
     Rows where the bound's stated validity precondition fails carry an
@@ -144,24 +127,26 @@ def run_figure(spec, out_path, quad_tol=1e-10):
     :func:`run_kron_compare` and keep the columns k[, k1, k2], oracle,
     bound.
     """
-    fid = spec.figure_id
-    if fid not in _DRIVER_PRESETS:
-        rows, floor = _closed_form_rows(spec)
+    if figure_id not in FIGURE_IDS:
+        raise ValueError(f"unknown figure id {figure_id!r}; "
+                         f"known: {', '.join(FIGURE_IDS)}")
+    if figure_id not in _DRIVER_PRESETS:
+        rows, floor = _closed_form_rows(figure_id, matrix_kind)
         header = ("k", "oracle", "bound")
         summary = dict(_ratio_stats([(b, o) for _, o, b in rows], floor),
                        converged=True, max_relative_error_estimate=0.0,
                        oracle_floor=floor)
-    elif _DRIVER_PRESETS[fid][0] == "compare":
-        M = make_test_matrix(spec.matrix_kind, spec.n)
-        summary, _, out = run_compare(M, spec.t, *_DRIVER_PRESETS[fid][1:],
+    elif _DRIVER_PRESETS[figure_id][0] == "compare":
+        M = make_test_matrix(matrix_kind, _N)
+        summary, _, out = run_compare(M, _T, *_DRIVER_PRESETS[figure_id][1:],
                                       quad_tol=quad_tol)
         header = ("k", "oracle", "bound")
         rows = [(k, o, b) for k, _, b, o, _ in out]
     else:
-        M = make_test_matrix(spec.matrix_kind, spec.factor_n)
+        M = make_test_matrix(matrix_kind, _FACTOR_N)
         summary, _, out = run_kron_compare(
-            KroneckerSum(factors=(M, M)), spec.t_kron,
-            *_DRIVER_PRESETS[fid][1:], quad_tol=quad_tol)
+            KroneckerSum(factors=(M, M)), _T_KRON,
+            *_DRIVER_PRESETS[figure_id][1:], quad_tol=quad_tol)
         header = ("k", "k1", "k2", "oracle", "bound")
         # the extended bounds of rows below the stated validity are blanked
         rows = [(k, k1, k2, o, b if min(d1, d2) >= 2.0 else None)
@@ -169,7 +154,7 @@ def run_figure(spec, out_path, quad_tol=1e-10):
         summary.update(_ratio_stats([(r[-1], r[-2]) for r in rows],
                                     summary["oracle_floor"]))
     _write_csv(out_path, header, rows)
-    summary.update(figure_id=fid, matrix_kind=spec.matrix_kind, rows=len(rows))
+    summary.update(figure_id=figure_id, matrix_kind=matrix_kind, rows=len(rows))
     return summary
 
 
@@ -226,17 +211,18 @@ def _summary(pairs, floor, reports, nrows):
 
 def run_compare(M, t, function, klass, *, tau=1.0, zeta=0.0,
                 distance_mode="band", drop_tol=0.0, quad_tol=1e-8,
-                max_panels=10000, out_path=None):
+                max_panels=10000):
     """Bound/oracle comparison for one column; returns (summary, header,
-    rows) with CSV columns ``k,distance,bound,oracle,ratio``, written to
-    ``out_path`` when given.
+    rows) with CSV columns ``k,distance,bound,oracle,ratio``.
 
     Dominance violations are counted against oracle entries at or above
     the dense oracle's resolution floor; smaller entries are rounding
     noise (see :func:`decaybounds.oracle.oracle_floor`).
     """
-    n = M.n
-    beta = getattr(M, "beta", None) or M.bandwidth
+    n, beta = M.n, M.beta
+    if distance_mode == "band" and beta < 1:
+        raise ValueError("band distances need bandwidth >= 1 and the matrix "
+                         "is diagonal; use --distance graph")
     iv = spectral_interval(M)
     f, kind, measure = resolve_function(function, klass, tau)
     col = np.abs(_oracle_column(M, f, kind, zeta, t))
@@ -277,45 +263,35 @@ def run_compare(M, t, function, klass, *, tau=1.0, zeta=0.0,
         ratio = (b / o) if (b is not None and o > 0) else None
         rows.append((k, d, b, o, ratio))
     header = ("k", "distance", "bound", "oracle", "ratio")
-    if out_path is not None:
-        _write_csv(out_path, header, rows)
     summary = _summary([(r[2], r[3]) for r in rows], floor, reports, len(rows))
     return summary, header, rows
 
 
 def run_kron_compare(A, t, function, klass, *, tau=1.0, quad_tol=1e-8,
-                     max_panels=10000, out_path=None):
+                     max_panels=10000):
     """Kronecker-sum comparison; returns (summary, header, rows) with CSV
-    columns ``k,k1,...,d1,...,bound,oracle``, written to ``out_path`` when
-    given."""
-    ivs = tuple(spectral_interval(f) for f in A.factors)
+    columns ``k,k1,...,d1,...,bound,oracle``."""
+    f, kind, measure = resolve_function(function, klass, tau)
+    ivs = tuple(spectral_interval(m) for m in A.factors)
     nfac = len(A.factors)
-    if klass in ("laplace", "cauchy") and function is None:
-        raise ValueError(f"--class {klass} needs --function")
-    if klass == "exp":
-        f = lambda x: np.exp(-tau * x)
+    if kind == "exp":
         evaluate = lambda k: kron.exp_kron_bound(A, tau, k, t, intervals=ivs)
-    elif klass == "laplace":
-        measure = laplace_catalog(function)
-        f = measure.closed_form
-        evaluate = lambda k: kron.laplace_kron_bound(
-            A, measure, k, t, quad_tol=quad_tol, on_invalid="extend",
-            intervals=ivs, max_panels=max_panels)
-    elif klass == "cauchy":
-        measure = cauchy_catalog(function)
-        f = measure.closed_form
-        evaluate = lambda k: kron.cauchy_kron_bound(
-            A, measure, k, t, quad_tol=quad_tol, on_invalid="extend",
-            intervals=ivs, max_panels=max_panels)
+    elif kind in ("laplace", "cauchy"):
+        bound = (kron.laplace_kron_bound if kind == "laplace"
+                 else kron.cauchy_kron_bound)
+        evaluate = lambda k: bound(A, measure, k, t, quad_tol=quad_tol,
+                                   on_invalid="extend", intervals=ivs,
+                                   max_panels=max_panels)
     else:
-        raise ValueError(f"class {klass!r} is not available for Kronecker sums")
+        raise ValueError(f"--class {klass} --function {function} is not "
+                         "available for Kronecker sums")
     col = np.abs(oracle.function_column(A, f, t))
     floor = oracle.oracle_floor(A, f)
     reports = []
     rows = []
     for k in range(1, A.total_order + 1):
         km = A.delinearize(k)
-        if k == t and klass == "exp":
+        if k == t and kind == "exp":
             rows.append((k, *km, *(0.0,) * nfac, None, float(col[k - 1])))
             continue
         rep = evaluate(k)
@@ -323,8 +299,6 @@ def run_kron_compare(A, t, function, klass, *, tau=1.0, quad_tol=1e-8,
         rows.append((k, *km, *rep.distance, rep.bound, float(col[k - 1])))
     header = (["k"] + [f"k{i+1}" for i in range(nfac)]
               + [f"d{i+1}" for i in range(nfac)] + ["bound", "oracle"])
-    if out_path is not None:
-        _write_csv(out_path, header, rows)
     summary = _summary([(r[-2], r[-1]) for r in rows], floor, reports, len(rows))
     return summary, header, rows
 

@@ -51,16 +51,3 @@ def geodesic_from(M, t, *, drop_tol=0.0):
                 queue.append(j)
     return DistanceVector(source=t, distances=dist)
 
-
-def bound_with_distance(bound_fn, dist, k, *args, **kwargs):
-    """Evaluate a banded bound at the geodesic distance d(k, source).
-
-    ``bound_fn`` is any bound function accepting a ``distance`` keyword
-    (all of them do).  Unreachable entries return None: an infinite
-    distance does not justify claiming a zero bound, so no value is
-    reported for them.
-    """
-    d = dist[k]
-    if np.isinf(d):
-        return None
-    return bound_fn(*args, k=k, t=dist.source, distance=d, **kwargs)

@@ -55,17 +55,6 @@ class BandedHermitianMatrix:
     def is_complex(self):
         return any(np.iscomplexobj(d) for d in self.diagonals[1:])
 
-    def entry(self, i, j):
-        """Entry (i, j), 1-based."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexError(f"index ({i}, {j}) outside 1..{self.n}")
-        off = j - i
-        if abs(off) > self.beta:
-            return 0.0
-        if off >= 0:
-            return self.diagonals[off][i - 1]
-        return np.conj(self.diagonals[-off][j - 1])
-
     def toarray(self):
         dtype = complex if self.is_complex else float
         a = np.zeros((self.n, self.n), dtype=dtype)
@@ -172,8 +161,9 @@ class SparseHermitianMatrix:
     def diagonal_max(self):
         return float(np.max(self.matrix.diagonal().real))
 
-    @property
-    def bandwidth(self):
+    @functools.cached_property
+    def beta(self):
+        """Bandwidth max |i - j| over the stored entries."""
         coo = self.matrix.tocoo()
         if coo.nnz == 0:
             return 0
@@ -332,13 +322,12 @@ class KroneckerSum:
             rem //= n
         return tuple(out)
 
-    def toarray(self, max_order=4096):
+    def toarray(self):
         """Dense assembly; guarded since it is only meant for identity and
         dominance checks at desk scale."""
-        if self.total_order > max_order:
-            raise ValueError(
-                f"dense assembly capped at order {max_order}; "
-                f"requested {self.total_order}")
+        if self.total_order > 4096:
+            raise ValueError("dense assembly capped at order 4096; "
+                             f"requested {self.total_order}")
         eyes = [np.eye(n) for n in self.orders]
         acc = np.zeros((self.total_order, self.total_order))
         for pos, f in enumerate(self.factors):

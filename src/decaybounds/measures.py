@@ -228,27 +228,3 @@ def cauchy_catalog(name):
         )
     raise ValueError(f"unknown Cauchy-class function {name!r}")
 
-
-def laplace_transform_of_cauchy(measure, tau, tol=1e-10, use_abs=False):
-    """g(tau) = int_{-inf}^{upper} exp(tau omega) dgamma(omega), tau > 0.
-
-    The stored closed form is used when available; for total-variation
-    integrals of signed measures (``use_abs=True``) or measures without a
-    closed form, the integral is evaluated by semi-infinite quadrature.
-    Raises when the quadrature does not converge (divergent integrals are
-    reported the same way, with a diagnostic).
-    """
-    if tau <= 0:
-        raise ValueError("the transform needs tau > 0")
-    if measure.laplace_transform is not None and not (use_abs and measure.signed):
-        return float(measure.laplace_transform(tau))
-    dens = measure.abs_density_s if use_abs else measure.density_s
-    s0 = -measure.support_upper
-    f = lambda s: np.exp(-tau * s) * dens(s)
-    r = integrate_semi_infinite(f, s0, tol,
-                                singularity_a=measure.singularity_exponent)
-    if not r.converged:
-        raise RuntimeError(
-            f"Laplace transform of {measure.name} did not converge at tau={tau}; "
-            "the integral may be divergent")
-    return r.value

@@ -24,23 +24,14 @@ class EigenDecomposition:
 _CACHE = weakref.WeakKeyDictionary()
 
 
-def _dense(M):
-    return M if isinstance(M, np.ndarray) else M.toarray()
-
-
 def eigendecomposition(M):
-    """Eigendecomposition of a Hermitian argument, cached per object."""
-    if not isinstance(M, np.ndarray):
-        hit = _CACHE.get(M)
-        if hit is not None:
-            return hit
-    w, u = np.linalg.eigh(_dense(M))
+    """Eigendecomposition of a Hermitian matrix object, cached per object."""
+    hit = _CACHE.get(M)
+    if hit is not None:
+        return hit
+    w, u = np.linalg.eigh(M.toarray())
     dec = EigenDecomposition(eigenvalues=w, eigenvectors=u)
-    if not isinstance(M, np.ndarray):
-        try:
-            _CACHE[M] = dec
-        except TypeError:
-            pass
+    _CACHE[M] = dec
     return dec
 
 
@@ -72,8 +63,8 @@ def function_column(M, f, t):
 
 def resolvent_column(M, shift, t):
     """Solve (M - shift I) x = e_t; ``shift`` may be complex."""
-    a = _dense(M).astype(complex if np.iscomplexobj(np.asarray(shift)) or
-                         isinstance(shift, complex) else float)
+    a = M.toarray().astype(complex if np.iscomplexobj(np.asarray(shift)) or
+                           isinstance(shift, complex) else float)
     n = a.shape[0]
     dec = eigendecomposition(M)
     if np.min(np.abs(dec.eigenvalues - shift)) == 0.0:
@@ -83,17 +74,17 @@ def resolvent_column(M, shift, t):
     return np.linalg.solve(a - shift * np.eye(n, dtype=a.dtype), rhs)
 
 
-def oracle_floor(M, f, safety=100.0):
+def oracle_floor(M, f):
     """Absolute resolution floor of the eigendecomposition path.
 
     Entries of U f(Lambda) U* are sums of n terms of size up to max|f|, so
     below roughly n * eps * max|f| they consist of rounding noise.  The
-    dominance checks and CSV self-checks only compare above this level.
+    floor is 100 times that level; dominance checks only compare above it.
     """
     dec = eigendecomposition(M)
     fmax = float(np.max(np.abs(f(dec.eigenvalues))))
     n = dec.eigenvalues.size
-    return safety * n * np.finfo(float).eps * fmax
+    return 100.0 * n * np.finfo(float).eps * fmax
 
 
 def lancaster_column(M, omega, t, tol=1e-8):

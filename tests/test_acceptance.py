@@ -19,11 +19,10 @@ from decaybounds import (KroneckerSum, cauchy_catalog, cauchy_kron_bound,
                          demko_bound, exp_entry_bound, function_column,
                          geodesic_from, invsqrt_closed_bound, lancaster_column,
                          laplace_catalog, laplace_entry_bound,
-                         laplace_kron_bound, laplace_transform_of_cauchy,
-                         make_test_matrix, oracle_floor,
+                         laplace_kron_bound, make_test_matrix, oracle_floor,
                          banded_from_stencil, cauchy_entry_bound,
                          sincos_kron_exact, spectral_interval)
-from reference import expm_column_nonneg
+from reference import expm_column_nonneg, laplace_transform_of_cauchy
 
 SLACK = 1.0 - 1e-10
 KINDS = ("tridiag", "pentadiag")

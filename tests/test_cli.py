@@ -3,10 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from decaybounds import (KroneckerSum, cauchy_catalog, make_test_matrix,
-                         oracle_floor)
+from decaybounds import (BandedHermitianMatrix, KroneckerSum, cauchy_catalog,
+                         make_test_matrix, oracle_floor)
 from decaybounds.cli import main
-from decaybounds.figures import FigureSpec, run_compare, run_figure
+from decaybounds.figures import run_compare, run_figure
 
 def _write_banded_mtx(path, n=12):
     lines = ["%%MatrixMarket matrix coordinate real symmetric",
@@ -172,16 +172,15 @@ def test_seventeen_significant_digits(tmp_path):
 
 
 def test_run_figure_library_api(tmp_path):
-    spec = FigureSpec(figure_id="fig4-cs-invsqrt", matrix_kind="tridiag")
-    summary = run_figure(spec, str(tmp_path / "f4.csv"))
+    summary = run_figure("fig4-cs-invsqrt", "tridiag", str(tmp_path / "f4.csv"),
+                         1e-10)
     assert summary["violations"] == 0
     assert summary["converged"]
 
 
-def test_run_compare_library_api(tmp_path):
+def test_run_compare_library_api():
     m = make_test_matrix("tridiag", 50)
-    summary, header, rows = run_compare(m, 25, "inv", "cauchy",
-                                        out_path=str(tmp_path / "c.csv"))
+    summary, header, rows = run_compare(m, 25, "inv", "cauchy")
     assert summary["violations"] == 0
     assert summary["ratio_min"] is not None and summary["ratio_min"] >= 1.0
 
@@ -296,3 +295,51 @@ def test_kron_cauchy_signed_measure_command(tmp_path):
             assert b >= o * (1 - 1e-10)
             resolved += 1
     assert resolved > 200
+
+
+def _write_diagonal_mtx(path, n=5):
+    lines = ["%%MatrixMarket matrix coordinate real symmetric", f"{n} {n} {n}"]
+    lines += [f"{i} {i} {i + 1}.0" for i in range(1, n + 1)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["surface", "--grid-n", "1", "--out", "{tmp}/x.csv"],
+    # 65^2 exceeds the dense Kronecker assembly cap
+    ["surface", "--grid-n", "65", "--out", "{tmp}/x.csv"],
+    # tridiag(1, 0, 1) is indefinite: x^-1/2 is undefined on its spectrum
+    ["oracle", "--matrix", "tridiag:1,0,1", "--n", "10", "--function",
+     "inv_sqrt", "--class", "laplace", "--column", "3"],
+    ["kron", "--factors", "tridiag,tridiag", "--n", "6", "--class", "exp",
+     "--function", "phi1", "--column", "3"],
+    # band distances need bandwidth >= 1
+    ["compare", "--matrix", "{tmp}/diag.mtx", "--class", "cauchy",
+     "--function", "inv", "--column", "2"],
+    ["bound", "--matrix", "tridiag", "--n", "10", "--function", "inv",
+     "--class", "cauchy", "--column", "5", "--out", "{tmp}/missing/x.csv"],
+])
+def test_input_errors_exit_one_with_message(argv, tmp_path, capsys):
+    _write_diagonal_mtx(tmp_path / "diag.mtx")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    with np.errstate(invalid="ignore"):
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("decay: error: ") and "Traceback" not in err
+
+
+def test_diagonal_matrix_needs_graph_distance(tmp_path, capsys):
+    path = tmp_path / "diag.mtx"
+    _write_diagonal_mtx(path)
+    argv = ["compare", "--matrix", str(path), "--class", "cauchy",
+            "--function", "inv", "--column", "2", "--out", str(tmp_path / "d.csv")]
+    assert main(argv) == 1
+    assert "--distance graph" in capsys.readouterr().err
+    assert main(argv + ["--distance", "graph"]) == 0
+    _, rows = _read_csv(tmp_path / "d.csv")
+    # no other node is reachable from column 2: only the diagonal is bounded
+    assert [r[2] != "" for r in rows] == [False, True, False, False, False]
+    m = BandedHermitianMatrix(n=5, beta=0, diagonals=(np.arange(1.0, 6.0),))
+    with pytest.raises(ValueError, match="--distance graph"):
+        run_compare(m, 2, "inv", "cauchy")
+    _, _, rows = run_compare(m, 2, "inv", "cauchy", distance_mode="graph")
+    assert rows[1][2] >= 0.5 * (1 - 1e-10)

@@ -6,11 +6,11 @@ import scipy.sparse
 from hypothesis import given, strategies as st
 
 from decaybounds import (SparseHermitianMatrix, banded_from_stencil,
-                         bound_with_distance, cauchy_catalog,
-                         cauchy_entry_bound, demko_bound, exp_entry_bound,
-                         function_column, geodesic_from, laplace_catalog,
-                         laplace_entry_bound, make_test_matrix,
-                         spectral_interval)
+                         cauchy_catalog, cauchy_entry_bound, demko_bound,
+                         exp_entry_bound, function_column, geodesic_from,
+                         laplace_catalog, laplace_entry_bound,
+                         make_test_matrix, spectral_interval)
+from decaybounds.figures import run_compare
 from reference import floyd_warshall
 
 
@@ -122,22 +122,22 @@ def test_arrowhead_pattern_no_decay():
     dv = geodesic_from(m, 2)
     assert all(dv[j] == 2.0 for j in range(3, n + 1))
     inv = np.abs(function_column(m, lambda x: 1.0 / x, 2))
-    bounds = [bound_with_distance(demko_bound, dv, j, m, iv) for j in range(3, n + 1)]
+    bounds = [demko_bound(m, iv, j, 2, distance=dv[j]) for j in range(3, n + 1)]
     assert len(set(bounds)) == 1  # flat bound along the family
     assert np.ptp(inv[2:]) <= 1e-12  # oracle is flat too
     assert all(b >= inv[j - 1] * (1 - 1e-10) for j, b in zip(range(3, n + 1), bounds))
 
 
-def test_bound_with_distance_unreachable_returns_none():
+def test_graph_compare_unreachable_rows_have_no_bound():
     a = scipy.sparse.block_diag([
         np.array([[4.0, -1.0], [-1.0, 4.0]]),
         np.array([[4.0]]),
     ]).tocsr()
     m = SparseHermitianMatrix(n=3, matrix=a)
-    iv = spectral_interval(m)
-    dv = geodesic_from(m, 1)
-    assert bound_with_distance(demko_bound, dv, 3, m, iv) is None
-    assert bound_with_distance(demko_bound, dv, 2, m, iv) is not None
+    _, _, rows = run_compare(m, 1, "inv", "cauchy", distance_mode="graph")
+    # an infinite distance does not justify a zero bound: both cells stay empty
+    assert rows[2][1] is None and rows[2][2] is None
+    assert rows[1][1] == 1.0 and rows[1][2] is not None
 
 
 def test_source_out_of_range():

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from decaybounds import (cauchy_catalog, laplace_catalog,
-                         laplace_transform_of_cauchy)
+from decaybounds import cauchy_catalog, laplace_catalog
 from decaybounds.quadrature import integrate_semi_infinite
-from reference import expsqrt_variation_transform
+from reference import expsqrt_variation_transform, laplace_transform_of_cauchy
 
 RECONSTRUCTION_POINTS = (0.5, 1.0, 2.0, 5.0)
 

@@ -26,13 +26,6 @@ def test_exponential_against_closed_form():
     assert abs(r.value - exact) <= 1e-10
 
 
-def test_right_endpoint_singularity():
-    # int_0^1 (1-x)^{-1/2} dx = 2
-    r = integrate(lambda x: (1.0 - x) ** -0.5, 0.0, 1.0, 1e-8, singularity_b=-0.5)
-    assert r.converged
-    assert abs(r.value - 2.0) <= 1e-7
-
-
 def test_semi_infinite_power_tail():
     r = integrate_semi_infinite(lambda x: x ** -1.5, 1.0, 1e-8)
     assert r.converged
