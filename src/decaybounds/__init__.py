@@ -12,9 +12,7 @@ from .bounds import (DecayBoundReport, cauchy_entry_bound, cauchy_shifted_bound,
                      freund_resolvent_bound, invsqrt_closed_bound,
                      laplace_entry_bound)
 from .graphdist import DistanceVector, geodesic_from
-from .kron import (cauchy_kron_bound, exp_kron_bound, exp_kron_entry_exact,
-                   invsqrt_kron_split_bound, laplace_kron_bound,
-                   sincos_kron_exact)
+from .kron import cauchy_kron_bound, exp_kron_bound, laplace_kron_bound
 from .matrices import (BandedHermitianMatrix, KroneckerSum, MatrixFormatError,
                        SparseHermitianMatrix, SpectralInterval,
                        banded_from_stencil, load_matrix_market,
@@ -22,8 +20,7 @@ from .matrices import (BandedHermitianMatrix, KroneckerSum, MatrixFormatError,
 from .measures import (CauchyMeasure, LaplaceMeasure, cauchy_catalog,
                        laplace_catalog)
 from .oracle import (EigenDecomposition, eigendecomposition, function_column,
-                     lancaster_column, matrix_function, oracle_floor,
-                     resolvent_column)
+                     matrix_function, oracle_floor, resolvent_column)
 from .quadrature import QuadratureResult, integrate, integrate_semi_infinite
 
 __version__ = "0.1.0"
@@ -35,12 +32,10 @@ __all__ = [
     "SpectralInterval", "banded_from_stencil", "cauchy_catalog",
     "cauchy_entry_bound", "cauchy_kron_bound", "cauchy_shifted_bound",
     "demko_bound", "demko_constant", "eigendecomposition", "exp_entry_bound",
-    "exp_envelope", "exp_kron_bound", "exp_kron_entry_exact",
-    "freund_resolvent_bound", "function_column", "geodesic_from",
-    "integrate", "integrate_semi_infinite", "invsqrt_closed_bound",
-    "invsqrt_kron_split_bound", "lancaster_column", "laplace_catalog",
+    "exp_envelope", "exp_kron_bound", "freund_resolvent_bound",
+    "function_column", "geodesic_from", "integrate",
+    "integrate_semi_infinite", "invsqrt_closed_bound", "laplace_catalog",
     "laplace_entry_bound", "laplace_kron_bound", "load_matrix_market",
     "make_test_matrix", "matrix_function", "oracle_floor",
-    "parse_matrix_spec", "resolvent_column", "sincos_kron_exact",
-    "spectral_interval",
+    "parse_matrix_spec", "resolvent_column", "spectral_interval",
 ]

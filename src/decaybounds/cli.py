@@ -9,8 +9,9 @@ function).
 Exit codes: 0 success, 1 usage error, 2 numerical failure (a quadrature
 did not converge), 3 dominance violation detected in self-check mode.
 :func:`main` is the one place that turns an input error (``ValueError``,
-which ``UsageError`` and ``MatrixFormatError`` subclass, or
-``FileNotFoundError``) into exit 1.
+which ``UsageError`` and ``MatrixFormatError`` subclass, or an ``OSError``
+such as a missing matrix file or an ``--out`` path that is a directory)
+into exit 1.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ def _cmd_oracle(args):
     M = parse_matrix_spec(args.matrix, args.n)
     if not (1 <= args.column <= M.n):
         raise UsageError(f"--column {args.column} outside 1..{M.n}")
-    f, kind, _ = figures.resolve_function(args.function, args.klass, args.tau)
+    f, kind, _ = figures.resolve_function(args.function, args.klass, args.tau,
+                                          args.zeta)
     col = figures._oracle_column(M, f, kind, args.zeta, args.column)
     rows = [(k, float(np.real(col[k - 1])) if np.isrealobj(col) else abs(col[k - 1]))
             for k in range(1, M.n + 1)]
@@ -203,7 +205,7 @@ def main(argv=None):
         if args.command == "surface":
             return _cmd_surface(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"decay: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -158,9 +158,12 @@ def run_figure(figure_id, matrix_kind, out_path, quad_tol):
     return summary
 
 
-def resolve_function(name, klass, tau):
+def resolve_function(name, klass, tau, zeta):
     """Map (--function, --class) to (scalar oracle function, bound kind,
-    measure).  Raises ValueError on contradictory combinations."""
+    measure).  Raises ValueError on contradictory combinations, among
+    them a nonzero --zeta outside --class resolvent."""
+    if zeta != 0.0 and klass != "resolvent":
+        raise ValueError("--zeta applies only to --class resolvent")
     if klass == "exp":
         if name not in (None, "exp"):
             raise ValueError(f"--class exp is the pure exponential bound; "
@@ -223,8 +226,8 @@ def run_compare(M, t, function, klass, *, tau=1.0, zeta=0.0,
     if distance_mode == "band" and beta < 1:
         raise ValueError("band distances need bandwidth >= 1 and the matrix "
                          "is diagonal; use --distance graph")
+    f, kind, measure = resolve_function(function, klass, tau, zeta)
     iv = spectral_interval(M)
-    f, kind, measure = resolve_function(function, klass, tau)
     col = np.abs(_oracle_column(M, f, kind, zeta, t))
     floor = oracle.oracle_floor(M, f)
     dist = geodesic_from(M, t, drop_tol=drop_tol) if distance_mode == "graph" else None
@@ -271,7 +274,7 @@ def run_kron_compare(A, t, function, klass, *, tau=1.0, quad_tol=1e-8,
                      max_panels=10000):
     """Kronecker-sum comparison; returns (summary, header, rows) with CSV
     columns ``k,k1,...,d1,...,bound,oracle``."""
-    f, kind, measure = resolve_function(function, klass, tau)
+    f, kind, measure = resolve_function(function, klass, tau, 0.0)
     ivs = tuple(spectral_interval(m) for m in A.factors)
     nfac = len(A.factors)
     if kind == "exp":

@@ -200,17 +200,14 @@ def load_matrix_market(path):
 
 @dataclass(frozen=True)
 class SpectralInterval:
-    """Enclosure [lambda_min, lambda_max] of the spectrum with provenance."""
+    """Enclosure [lambda_min, lambda_max] of the spectrum."""
 
     lambda_min: float
     lambda_max: float
-    source: str = "exact"
 
     def __post_init__(self):
         if self.lambda_min > self.lambda_max:
             raise ValueError("lambda_min exceeds lambda_max")
-        if self.source not in ("exact", "gershgorin"):
-            raise ValueError(f"unknown source {self.source!r}")
 
     @property
     def rho(self):
@@ -227,41 +224,11 @@ class SpectralInterval:
         return self.lambda_min > 0
 
 
-def _gershgorin_banded(M):
-    radius = np.zeros(M.n)
-    for j in range(1, M.beta + 1):
-        a = np.abs(M.diagonals[j])
-        radius[: M.n - j] += a
-        radius[j:] += a
-    center = M.diagonals[0]
-    return float(np.min(center - radius)), float(np.max(center + radius))
-
-
-def _gershgorin_sparse(M):
-    m = M.matrix
-    absrow = np.asarray(abs(m).sum(axis=1)).ravel()
-    diag = m.diagonal().real
-    radius = absrow - np.abs(diag)
-    return float(np.min(diag - radius)), float(np.max(diag + radius))
-
-
-def spectral_interval(M, mode="exact"):
-    """Spectral enclosure of a Hermitian matrix.
-
-    ``exact`` uses a dense symmetric eigensolve (intended for desk-scale
-    orders); ``gershgorin`` returns the disc enclosure, never tighter than
-    exact but computed without densifying.
-    """
-    if mode == "exact":
-        w = np.linalg.eigvalsh(M.toarray())
-        return SpectralInterval(float(w[0]), float(w[-1]), source="exact")
-    if mode == "gershgorin":
-        if isinstance(M, BandedHermitianMatrix):
-            lo, hi = _gershgorin_banded(M)
-        else:
-            lo, hi = _gershgorin_sparse(M)
-        return SpectralInterval(lo, hi, source="gershgorin")
-    raise ValueError(f"unknown mode {mode!r}")
+def spectral_interval(M):
+    """Exact spectral enclosure of a Hermitian matrix from a dense
+    symmetric eigensolve (intended for desk-scale orders)."""
+    w = np.linalg.eigvalsh(M.toarray())
+    return SpectralInterval(float(w[0]), float(w[-1]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,8 +7,8 @@ and Markov-type functions written as
 f(x) = int_{-inf}^{upper} v(omega) / (x - omega) domega
 (``CauchyMeasure``: density v on (-inf, support_upper], upper <= 0).
 
-Every catalog entry carries the closed-form f so representations can be
-validated by quadrature reconstruction.
+Every catalog entry carries the closed-form f, against which the test
+suite checks each representation by quadrature reconstruction.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf, exp1
-
-from .quadrature import integrate, integrate_semi_infinite
 
 
 @dataclass(frozen=True)
@@ -39,28 +37,6 @@ class LaplaceMeasure:
     @property
     def has_representation(self):
         return self.density is not None or bool(self.atoms)
-
-    def reconstruct(self, x, tol=1e-10):
-        """Evaluate f(x) from the representation (quadrature + atoms)."""
-        if not self.has_representation:
-            raise ValueError(
-                f"measure {self.name!r} is a catalog stub without a stored "
-                "density; only its closed form is available")
-        total = 0.0
-        if self.density is not None:
-            f = lambda t: np.exp(-x * t) * self.density(t)
-            if math.isinf(self.support_upper):
-                r = integrate_semi_infinite(f, 0.0, tol,
-                                            singularity_a=self.singularity_exponent)
-            else:
-                r = integrate(f, 0.0, self.support_upper, tol,
-                              singularity_a=self.singularity_exponent)
-            if not r.converged:
-                raise RuntimeError(f"reconstruction quadrature failed for {self.name}")
-            total += r.value
-        for loc, weight in self.atoms:
-            total += weight * math.exp(-x * loc)
-        return total
 
 
 @dataclass(frozen=True)
@@ -95,16 +71,6 @@ class CauchyMeasure:
     def abs_density_s(self, s):
         """|v(-s)|: the bounds integrate against the total variation."""
         return np.abs(self.density_s(s))
-
-    def reconstruct(self, x, tol=1e-10):
-        """Evaluate f(x) = int v(omega)/(x - omega) domega by quadrature."""
-        s0 = -self.support_upper
-        f = lambda s: self.density_s(s) / (x + s)
-        r = integrate_semi_infinite(f, s0, tol,
-                                    singularity_a=self.singularity_exponent)
-        if not r.converged:
-            raise RuntimeError(f"reconstruction quadrature failed for {self.name}")
-        return r.value
 
 
 def _parse_parameter(name, key):

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate_semi_infinite
-
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
@@ -35,6 +33,15 @@ def eigendecomposition(M):
     return dec
 
 
+def _on_spectrum(f, w):
+    """f on the eigenvalues w; a ValueError where it is not finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fw = np.asarray(f(w))
+    if not np.all(np.isfinite(fw)):
+        raise ValueError("function is undefined or non-finite on the spectrum")
+    return fw
+
+
 def matrix_function(M, f):
     """f(M) = U f(Lambda) U* for Hermitian M; output re-Hermitianized.
 
@@ -43,9 +50,7 @@ def matrix_function(M, f):
     matrix is rejected).
     """
     dec = eigendecomposition(M)
-    fw = np.asarray(f(dec.eigenvalues))
-    if not np.all(np.isfinite(fw)):
-        raise ValueError("function is undefined or non-finite on the spectrum")
+    fw = _on_spectrum(f, dec.eigenvalues)
     u = dec.eigenvectors
     out = (u * fw) @ u.conj().T
     return 0.5 * (out + out.conj().T)
@@ -54,24 +59,14 @@ def matrix_function(M, f):
 def function_column(M, f, t):
     """Column t (1-based) of f(M) without forming the full matrix."""
     dec = eigendecomposition(M)
-    fw = np.asarray(f(dec.eigenvalues))
-    if not np.all(np.isfinite(fw)):
-        raise ValueError("function is undefined or non-finite on the spectrum")
+    fw = _on_spectrum(f, dec.eigenvalues)
     u = dec.eigenvectors
     return u @ (fw * np.conj(u[t - 1, :]))
 
 
 def resolvent_column(M, shift, t):
-    """Solve (M - shift I) x = e_t; ``shift`` may be complex."""
-    a = M.toarray().astype(complex if np.iscomplexobj(np.asarray(shift)) or
-                           isinstance(shift, complex) else float)
-    n = a.shape[0]
-    dec = eigendecomposition(M)
-    if np.min(np.abs(dec.eigenvalues - shift)) == 0.0:
-        raise ValueError(f"shift {shift} is an eigenvalue; resolvent undefined")
-    rhs = np.zeros(n, dtype=a.dtype)
-    rhs[t - 1] = 1.0
-    return np.linalg.solve(a - shift * np.eye(n, dtype=a.dtype), rhs)
+    """Column t of (M - shift I)^{-1}; ``shift`` may be complex."""
+    return function_column(M, lambda x: 1.0 / (x - shift), t)
 
 
 def oracle_floor(M, f):
@@ -85,37 +80,3 @@ def oracle_floor(M, f):
     fmax = float(np.max(np.abs(f(dec.eigenvalues))))
     n = dec.eigenvalues.size
     return 100.0 * n * np.finfo(float).eps * fmax
-
-
-def lancaster_column(M, omega, t, tol=1e-8):
-    """Sylvester-equation column by quadrature of the exponential kernel.
-
-    For Hermitian positive definite M and omega <= 0, the solution of
-    M X + X (M - omega I) = E_t with E_t = e_{t1} e_{t2}^T is
-    X = int_0^inf exp(-tau M) E_t exp(-tau (M - omega I)) dtau.
-    Returns vec(X) with the first index fastest, i.e. the column of
-    (A - omega I)^{-1} at index t for A the Kronecker sum of M with itself.
-    This route is deliberately independent of a direct dense solve so the
-    two can be cross-checked.
-    """
-    if omega > 0:
-        raise ValueError("omega must be <= 0")
-    t1, t2 = t
-    dec = eigendecomposition(M)
-    w, u = dec.eigenvalues, dec.eigenvectors
-    if w[0] <= 0:
-        raise ValueError("M must be positive definite")
-    a = np.conj(u[t1 - 1, :])
-    b = np.conj(u[t2 - 1, :])
-
-    def integrand(taus):
-        # columns u exp(-tau w) a and u exp(-tau (w - omega)) b per node
-        e1 = u @ (np.exp(-np.outer(w, taus)) * a[:, None])            # (n, npts)
-        e2 = u @ (np.exp(-np.outer(w - omega, taus)) * b[:, None])    # (n, npts)
-        # vec with first index fastest: flat[(k2-1)n + k1 - 1] = X[k1, k2]
-        return (e2.T[:, :, None] * e1.T[:, None, :]).reshape(taus.size, -1)
-
-    r = integrate_semi_infinite(integrand, 0.0, tol, initial_width=0.5 / w[0])
-    if not r.converged:
-        raise RuntimeError("Sylvester kernel quadrature did not converge")
-    return np.asarray(r.value)

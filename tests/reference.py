@@ -9,6 +9,22 @@ rational inversion, Floyd-Warshall distances, and scipy quadrature of
 total-variation transforms.  ``laplace_transform_of_cauchy`` evaluates a
 Cauchy measure's Laplace transform from its density with the package's
 semi-infinite quadrature, for checking the stored closed forms.
+
+The remaining routes were moved here from the package because only tests
+call them; their behaviour is unchanged:
+
+* ``lancaster_column`` (from ``oracle``): a Kronecker-sum resolvent
+  column by quadrature of the Sylvester exponential kernel;
+* ``exp_kron_entry_exact`` and ``sincos_kron_exact`` (from ``kron``):
+  exp(-tau A), sin(A) and cos(A) entries of a Kronecker sum from the
+  factors' eigendecompositions;
+* ``invsqrt_kron_split_bound`` (from ``kron``): the Cauchy-Schwarz split
+  of the Kronecker inverse-square-root bound;
+* ``gershgorin_interval`` (the former ``spectral_interval(M,
+  "gershgorin")``): the Gershgorin disc enclosure;
+* ``laplace_reconstruct`` and ``cauchy_reconstruct`` (the former
+  ``LaplaceMeasure.reconstruct`` and ``CauchyMeasure.reconstruct``):
+  f(x) from a measure by quadrature.
 """
 
 import math
@@ -16,7 +32,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from decaybounds.quadrature import integrate_semi_infinite
+from decaybounds.bounds import _envelope_integral
+from decaybounds.kron import _component_distances
+from decaybounds.matrices import SpectralInterval, spectral_interval
+from decaybounds.oracle import eigendecomposition
+from decaybounds.quadrature import integrate, integrate_semi_infinite
 
 
 def expm_column_nonneg(a, tau, t, max_terms=2000):
@@ -145,4 +165,139 @@ def laplace_transform_of_cauchy(measure, tau, tol=1e-10, use_abs=False):
         raise RuntimeError(
             f"Laplace transform of {measure.name} did not converge at tau={tau}; "
             "the integral may be divergent")
+    return r.value
+
+
+def lancaster_column(M, omega, t, tol=1e-8):
+    """Sylvester-equation column by quadrature of the exponential kernel.
+
+    For Hermitian positive definite M and omega <= 0, the solution of
+    M X + X (M - omega I) = E_t with E_t = e_{t1} e_{t2}^T is
+    X = int_0^inf exp(-tau M) E_t exp(-tau (M - omega I)) dtau.
+    Returns vec(X) with the first index fastest, i.e. the column of
+    (A - omega I)^{-1} at index t for A the Kronecker sum of M with itself.
+    This route is deliberately independent of a direct dense solve so the
+    two can be cross-checked.
+    """
+    if omega > 0:
+        raise ValueError("omega must be <= 0")
+    t1, t2 = t
+    dec = eigendecomposition(M)
+    w, u = dec.eigenvalues, dec.eigenvectors
+    if w[0] <= 0:
+        raise ValueError("M must be positive definite")
+    a = np.conj(u[t1 - 1, :])
+    b = np.conj(u[t2 - 1, :])
+
+    def integrand(taus):
+        # columns u exp(-tau w) a and u exp(-tau (w - omega)) b per node
+        e1 = u @ (np.exp(-np.outer(w, taus)) * a[:, None])            # (n, npts)
+        e2 = u @ (np.exp(-np.outer(w - omega, taus)) * b[:, None])    # (n, npts)
+        # vec with first index fastest: flat[(k2-1)n + k1 - 1] = X[k1, k2]
+        return (e2.T[:, :, None] * e1.T[:, None, :]).reshape(taus.size, -1)
+
+    r = integrate_semi_infinite(integrand, 0.0, tol, initial_width=0.5 / w[0])
+    if not r.converged:
+        raise RuntimeError("Sylvester kernel quadrature did not converge")
+    return np.asarray(r.value)
+
+
+def exp_kron_entry_exact(A, tau, k, t):
+    """Exact entry of exp(-tau A) as the product of per-factor entries."""
+    km, tm = A.delinearize(k), A.delinearize(t)
+    val = 1.0
+    for f, a, b in zip(A.factors, km, tm):
+        dec = eigendecomposition(f)
+        w, u = dec.eigenvalues, dec.eigenvectors
+        val = val * (u[a - 1, :] * np.exp(-tau * w)) @ np.conj(u[b - 1, :])
+    return complex(val) if np.iscomplexobj(np.asarray(val)) else float(val)
+
+
+def sincos_kron_exact(A, k, t, which):
+    """Exact sin(A) / cos(A) entry for a two-factor Kronecker sum via the
+    product identities (sine/cosine addition laws lifted to matrices)."""
+    if len(A.factors) != 2:
+        raise ValueError("the trigonometric identities cover two factors")
+    if which not in ("sin", "cos"):
+        raise ValueError(f"which must be 'sin' or 'cos', got {which!r}")
+    (k1, k2), (t1, t2) = A.delinearize(k), A.delinearize(t)
+
+    def entry(f, fun, a, b):
+        dec = eigendecomposition(f)
+        w, u = dec.eigenvalues, dec.eigenvectors
+        return (u[a - 1, :] * fun(w)) @ np.conj(u[b - 1, :])
+
+    m1, m2 = A.factors
+    s1, c1 = entry(m1, np.sin, k1, t1), entry(m1, np.cos, k1, t1)
+    s2, c2 = entry(m2, np.sin, k2, t2), entry(m2, np.cos, k2, t2)
+    val = s1 * c2 + c1 * s2 if which == "sin" else c1 * c2 - s1 * s2
+    return complex(val) if np.iscomplexobj(np.asarray(val)) else float(val)
+
+
+def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
+                             intervals=None):
+    """Cauchy-Schwarz cross-check for the inverse square root of a
+    two-factor sum: pi^{-1/2} prod_L (int E_L(tau)^2 tau^{-1/2} dtau)^{1/2}.
+
+    Never tighter than the direct product integral (it bounds it from
+    above by the inequality itself).
+    """
+    if len(A.factors) != 2:
+        raise ValueError("the split bound is stated for two factors")
+    ivs = (tuple(spectral_interval(f) for f in A.factors)
+           if intervals is None else intervals)
+    dists = _component_distances(A, k, t)
+    out = 1.0 / math.sqrt(math.pi)
+    for iv, d in zip(ivs, dists):
+        val, _, _, _, conv = _envelope_integral(
+            ((iv, d), (iv, d)), lambda taus: taus ** -0.5, math.inf, -0.5, (),
+            quad_tol, max_panels)
+        if not conv:
+            raise RuntimeError("split-bound quadrature did not converge")
+        out *= math.sqrt(val)
+    return out
+
+
+def gershgorin_interval(M):
+    """Gershgorin disc enclosure of a banded or sparse Hermitian matrix;
+    never tighter than the exact interval."""
+    a = M.toarray()
+    center = np.diag(a).real
+    radius = np.abs(a).sum(axis=1) - np.abs(center)
+    return SpectralInterval(float(np.min(center - radius)),
+                            float(np.max(center + radius)))
+
+
+def laplace_reconstruct(measure, x, tol=1e-10):
+    """Evaluate f(x) from a Laplace measure's representation (quadrature +
+    atoms)."""
+    if not measure.has_representation:
+        raise ValueError(
+            f"measure {measure.name!r} is a catalog stub without a stored "
+            "density; only its closed form is available")
+    total = 0.0
+    if measure.density is not None:
+        f = lambda t: np.exp(-x * t) * measure.density(t)
+        if math.isinf(measure.support_upper):
+            r = integrate_semi_infinite(f, 0.0, tol,
+                                        singularity_a=measure.singularity_exponent)
+        else:
+            r = integrate(f, 0.0, measure.support_upper, tol,
+                          singularity_a=measure.singularity_exponent)
+        if not r.converged:
+            raise RuntimeError(f"reconstruction quadrature failed for {measure.name}")
+        total += r.value
+    for loc, weight in measure.atoms:
+        total += weight * math.exp(-x * loc)
+    return total
+
+
+def cauchy_reconstruct(measure, x, tol=1e-10):
+    """Evaluate f(x) = int v(omega)/(x - omega) domega by quadrature."""
+    s0 = -measure.support_upper
+    f = lambda s: measure.density_s(s) / (x + s)
+    r = integrate_semi_infinite(f, s0, tol,
+                                singularity_a=measure.singularity_exponent)
+    if not r.converged:
+        raise RuntimeError(f"reconstruction quadrature failed for {measure.name}")
     return r.value

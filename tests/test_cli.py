@@ -1,10 +1,11 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
 
 from decaybounds import (BandedHermitianMatrix, KroneckerSum, cauchy_catalog,
-                         make_test_matrix, oracle_floor)
+                         figures, make_test_matrix, oracle, oracle_floor)
 from decaybounds.cli import main
 from decaybounds.figures import run_compare, run_figure
 
@@ -317,14 +318,19 @@ def _write_diagonal_mtx(path, n=5):
      "--function", "inv", "--column", "2"],
     ["bound", "--matrix", "tridiag", "--n", "10", "--function", "inv",
      "--class", "cauchy", "--column", "5", "--out", "{tmp}/missing/x.csv"],
+    # --out naming an existing directory
+    ["bound", "--matrix", "tridiag", "--n", "10", "--function", "inv",
+     "--class", "cauchy", "--column", "2", "--out", "{tmp}"],
 ])
 def test_input_errors_exit_one_with_message(argv, tmp_path, capsys):
     _write_diagonal_mtx(tmp_path / "diag.mtx")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("decay: error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_diagonal_matrix_needs_graph_distance(tmp_path, capsys):
@@ -343,3 +349,60 @@ def test_diagonal_matrix_needs_graph_distance(tmp_path, capsys):
         run_compare(m, 2, "inv", "cauchy")
     _, _, rows = run_compare(m, 2, "inv", "cauchy", distance_mode="graph")
     assert rows[1][2] >= 0.5 * (1 - 1e-10)
+
+
+def test_zeta_needs_resolvent_class(monkeypatch, capsys):
+    def no_eigensolve(*args):
+        raise AssertionError("eigensolve before the --zeta check")
+
+    monkeypatch.setattr(oracle, "eigendecomposition", no_eigensolve)
+    monkeypatch.setattr(figures, "spectral_interval", no_eigensolve)
+    for command in ("bound", "compare", "oracle"):
+        assert main([command, "--matrix", "tridiag", "--n", "30", "--column",
+                     "10", "--class", "cauchy", "--function", "inv_sqrt",
+                     "--zeta", "3"]) == 1
+        assert "--class resolvent" in capsys.readouterr().err
+
+
+# The documented (--class, --function) vocabulary of the README.
+_VOCABULARY = ([("laplace", f) for f in ("inv", "exp", "phi1", "inv_sqrt",
+                                         "inv_pow:0.5", "log1p_inv")]
+               + [("cauchy", f) for f in ("inv", "inv_sqrt", "expsqrt:1",
+                                          "log1p_over_z")]
+               + [("exp", "exp"), ("resolvent", "inv")])
+
+
+def _vocabulary_commands():
+    """(argv, takes --zeta) for each command, pair and test matrix."""
+    quad = ["--quad-tol", "1e-6"]
+    for klass, function in _VOCABULARY:
+        pair = ["--class", klass, "--function", function]
+        for kind in ("tridiag", "pentadiag"):
+            single = ["--matrix", kind, "--n", "16", "--column", "6", *pair]
+            for command in ("bound", "compare"):
+                for distance in ("band", "graph"):
+                    yield [command, *single, "--distance", distance, *quad], True
+            yield ["oracle", *single], True
+            yield ["kron", "--factors", f"tridiag,{kind}", "--n", "5",
+                   "--column", "13", *pair, *quad], False
+
+
+def test_documented_vocabulary_runs_cleanly(tmp_path, capsys):
+    """Every documented command and (--class, --function) pair at small
+    order exits 0 or 1 without a traceback or a warning, and a nonzero
+    --zeta either changes the CSV or is rejected."""
+
+    def run(argv, out):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (argv, err)
+        assert "Traceback" not in err and "Warning" not in err, (argv, err)
+        return code
+
+    base, shifted = tmp_path / "base.csv", tmp_path / "zeta.csv"
+    for argv, takes_zeta in _vocabulary_commands():
+        code = run(argv, base)
+        if takes_zeta and run(argv + ["--zeta", "3"], shifted) == 0:
+            assert code == 0 and base.read_bytes() != shifted.read_bytes(), argv

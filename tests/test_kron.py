@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from decaybounds import (KroneckerSum, LaplaceMeasure, cauchy_catalog,
-                         cauchy_kron_bound, exp_kron_bound,
-                         exp_kron_entry_exact, function_column,
-                         invsqrt_kron_split_bound, laplace_catalog,
-                         laplace_entry_bound, laplace_kron_bound,
-                         make_test_matrix,
-                         banded_from_stencil, oracle_floor, sincos_kron_exact,
-                         spectral_interval)
-from reference import expm_column_nonneg
+from decaybounds import (BandedHermitianMatrix, KroneckerSum, LaplaceMeasure,
+                         cauchy_catalog, cauchy_kron_bound, exp_kron_bound,
+                         function_column, laplace_catalog, laplace_entry_bound,
+                         laplace_kron_bound, make_test_matrix,
+                         banded_from_stencil, oracle_floor, spectral_interval)
+from decaybounds.figures import run_kron_compare
+from reference import (exp_kron_entry_exact, expm_column_nonneg,
+                       invsqrt_kron_split_bound, lancaster_column,
+                       sincos_kron_exact)
 
 SLACK = 1.0 - 1e-10
 
@@ -291,7 +291,6 @@ def test_kron_factor_symmetry(kron10):
 
 def test_kron_resolvent_entry_via_sylvester_kernel(kron10):
     # resolvent-style check of the quadrature route against a dense solve
-    from decaybounds import lancaster_column
     m = make_test_matrix("tridiag", 10)
     omega = -1.0
     t = 37
@@ -307,3 +306,10 @@ def test_kron_bounds_reject_many_factors():
     a = KroneckerSum(factors=(m, m, m, m))
     with pytest.raises(ValueError):
         laplace_kron_bound(a, laplace_catalog("phi1"), 1, 2)
+
+
+def test_diagonal_factor_has_no_band_distance():
+    d = BandedHermitianMatrix(n=4, beta=0, diagonals=(np.arange(1.0, 5.0),))
+    a = KroneckerSum(factors=(make_test_matrix("tridiag", 4), d))
+    with pytest.raises(ValueError, match="beta >= 1"):
+        run_kron_compare(a, 6, "exp", "exp")

@@ -6,6 +6,7 @@ from decaybounds import (BandedHermitianMatrix, KroneckerSum,
                          MatrixFormatError, banded_from_stencil,
                          load_matrix_market, make_test_matrix,
                          parse_matrix_spec, spectral_interval)
+from reference import gershgorin_interval
 
 
 def test_tridiag_entries():
@@ -69,8 +70,8 @@ def test_spectral_interval_identity():
 
 def test_gershgorin_contains_exact_tridiag():
     m = make_test_matrix("tridiag", 50)
-    ex = spectral_interval(m, "exact")
-    gg = spectral_interval(m, "gershgorin")
+    ex = spectral_interval(m)
+    gg = gershgorin_interval(m)
     assert gg.lambda_min <= ex.lambda_min <= ex.lambda_max <= gg.lambda_max
     assert gg.lambda_min == pytest.approx(2.0)
     assert gg.lambda_max == pytest.approx(6.0)
@@ -83,8 +84,8 @@ def test_gershgorin_contains_exact_random(seed, n, beta):
     diags = tuple(rng.normal(size=n - j) + (4.0 if j == 0 else 0.0)
                   for j in range(beta + 1))
     m = BandedHermitianMatrix(n=n, beta=beta, diagonals=diags)
-    ex = spectral_interval(m, "exact")
-    gg = spectral_interval(m, "gershgorin")
+    ex = spectral_interval(m)
+    gg = gershgorin_interval(m)
     tol = 1e-10
     assert gg.lambda_min <= ex.lambda_min + tol
     assert gg.lambda_max >= ex.lambda_max - tol

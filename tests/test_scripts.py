@@ -1,13 +1,20 @@
+import importlib
 import importlib.util
 import pathlib
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts/reproduce_figures.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts/reproduce_figures.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_reproduce_figures_calls_every_preset(monkeypatch, tmp_path):
-    spec = importlib.util.spec_from_file_location("reproduce_figures", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load("reproduce_figures", SCRIPT)
     figure_calls, surface_calls = [], []
 
     def run_figure(*args):
@@ -26,3 +33,14 @@ def test_reproduce_figures_calls_every_preset(monkeypatch, tmp_path):
     assert surface_calls == [
         (function, 5.0, 10, str(tmp_path / f"surface-{function}.csv"))
         for function in ("exp", "inv_sqrt")]
+
+
+def test_tracer_targets_exist():
+    # the benchmark tracer reports a layer as unmeasured when a wrapped
+    # name is missing, so a deletion here must not go unnoticed
+    tracer = _load("perfbench_tracer", ROOT / "perfbench/tracer.py")
+    missing = [(module, attribute)
+               for _, module, attribute, _ in tracer.TARGETS
+               if not hasattr(importlib.import_module(f"decaybounds.{module}"),
+                              attribute)]
+    assert missing == []
