@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import figures
+from . import figures, oracle
 from .figures import FIGURE_IDS
 from .matrices import KroneckerSum, parse_matrix_spec
 
@@ -65,7 +65,8 @@ def build_parser():
                             "log1p_inv | expsqrt:t | log1p_over_z")
         p.add_argument("--class", dest="klass", required=True,
                        choices=("laplace", "cauchy", "exp", "resolvent"))
-        p.add_argument("--tau", type=float, default=1.0)
+        p.add_argument("--tau", type=float, default=None,
+                       help="--class exp only: exp(-tau M) (default 1)")
         p.add_argument("--zeta", type=float, default=0.0)
         p.add_argument("--column", type=int, required=True)
         p.add_argument("--distance", choices=("band", "graph"), default="band")
@@ -85,7 +86,8 @@ def build_parser():
     p.add_argument("--function", default=None)
     p.add_argument("--class", dest="klass", required=True,
                    choices=("laplace", "cauchy", "exp"))
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--tau", type=float, default=None,
+                   help="--class exp only: exp(-tau M) (default 1)")
     p.add_argument("--column", required=True,
                    help="linear index t, or components k1,k2[,k3]")
     _add_common_flags(p)
@@ -95,7 +97,8 @@ def build_parser():
     p.add_argument("--function", required=True)
     p.add_argument("--class", dest="klass", default="laplace",
                    choices=("laplace", "cauchy", "exp", "resolvent"))
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--tau", type=float, default=None,
+                   help="--class exp only: exp(-tau M) (default 1)")
     p.add_argument("--zeta", type=float, default=0.0)
     p.add_argument("--column", type=int, required=True)
     p.add_argument("--out", default=None)
@@ -164,9 +167,9 @@ def _cmd_oracle(args):
     M = parse_matrix_spec(args.matrix, args.n)
     if not (1 <= args.column <= M.n):
         raise UsageError(f"--column {args.column} outside 1..{M.n}")
-    f, kind, _ = figures.resolve_function(args.function, args.klass, args.tau,
-                                          args.zeta)
-    col = figures._oracle_column(M, f, kind, args.zeta, args.column)
+    f, _, _ = figures.resolve_function(args.function, args.klass, args.tau,
+                                       args.zeta)
+    col = oracle.function_column(M, f, args.column)
     rows = [(k, float(np.real(col[k - 1])) if np.isrealobj(col) else abs(col[k - 1]))
             for k in range(1, M.n + 1)]
     figures._write_csv(args.out, ("k", "value"), rows)

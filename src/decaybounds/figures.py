@@ -160,20 +160,29 @@ def run_figure(figure_id, matrix_kind, out_path, quad_tol):
 
 def resolve_function(name, klass, tau, zeta):
     """Map (--function, --class) to (scalar oracle function, bound kind,
-    measure).  Raises ValueError on contradictory combinations, among
-    them a nonzero --zeta outside --class resolvent."""
+    measure).  The oracle function of a resolvent with zeta != 0 is the
+    shifted inverse 1/(x - i zeta).  ``tau`` is None unless given; --class
+    exp then takes tau = 1.  Raises ValueError on contradictory
+    combinations, among them a nonzero --zeta outside --class resolvent and
+    a --tau outside --class exp."""
     if zeta != 0.0 and klass != "resolvent":
         raise ValueError("--zeta applies only to --class resolvent")
+    if tau is not None and klass != "exp":
+        raise ValueError("--tau applies only to --class exp")
     if klass == "exp":
         if name not in (None, "exp"):
             raise ValueError(f"--class exp is the pure exponential bound; "
                              f"--function {name} contradicts it")
+        tau = 1.0 if tau is None else tau
         return (lambda x: np.exp(-tau * x)), "exp", None
     if klass == "resolvent":
         if name not in (None, "inv"):
             raise ValueError("--class resolvent bounds the (shifted) inverse; "
                              f"--function {name} contradicts it")
-        return (lambda x: 1.0 / x), "resolvent", None
+        if zeta == 0.0:
+            return (lambda x: 1.0 / x), "resolvent", None
+        shift = 1j * zeta
+        return (lambda x: 1.0 / (x - shift)), "resolvent", None
     if klass in ("laplace", "cauchy") and name is None:
         raise ValueError(f"--class {klass} needs --function")
     if klass == "laplace":
@@ -192,14 +201,6 @@ def resolve_function(name, klass, tau, zeta):
     raise ValueError(f"unknown class {klass!r}")
 
 
-def _oracle_column(M, f, kind, zeta, t):
-    """Exact column t for a resolved bound kind: the shifted resolvent
-    (M - i zeta I)^{-1} when a resolvent has zeta != 0, else f(M)."""
-    if kind == "resolvent" and zeta != 0.0:
-        return oracle.resolvent_column(M, 1j * zeta, t)
-    return oracle.function_column(M, f, t)
-
-
 def _summary(pairs, floor, reports, nrows):
     """Dominance statistics plus convergence over the quadrature reports."""
     summary = _ratio_stats(pairs, floor)
@@ -212,69 +213,86 @@ def _summary(pairs, floor, reports, nrows):
     return summary
 
 
-def run_compare(M, t, function, klass, *, tau=1.0, zeta=0.0,
+def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
                 distance_mode="band", drop_tol=0.0, quad_tol=1e-8,
                 max_panels=10000):
     """Bound/oracle comparison for one column; returns (summary, header,
     rows) with CSV columns ``k,distance,bound,oracle,ratio``.
 
-    Dominance violations are counted against oracle entries at or above
-    the dense oracle's resolution floor; smaller entries are rounding
-    noise (see :func:`decaybounds.oracle.oracle_floor`).
+    Every bound depends on the row only through its distance, so each
+    distinct distance is evaluated once and its value shared by all rows
+    at that distance; the summary's convergence figures come from one
+    quadrature report per distinct distance.  Dominance violations are
+    counted against oracle entries at or above the dense oracle's
+    resolution floor; smaller entries are rounding noise (see
+    :func:`decaybounds.oracle.oracle_floor`).
     """
     n, beta = M.n, M.beta
     if distance_mode == "band" and beta < 1:
         raise ValueError("band distances need bandwidth >= 1 and the matrix "
                          "is diagonal; use --distance graph")
     f, kind, measure = resolve_function(function, klass, tau, zeta)
+    tau = 1.0 if tau is None else tau
     iv = spectral_interval(M)
-    col = np.abs(_oracle_column(M, f, kind, zeta, t))
+    col = np.abs(oracle.function_column(M, f, t))
     floor = oracle.oracle_floor(M, f)
     dist = geodesic_from(M, t, drop_tol=drop_tol) if distance_mode == "graph" else None
 
-    reports = []
+    # The kind's bound at distance d, first reached at row k: a number, a
+    # quadrature report, or None where the bound is not stated.  Only row
+    # t has d = 0.
+    if kind == "exp":
+        entry = lambda k, d: (bounds.exp_entry_bound(iv, beta, tau, k, t, distance=d)
+                              if d > 0 else None)
+    elif kind == "demko" or (kind == "resolvent" and zeta == 0.0):
+        entry = lambda k, d: bounds.demko_bound(M, iv, k, t, distance=d)
+    elif kind == "resolvent":
+        entry = lambda k, d: (bounds.freund_resolvent_bound(
+            iv, beta, zeta, k, t, distance=d) if d > 0 else None)
+    elif kind == "laplace":
+        entry = lambda k, d: (bounds.laplace_entry_bound(
+            iv, beta, measure, k, t, quad_tol=quad_tol, distance=d,
+            max_panels=max_panels) if d >= 2.0 else None)
+    else:
+        entry = lambda k, d: bounds.cauchy_entry_bound(
+            M, iv, beta, measure, k, t, quad_tol=quad_tol, distance=d,
+            max_panels=max_panels)
+
+    at_distance = {}
     rows = []
     for k in range(1, n + 1):
-        if dist is not None:
-            d = dist[k]
-            if math.isinf(d):
-                rows.append((k, None, None, float(col[k - 1]), None))
-                continue
-        else:
-            d = abs(k - t) / beta
-        b = None
-        if kind == "exp":
-            if k != t:
-                b = bounds.exp_entry_bound(iv, beta, tau, k, t, distance=d)
-        elif kind == "demko" or (kind == "resolvent" and zeta == 0.0):
-            b = bounds.demko_bound(M, iv, k, t, distance=d)
-        elif kind == "resolvent":
-            if k != t:
-                b = bounds.freund_resolvent_bound(iv, beta, zeta, k, t, distance=d)
-        elif kind == "laplace":
-            if d >= 2.0:
-                reports.append(bounds.laplace_entry_bound(
-                    iv, beta, measure, k, t, quad_tol=quad_tol, distance=d,
-                    max_panels=max_panels))
-                b = reports[-1].bound
-        elif kind == "cauchy":
-            reports.append(bounds.cauchy_entry_bound(
-                M, iv, beta, measure, k, t, quad_tol=quad_tol, distance=d,
-                max_panels=max_panels))
-            b = reports[-1].bound
+        d = dist[k] if dist is not None else abs(k - t) / beta
         o = float(col[k - 1])
+        if math.isinf(d):
+            rows.append((k, None, None, o, None))
+            continue
+        if d not in at_distance:
+            at_distance[d] = entry(k, d)
+        b = at_distance[d]
+        if isinstance(b, bounds.DecayBoundReport):
+            b = b.bound
         ratio = (b / o) if (b is not None and o > 0) else None
         rows.append((k, d, b, o, ratio))
+    reports = [r for r in at_distance.values()
+               if isinstance(r, bounds.DecayBoundReport)]
     header = ("k", "distance", "bound", "oracle", "ratio")
     summary = _summary([(r[2], r[3]) for r in rows], floor, reports, len(rows))
     return summary, header, rows
 
 
-def run_kron_compare(A, t, function, klass, *, tau=1.0, quad_tol=1e-8,
+def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
                      max_panels=10000):
     """Kronecker-sum comparison; returns (summary, header, rows) with CSV
-    columns ``k,k1,...,d1,...,bound,oracle``."""
+    columns ``k,k1,...,d1,...,bound,oracle``.
+
+    Every bound depends on the row only through its ordered tuple of
+    per-factor distances, so each distinct tuple is evaluated once and its
+    value shared by all rows with that tuple; (d1, d2) and (d2, d1) are
+    different tuples.  The summary's convergence figures come from one
+    report per distinct tuple.
+    """
     f, kind, measure = resolve_function(function, klass, tau, 0.0)
+    tau = 1.0 if tau is None else tau
     ivs = tuple(spectral_interval(m) for m in A.factors)
     nfac = len(A.factors)
     if kind == "exp":
@@ -290,19 +308,22 @@ def run_kron_compare(A, t, function, klass, *, tau=1.0, quad_tol=1e-8,
                          "available for Kronecker sums")
     col = np.abs(oracle.function_column(A, f, t))
     floor = oracle.oracle_floor(A, f)
-    reports = []
+    at_distances = {}
     rows = []
     for k in range(1, A.total_order + 1):
         km = A.delinearize(k)
         if k == t and kind == "exp":
             rows.append((k, *km, *(0.0,) * nfac, None, float(col[k - 1])))
             continue
-        rep = evaluate(k)
-        reports.append(rep)
-        rows.append((k, *km, *rep.distance, rep.bound, float(col[k - 1])))
+        ds = kron._component_distances(A, k, t)
+        if ds not in at_distances:
+            at_distances[ds] = evaluate(k)
+        rep = at_distances[ds]
+        rows.append((k, *km, *ds, rep.bound, float(col[k - 1])))
     header = (["k"] + [f"k{i+1}" for i in range(nfac)]
               + [f"d{i+1}" for i in range(nfac)] + ["bound", "oracle"])
-    summary = _summary([(r[-2], r[-1]) for r in rows], floor, reports, len(rows))
+    summary = _summary([(r[-2], r[-1]) for r in rows], floor,
+                       list(at_distances.values()), len(rows))
     return summary, header, rows
 
 

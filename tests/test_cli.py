@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from decaybounds import (BandedHermitianMatrix, KroneckerSum, cauchy_catalog,
-                         figures, make_test_matrix, oracle, oracle_floor)
+from decaybounds import (BandedHermitianMatrix, KroneckerSum, bounds,
+                         cauchy_catalog, figures, kron, make_test_matrix,
+                         oracle, oracle_floor, parse_matrix_spec,
+                         spectral_interval)
 from decaybounds.cli import main
-from decaybounds.figures import run_compare, run_figure
+from decaybounds.figures import run_compare, run_figure, run_kron_compare
 
 def _write_banded_mtx(path, n=12):
     lines = ["%%MatrixMarket matrix coordinate real symmetric",
@@ -364,6 +366,105 @@ def test_zeta_needs_resolvent_class(monkeypatch, capsys):
         assert "--class resolvent" in capsys.readouterr().err
 
 
+def test_tau_needs_exp_class(monkeypatch, capsys):
+    def no_eigensolve(*args):
+        raise AssertionError("eigensolve before the --tau check")
+
+    monkeypatch.setattr(oracle, "eigendecomposition", no_eigensolve)
+    monkeypatch.setattr(figures, "spectral_interval", no_eigensolve)
+    single = ["--matrix", "tridiag", "--n", "30", "--column", "10"]
+    for argv in (["bound", *single], ["compare", *single], ["oracle", *single],
+                 ["kron", "--factors", "tridiag,tridiag", "--n", "5",
+                  "--column", "13"]):
+        # an explicit --tau is rejected even at its default value
+        assert main(argv + ["--class", "laplace", "--function", "inv_sqrt",
+                            "--tau", "1"]) == 1
+        assert "--class exp" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="--class exp"):
+        run_compare(make_test_matrix("tridiag", 30), 10, "inv", "cauchy",
+                    tau=2.0)
+
+
+def test_exp_class_tau_defaults_to_one():
+    m = make_test_matrix("tridiag", 30)
+    _, _, implicit = run_compare(m, 10, "exp", "exp")
+    _, _, explicit = run_compare(m, 10, "exp", "exp", tau=1.0)
+    assert implicit == explicit
+
+
+def test_shifted_resolvent_floor_comes_from_the_shifted_inverse(tmp_path,
+                                                                capsys):
+    # tridiag(1, 0, 1) of order 11 is singular, so 1/x has no finite floor,
+    # but |1/(x - i)| <= 1 on its spectrum
+    m = parse_matrix_spec("tridiag:1,0,1", 11)
+    summary, _, _ = run_compare(m, 3, None, "resolvent", zeta=1.0)
+    assert summary["oracle_floor"] == oracle_floor(m, lambda x: 1.0 / (x - 1j))
+    assert summary["resolved"] == 10 and summary["violations"] == 0
+    assert main(["compare", "--matrix", "tridiag:1,0,1", "--n", "11",
+                 "--column", "3", "--class", "resolvent", "--zeta", "1",
+                 "--self-check", "--out", str(tmp_path / "r.csv")]) == 0
+    assert "violations 0 resolved 10" in capsys.readouterr().err
+
+
+def _record_distances(monkeypatch, module, name):
+    """Wrap module.name so that the distance of every call is recorded."""
+    real = getattr(module, name)
+    seen = []
+
+    def counted(*args, **kwargs):
+        report = real(*args, **kwargs)
+        seen.append(report.distance)
+        return report
+
+    monkeypatch.setattr(module, name, counted)
+    return real, seen
+
+
+@pytest.mark.parametrize("mode", ["band", "graph"])
+@pytest.mark.parametrize("klass, function, name", [
+    ("laplace", "inv_sqrt", "laplace_entry_bound"),
+    ("cauchy", "log1p_over_z", "cauchy_entry_bound")])
+def test_run_compare_evaluates_each_distance_once(monkeypatch, mode, klass,
+                                                  function, name):
+    m, t, tol = make_test_matrix("pentadiag", 30), 12, 1e-6
+    real, seen = _record_distances(monkeypatch, bounds, name)
+    _, _, rows = run_compare(m, t, function, klass, distance_mode=mode,
+                             quad_tol=tol)
+    bounded = [(k, d, b) for k, d, b, _, _ in rows if b is not None]
+    distances = [d for _, d, _ in bounded]
+    # rows share distances on both sides of t; each is evaluated once
+    assert len(set(distances)) < len(distances)
+    assert sorted(seen) == sorted(set(distances))
+    _, _, measure = figures.resolve_function(function, klass, None, 0.0)
+    iv = spectral_interval(m)
+    lead = (m,) if klass == "cauchy" else ()
+    for k, d, b in bounded:
+        assert b == real(*lead, iv, m.beta, measure, k, t, quad_tol=tol,
+                         distance=d).bound, k
+
+
+@pytest.mark.parametrize("klass, function, name", [
+    ("laplace", "phi1", "laplace_kron_bound"),
+    ("cauchy", "inv_sqrt", "cauchy_kron_bound")])
+def test_run_kron_compare_evaluates_each_distance_tuple_once(
+        monkeypatch, klass, function, name):
+    a = KroneckerSum(factors=(make_test_matrix("tridiag", 6),
+                              make_test_matrix("pentadiag", 6)))
+    t, tol = a.linearize((3, 1)), 1e-6
+    real, seen = _record_distances(monkeypatch, kron, name)
+    _, _, rows = run_kron_compare(a, t, function, klass, quad_tol=tol)
+    tuples = [(d1, d2) for _, _, _, d1, d2, _, _ in rows]
+    assert len(set(tuples)) < len(tuples)
+    assert sorted(seen) == sorted(set(tuples))
+    # the factors differ, so (d1, d2) and (d2, d1) are different entries
+    assert seen.count((1.0, 2.0)) == 1 and seen.count((2.0, 1.0)) == 1
+    _, _, measure = figures.resolve_function(function, klass, None, 0.0)
+    ivs = tuple(spectral_interval(f) for f in a.factors)
+    for k, *_, b, _ in rows:
+        assert b == real(a, measure, k, t, quad_tol=tol, on_invalid="extend",
+                         intervals=ivs).bound, k
+
+
 # The documented (--class, --function) vocabulary of the README.
 _VOCABULARY = ([("laplace", f) for f in ("inv", "exp", "phi1", "inv_sqrt",
                                          "inv_pow:0.5", "log1p_inv")]
@@ -390,7 +491,8 @@ def _vocabulary_commands():
 def test_documented_vocabulary_runs_cleanly(tmp_path, capsys):
     """Every documented command and (--class, --function) pair at small
     order exits 0 or 1 without a traceback or a warning, and a nonzero
-    --zeta either changes the CSV or is rejected."""
+    --zeta or a --tau other than 1 either changes the CSV or is
+    rejected."""
 
     def run(argv, out):
         with warnings.catch_warnings():
@@ -401,8 +503,10 @@ def test_documented_vocabulary_runs_cleanly(tmp_path, capsys):
         assert "Traceback" not in err and "Warning" not in err, (argv, err)
         return code
 
-    base, shifted = tmp_path / "base.csv", tmp_path / "zeta.csv"
+    base, changed = tmp_path / "base.csv", tmp_path / "changed.csv"
     for argv, takes_zeta in _vocabulary_commands():
         code = run(argv, base)
-        if takes_zeta and run(argv + ["--zeta", "3"], shifted) == 0:
-            assert code == 0 and base.read_bytes() != shifted.read_bytes(), argv
+        for flag in ([["--zeta", "3"]] if takes_zeta else []) + [["--tau", "2"]]:
+            if run(argv + flag, changed) == 0:
+                assert code == 0 and base.read_bytes() != changed.read_bytes(), \
+                    (argv, flag)
