@@ -6,9 +6,10 @@ the semigroup exp(-tau M) (superexponential tail) and the resolvent decay
 constants of Demko/Freund type (exponential tail).  Transform-class bounds
 integrate these kernels against the representing measure.
 
-Distances are band-scaled: d = |k - t| / beta by default, and every bound
-accepts an explicit ``distance`` override so geodesic distances can be
-substituted for general sparsity patterns.
+Every bound depends on the entry (k, t) only through a distance d, its
+one spatial input: the band distance |k - t| / beta of a banded matrix or
+the geodesic distance in the sparsity-pattern graph of a general one
+(:mod:`decaybounds.graphdist`).  The callers compute it.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ _LOG10 = math.log(10.0)
 
 @dataclass(frozen=True)
 class DecayBoundReport:
-    """Per-entry bound with provenance: distance used, integral pieces,
-    quadrature error estimate and whether the stated validity region holds."""
+    """Bound at one distance with provenance: the distance (a tuple of
+    per-factor distances for a Kronecker sum), integral pieces, quadrature
+    error estimate and whether the stated validity region holds."""
 
-    k: object
-    t: object
     distance: object
     bound: float
     pieces: dict = field(default_factory=dict)
@@ -76,22 +76,17 @@ def exp_envelope(rho_tau, d):
     return float(out[0]) if scalar else out
 
 
-def _distance(k, t, beta, distance):
-    if distance is not None:
-        return float(distance)
-    if beta <= 0:
-        raise ValueError("band distance needs beta >= 1; pass an explicit distance")
-    return abs(k - t) / beta
+def _positive(distance):
+    if distance <= 0:
+        raise ValueError("distance must be positive: the bound covers "
+                         "off-diagonal entries only")
+    return float(distance)
 
 
-def exp_entry_bound(interval, beta, tau, k, t, *, distance=None):
-    """Upper bound for |exp(-tau M)|_{k t}, k != t, M Hermitian PSD with
-    spectrum in [lambda_min, lambda_min + 4 rho]."""
-    if distance is None and k == t:
-        raise ValueError("diagonal entries are not covered by the bound")
-    d = _distance(k, t, beta, distance)
-    if d <= 0:
-        raise ValueError("distance must be positive")
+def exp_entry_bound(interval, tau, distance):
+    """Upper bound for |exp(-tau M)|_{k t} at distance d > 0, M Hermitian
+    PSD with spectrum in [lambda_min, lambda_min + 4 rho]."""
+    d = _positive(distance)
     return math.exp(-tau * interval.lambda_min) * exp_envelope(interval.rho * tau, d)
 
 
@@ -129,29 +124,26 @@ def demko_constant(lambda_min, lambda_max):
     return float(_demko_kernel(lambda_min, lambda_max, 0.0)[0])
 
 
-def demko_bound(M, interval, k, t, *, distance=None):
-    """Classical bound |M^{-1}|_{k t} <= C q^{|k-t|/beta} for banded HPD M.
+def demko_bound(interval, distance, *, diag_max):
+    """Classical bound |M^{-1}|_{k t} <= C q^d for HPD M, d >= 0.
 
-    The diagonal is normalized to at most one before applying the constant
-    and the bound is multiplied back by the reciprocal of the normalizer
-    (a no-op in exact arithmetic, kept explicit for fidelity to the
-    normalized statement).
+    The diagonal, whose largest entry is ``diag_max``, is normalized to at
+    most one before applying the constant and the bound is multiplied back
+    by the reciprocal of the normalizer (a no-op in exact arithmetic, kept
+    explicit for fidelity to the normalized statement).
     """
     if not interval.is_positive_definite:
         raise ValueError("the resolvent bound needs a positive definite matrix")
-    d = _distance(k, t, M.beta, distance)
-    s = M.diagonal_max()
-    s = s if s > 1.0 else 1.0
+    d = float(distance)
+    s = diag_max if diag_max > 1.0 else 1.0
     c, q = _demko_kernel(interval.lambda_min / s, interval.lambda_max / s, 0.0)
     return float((c / s) * q ** d)
 
 
-def freund_resolvent_bound(interval, beta, zeta, k, t, *, distance=None):
-    """Bound for |(M - i zeta I)^{-1}|_{k t}, k != t."""
-    if distance is None and k == t:
-        raise ValueError("the resolvent bound covers off-diagonal entries only")
+def freund_resolvent_bound(interval, zeta, distance):
+    """Bound for |(M - i zeta I)^{-1}|_{k t} at distance d > 0."""
+    d = _positive(distance)
     c, r = _freund_kernel(interval.lambda_min, interval.lambda_max, zeta, 0.0)
-    d = _distance(k, t, beta, distance)
     return float(c * r ** (-d))
 
 
@@ -237,15 +229,15 @@ def _envelope_integral(factors, weight, upper, singularity, atoms, quad_tol,
     return total, segments, err, evals, converged
 
 
-def laplace_entry_bound(interval, beta, measure, k, t, *, quad_tol=1e-10,
-                        distance=None, on_invalid="raise", max_panels=10000):
-    """Entry bound for f(M) with f completely monotonic, M banded HPD.
+def laplace_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
+                        on_invalid="raise", max_panels=10000):
+    """Entry bound for f(M) with f completely monotonic, M HPD.
 
     Integrates the capped semigroup envelope against the representing
     measure, split at the envelope's regime boundaries.  The report's
     pieces I, II, III sum the segments (and atoms) in the superexponential,
     Gaussian and trivial regimes.  Stated validity requires
-    d = |k - t|/beta >= 2; smaller distances either raise
+    d >= 2; smaller distances either raise
     (``on_invalid='raise'``) or are evaluated with the capped envelope and
     flagged ``valid=False`` (``on_invalid='extend'``).  The same number
     bounds |f(M + i zeta I)|_{k t} for every real zeta: the shift only
@@ -255,11 +247,11 @@ def laplace_entry_bound(interval, beta, measure, k, t, *, quad_tol=1e-10,
         raise ValueError("Laplace-class bounds need a positive definite matrix")
     if not measure.has_representation:
         raise ValueError(f"measure {measure.name!r} has no stored representation")
-    d = _distance(k, t, beta, distance)
+    d = float(distance)
     valid = d >= 2.0
     if not valid and on_invalid == "raise":
         raise ValueError(
-            f"bound is stated for |k-t|/beta >= 2; got distance {d} "
+            f"bound is stated for distance >= 2; got distance {d} "
             "(use on_invalid='extend' for the capped-envelope extension)")
     _, segments, err, evals, converged = _envelope_integral(
         ((interval, d),), measure.density, measure.support_upper,
@@ -275,7 +267,7 @@ def laplace_entry_bound(interval, beta, measure, k, t, *, quad_tol=1e-10,
         else:
             pieces["III"] += value
     total = pieces["I"] + pieces["II"] + pieces["III"]
-    return DecayBoundReport(k=k, t=t, distance=d, bound=total, pieces=pieces,
+    return DecayBoundReport(distance=d, bound=total, pieces=pieces,
                             error_estimate=err, evaluations=evals,
                             converged=converged, valid=valid)
 
@@ -308,9 +300,9 @@ def _total_variation_quadrature(kernel, measure, quad_tol, max_panels):
             head.converged and tail.converged)
 
 
-def cauchy_entry_bound(M, interval, beta, measure, k, t, *, quad_tol=1e-10,
-                       distance=None, max_panels=10000):
-    """Entry bound for f(M) with f Markov-type, M banded HPD.
+def cauchy_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
+                       max_panels=10000):
+    """Entry bound for f(M) with f Markov-type, M HPD, at distance d >= 0.
 
     Integrates the shifted-resolvent kernel C(omega) q(omega)^d against the
     total variation of the representing measure.  The diagonal
@@ -319,7 +311,7 @@ def cauchy_entry_bound(M, interval, beta, measure, k, t, *, quad_tol=1e-10,
     """
     if not interval.is_positive_definite:
         raise ValueError("Cauchy-class bounds need a positive definite matrix")
-    d = _distance(k, t, beta, distance)
+    d = float(distance)
     lmin, lmax = interval.lambda_min, interval.lambda_max
 
     def kernel(s):
@@ -328,15 +320,15 @@ def cauchy_entry_bound(M, interval, beta, measure, k, t, *, quad_tol=1e-10,
 
     value, err, evals, converged = _total_variation_quadrature(
         kernel, measure, quad_tol, max_panels)
-    return DecayBoundReport(k=k, t=t, distance=d, bound=value,
+    return DecayBoundReport(distance=d, bound=value,
                             error_estimate=err, evaluations=evals,
                             converged=converged, valid=True)
 
 
-def invsqrt_closed_bound(interval, beta, k, t, *, diag_max=None, distance=None):
-    """Closed-form bound for |M^{-1/2}|_{k t}, k != t:
+def invsqrt_closed_bound(interval, distance, *, diag_max=None):
+    """Closed-form bound for |M^{-1/2}|_{k t} at distance d > 0:
 
-        (2/pi) (C(0) + C2) q0^{|k-t|/beta},
+        (2/pi) (C(0) + C2) q0^d,
         q0 = (sqrt(lmax) - sqrt(lmin)) / (sqrt(lmax) + sqrt(lmin)).
 
     ``C2`` is the conservative maximum of the two circulating variants
@@ -346,9 +338,7 @@ def invsqrt_closed_bound(interval, beta, k, t, *, diag_max=None, distance=None):
     """
     if interval.lambda_min <= 0:
         raise ValueError("the inverse square root needs a positive definite matrix")
-    if distance is None and k == t:
-        raise ValueError("the closed-form bound covers off-diagonal entries only")
-    d = _distance(k, t, beta, distance)
+    d = _positive(distance)
     s = 1.0
     if diag_max is not None and diag_max > 1.0:
         s = float(diag_max)
@@ -362,17 +352,16 @@ def invsqrt_closed_bound(interval, beta, k, t, *, diag_max=None, distance=None):
     return (2.0 / math.pi) * (c0 + c2) * q0 ** d / math.sqrt(s)
 
 
-def cauchy_shifted_bound(interval, beta, measure, zeta, k, t, *,
-                         quad_tol=1e-10, distance=None, max_panels=10000):
-    """Entry bound for |f(M - i zeta I)|_{k t}, k != t, f Markov-type.
+def cauchy_shifted_bound(interval, measure, zeta, distance, *,
+                         quad_tol=1e-10, max_panels=10000):
+    """Entry bound for |f(M - i zeta I)|_{k t} at distance d > 0, f
+    Markov-type.
 
     Uses the elliptical resolvent kernel with foci at the shifted spectral
     endpoints; the kernel radius grows with |zeta| (the spectrum moves away
     from the integration ray), so the bound improves as |zeta| grows.
     """
-    if distance is None and k == t:
-        raise ValueError("the shifted bound covers off-diagonal entries only")
-    d = _distance(k, t, beta, distance)
+    d = _positive(distance)
     lmin, lmax = interval.lambda_min, interval.lambda_max
 
     def kernel(s):
@@ -381,6 +370,6 @@ def cauchy_shifted_bound(interval, beta, measure, zeta, k, t, *,
 
     value, err, evals, converged = _total_variation_quadrature(
         kernel, measure, quad_tol, max_panels)
-    return DecayBoundReport(k=k, t=t, distance=d, bound=value,
+    return DecayBoundReport(distance=d, bound=value,
                             error_estimate=err, evaluations=evals,
                             converged=converged, valid=True)

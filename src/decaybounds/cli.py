@@ -17,6 +17,7 @@ into exit 1.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -35,6 +36,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_number(kind):
+    """argparse type of the quadrature settings: a finite ``kind`` > 0 (a
+    tolerance of 0 or nan never stops refining; no panel is a failure)."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
+        return value
+    parse.__name__ = kind.__name__     # argparse: "invalid float value: ..."
+    return parse
+
+
 def _add_matrix_flags(p):
     p.add_argument("--matrix", required=True,
                    help="generator (tridiag, pentadiag, tridiag:a,b,c, "
@@ -44,9 +57,9 @@ def _add_matrix_flags(p):
 
 
 def _add_common_flags(p):
-    p.add_argument("--quad-tol", type=float, default=1e-8,
+    p.add_argument("--quad-tol", type=_positive_number(float), default=1e-8,
                    help="quadrature tolerance (default 1e-8)")
-    p.add_argument("--quad-max-panels", type=int, default=10000,
+    p.add_argument("--quad-max-panels", type=_positive_number(int), default=10000,
                    help="maximum adaptive panels per integral")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
@@ -107,7 +120,7 @@ def build_parser():
     p.add_argument("figure_id", help=f"one of: {', '.join(FIGURE_IDS)}")
     p.add_argument("--matrix-kind", choices=("tridiag", "pentadiag"),
                    default="tridiag")
-    p.add_argument("--quad-tol", type=float, default=1e-10)
+    p.add_argument("--quad-tol", type=_positive_number(float), default=1e-10)
     p.add_argument("--out", default=None,
                    help="output CSV path (default <figure-id>-<kind>.csv)")
 

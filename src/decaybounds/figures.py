@@ -9,7 +9,6 @@ with a header row and 17 significant digits, and is byte-deterministic.
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
 import sys
 
@@ -48,13 +47,14 @@ def _fmt(x):
 
 
 def _write_csv(path, header, rows):
-    """Write CSV to ``path``, or to standard output when it is None."""
+    """Write CSV to ``path``, or to standard output when it is None.  No
+    cell needs quoting: the header is plain words, the cells are numbers
+    or empty."""
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", newline="")) as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join([_fmt(c) for c in row]) + "\r\n"
+                      for row in rows)
 
 
 def _ratio_stats(pairs, floor):
@@ -104,15 +104,14 @@ def _closed_form_rows(figure_id, matrix_kind):
     col = np.abs(oracle.function_column(M, f, t))
     rows = []
     for k in range(1, _N + 1):
-        b = None
+        b, d = None, abs(k - t) / beta
         if figure_id == "fig1-exp":
             if col[k - 1] < floor:
                 continue
-            if k != t and abs(k - t) / beta >= math.sqrt(4.0 * shifted.rho * tau):
-                b = bounds.exp_entry_bound(shifted, beta, tau, k, t)
+            if k != t and d >= math.sqrt(4.0 * shifted.rho * tau):
+                b = bounds.exp_entry_bound(shifted, tau, d)
         elif k != t:
-            b = bounds.invsqrt_closed_bound(iv, beta, k, t,
-                                            diag_max=M.diagonal_max())
+            b = bounds.invsqrt_closed_bound(iv, d, diag_max=M.diagonal_max())
         rows.append((k, float(col[k - 1]), b))
     return rows, floor
 
@@ -238,25 +237,23 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     floor = oracle.oracle_floor(M, f)
     dist = geodesic_from(M, t, drop_tol=drop_tol) if distance_mode == "graph" else None
 
-    # The kind's bound at distance d, first reached at row k: a number, a
-    # quadrature report, or None where the bound is not stated.  Only row
-    # t has d = 0.
+    # The kind's bound at distance d: a number, a quadrature report, or
+    # None where the bound is not stated.  Only row t has d = 0.
     if kind == "exp":
-        entry = lambda k, d: (bounds.exp_entry_bound(iv, beta, tau, k, t, distance=d)
-                              if d > 0 else None)
+        entry = lambda d: bounds.exp_entry_bound(iv, tau, d) if d > 0 else None
     elif kind == "demko" or (kind == "resolvent" and zeta == 0.0):
-        entry = lambda k, d: bounds.demko_bound(M, iv, k, t, distance=d)
+        diag_max = M.diagonal_max()
+        entry = lambda d: bounds.demko_bound(iv, d, diag_max=diag_max)
     elif kind == "resolvent":
-        entry = lambda k, d: (bounds.freund_resolvent_bound(
-            iv, beta, zeta, k, t, distance=d) if d > 0 else None)
+        entry = lambda d: (bounds.freund_resolvent_bound(iv, zeta, d)
+                           if d > 0 else None)
     elif kind == "laplace":
-        entry = lambda k, d: (bounds.laplace_entry_bound(
-            iv, beta, measure, k, t, quad_tol=quad_tol, distance=d,
-            max_panels=max_panels) if d >= 2.0 else None)
+        entry = lambda d: (bounds.laplace_entry_bound(
+            iv, measure, d, quad_tol=quad_tol, max_panels=max_panels)
+            if d >= 2.0 else None)
     else:
-        entry = lambda k, d: bounds.cauchy_entry_bound(
-            M, iv, beta, measure, k, t, quad_tol=quad_tol, distance=d,
-            max_panels=max_panels)
+        entry = lambda d: bounds.cauchy_entry_bound(
+            iv, measure, d, quad_tol=quad_tol, max_panels=max_panels)
 
     at_distance = {}
     rows = []
@@ -267,7 +264,7 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
             rows.append((k, None, None, o, None))
             continue
         if d not in at_distance:
-            at_distance[d] = entry(k, d)
+            at_distance[d] = entry(d)
         b = at_distance[d]
         if isinstance(b, bounds.DecayBoundReport):
             b = b.bound
@@ -296,13 +293,12 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
     ivs = tuple(spectral_interval(m) for m in A.factors)
     nfac = len(A.factors)
     if kind == "exp":
-        evaluate = lambda k: kron.exp_kron_bound(A, tau, k, t, intervals=ivs)
+        evaluate = lambda ds: kron.exp_kron_bound(ivs, tau, ds)
     elif kind in ("laplace", "cauchy"):
         bound = (kron.laplace_kron_bound if kind == "laplace"
                  else kron.cauchy_kron_bound)
-        evaluate = lambda k: bound(A, measure, k, t, quad_tol=quad_tol,
-                                   on_invalid="extend", intervals=ivs,
-                                   max_panels=max_panels)
+        evaluate = lambda ds: bound(ivs, measure, ds, quad_tol=quad_tol,
+                                    on_invalid="extend", max_panels=max_panels)
     else:
         raise ValueError(f"--class {klass} --function {function} is not "
                          "available for Kronecker sums")
@@ -317,7 +313,7 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
             continue
         ds = kron._component_distances(A, k, t)
         if ds not in at_distances:
-            at_distances[ds] = evaluate(k)
+            at_distances[ds] = evaluate(ds)
         rep = at_distances[ds]
         rows.append((k, *km, *ds, rep.bound, float(col[k - 1])))
     header = (["k"] + [f"k{i+1}" for i in range(nfac)]
@@ -339,9 +335,9 @@ def run_surface(function, tau, grid_n, out_path):
         f = lambda x: x ** -0.5
     else:
         raise ValueError(f"unknown surface function {function!r}")
-    F = oracle.matrix_function(A, f)
+    F = oracle.matrix_function(A, f).tolist()
     n = A.total_order
-    rows = [(i, j, float(F[i - 1, j - 1]))
-            for i in range(1, n + 1) for j in range(1, n + 1)]
+    rows = [(i, j, value) for i, line in enumerate(F, start=1)
+            for j, value in enumerate(line, start=1)]
     _write_csv(out_path, ("i", "j", "value"), rows)
     return {"rows": len(rows), "order": n}

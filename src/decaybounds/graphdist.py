@@ -2,8 +2,8 @@
 
 Every banded bound generalizes to arbitrary Hermitian sparsity patterns by
 replacing the band distance |k - t| / beta with the geodesic distance in
-the undirected graph of the nonzero pattern; all bound functions accept a
-``distance`` override for exactly this purpose.
+the undirected graph of the nonzero pattern.  Every bound takes its
+distance as an argument, so either kind can be passed.
 """
 
 from __future__ import annotations

@@ -25,9 +25,15 @@ call them; their behaviour is unchanged:
 * ``laplace_reconstruct`` and ``cauchy_reconstruct`` (the former
   ``LaplaceMeasure.reconstruct`` and ``CauchyMeasure.reconstruct``):
   f(x) from a measure by quadrature.
+
+``stdlib_csv_write`` renders a CSV through the standard library's
+``csv.writer``, the reference for the package's own CSV writer.
 """
 
+import contextlib
+import csv
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -244,8 +250,7 @@ def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
     """
     if len(A.factors) != 2:
         raise ValueError("the split bound is stated for two factors")
-    ivs = (tuple(spectral_interval(f) for f in A.factors)
-           if intervals is None else intervals)
+    ivs = factor_intervals(A) if intervals is None else intervals
     dists = _component_distances(A, k, t)
     out = 1.0 / math.sqrt(math.pi)
     for iv, d in zip(ivs, dists):
@@ -256,6 +261,12 @@ def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
             raise RuntimeError("split-bound quadrature did not converge")
         out *= math.sqrt(val)
     return out
+
+
+def factor_intervals(A):
+    """Spectral intervals of the factors of a Kronecker sum, the first
+    argument of the Kronecker bounds."""
+    return tuple(spectral_interval(f) for f in A.factors)
 
 
 def gershgorin_interval(M):
@@ -301,3 +312,15 @@ def cauchy_reconstruct(measure, x, tol=1e-10):
     if not r.converged:
         raise RuntimeError(f"reconstruction quadrature failed for {measure.name}")
     return r.value
+
+
+def stdlib_csv_write(path, header, rows):
+    """The package's CSV format through ``csv.writer``: a header row, then
+    every cell with 17 significant digits and None as an empty cell;
+    standard output when ``path`` is None."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", newline="")) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(["" if c is None else f"{c:.17g}" for c in row])

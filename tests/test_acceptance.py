@@ -22,9 +22,11 @@ from decaybounds import (KroneckerSum, cauchy_catalog, cauchy_kron_bound,
                          laplace_kron_bound, make_test_matrix, oracle_floor,
                          banded_from_stencil, cauchy_entry_bound,
                          spectral_interval)
+from decaybounds.kron import _component_distances as component_distances
 from reference import (cauchy_reconstruct, expm_column_nonneg,
-                       lancaster_column, laplace_reconstruct,
-                       laplace_transform_of_cauchy, sincos_kron_exact)
+                       factor_intervals, lancaster_column,
+                       laplace_reconstruct, laplace_transform_of_cauchy,
+                       sincos_kron_exact)
 
 SLACK = 1.0 - 1e-10
 KINDS = ("tridiag", "pentadiag")
@@ -66,7 +68,7 @@ def test_criterion_02_exponential_dominance_and_superexponential_decay():
         for k in range(1, 201):
             if k == t or abs(k - t) < lo:
                 continue
-            b = exp_entry_bound(iv, m.beta, tau, k, t)
+            b = exp_entry_bound(iv, tau, abs(k - t) / m.beta)
             bounds[k] = b
             assert b >= col_deep[k - 1] * SLACK, (kind, k)
             if col_eig[k - 1] >= floor:
@@ -98,7 +100,8 @@ def test_criterion_03_laplace_bounds_dominate(fname):
         for k in range(1, 201):
             if abs(k - t) < 2 * m.beta:
                 continue
-            rep = laplace_entry_bound(iv, m.beta, measure, k, t, quad_tol=1e-10)
+            rep = laplace_entry_bound(iv, measure, abs(k - t) / m.beta,
+                                      quad_tol=1e-10)
             assert rep.converged
             if rep.bound > 0:
                 worst_err = max(worst_err, rep.error_estimate / rep.bound)
@@ -124,8 +127,9 @@ def test_criterion_04_cauchy_closed_bound_superiority():
         for k in range(1, 201):
             if abs(k - t) < 2 * m.beta:
                 continue
-            cs = invsqrt_closed_bound(iv, m.beta, k, t, diag_max=m.diagonal_max())
-            ls = laplace_entry_bound(iv, m.beta, measure, k, t).bound
+            d = abs(k - t) / m.beta
+            cs = invsqrt_closed_bound(iv, d, diag_max=m.diagonal_max())
+            ls = laplace_entry_bound(iv, measure, d).bound
             kind_total += 1
             if cs <= ls:
                 kind_tighter += 1
@@ -178,13 +182,12 @@ def test_criterion_06_kron_bounds_dominate_and_oscillate():
             col = np.abs(function_column(a, measure.closed_form, t))
             floor = oracle_floor(a, measure.closed_form)
             bounds = np.empty(400)
+            bound = (laplace_kron_bound if route == "laplace"
+                     else cauchy_kron_bound)
+            ivs = factor_intervals(a)
             for k in range(1, 401):
-                if route == "laplace":
-                    rep = laplace_kron_bound(a, measure, k, t,
-                                             on_invalid="extend", quad_tol=1e-9)
-                else:
-                    rep = cauchy_kron_bound(a, measure, k, t,
-                                            on_invalid="extend", quad_tol=1e-9)
+                rep = bound(ivs, measure, component_distances(a, k, t),
+                            on_invalid="extend", quad_tol=1e-9)
                 assert rep.converged
                 bounds[k - 1] = rep.bound
                 if col[k - 1] >= floor:
@@ -228,9 +231,11 @@ def test_criterion_08_dual_class_consistency():
     m = make_test_matrix("tridiag", 20)
     a = KroneckerSum(factors=(m, m))
     worst = 0.0
+    ivs = factor_intervals(a)
     for k in (30, 94 - 45, 201, 350):
-        ls = laplace_kron_bound(a, lm, k, 94, on_invalid="extend", quad_tol=1e-10)
-        cs = cauchy_kron_bound(a, cm, k, 94, on_invalid="extend", quad_tol=1e-10)
+        ds = component_distances(a, k, 94)
+        ls = laplace_kron_bound(ivs, lm, ds, on_invalid="extend", quad_tol=1e-10)
+        cs = cauchy_kron_bound(ivs, cm, ds, on_invalid="extend", quad_tol=1e-10)
         tol = ls.error_estimate + cs.error_estimate + 1e-13 * ls.bound
         assert abs(ls.bound - cs.bound) <= tol, k
         if ls.bound > 0:
@@ -256,18 +261,19 @@ def test_criterion_09_graph_distance_reduction():
     dv = geodesic_from(m, t)
     lmea = laplace_catalog("phi1")
     cmea = cauchy_catalog("inv_sqrt")
+    s = m.diagonal_max()
     for k in range(1, 41):
-        dg = dv[k]
-        assert demko_bound(m, iv, k, t, distance=dg) <= \
-            demko_bound(m, iv, k, t) * (1 + 1e-12)
+        dg, db = dv[k], abs(k - t) / 2
+        assert demko_bound(iv, dg, diag_max=s) <= \
+            demko_bound(iv, db, diag_max=s) * (1 + 1e-12)
         if k != t:
-            assert exp_entry_bound(iv, 2, 4.0, k, t, distance=dg) <= \
-                exp_entry_bound(iv, 2, 4.0, k, t) * (1 + 1e-12)
+            assert exp_entry_bound(iv, 4.0, dg) <= \
+                exp_entry_bound(iv, 4.0, db) * (1 + 1e-12)
         if abs(k - t) >= 4:
-            assert laplace_entry_bound(iv, 2, lmea, k, t, distance=dg).bound <= \
-                laplace_entry_bound(iv, 2, lmea, k, t).bound * (1 + 1e-9)
-        assert cauchy_entry_bound(m, iv, 2, cmea, k, t, distance=dg).bound <= \
-            cauchy_entry_bound(m, iv, 2, cmea, k, t).bound * (1 + 1e-9)
+            assert laplace_entry_bound(iv, lmea, dg).bound <= \
+                laplace_entry_bound(iv, lmea, db).bound * (1 + 1e-9)
+        assert cauchy_entry_bound(iv, cmea, dg).bound <= \
+            cauchy_entry_bound(iv, cmea, db).bound * (1 + 1e-9)
     _report(9, "geodesic distance equals ceil(|i-j|/beta) exhaustively "
                "(beta in {1,2,3}, n up to 100); graph-mode bounds never "
                "exceed band-mode bounds")

@@ -69,8 +69,8 @@ def test_phi_guards_diagonal():
     # bare envelope at rho * tau = 4
     iv = SpectralInterval(0.0, 4.0)
     with pytest.raises(ValueError):
-        exp_entry_bound(iv, 1, 4.0, 3, 7, distance=0.0)
-    assert exp_entry_bound(iv, 1, 4.0, 3, 7, distance=8.0) == exp_envelope(4.0, 8.0)
+        exp_entry_bound(iv, 4.0, 0.0)
+    assert exp_entry_bound(iv, 4.0, 8.0) == exp_envelope(4.0, 8.0)
 
 
 # ------------------------------------------------------- exponential bound
@@ -82,15 +82,15 @@ def test_exp_bound_shift_invariance():
     shifted = type(iv)(iv.lambda_min + delta, iv.lambda_max + delta)
     tau = 4.0
     for k in (3, 10, 30):
-        b0 = exp_entry_bound(iv, 1, tau, k, 20)
-        b1 = exp_entry_bound(shifted, 1, tau, k, 20)
+        b0 = exp_entry_bound(iv, tau, abs(k - 20))
+        b1 = exp_entry_bound(shifted, tau, abs(k - 20))
         assert b1 == pytest.approx(b0 * math.exp(-tau * delta), rel=1e-12)
 
 
 def test_exp_bound_rejects_diagonal():
     iv = spectral_interval(make_test_matrix("tridiag", 10))
     with pytest.raises(ValueError):
-        exp_entry_bound(iv, 1, 4.0, 5, 5)
+        exp_entry_bound(iv, 4.0, 0.0)
 
 
 @pytest.mark.parametrize("kind", ["tridiag", "pentadiag"])
@@ -106,7 +106,7 @@ def test_exp_bound_dominates_deep_series_oracle(kind):
     for k in range(1, n + 1):
         if k == t or abs(k - t) < lo:
             continue
-        assert exp_entry_bound(iv, m.beta, tau, k, t) >= col[k - 1] * SLACK
+        assert exp_entry_bound(iv, tau, abs(k - t) / m.beta) >= col[k - 1] * SLACK
         checked += 1
     assert checked > 150
 
@@ -122,7 +122,7 @@ def test_exp_bound_dominates_highprec_analytic_entries():
         import mpmath as mp
         truth = abs(tridiag_entry_mp(
             n, lambda lam: mp.e ** (-tau * lam), k, t, dps=120))
-        bound = exp_entry_bound(iv, 1, tau, k, t)
+        bound = exp_entry_bound(iv, tau, abs(k - t))
         assert bound >= truth * SLACK
         assert truth > 0
 
@@ -133,7 +133,8 @@ def test_demko_zero_for_scaled_identity():
     from decaybounds import banded_from_stencil
     m = banded_from_stencil((0.0, 3.0, 0.0), 6)
     iv = spectral_interval(m)
-    assert demko_bound(m, iv, 1, 4) == pytest.approx(0.0, abs=1e-14)
+    assert demko_bound(iv, 3.0, diag_max=m.diagonal_max()) == \
+        pytest.approx(0.0, abs=1e-14)
 
 
 def test_demko_normalization_cancels():
@@ -142,7 +143,8 @@ def test_demko_normalization_cancels():
     q = (math.sqrt(iv.kappa) - 1.0) / (math.sqrt(iv.kappa) + 1.0)
     for k, t in ((5, 30), (30, 30), (58, 12)):
         direct = demko_constant(iv.lambda_min, iv.lambda_max) * q ** abs(k - t)
-        assert demko_bound(m, iv, k, t) == pytest.approx(direct, rel=1e-12)
+        assert demko_bound(iv, abs(k - t), diag_max=m.diagonal_max()) == \
+            pytest.approx(direct, rel=1e-12)
 
 
 def test_demko_dominates_inverse_column():
@@ -152,7 +154,7 @@ def test_demko_dominates_inverse_column():
     floor = oracle_floor(m, lambda x: 1.0 / x)
     ratios = []
     for k in range(1, 201):
-        b = demko_bound(m, iv, k, 127)
+        b = demko_bound(iv, abs(k - 127), diag_max=m.diagonal_max())
         if inv_col[k - 1] >= floor:
             assert b >= inv_col[k - 1] * SLACK
             ratios.append(inv_col[k - 1] / b)
@@ -164,14 +166,14 @@ def test_demko_diagonal_dominates():
     m = make_test_matrix("pentadiag", 50)
     iv = spectral_interval(m)
     inv_diag = abs(function_column(m, lambda x: 1.0 / x, 25)[24])
-    assert demko_bound(m, iv, 25, 25) >= inv_diag
+    assert demko_bound(iv, 0.0, diag_max=m.diagonal_max()) >= inv_diag
 
 
 def test_demko_requires_positive_definite():
     m = make_test_matrix("tridiag", 10)
     iv = type(spectral_interval(m))(-1.0, 2.0)
     with pytest.raises(ValueError):
-        demko_bound(m, iv, 1, 5)
+        demko_bound(iv, 4.0, diag_max=m.diagonal_max())
 
 
 # ----------------------------------------------------------- Freund bound
@@ -179,8 +181,8 @@ def test_demko_requires_positive_definite():
 def _freund_radius(lmin, lmax, zeta):
     # the bound is C R^{-d}: consecutive distances give the radius R
     iv = SpectralInterval(lmin, lmax)
-    return (freund_resolvent_bound(iv, 1, zeta, 1, 2, distance=3.0)
-            / freund_resolvent_bound(iv, 1, zeta, 1, 2, distance=4.0))
+    return (freund_resolvent_bound(iv, zeta, 3.0)
+            / freund_resolvent_bound(iv, zeta, 4.0))
 
 
 def test_freund_parameters_closed_form():
@@ -210,15 +212,15 @@ def test_freund_dominates_resolvent_columns():
         for k in range(1, 81):
             if k == 40 or col[k - 1] < floor:
                 continue
-            assert freund_resolvent_bound(iv, 1, zeta, k, 40) >= col[k - 1] * SLACK
+            assert freund_resolvent_bound(iv, zeta, abs(k - 40)) >= col[k - 1] * SLACK
 
 
 def test_freund_guards():
     iv = spectral_interval(make_test_matrix("tridiag", 10))
     with pytest.raises(ValueError):
-        freund_resolvent_bound(iv, 1, 0.0, 3, 3)
+        freund_resolvent_bound(iv, 0.0, 0.0)
     with pytest.raises(ValueError):
-        freund_resolvent_bound(SpectralInterval(2.0, 2.0), 1, 1.0, 3, 5)
+        freund_resolvent_bound(SpectralInterval(2.0, 2.0), 1.0, 2.0)
 
 
 # --------------------------------------------------- resolvent parameters
@@ -226,9 +228,9 @@ def test_freund_guards():
 def _demko_rate(iv):
     # unit-diagonal identity storage keeps the normalizer at one; the
     # bound is C q^d, so consecutive distances give the rate q
-    m = banded_from_stencil((0.0, 1.0, 0.0), 4)
-    return (demko_bound(m, iv, 1, 2, distance=4.0)
-            / demko_bound(m, iv, 1, 2, distance=3.0))
+    s = banded_from_stencil((0.0, 1.0, 0.0), 4).diagonal_max()
+    return (demko_bound(iv, 4.0, diag_max=s)
+            / demko_bound(iv, 3.0, diag_max=s))
 
 
 @given(st.floats(0.1, 10.0), st.floats(0.0, 1000.0))
@@ -252,7 +254,7 @@ def test_laplace_bound_dominates_oracle(fname, test_matrix_200):
     for k in range(1, m.n + 1):
         if abs(k - 127) < 2 * m.beta:
             continue
-        rep = laplace_entry_bound(iv, m.beta, measure, k, 127)
+        rep = laplace_entry_bound(iv, measure, abs(k - 127) / m.beta)
         assert rep.converged
         if col[k - 1] >= floor:
             assert rep.bound >= col[k - 1] * SLACK
@@ -271,7 +273,7 @@ def test_laplace_bound_deep_highprec_spot_checks():
         measure = laplace_catalog(fname)
         for k in (97, 67, 37):
             truth = abs(tridiag_entry_mp(n, f_mp, k, t, dps=150))
-            rep = laplace_entry_bound(iv, 1, measure, k, t)
+            rep = laplace_entry_bound(iv, measure, abs(k - t))
             assert rep.bound >= truth * SLACK
 
 
@@ -280,7 +282,7 @@ def test_laplace_phi1_first_piece_dominates_far_out():
     iv = spectral_interval(m)
     measure = laplace_catalog("phi1")
     for k in (60, 75, 90):
-        rep = laplace_entry_bound(iv, 1, measure, k, 50)
+        rep = laplace_entry_bound(iv, measure, abs(k - 50))
         total = rep.bound
         assert rep.distance >= 10
         assert rep.pieces["I"] / total > 0.9
@@ -296,8 +298,7 @@ def test_laplace_pieces_sum_to_bound(fname, mode):
     iv = spectral_interval(m) if mode == "exact" else gershgorin_interval(m)
     measure = laplace_catalog(fname)
     for d in (1.0, 2.0, 20.0):
-        rep = laplace_entry_bound(iv, 2, measure, 30, 32, distance=d,
-                                  on_invalid="extend")
+        rep = laplace_entry_bound(iv, measure, d, on_invalid="extend")
         assert rep.valid == (d >= 2.0)
         assert rep.converged
         assert min(rep.pieces.values()) >= 0.0
@@ -309,8 +310,8 @@ def test_laplace_atom_measure_reduces_to_exp_bound():
     iv = spectral_interval(m)
     measure = laplace_catalog("exp")
     for k in (10, 25, 28):
-        rep = laplace_entry_bound(iv, 1, measure, k, 30)
-        assert rep.bound == exp_entry_bound(iv, 1, 1.0, k, 30)
+        rep = laplace_entry_bound(iv, measure, abs(k - 30))
+        assert rep.bound == exp_entry_bound(iv, 1.0, abs(k - 30))
         assert rep.error_estimate == 0.0
 
 
@@ -319,8 +320,8 @@ def test_laplace_validity_guard_and_extension():
     iv = spectral_interval(m)
     measure = laplace_catalog("inv")
     with pytest.raises(ValueError):
-        laplace_entry_bound(iv, 2, measure, 16, 15)
-    rep = laplace_entry_bound(iv, 2, measure, 16, 15, on_invalid="extend")
+        laplace_entry_bound(iv, measure, 0.5)
+    rep = laplace_entry_bound(iv, measure, 0.5, on_invalid="extend")
     assert not rep.valid
     assert rep.bound > 0
 
@@ -338,7 +339,7 @@ def test_laplace_shifted_dominates_complex_shift_oracle():
     for k in range(1, n + 1):
         if abs(k - t) < 2 or col[k - 1] < floor:
             continue
-        rep = laplace_entry_bound(iv, 1, measure, k, t)
+        rep = laplace_entry_bound(iv, measure, abs(k - t))
         assert rep.bound >= col[k - 1] * SLACK
 
 
@@ -350,7 +351,7 @@ def test_cauchy_bound_dominates_oracle(test_matrix_200):
     col = np.abs(function_column(m, measure.closed_form, 127))
     floor = oracle_floor(m, measure.closed_form)
     for k in range(1, m.n + 1, 3):
-        rep = cauchy_entry_bound(m, iv, m.beta, measure, k, 127)
+        rep = cauchy_entry_bound(iv, measure, abs(k - 127) / m.beta)
         assert rep.converged
         if col[k - 1] >= floor:
             assert rep.bound >= col[k - 1] * SLACK
@@ -360,7 +361,7 @@ def test_cauchy_bound_zero_for_scaled_identity():
     from decaybounds import banded_from_stencil
     m = banded_from_stencil((0.0, 2.0, 0.0), 8)
     iv = spectral_interval(m)
-    rep = cauchy_entry_bound(m, iv, 1, cauchy_catalog("inv_sqrt"), 2, 6)
+    rep = cauchy_entry_bound(iv, cauchy_catalog("inv_sqrt"), 4.0)
     assert rep.bound == pytest.approx(0.0, abs=1e-13)
 
 
@@ -385,7 +386,7 @@ def test_cauchy_log1p_bound_dominates():
     col = np.abs(function_column(m, measure.closed_form, 25))
     floor = oracle_floor(m, measure.closed_form)
     for k in range(1, 51, 2):
-        rep = cauchy_entry_bound(m, iv, 1, measure, k, 25)
+        rep = cauchy_entry_bound(iv, measure, abs(k - 25))
         if col[k - 1] >= floor:
             assert rep.bound >= col[k - 1] * SLACK
 
@@ -399,7 +400,8 @@ def test_invsqrt_closed_bound_dominates(test_matrix_200):
     for k in range(1, m.n + 1):
         if abs(k - 127) < 2 * m.beta or col[k - 1] < floor:
             continue
-        b = invsqrt_closed_bound(iv, m.beta, k, 127, diag_max=m.diagonal_max())
+        b = invsqrt_closed_bound(iv, abs(k - 127) / m.beta,
+                                 diag_max=m.diagonal_max())
         assert b >= col[k - 1] * SLACK
 
 
@@ -410,20 +412,20 @@ def test_invsqrt_closed_bound_deep_highprec():
     iv = spectral_interval(m)
     for k in (97, 47, 7):
         truth = abs(tridiag_entry_mp(n, lambda lam: 1 / mp.sqrt(lam), k, t, dps=150))
-        b = invsqrt_closed_bound(iv, 1, k, t, diag_max=4.0)
+        b = invsqrt_closed_bound(iv, abs(k - t), diag_max=4.0)
         assert b >= truth * SLACK
 
 
 def test_invsqrt_closed_scaled_identity():
     from decaybounds import banded_from_stencil
     iv = spectral_interval(banded_from_stencil((0.0, 2.0, 0.0), 8))
-    assert invsqrt_closed_bound(iv, 1, 2, 6) == pytest.approx(0.0, abs=1e-14)
+    assert invsqrt_closed_bound(iv, 4.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_invsqrt_closed_exponent_uses_band_distance():
     iv = spectral_interval(make_test_matrix("pentadiag", 60))
-    b4 = invsqrt_closed_bound(iv, 2, 34, 30, diag_max=4.0)
-    b6 = invsqrt_closed_bound(iv, 2, 36, 30, diag_max=4.0)
+    b4 = invsqrt_closed_bound(iv, 2.0, diag_max=4.0)
+    b6 = invsqrt_closed_bound(iv, 3.0, diag_max=4.0)
     q0 = ((math.sqrt(iv.lambda_max / 4) - math.sqrt(iv.lambda_min / 4))
           / (math.sqrt(iv.lambda_max / 4) + math.sqrt(iv.lambda_min / 4)))
     assert b6 / b4 == pytest.approx(q0, rel=1e-12)
@@ -432,7 +434,7 @@ def test_invsqrt_closed_exponent_uses_band_distance():
 def test_invsqrt_closed_guards():
     iv = spectral_interval(make_test_matrix("tridiag", 10))
     with pytest.raises(ValueError):
-        invsqrt_closed_bound(iv, 1, 4, 4)
+        invsqrt_closed_bound(iv, 0.0)
 
 
 # ----------------------------------------------------- shifted Cauchy
@@ -447,7 +449,7 @@ def test_cauchy_shifted_reduces_to_freund_kernel_and_dominates():
     for k in range(1, n + 1, 4):
         if k == t:
             continue
-        rep = cauchy_shifted_bound(iv, 1, measure, 0.0, k, t)
+        rep = cauchy_shifted_bound(iv, measure, 0.0, abs(k - t))
         assert rep.converged and np.isfinite(rep.bound)
         if col[k - 1] >= floor:
             assert rep.bound >= col[k - 1] * SLACK
@@ -457,7 +459,7 @@ def test_cauchy_shifted_improves_with_shift():
     # the kernel radius grows with |zeta|, so the bound decreases
     iv = spectral_interval(make_test_matrix("tridiag", 50))
     measure = cauchy_catalog("inv_sqrt")
-    vals = [cauchy_shifted_bound(iv, 1, measure, z, 10, 25).bound
+    vals = [cauchy_shifted_bound(iv, measure, z, 15.0).bound
             for z in (0.0, 1.0, 10.0, 100.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
@@ -466,9 +468,9 @@ def test_cauchy_shifted_guards():
     iv = spectral_interval(make_test_matrix("tridiag", 10))
     measure = cauchy_catalog("inv_sqrt")
     with pytest.raises(ValueError):
-        cauchy_shifted_bound(iv, 1, measure, 1.0, 3, 3)
+        cauchy_shifted_bound(iv, measure, 1.0, 0.0)
     with pytest.raises(ValueError):
-        cauchy_shifted_bound(SpectralInterval(2.0, 2.0), 1, measure, 1.0, 3, 5)
+        cauchy_shifted_bound(SpectralInterval(2.0, 2.0), measure, 1.0, 2.0)
 
 
 def test_exp_bound_next_to_diagonal_is_the_trivial_cap():
@@ -477,7 +479,7 @@ def test_exp_bound_next_to_diagonal_is_the_trivial_cap():
     t = 30
     # d = 1 sits below the Gaussian window at rho*tau ~ 4: only the
     # norm bound exp(-tau lambda_min) survives
-    assert exp_entry_bound(iv, 1, 4.0, t + 1, t) == pytest.approx(
+    assert exp_entry_bound(iv, 4.0, 1.0) == pytest.approx(
         math.exp(-4.0 * iv.lambda_min), rel=1e-14)
 
 
@@ -490,7 +492,7 @@ def test_cauchy_expsqrt_total_variation_converges_and_dominates():
     col = np.abs(function_column(m, measure.closed_form, 15))
     floor = oracle_floor(m, measure.closed_form)
     for k in range(1, 31):
-        rep = cauchy_entry_bound(m, iv, 1, measure, k, 15, quad_tol=1e-8)
+        rep = cauchy_entry_bound(iv, measure, abs(k - 15), quad_tol=1e-8)
         assert rep.converged
         if col[k - 1] >= floor:
             assert rep.bound >= col[k - 1] * SLACK
@@ -509,14 +511,15 @@ def test_bounds_remain_valid_on_gershgorin_enclosure():
     col_exp = np.abs(function_column(m, lambda x: np.exp(-4.0 * x), t))
     floor_exp = oracle_floor(m, lambda x: np.exp(-4.0 * x))
     for k in range(1, 121, 2):
+        d = abs(k - t) / 2
         if k != t and col_exp[k - 1] >= floor_exp:
-            assert exp_entry_bound(gg, 2, 4.0, k, t) >= col_exp[k - 1] * SLACK
+            assert exp_entry_bound(gg, 4.0, d) >= col_exp[k - 1] * SLACK
         if col[k - 1] < floor:
             continue
         if abs(k - t) >= 4:
-            assert laplace_entry_bound(gg, 2, lm, k, t).bound >= col[k - 1] * SLACK
-            assert invsqrt_closed_bound(gg, 2, k, t, diag_max=4.0) >= col[k - 1] * SLACK
-        assert cauchy_entry_bound(m, gg, 2, cm, k, t).bound >= col[k - 1] * SLACK
+            assert laplace_entry_bound(gg, lm, d).bound >= col[k - 1] * SLACK
+            assert invsqrt_closed_bound(gg, d, diag_max=4.0) >= col[k - 1] * SLACK
+        assert cauchy_entry_bound(gg, cm, d).bound >= col[k - 1] * SLACK
 
 
 def test_bounds_on_complex_hermitian_storage():
@@ -531,22 +534,23 @@ def test_bounds_on_complex_hermitian_storage():
     lm = laplace_catalog("inv_sqrt")
     cm = cauchy_catalog("inv_sqrt")
     for k in range(1, 81, 3):
+        d = abs(k - t) / 2
         if col[k - 1] < floor:
             continue
         if abs(k - t) >= 4:
-            assert laplace_entry_bound(iv, 2, lm, k, t).bound >= col[k - 1] * SLACK
-        assert cauchy_entry_bound(h, iv, 2, cm, k, t).bound >= col[k - 1] * SLACK
+            assert laplace_entry_bound(iv, lm, d).bound >= col[k - 1] * SLACK
+        assert cauchy_entry_bound(iv, cm, d).bound >= col[k - 1] * SLACK
 
 
 def test_explicit_zero_distance_rejected_by_offdiagonal_bounds():
     iv = spectral_interval(make_test_matrix("tridiag", 10))
     with pytest.raises(ValueError):
-        exp_entry_bound(iv, 1, 4.0, 3, 7, distance=0.0)
+        exp_entry_bound(iv, 4.0, 0.0)
 
 
 def test_laplace_bound_zero_for_scaled_identity():
     from decaybounds import banded_from_stencil
     iv = spectral_interval(banded_from_stencil((0.0, 3.0, 0.0), 9))
-    rep = laplace_entry_bound(iv, 1, laplace_catalog("inv"), 2, 6)
+    rep = laplace_entry_bound(iv, laplace_catalog("inv"), 4.0)
     assert rep.bound == 0.0
     assert rep.converged

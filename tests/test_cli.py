@@ -10,6 +10,7 @@ from decaybounds import (BandedHermitianMatrix, KroneckerSum, bounds,
                          spectral_interval)
 from decaybounds.cli import main
 from decaybounds.figures import run_compare, run_figure, run_kron_compare
+from reference import stdlib_csv_write
 
 def _write_banded_mtx(path, n=12):
     lines = ["%%MatrixMarket matrix coordinate real symmetric",
@@ -279,6 +280,27 @@ def test_stdout_csv_matches_out_file(argv, tmp_path, capsys):
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+@pytest.mark.parametrize("rows", [
+    [],
+    [(None, 1, 2.0), (3, None, -0.0), (4, 5.0, None), (None, None, None)],
+    [(0, 1e-312, float("inf")), (-7, -float("inf"), 5e-324),
+     (123456789, 0.1 + 0.2, 1.2345678901234567e-300),
+     (2 ** 60, 2 / 3, -1.7976931348623157e308), (10, 1e16 + 2, 1e-17)],
+])
+def test_csv_writer_matches_stdlib_csv(rows, tmp_path, capsys):
+    header = ("k", "oracle", "bound")
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    figures._write_csv(got, header, rows)
+    stdlib_csv_write(want, header, rows)
+    assert got.read_bytes() == want.read_bytes()
+    capsys.readouterr()
+    figures._write_csv(None, header, rows)
+    out = capsys.readouterr().out
+    stdlib_csv_write(None, header, rows)
+    assert out == capsys.readouterr().out
+    assert out.encode() == got.read_bytes()
+
+
 def test_kron_cauchy_signed_measure_command(tmp_path):
     # expsqrt has a signed Markov measure: the Kronecker route integrates
     # against its closed-form total-variation transform
@@ -323,6 +345,21 @@ def _write_diagonal_mtx(path, n=5):
     # --out naming an existing directory
     ["bound", "--matrix", "tridiag", "--n", "10", "--function", "inv",
      "--class", "cauchy", "--column", "2", "--out", "{tmp}"],
+    # quadrature settings that never converge or admit no panel
+    ["compare", "--matrix", "tridiag", "--n", "200", "--class", "laplace",
+     "--function", "inv_sqrt", "--column", "100", "--quad-tol", "0"],
+    ["compare", "--matrix", "tridiag", "--n", "200", "--class", "laplace",
+     "--function", "inv_sqrt", "--column", "100", "--quad-tol", "nan"],
+    ["compare", "--matrix", "tridiag", "--n", "200", "--class", "laplace",
+     "--function", "inv_sqrt", "--column", "100", "--quad-max-panels", "0"],
+    ["bound", "--matrix", "tridiag", "--n", "10", "--function", "inv_sqrt",
+     "--class", "cauchy", "--column", "5", "--quad-tol=-1e-8"],
+    ["kron", "--factors", "tridiag,tridiag", "--n", "5", "--class", "laplace",
+     "--function", "phi1", "--column", "13", "--quad-tol", "inf"],
+    ["kron", "--factors", "tridiag,tridiag", "--n", "5", "--class", "laplace",
+     "--function", "phi1", "--column", "13", "--quad-max-panels=-3"],
+    ["figure", "fig2-ls-invsqrt", "--quad-tol", "0", "--out", "{tmp}/f.csv"],
+    ["figure", "fig1-exp", "--quad-tol=-inf", "--out", "{tmp}/f.csv"],
 ])
 def test_input_errors_exit_one_with_message(argv, tmp_path, capsys):
     _write_diagonal_mtx(tmp_path / "diag.mtx")
@@ -333,6 +370,9 @@ def test_input_errors_exit_one_with_message(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("decay: error: ") and "Traceback" not in err
     assert err.count("\n") == 1
+    # a rejected quadrature setting is named in the message
+    assert all(a.partition("=")[0] in err
+               for a in argv if a.startswith("--quad"))
 
 
 def test_diagonal_matrix_needs_graph_distance(tmp_path, capsys):
@@ -437,10 +477,8 @@ def test_run_compare_evaluates_each_distance_once(monkeypatch, mode, klass,
     assert sorted(seen) == sorted(set(distances))
     _, _, measure = figures.resolve_function(function, klass, None, 0.0)
     iv = spectral_interval(m)
-    lead = (m,) if klass == "cauchy" else ()
     for k, d, b in bounded:
-        assert b == real(*lead, iv, m.beta, measure, k, t, quad_tol=tol,
-                         distance=d).bound, k
+        assert b == real(iv, measure, d, quad_tol=tol).bound, k
 
 
 @pytest.mark.parametrize("klass, function, name", [
@@ -461,8 +499,8 @@ def test_run_kron_compare_evaluates_each_distance_tuple_once(
     _, _, measure = figures.resolve_function(function, klass, None, 0.0)
     ivs = tuple(spectral_interval(f) for f in a.factors)
     for k, *_, b, _ in rows:
-        assert b == real(a, measure, k, t, quad_tol=tol, on_invalid="extend",
-                         intervals=ivs).bound, k
+        assert b == real(ivs, measure, kron._component_distances(a, k, t),
+                         quad_tol=tol, on_invalid="extend").bound, k
 
 
 # The documented (--class, --function) vocabulary of the README.

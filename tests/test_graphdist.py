@@ -94,19 +94,20 @@ def test_graph_bounds_never_exceed_band_bounds():
     dv = geodesic_from(m, t)
     measure = laplace_catalog("inv_sqrt")
     cmeasure = cauchy_catalog("inv_sqrt")
+    s = m.diagonal_max()
     for k in range(1, 51):
-        d_graph = dv[k]
+        d_graph, d_band = dv[k], abs(k - t) / m.beta
         if k != t:
-            assert (exp_entry_bound(iv, m.beta, 4.0, k, t, distance=d_graph)
-                    <= exp_entry_bound(iv, m.beta, 4.0, k, t) * (1 + 1e-12))
-        assert (demko_bound(m, iv, k, t, distance=d_graph)
-                <= demko_bound(m, iv, k, t) * (1 + 1e-12))
+            assert (exp_entry_bound(iv, 4.0, d_graph)
+                    <= exp_entry_bound(iv, 4.0, d_band) * (1 + 1e-12))
+        assert (demko_bound(iv, d_graph, diag_max=s)
+                <= demko_bound(iv, d_band, diag_max=s) * (1 + 1e-12))
         if abs(k - t) >= 2 * m.beta:
-            g = laplace_entry_bound(iv, m.beta, measure, k, t, distance=d_graph)
-            b = laplace_entry_bound(iv, m.beta, measure, k, t)
+            g = laplace_entry_bound(iv, measure, d_graph)
+            b = laplace_entry_bound(iv, measure, d_band)
             assert g.bound <= b.bound * (1 + 1e-10)
-        g = cauchy_entry_bound(m, iv, m.beta, cmeasure, k, t, distance=d_graph)
-        b = cauchy_entry_bound(m, iv, m.beta, cmeasure, k, t)
+        g = cauchy_entry_bound(iv, cmeasure, d_graph)
+        b = cauchy_entry_bound(iv, cmeasure, d_band)
         assert g.bound <= b.bound * (1 + 1e-10)
 
 
@@ -122,7 +123,8 @@ def test_arrowhead_pattern_no_decay():
     dv = geodesic_from(m, 2)
     assert all(dv[j] == 2.0 for j in range(3, n + 1))
     inv = np.abs(function_column(m, lambda x: 1.0 / x, 2))
-    bounds = [demko_bound(m, iv, j, 2, distance=dv[j]) for j in range(3, n + 1)]
+    bounds = [demko_bound(iv, dv[j], diag_max=m.diagonal_max())
+              for j in range(3, n + 1)]
     assert len(set(bounds)) == 1  # flat bound along the family
     assert np.ptp(inv[2:]) <= 1e-12  # oracle is flat too
     assert all(b >= inv[j - 1] * (1 - 1e-10) for j, b in zip(range(3, n + 1), bounds))

@@ -10,9 +10,10 @@ from decaybounds import (BandedHermitianMatrix, KroneckerSum, LaplaceMeasure,
                          laplace_kron_bound, make_test_matrix,
                          banded_from_stencil, oracle_floor, spectral_interval)
 from decaybounds.figures import run_kron_compare
+from decaybounds.kron import _component_distances as component_distances
 from reference import (exp_kron_entry_exact, expm_column_nonneg,
-                       invsqrt_kron_split_bound, lancaster_column,
-                       sincos_kron_exact)
+                       factor_intervals, invsqrt_kron_split_bound,
+                       lancaster_column, sincos_kron_exact)
 
 SLACK = 1.0 - 1e-10
 
@@ -107,10 +108,11 @@ def test_exp_kron_bound_dominates_dense_column():
     c1 = expm_column_nonneg(m_dense, tau, t1)
     c2 = expm_column_nonneg(m_dense, tau, t2)
     floor = oracle_floor(a, lambda x: np.exp(-tau * x))
+    ivs = factor_intervals(a)
     for k in range(1, 401):
         if k == t:
             continue
-        rep = exp_kron_bound(a, tau, k, t)
+        rep = exp_kron_bound(ivs, tau, component_distances(a, k, t))
         k1, k2 = a.delinearize(k)
         deep = c1[k1 - 1] * c2[k2 - 1]
         assert rep.bound >= deep * SLACK
@@ -126,10 +128,11 @@ def test_exp_kron_bound_distinct_factor_bandwidths():
     col = np.abs(function_column(a, lambda x: np.exp(-tau * x), t))
     floor = oracle_floor(a, lambda x: np.exp(-tau * x))
     t1, t2 = a.delinearize(t)
+    ivs = factor_intervals(a)
     for k in range(1, 145):
         if k == t or col[k - 1] < floor:
             continue
-        rep = exp_kron_bound(a, tau, k, t)
+        rep = exp_kron_bound(ivs, tau, component_distances(a, k, t))
         k1, k2 = a.delinearize(k)
         assert rep.distance == (abs(k1 - t1) / 1, abs(k2 - t2) / 2)
         assert rep.bound >= col[k - 1] * SLACK
@@ -143,7 +146,7 @@ def test_exp_kron_bound_extended_regime_flag():
     t = 94
     # same second component: that factor cannot clear the Gaussian window
     k = a.linearize((1, 5))
-    rep = exp_kron_bound(a, tau, k, t)
+    rep = exp_kron_bound((iv, iv), tau, component_distances(a, k, t))
     assert not rep.valid
     cap = math.exp(-tau * iv.lambda_min)
     k1 = 1
@@ -155,7 +158,7 @@ def test_exp_kron_bound_extended_regime_flag():
 
 def test_exp_kron_bound_rejects_diagonal(kron10):
     with pytest.raises(ValueError):
-        exp_kron_bound(kron10, 1.0, 5, 5)
+        exp_kron_bound(factor_intervals(kron10), 1.0, (0.0, 0.0))
 
 
 # -------------------------------------------------- transform-class bounds
@@ -169,9 +172,10 @@ def test_laplace_kron_phi1_dominates_and_oscillates(kind):
     col = np.abs(function_column(a, measure.closed_form, t))
     floor = oracle_floor(a, measure.closed_form)
     bounds = np.empty(400)
+    ivs = factor_intervals(a)
     for k in range(1, 401):
-        rep = laplace_kron_bound(a, measure, k, t, on_invalid="extend",
-                                 quad_tol=1e-9)
+        rep = laplace_kron_bound(ivs, measure, component_distances(a, k, t),
+                                 on_invalid="extend", quad_tol=1e-9)
         assert rep.converged
         bounds[k - 1] = rep.bound
         if col[k - 1] >= floor:
@@ -195,9 +199,10 @@ def test_cauchy_kron_invsqrt_dominates():
     t = 94
     col = np.abs(function_column(a, measure.closed_form, t))
     floor = oracle_floor(a, measure.closed_form)
+    ivs = factor_intervals(a)
     for k in range(1, 401, 2):
-        rep = cauchy_kron_bound(a, measure, k, t, on_invalid="extend",
-                                quad_tol=1e-9)
+        rep = cauchy_kron_bound(ivs, measure, component_distances(a, k, t),
+                                on_invalid="extend", quad_tol=1e-9)
         assert rep.converged
         if col[k - 1] >= floor:
             assert rep.bound >= col[k - 1] * SLACK
@@ -207,33 +212,40 @@ def test_kron_invsqrt_two_routes_agree(kron10):
     # same integrand by the dual-class identity g = w
     ls = laplace_catalog("inv_sqrt")
     cs = cauchy_catalog("inv_sqrt")
+    ivs = factor_intervals(kron10)
     for k in (17, 50, 83):
-        a = laplace_kron_bound(kron10, ls, k, 94, on_invalid="extend").bound
-        b = cauchy_kron_bound(kron10, cs, k, 94, on_invalid="extend").bound
+        ds = component_distances(kron10, k, 94)
+        a = laplace_kron_bound(ivs, ls, ds, on_invalid="extend").bound
+        b = cauchy_kron_bound(ivs, cs, ds, on_invalid="extend").bound
         assert b == pytest.approx(a, rel=1e-8)
 
 
 def test_kron_split_bound_dominates_direct(kron10):
     cs = cauchy_catalog("inv_sqrt")
+    ivs = factor_intervals(kron10)
     for k in (17, 50, 83):
-        direct = cauchy_kron_bound(kron10, cs, k, 94, on_invalid="extend").bound
+        direct = cauchy_kron_bound(ivs, cs, component_distances(kron10, k, 94),
+                                   on_invalid="extend").bound
         split = invsqrt_kron_split_bound(kron10, k, 94)
         assert split >= direct * SLACK
 
 
 def test_kron_atom_measure_reduces_to_exp_kron(kron10):
     measure = laplace_catalog("exp")
+    ivs = factor_intervals(kron10)
     for k in (3, 40, 77):
-        rep = laplace_kron_bound(kron10, measure, k, 94, on_invalid="extend")
-        expect = exp_kron_bound(kron10, 1.0, k, 94)
+        ds = component_distances(kron10, k, 94)
+        rep = laplace_kron_bound(ivs, measure, ds, on_invalid="extend")
+        expect = exp_kron_bound(ivs, 1.0, ds)
         assert rep.bound == pytest.approx(expect.bound, rel=1e-12)
 
 
 def test_kron_validity_guard(kron10):
     measure = laplace_catalog("phi1")
+    ivs, ds = factor_intervals(kron10), component_distances(kron10, 94, 95)
     with pytest.raises(ValueError):
-        laplace_kron_bound(kron10, measure, 94, 95)
-    rep = laplace_kron_bound(kron10, measure, 94, 95, on_invalid="extend")
+        laplace_kron_bound(ivs, measure, ds)
+    rep = laplace_kron_bound(ivs, measure, ds, on_invalid="extend")
     assert not rep.valid
 
 
@@ -244,8 +256,10 @@ def test_laplace_kron_three_factors_dominates():
     t = 63
     col = np.abs(function_column(a, measure.closed_form, t))
     floor = oracle_floor(a, measure.closed_form)
+    ivs = factor_intervals(a)
     for k in range(1, 126, 2):
-        rep = laplace_kron_bound(a, measure, k, t, on_invalid="extend")
+        rep = laplace_kron_bound(ivs, measure, component_distances(a, k, t),
+                                 on_invalid="extend")
         if col[k - 1] >= floor:
             assert rep.bound >= col[k - 1] * SLACK
 
@@ -259,13 +273,14 @@ def test_laplace_kron_three_factors_single_active_distance():
     phi1 = laplace_catalog("phi1")
     t = a.linearize((1, 3, 4))
     k = a.linearize((5, 3, 4))
-    rep = laplace_kron_bound(a, phi1, k, t, on_invalid="extend")
+    rep = laplace_kron_bound((iv, iv, iv), phi1, component_distances(a, k, t),
+                             on_invalid="extend")
     damped = LaplaceMeasure(
         name="phi1-damped",
         closed_form=phi1.closed_form,
         density=lambda taus: phi1.density(taus) * np.exp(-2 * iv.lambda_min * taus),
         support_upper=phi1.support_upper)
-    single = laplace_entry_bound(iv, 1, damped, 5, 1, on_invalid="extend")
+    single = laplace_entry_bound(iv, damped, 4.0, on_invalid="extend")
     assert rep.bound == pytest.approx(single.bound, rel=1e-9)
 
 
@@ -273,8 +288,9 @@ def test_kron_atom_measure_three_factors(kron10):
     m = make_test_matrix("tridiag", 5)
     a = KroneckerSum(factors=(m, m, m))
     measure = laplace_catalog("exp")
-    rep = laplace_kron_bound(a, measure, 7, 100, on_invalid="extend")
-    expect = exp_kron_bound(a, 1.0, 7, 100)
+    ivs, ds = factor_intervals(a), component_distances(a, 7, 100)
+    rep = laplace_kron_bound(ivs, measure, ds, on_invalid="extend")
+    expect = exp_kron_bound(ivs, 1.0, ds)
     assert rep.bound == pytest.approx(expect.bound, rel=1e-12)
 
 
@@ -284,8 +300,12 @@ def test_kron_factor_symmetry(kron10):
     k = kron10.linearize((7, 2))
     t_swap = kron10.linearize((8, 3))
     k_swap = kron10.linearize((2, 7))
-    a = laplace_kron_bound(kron10, measure, k, t, on_invalid="extend").bound
-    b = laplace_kron_bound(kron10, measure, k_swap, t_swap, on_invalid="extend").bound
+    ivs = factor_intervals(kron10)
+    a = laplace_kron_bound(ivs, measure, component_distances(kron10, k, t),
+                           on_invalid="extend").bound
+    b = laplace_kron_bound(ivs, measure,
+                           component_distances(kron10, k_swap, t_swap),
+                           on_invalid="extend").bound
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -305,7 +325,8 @@ def test_kron_bounds_reject_many_factors():
     m = make_test_matrix("tridiag", 3)
     a = KroneckerSum(factors=(m, m, m, m))
     with pytest.raises(ValueError):
-        laplace_kron_bound(a, laplace_catalog("phi1"), 1, 2)
+        laplace_kron_bound(factor_intervals(a), laplace_catalog("phi1"),
+                           component_distances(a, 1, 2))
 
 
 def test_diagonal_factor_has_no_band_distance():
