@@ -12,13 +12,14 @@ import pathlib
 import sys
 import time
 
+from decaybounds.cli import _positive_number
 from decaybounds.figures import FIGURE_IDS, run_figure, run_surface
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="figures-out")
-    parser.add_argument("--quad-tol", type=float, default=1e-10)
+    parser.add_argument("--quad-tol", type=_positive_number(float), default=1e-10)
     args = parser.parse_args(argv)
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

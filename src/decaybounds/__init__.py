@@ -2,7 +2,7 @@
 
 Bounds for |f(M)|_{kt} with M banded (or sparse) Hermitian positive
 definite and f completely monotonic or Markov-type, for the matrix
-exponential, and for f(A) with A a Kronecker sum of banded factors.
+exponential, and for f(A) with A a Kronecker sum of Hermitian factors.
 Every bound ships next to an exact dense-oracle path so dominance can be
 checked entry by entry.
 """
@@ -13,10 +13,10 @@ from .bounds import (DecayBoundReport, cauchy_entry_bound, cauchy_shifted_bound,
                      laplace_entry_bound)
 from .graphdist import DistanceVector, geodesic_from
 from .kron import cauchy_kron_bound, exp_kron_bound, laplace_kron_bound
-from .matrices import (BandedHermitianMatrix, KroneckerSum, MatrixFormatError,
-                       SparseHermitianMatrix, SpectralInterval,
-                       banded_from_stencil, load_matrix_market,
-                       make_test_matrix, parse_matrix_spec, spectral_interval)
+from .matrices import (KroneckerSum, MatrixFormatError, SparseHermitianMatrix,
+                       SpectralInterval, banded_from_stencil,
+                       load_matrix_market, make_test_matrix, parse_matrix_spec,
+                       spectral_interval)
 from .measures import (CauchyMeasure, LaplaceMeasure, cauchy_catalog,
                        laplace_catalog)
 from .oracle import (EigenDecomposition, eigendecomposition, function_column,
@@ -26,7 +26,7 @@ from .quadrature import QuadratureResult, integrate, integrate_semi_infinite
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandedHermitianMatrix", "CauchyMeasure", "DecayBoundReport",
+    "CauchyMeasure", "DecayBoundReport",
     "DistanceVector", "EigenDecomposition", "KroneckerSum", "LaplaceMeasure",
     "MatrixFormatError", "QuadratureResult", "SparseHermitianMatrix",
     "SpectralInterval", "banded_from_stencil", "cauchy_catalog",

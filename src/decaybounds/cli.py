@@ -36,13 +36,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Every bound integral runs with absolute tolerance 0, and below 50 eps no
+# relative tolerance can be met: QUADPACK's floor for epsrel when epsabs <= 0
+# (scipy.integrate.quad rejects smaller ones).
+_QUAD_TOL_FLOOR = 50 * np.finfo(float).eps
+
+
 def _positive_number(kind):
-    """argparse type of the quadrature settings: a finite ``kind`` > 0 (a
-    tolerance of 0 or nan never stops refining; no panel is a failure)."""
+    """argparse type of the quadrature settings: a panel count of at least
+    1, or a finite tolerance of at least ``_QUAD_TOL_FLOOR`` (a smaller
+    tolerance, or nan, never stops refining; no panel is a failure)."""
+    least = _QUAD_TOL_FLOOR if kind is float else 1
     def parse(text):
         value = kind(text)
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
+        if not (math.isfinite(value) and value >= least):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and >= {least:.3g}, got {text}")
         return value
     parse.__name__ = kind.__name__     # argparse: "invalid float value: ..."
     return parse
@@ -167,7 +176,7 @@ def _cmd_kron(args):
             t = int(args.column)
             if not (1 <= t <= A.total_order):
                 raise UsageError(f"--column {t} outside 1..{A.total_order}")
-    except (TypeError, IndexError) as exc:
+    except IndexError as exc:
         raise UsageError(str(exc)) from exc
     summary, header, rows = figures.run_kron_compare(
         A, t, args.function, args.klass, tau=args.tau,

@@ -8,6 +8,7 @@ distance as an argument, so either kind can be passed.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -39,15 +40,18 @@ def geodesic_from(M, t, *, drop_tol=0.0):
     n = M.n
     if not (1 <= t <= n):
         raise IndexError(f"source {t} outside 1..{n}")
-    dist = np.full(n, np.inf)
+    indptr, indices = M.matrix.indptr.tolist(), M.matrix.indices.tolist()
+    edge = (np.abs(M.matrix.data) > drop_tol).tolist()
+    dist = [math.inf] * n
     dist[t - 1] = 0.0
-    queue = deque([t])
+    queue = deque([t - 1])
     while queue:
         i = queue.popleft()
-        base = dist[i - 1]
-        for j in M.pattern_neighbors(i, drop_tol=drop_tol):
-            if np.isinf(dist[j - 1]):
-                dist[j - 1] = base + 1.0
+        step = dist[i] + 1.0
+        # a diagonal entry is never taken: dist[i] is already finite
+        for p in range(indptr[i], indptr[i + 1]):
+            j = indices[p]
+            if edge[p] and dist[j] == math.inf:
+                dist[j] = step
                 queue.append(j)
-    return DistanceVector(source=t, distances=dist)
-
+    return DistanceVector(source=t, distances=np.array(dist))

@@ -1,9 +1,9 @@
 """Decay bounds for functions of Kronecker sums.
 
-For A the Kronecker sum of banded Hermitian factors, the semigroup
-factorizes entrywise, exp(-tau A)[k, t] = prod_L exp(-tau M_L)[k_L, t_L],
-so transform-class bounds for f(A) integrate a product of per-factor
-capped envelopes.  The non-monotonic, oscillating profile of f(A) columns
+For A the Kronecker sum of Hermitian factors, the semigroup factorizes
+entrywise, exp(-tau A)[k, t] = prod_L exp(-tau M_L)[k_L, t_L], so
+transform-class bounds for f(A) integrate a product of per-factor capped
+envelopes.  The non-monotonic, oscillating profile of f(A) columns
 comes out of the product structure automatically.  Every bound takes the
 factors' spectral intervals and the tuple of per-factor band distances,
 its one spatial input.

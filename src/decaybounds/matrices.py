@@ -1,4 +1,4 @@
-"""Matrix arguments: banded/sparse Hermitian storage, test-matrix
+"""Matrix arguments: one CSR Hermitian storage class, band and test-matrix
 constructors, spectral enclosures and Kronecker-sum index arithmetic.
 
 All row/column indices in the public interface are 1-based, matching the
@@ -22,68 +22,44 @@ class MatrixFormatError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class BandedHermitianMatrix:
-    """Hermitian band storage: ``diagonals[j]`` holds the j-th superdiagonal
-    (length n - j); subdiagonals are implied by conjugate symmetry."""
+class SparseHermitianMatrix:
+    """Hermitian matrix in CSR storage with a symmetric pattern; band
+    matrices are the case whose pattern is the offsets -beta..beta."""
 
     n: int
-    beta: int
-    diagonals: tuple
+    matrix: object  # scipy CSR
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("order must be positive")
-        if self.beta < 0 or self.beta >= self.n:
-            raise ValueError(f"bandwidth {self.beta} invalid for order {self.n}")
-        if len(self.diagonals) != self.beta + 1:
-            raise ValueError("need one stored diagonal per offset 0..beta")
-        diags = []
-        for j, d in enumerate(self.diagonals):
-            arr = np.asarray(d)
-            if arr.shape != (self.n - j,):
-                raise ValueError(f"diagonal {j} must have length {self.n - j}")
-            if j == 0:
-                if np.iscomplexobj(arr) and np.max(np.abs(arr.imag)) > 0:
-                    raise ValueError("Hermitian matrices have a real main diagonal")
-                arr = arr.real.astype(float)
-            elif not np.iscomplexobj(arr):
-                arr = arr.astype(float)
-            diags.append(arr)
-        object.__setattr__(self, "diagonals", tuple(diags))
-
-    @property
-    def is_complex(self):
-        return any(np.iscomplexobj(d) for d in self.diagonals[1:])
+        m = scipy.sparse.csr_matrix(self.matrix)
+        if m.shape != (self.n, self.n):
+            raise ValueError("shape disagrees with declared order")
+        skew = m - m.conj().T
+        scale = max(1.0, abs(m).max() if m.nnz else 1.0)
+        if skew.nnz and abs(skew).max() > 1e-12 * scale:
+            raise ValueError("matrix is not Hermitian")
+        object.__setattr__(self, "matrix", m)
 
     def toarray(self):
-        dtype = complex if self.is_complex else float
-        a = np.zeros((self.n, self.n), dtype=dtype)
-        idx = np.arange(self.n)
-        a[idx, idx] = self.diagonals[0]
-        for j in range(1, self.beta + 1):
-            r = np.arange(self.n - j)
-            a[r, r + j] = self.diagonals[j]
-            a[r + j, r] = np.conj(self.diagonals[j])
-        return a
+        a = self.matrix.toarray()
+        return a.real if not np.iscomplexobj(a) or np.max(np.abs(a.imag)) == 0 else a
 
     def diagonal_max(self):
-        return float(np.max(self.diagonals[0]))
+        return float(np.max(self.matrix.diagonal().real))
 
-    def pattern_neighbors(self, i, drop_tol=0.0):
-        """Off-diagonal neighbors of node i (1-based) in the stored pattern;
-        entries with |value| <= drop_tol are not edges."""
-        out = []
-        for j in range(1, self.beta + 1):
-            if i + j <= self.n and abs(self.diagonals[j][i - 1]) > drop_tol:
-                out.append(i + j)
-            if i - j >= 1 and abs(self.diagonals[j][i - j - 1]) > drop_tol:
-                out.append(i - j)
-        return out
+    @functools.cached_property
+    def beta(self):
+        """Bandwidth max |i - j| over the stored entries."""
+        coo = self.matrix.tocoo()
+        if coo.nnz == 0:
+            return 0
+        return int(np.max(np.abs(coo.row - coo.col)))
 
 
 def banded_from_stencil(stencil, n):
-    """Banded Hermitian Toeplitz matrix from an odd-length stencil
-    ``(c_-beta, ..., c_0, ..., c_beta)`` with c_{-j} = conj(c_j)."""
+    """Hermitian Toeplitz band matrix from an odd-length stencil
+    ``(c_-beta, ..., c_0, ..., c_beta)`` with c_{-j} = conj(c_j).  Every
+    offset -beta..beta is stored, zeros included, so ``beta`` is the
+    stencil's bandwidth."""
     stencil = [complex(s) if isinstance(s, complex) else float(s) for s in stencil]
     if len(stencil) % 2 == 0:
         raise ValueError("stencil length must be odd")
@@ -94,8 +70,17 @@ def banded_from_stencil(stencil, n):
     for j in range(1, beta + 1):
         if not np.isclose(stencil[mid - j], np.conj(stencil[mid + j])):
             raise ValueError("stencil is not Hermitian")
-    diags = tuple(np.full(n - j, stencil[mid + j]) for j in range(beta + 1))
-    return BandedHermitianMatrix(n=n, beta=beta, diagonals=diags)
+    # row i holds offsets -beta..beta that stay inside 1..n; the
+    # subdiagonals are the conjugates of the superdiagonals
+    values = np.array([np.conj(stencil[mid + j]) for j in range(beta, 0, -1)]
+                      + stencil[mid:])
+    cols = np.arange(n)[:, None] + np.arange(-beta, beta + 1)
+    inside = (cols >= 0) & (cols < n)
+    indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
+    matrix = scipy.sparse.csr_matrix(
+        (np.broadcast_to(values, cols.shape)[inside], cols[inside], indptr),
+        shape=(n, n))
+    return SparseHermitianMatrix(n=n, matrix=matrix)
 
 
 _TEST_STENCILS = {
@@ -135,47 +120,6 @@ def parse_matrix_spec(spec, n=None):
             return banded_from_stencil(values, n)
         return make_test_matrix(head, n)
     return load_matrix_market(spec)
-
-
-@dataclass(frozen=True, eq=False)
-class SparseHermitianMatrix:
-    """General Hermitian sparsity: CSR storage with a symmetric pattern."""
-
-    n: int
-    matrix: object  # scipy CSR
-
-    def __post_init__(self):
-        m = scipy.sparse.csr_matrix(self.matrix)
-        if m.shape != (self.n, self.n):
-            raise ValueError("shape disagrees with declared order")
-        skew = m - m.conj().T
-        scale = max(1.0, abs(m).max() if m.nnz else 1.0)
-        if skew.nnz and abs(skew).max() > 1e-12 * scale:
-            raise ValueError("matrix is not Hermitian")
-        object.__setattr__(self, "matrix", m)
-
-    def toarray(self):
-        a = self.matrix.toarray()
-        return a.real if not np.iscomplexobj(a) or np.max(np.abs(a.imag)) == 0 else a
-
-    def diagonal_max(self):
-        return float(np.max(self.matrix.diagonal().real))
-
-    @functools.cached_property
-    def beta(self):
-        """Bandwidth max |i - j| over the stored entries."""
-        coo = self.matrix.tocoo()
-        if coo.nnz == 0:
-            return 0
-        return int(np.max(np.abs(coo.row - coo.col)))
-
-    def pattern_neighbors(self, i, drop_tol=0.0):
-        row = self.matrix.getrow(i - 1)
-        out = []
-        for j, v in zip(row.indices, row.data):
-            if j != i - 1 and abs(v) > drop_tol:
-                out.append(int(j) + 1)
-        return out
 
 
 def load_matrix_market(path):
@@ -233,7 +177,7 @@ def spectral_interval(M):
 
 @dataclass(frozen=True, eq=False)
 class KroneckerSum:
-    """Kronecker sum of banded Hermitian factors.
+    """Kronecker sum of Hermitian factors.
 
     Multi-indices pair component L with ``factors[L-1]`` and are linearized
     with the first component varying fastest, so for two factors of order n
@@ -247,9 +191,6 @@ class KroneckerSum:
     def __post_init__(self):
         if len(self.factors) < 2:
             raise ValueError("a Kronecker sum needs at least two factors")
-        for f in self.factors:
-            if not isinstance(f, BandedHermitianMatrix):
-                raise TypeError("factors must be BandedHermitianMatrix")
 
     @property
     def orders(self):

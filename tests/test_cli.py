@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from decaybounds import (BandedHermitianMatrix, KroneckerSum, bounds,
+from decaybounds import (KroneckerSum, SparseHermitianMatrix, bounds,
                          cauchy_catalog, figures, kron, make_test_matrix,
                          oracle, oracle_floor, parse_matrix_spec,
                          spectral_interval)
@@ -360,6 +361,13 @@ def _write_diagonal_mtx(path, n=5):
      "--function", "phi1", "--column", "13", "--quad-max-panels=-3"],
     ["figure", "fig2-ls-invsqrt", "--quad-tol", "0", "--out", "{tmp}/f.csv"],
     ["figure", "fig1-exp", "--quad-tol=-inf", "--out", "{tmp}/f.csv"],
+    # relative tolerances below 50 eps cannot be met
+    ["compare", "--matrix", "tridiag", "--n", "200", "--class", "laplace",
+     "--function", "inv_sqrt", "--column", "100", "--quad-tol", "1e-16"],
+    ["compare", "--matrix", "tridiag", "--n", "200", "--class", "laplace",
+     "--function", "inv_sqrt", "--column", "100", "--quad-tol", "2e-15"],
+    ["compare", "--matrix", "tridiag", "--n", "200", "--class", "laplace",
+     "--function", "inv_sqrt", "--column", "100", "--quad-tol", "1e-14"],
 ])
 def test_input_errors_exit_one_with_message(argv, tmp_path, capsys):
     _write_diagonal_mtx(tmp_path / "diag.mtx")
@@ -386,11 +394,42 @@ def test_diagonal_matrix_needs_graph_distance(tmp_path, capsys):
     _, rows = _read_csv(tmp_path / "d.csv")
     # no other node is reachable from column 2: only the diagonal is bounded
     assert [r[2] != "" for r in rows] == [False, True, False, False, False]
-    m = BandedHermitianMatrix(n=5, beta=0, diagonals=(np.arange(1.0, 6.0),))
+    m = SparseHermitianMatrix(n=5, matrix=scipy.sparse.diags(np.arange(1.0, 6.0)))
     with pytest.raises(ValueError, match="--distance graph"):
         run_compare(m, 2, "inv", "cauchy")
     _, _, rows = run_compare(m, 2, "inv", "cauchy", distance_mode="graph")
     assert rows[1][2] >= 0.5 * (1 - 1e-10)
+
+
+def test_kron_takes_matrix_market_factors(tmp_path):
+    # a tridiag(-1, 4, -1) file is the same factor as the generator
+    mtx = tmp_path / "tri.mtx"
+    _write_banded_mtx(mtx, n=6)
+    tail = ["--n", "6", "--class", "laplace", "--function", "phi1",
+            "--column", "8", "--out"]
+    assert main(["kron", "--factors", "tridiag,tridiag", *tail,
+                 str(tmp_path / "gen.csv")]) == 0
+    assert main(["kron", "--factors", f"{mtx},tridiag", *tail,
+                 str(tmp_path / "file.csv")]) == 0
+    assert ((tmp_path / "file.csv").read_bytes()
+            == (tmp_path / "gen.csv").read_bytes())
+
+
+def test_zero_off_diagonal_stencil_has_no_graph_edges(tmp_path):
+    out = tmp_path / "z.csv"
+    assert main(["compare", "--matrix", "tridiag:0,4,0", "--n", "6",
+                 "--class", "cauchy", "--function", "inv", "--column", "3",
+                 "--distance", "graph", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    # the stored zeros are not edges: every other row is unreachable
+    assert [r[1] for r in rows] == ["", "", "0", "", "", ""]
+
+
+def test_quad_tol_floor_is_named(capsys):
+    assert main(["bound", "--matrix", "tridiag", "--n", "10", "--function",
+                 "inv_sqrt", "--class", "cauchy", "--column", "5",
+                 "--quad-tol", "1e-15"]) == 1
+    assert ">= 1.11e-14" in capsys.readouterr().err
 
 
 def test_zeta_needs_resolvent_class(monkeypatch, capsys):

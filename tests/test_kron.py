@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
-from decaybounds import (BandedHermitianMatrix, KroneckerSum, LaplaceMeasure,
+from decaybounds import (KroneckerSum, LaplaceMeasure, SparseHermitianMatrix,
                          cauchy_catalog, cauchy_kron_bound, exp_kron_bound,
                          function_column, laplace_catalog, laplace_entry_bound,
                          laplace_kron_bound, make_test_matrix,
@@ -330,7 +331,7 @@ def test_kron_bounds_reject_many_factors():
 
 
 def test_diagonal_factor_has_no_band_distance():
-    d = BandedHermitianMatrix(n=4, beta=0, diagonals=(np.arange(1.0, 5.0),))
+    d = SparseHermitianMatrix(n=4, matrix=scipy.sparse.diags(np.arange(1.0, 5.0)))
     a = KroneckerSum(factors=(make_test_matrix("tridiag", 4), d))
     with pytest.raises(ValueError, match="beta >= 1"):
         run_kron_compare(a, 6, "exp", "exp")

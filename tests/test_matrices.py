@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, strategies as st
 
-from decaybounds import (BandedHermitianMatrix, KroneckerSum,
-                         MatrixFormatError, banded_from_stencil,
+from decaybounds import (KroneckerSum, MatrixFormatError,
+                         SparseHermitianMatrix, banded_from_stencil,
                          load_matrix_market, make_test_matrix,
                          parse_matrix_spec, spectral_interval)
 from reference import gershgorin_interval
@@ -53,6 +54,14 @@ def test_generator_strings():
         parse_matrix_spec("tridiag", None)
 
 
+def test_stencil_bandwidth_counts_zero_offsets():
+    # every stencil offset is stored, so zero outer values keep the bandwidth
+    m = parse_matrix_spec("pentadiag:0,-1,4,-1,0", 9)
+    assert m.beta == 2
+    assert np.array_equal(m.toarray(), parse_matrix_spec("tridiag", 9).toarray())
+    assert parse_matrix_spec("tridiag:0,4,0", 6).beta == 1
+
+
 def test_spectral_interval_paper_values(tridiag200, pentadiag200):
     _, iv3 = tridiag200
     _, iv5 = pentadiag200
@@ -83,7 +92,8 @@ def test_gershgorin_contains_exact_random(seed, n, beta):
     beta = min(beta, n - 1)
     diags = tuple(rng.normal(size=n - j) + (4.0 if j == 0 else 0.0)
                   for j in range(beta + 1))
-    m = BandedHermitianMatrix(n=n, beta=beta, diagonals=diags)
+    upper = scipy.sparse.diags(diags, range(beta + 1), shape=(n, n))
+    m = SparseHermitianMatrix(n=n, matrix=upper + scipy.sparse.triu(upper, 1).T)
     ex = spectral_interval(m)
     gg = gershgorin_interval(m)
     tol = 1e-10

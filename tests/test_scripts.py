@@ -2,6 +2,8 @@ import importlib
 import importlib.util
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts/reproduce_figures.py"
 
@@ -33,6 +35,23 @@ def test_reproduce_figures_calls_every_preset(monkeypatch, tmp_path):
     assert surface_calls == [
         (function, 5.0, 10, str(tmp_path / f"surface-{function}.csv"))
         for function in ("exp", "inv_sqrt")]
+
+
+def test_reproduce_figures_rejects_bad_quad_tol(monkeypatch, tmp_path):
+    script = _load("reproduce_figures", SCRIPT)
+    calls = []
+    monkeypatch.setattr(script, "run_figure", lambda *args: calls.append(args))
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--out-dir", str(tmp_path), "--quad-tol", "0"])
+    assert exc.value.code == 2
+    assert calls == []
+
+
+def test_public_names_resolve_once():
+    import decaybounds
+    assert [name for name in decaybounds.__all__
+            if not hasattr(decaybounds, name)] == []
+    assert len(set(decaybounds.__all__)) == len(decaybounds.__all__)
 
 
 def test_tracer_targets_exist():
