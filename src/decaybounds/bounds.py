@@ -19,7 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import integrate, integrate_semi_infinite
+# Not called here: perfbench/tracer.py wraps bounds.integrate* when it
+# times the quadrature layer, so the names must exist.
+from .quadrature import integrate, integrate_semi_infinite  # noqa: F401
+from .quadrature import finite_step, run_steps, semi_infinite_step
 
 _LOG10 = math.log(10.0)
 
@@ -50,29 +53,30 @@ def exp_envelope(rho_tau, d):
     band distance, each branch may also be evaluated at any smaller
     distance inside its regime window; taking that running minimum keeps
     the envelope nonincreasing in d across the regime junction.
-    Vectorized over ``rho_tau``.
+    Vectorized over ``rho_tau`` and ``d``, which broadcast together; each
+    entry equals the scalar call at its (rho_tau, d).
     """
     rt = np.asarray(rho_tau, dtype=float)
-    scalar = rt.ndim == 0
-    rt = np.atleast_1d(rt)
+    d = np.asarray(d, dtype=float)
+    scalar = rt.ndim == 0 and d.ndim == 0
     if np.any(rt < 0):
         raise ValueError("rho * tau must be nonnegative")
-    d = float(d)
-    out = np.ones_like(rt)
-    if d > 0:
-        gauss = (rt >= 1.0) & (d * d >= 4.0 * rt)
-        if np.any(gauss):
-            d1 = np.minimum(d, 2.0 * rt[gauss])
-            out[gauss] = np.minimum(out[gauss],
-                                    10.0 * np.exp(-d1 * d1 / (5.0 * rt[gauss])))
-        tail = (rt > 0.0) & (d >= 2.0 * rt)
-        if np.any(tail):
-            r = rt[tail]
-            logv = _LOG10 - r - np.log(r) + d * (1.0 + np.log(r) - math.log(d))
-            out[tail] = np.minimum(out[tail], np.exp(np.minimum(logv, 0.0)))
-        zero = rt == 0.0
-        if np.any(zero) and d > 1.0:
-            out[zero] = 0.0
+    # math.log, not np.log: the same bits as a scalar call
+    log_d = np.reshape([math.log(x) if x > 0 else 0.0 for x in d.flat], d.shape)
+    rt, d, log_d = np.broadcast_arrays(np.atleast_1d(rt), d, log_d)
+    out = np.ones(rt.shape)
+    gauss = (rt >= 1.0) & (d * d >= 4.0 * rt) & (d > 0)
+    if np.any(gauss):
+        r = rt[gauss]
+        d1 = np.minimum(d[gauss], 2.0 * r)
+        out[gauss] = np.minimum(out[gauss], 10.0 * np.exp(-d1 * d1 / (5.0 * r)))
+    tail = (rt > 0.0) & (d >= 2.0 * rt) & (d > 0)
+    if np.any(tail):
+        r = rt[tail]
+        logv = (_LOG10 - r - np.log(r)
+                + d[tail] * (1.0 + np.log(r) - log_d[tail]))
+        out[tail] = np.minimum(out[tail], np.exp(np.minimum(logv, 0.0)))
+    out[(rt == 0.0) & (d > 1.0)] = 0.0
     return float(out[0]) if scalar else out
 
 
@@ -174,64 +178,79 @@ def _envelope_breakpoints(d, rho):
     return tuple(pts)
 
 
-def _envelope_integral(factors, weight, upper, singularity, atoms, quad_tol,
-                       max_panels):
-    """Integral of the product envelope prod_L exp(-lambda_min_L tau)
+def _segment_steps(pieces, quad_tol, max_panels):
+    """Quadrature steps of the (lo, hi, singularity) pieces, hi may be inf;
+    absolute tolerance 0."""
+    return [semi_infinite_step(lo, 0.0, quad_tol, sing, max_panels)
+            if math.isinf(hi) else
+            finite_step(lo, hi, 0.0, quad_tol, sing, max_panels)
+            for lo, hi, sing in pieces]
+
+
+def _envelope_integral(intervals, distances, weight, upper, singularity,
+                       atoms, quad_tol, max_panels):
+    """Integrals of the product envelope prod_L exp(-lambda_min_L tau)
     E(rho_L tau, d_L) against weight(tau) dtau on (0, upper], plus the
-    envelope at each atom (location, mass).
+    envelope at each atom (location, mass), at every tuple (d_L) of
+    ``distances``.
 
-    ``factors`` holds one (SpectralInterval, distance) pair per Kronecker
-    factor; a single matrix is the one-factor case, since the semigroup of
-    a Kronecker sum factorizes entrywise.  The quadrature is split at every
-    factor's envelope breakpoints, ``singularity`` (the weight's exponent
-    at 0) applies to the first segment, and ``weight=None`` integrates the
-    atoms only.  Returns (total, segments, error, evaluations, converged);
-    ``segments`` lists (lo, hi, value) in edge order followed by one
-    (location, location, value) per atom, and ``total`` sums them in that
-    order.
+    ``intervals`` holds one SpectralInterval per Kronecker factor and each
+    tuple one distance per factor; a single matrix is the one-factor case,
+    since the semigroup of a Kronecker sum factorizes entrywise.  Each
+    tuple's quadrature is split at its own factors' envelope breakpoints,
+    ``singularity`` (the weight's exponent at 0) applies to the first
+    segment, and ``weight=None`` integrates the atoms only.  The segments
+    of all tuples run as one lockstep quadrature.  Returns one (total,
+    segments, error, evaluations, converged) per tuple; ``segments`` lists
+    (lo, hi, value) in edge order followed by one (location, location,
+    value) per atom, and ``total`` sums them in that order.
     """
-    terms = [(iv.lambda_min, iv.rho, float(d)) for iv, d in factors]
-    first, *rest = terms
+    terms = [(iv.lambda_min, iv.rho) for iv in intervals]
+    rows = np.array(distances, dtype=float).reshape(len(distances), len(terms))
+    pieces, owner = [], []
+    for i, ds in enumerate(rows.tolist()):
+        cuts = sorted({c for (_, rho), d in zip(terms, ds)
+                       for c in _envelope_breakpoints(d, rho) if 0.0 < c < upper})
+        edges = [0.0] + cuts + [upper] if weight is not None else [0.0]
+        pieces.append([(lo, hi, singularity if lo == 0.0 else 0.0)
+                       for lo, hi in zip(edges[:-1], edges[1:])])
+        owner += [i] * len(pieces[-1])
+    owner = np.array(owner, dtype=int)
 
-    def integrand(taus):
-        taus = np.asarray(taus, dtype=float)
-        lmin, rho, d = first
-        out = np.exp(-lmin * taus) * exp_envelope(rho * taus, d)
-        for lmin, rho, d in rest:
-            out = out * np.exp(-lmin * taus) * exp_envelope(rho * taus, d)
+    def integrand(taus, step):
+        ds = rows[owner[step]]
+        out = 1.0
+        for L, (lmin, rho) in enumerate(terms):
+            out = (out * np.exp(-lmin * taus)
+                   * exp_envelope(rho * taus, ds[:, L:L + 1]))
         return out * weight(taus)
 
-    cuts = sorted({c for _, rho, d in terms for c in _envelope_breakpoints(d, rho)
-                   if 0.0 < c < upper})
-    edges = [0.0] + cuts + [upper]
-    segments, err, evals, converged = [], 0.0, 0, True
-    if weight is not None:
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            sing = singularity if lo == 0.0 else 0.0
-            if math.isinf(hi):
-                r = integrate_semi_infinite(integrand, lo, 0.0, rtol=quad_tol,
-                                            singularity_a=sing,
-                                            max_panels=max_panels)
-            else:
-                r = integrate(integrand, lo, hi, 0.0, rtol=quad_tol,
-                              singularity_a=sing, max_panels=max_panels)
+    results = iter(run_steps(integrand, _segment_steps(
+        [p for ps in pieces for p in ps], quad_tol, max_panels)))
+    out = []
+    for ds, segs in zip(rows.tolist(), pieces):
+        segments, err, evals, converged = [], 0.0, 0, True
+        for lo, hi, _ in segs:
+            r = next(results)
             segments.append((lo, hi, float(np.asarray(r.value))))
             err += r.error_estimate
             evals += r.evaluations
             converged = converged and r.converged
-    for loc, mass in atoms:
-        segments.append((loc, loc, mass * math.prod(
-            math.exp(-lmin * loc) * exp_envelope(rho * loc, d)
-            for lmin, rho, d in terms)))
-    total = 0.0
-    for _, _, value in segments:
-        total += value
-    return total, segments, err, evals, converged
+        for loc, mass in atoms:
+            segments.append((loc, loc, mass * math.prod(
+                math.exp(-lmin * loc) * exp_envelope(rho * loc, d)
+                for (lmin, rho), d in zip(terms, ds))))
+        total = 0.0
+        for _, _, value in segments:
+            total += value
+        out.append((total, segments, err, evals, converged))
+    return out
 
 
-def laplace_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
-                        on_invalid="raise", max_panels=10000):
-    """Entry bound for f(M) with f completely monotonic, M HPD.
+def laplace_bounds(interval, measure, distances, *, quad_tol=1e-10,
+                   on_invalid="raise", max_panels=10000):
+    """Entry bounds for f(M) with f completely monotonic, M HPD, at each
+    of ``distances``: a list of reports, from one lockstep quadrature.
 
     Integrates the capped semigroup envelope against the representing
     measure, split at the envelope's regime boundaries.  The report's
@@ -247,62 +266,84 @@ def laplace_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
         raise ValueError("Laplace-class bounds need a positive definite matrix")
     if not measure.has_representation:
         raise ValueError(f"measure {measure.name!r} has no stored representation")
-    d = float(distance)
-    valid = d >= 2.0
-    if not valid and on_invalid == "raise":
-        raise ValueError(
-            f"bound is stated for distance >= 2; got distance {d} "
-            "(use on_invalid='extend' for the capped-envelope extension)")
-    _, segments, err, evals, converged = _envelope_integral(
-        ((interval, d),), measure.density, measure.support_upper,
-        measure.singularity_exponent, measure.atoms, quad_tol, max_panels)
+    distances = [float(d) for d in distances]
+    for d in distances:
+        if d < 2.0 and on_invalid == "raise":
+            raise ValueError(
+                f"bound is stated for distance >= 2; got distance {d} "
+                "(use on_invalid='extend' for the capped-envelope extension)")
+    integrals = _envelope_integral(
+        (interval,), [(d,) for d in distances], measure.density,
+        measure.support_upper, measure.singularity_exponent, measure.atoms,
+        quad_tol, max_panels)
     rho = interval.rho
-    pieces = {"I": 0.0, "II": 0.0, "III": 0.0}
-    for lo, hi, value in segments:
-        mid = 0.5 * (lo + hi) if math.isfinite(hi) else lo + 1.0
-        if rho > 0 and mid <= d / (2.0 * rho):
-            pieces["I"] += value
-        elif rho > 0 and mid <= d * d / (4.0 * rho):
-            pieces["II"] += value
-        else:
-            pieces["III"] += value
-    total = pieces["I"] + pieces["II"] + pieces["III"]
-    return DecayBoundReport(distance=d, bound=total, pieces=pieces,
-                            error_estimate=err, evaluations=evals,
-                            converged=converged, valid=valid)
+    reports = []
+    for d, (_, segments, err, evals, converged) in zip(distances, integrals):
+        pieces = {"I": 0.0, "II": 0.0, "III": 0.0}
+        for lo, hi, value in segments:
+            mid = 0.5 * (lo + hi) if math.isfinite(hi) else lo + 1.0
+            if rho > 0 and mid <= d / (2.0 * rho):
+                pieces["I"] += value
+            elif rho > 0 and mid <= d * d / (4.0 * rho):
+                pieces["II"] += value
+            else:
+                pieces["III"] += value
+        total = pieces["I"] + pieces["II"] + pieces["III"]
+        reports.append(DecayBoundReport(
+            distance=d, bound=total, pieces=pieces, error_estimate=err,
+            evaluations=evals, converged=converged, valid=d >= 2.0))
+    return reports
 
 
-def _total_variation_quadrature(kernel, measure, quad_tol, max_panels):
-    """Integrate kernel(s) |v(-s)| over [-support_upper, inf).
+def laplace_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
+                        on_invalid="raise", max_panels=10000):
+    """Entry bound at one distance: the one-distance laplace_bounds."""
+    return laplace_bounds(interval, measure, (distance,), quad_tol=quad_tol,
+                          on_invalid=on_invalid, max_panels=max_panels)[0]
+
+
+def _total_variation_quadrature(kernel, measure, distances, quad_tol,
+                                max_panels):
+    """Reports of the integrals of kernel(s, d) |v(-s)| over
+    [-support_upper, inf), one per distance d, as one lockstep quadrature;
+    ``kernel`` broadcasts s against a column of distances.
 
     When the measure declares a smooth tail envelope (oscillatory
     densities), the integrand beyond ``tail_start`` is replaced by
     kernel * envelope: still a rigorous upper bound, but cheap to resolve.
     """
-    s0 = -measure.support_upper
-    f_abs = lambda s: kernel(s) * measure.abs_density_s(s)
+    s0, sing = -measure.support_upper, measure.singularity_exponent
     if measure.tail_envelope is None or not math.isfinite(measure.tail_start):
-        r = integrate_semi_infinite(f_abs, s0, 0.0, rtol=quad_tol,
-                                    singularity_a=measure.singularity_exponent,
-                                    max_panels=max_panels)
-        return (float(np.asarray(r.value)), r.error_estimate, r.evaluations,
-                r.converged)
-    split = max(measure.tail_start, s0 + 1.0)
-    head = integrate(f_abs, s0, split, 0.0, rtol=quad_tol,
-                     singularity_a=measure.singularity_exponent,
-                     max_panels=max_panels)
-    f_env = lambda s: kernel(s) * measure.tail_envelope(s)
-    tail = integrate_semi_infinite(f_env, split, 0.0, rtol=quad_tol,
-                                   max_panels=max_panels)
-    return (float(np.asarray(head.value)) + float(np.asarray(tail.value)),
-            head.error_estimate + tail.error_estimate,
-            head.evaluations + tail.evaluations,
-            head.converged and tail.converged)
+        pieces = [(s0, math.inf, sing)]
+    else:
+        split = max(measure.tail_start, s0 + 1.0)
+        pieces = [(s0, split, sing), (split, math.inf, 0.0)]
+    n = len(pieces)
+    dist = np.array(distances, dtype=float)[:, None]
+
+    def integrand(s, step):
+        out = kernel(s, dist[step // n])
+        tail = step % n == 1
+        out[~tail] *= measure.abs_density_s(s[~tail])
+        if tail.any():
+            out[tail] *= measure.tail_envelope(s[tail])
+        return out
+
+    results = run_steps(integrand, _segment_steps(
+        pieces * len(dist), quad_tol, max_panels))
+    return [DecayBoundReport(
+        distance=float(d), bound=sum(float(np.asarray(r.value)) for r in rs),
+        error_estimate=sum(r.error_estimate for r in rs),
+        evaluations=sum(r.evaluations for r in rs),
+        converged=all(r.converged for r in rs), valid=True)
+        for d, rs in zip(distances, zip(*[iter(results)] * n))]
 
 
-def cauchy_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
-                       max_panels=10000):
-    """Entry bound for f(M) with f Markov-type, M HPD, at distance d >= 0.
+def cauchy_bounds(interval, measure, distances, *, quad_tol=1e-10,
+                  max_panels=10000):
+    """Entry bounds for f(M) with f Markov-type, M HPD, at each of
+    ``distances`` (all >= 0): a list of reports, from one lockstep
+    quadrature.
 
     Integrates the shifted-resolvent kernel C(omega) q(omega)^d against the
     total variation of the representing measure.  The diagonal
@@ -311,18 +352,21 @@ def cauchy_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
     """
     if not interval.is_positive_definite:
         raise ValueError("Cauchy-class bounds need a positive definite matrix")
-    d = float(distance)
     lmin, lmax = interval.lambda_min, interval.lambda_max
 
-    def kernel(s):
-        c, q = _demko_kernel(lmin, lmax, np.asarray(s, dtype=float))
+    def kernel(s, d):
+        c, q = _demko_kernel(lmin, lmax, s)
         return c * q ** d
 
-    value, err, evals, converged = _total_variation_quadrature(
-        kernel, measure, quad_tol, max_panels)
-    return DecayBoundReport(distance=d, bound=value,
-                            error_estimate=err, evaluations=evals,
-                            converged=converged, valid=True)
+    return _total_variation_quadrature(kernel, measure, distances, quad_tol,
+                                       max_panels)
+
+
+def cauchy_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
+                       max_panels=10000):
+    """Entry bound at one distance: the one-distance cauchy_bounds."""
+    return cauchy_bounds(interval, measure, (distance,), quad_tol=quad_tol,
+                         max_panels=max_panels)[0]
 
 
 def invsqrt_closed_bound(interval, distance, *, diag_max=None):
@@ -364,12 +408,9 @@ def cauchy_shifted_bound(interval, measure, zeta, distance, *,
     d = _positive(distance)
     lmin, lmax = interval.lambda_min, interval.lambda_max
 
-    def kernel(s):
-        c, r = _freund_kernel(lmin, lmax, zeta, np.asarray(s, dtype=float))
+    def kernel(s, d):
+        c, r = _freund_kernel(lmin, lmax, zeta, s)
         return c * r ** (-d)
 
-    value, err, evals, converged = _total_variation_quadrature(
-        kernel, measure, quad_tol, max_panels)
-    return DecayBoundReport(distance=d, bound=value,
-                            error_estimate=err, evaluations=evals,
-                            converged=converged, valid=True)
+    return _total_variation_quadrature(kernel, measure, (d,), quad_tol,
+                                       max_panels)[0]

@@ -7,7 +7,8 @@ self-check) and ``surface`` (full-matrix dump of a grid-operator
 function).
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure (a quadrature
-did not converge), 3 dominance violation detected in self-check mode.
+did not converge; one stderr line names the distances), 3 dominance
+violation detected in self-check mode.
 :func:`main` is the one place that turns an input error (``ValueError``,
 which ``UsageError`` and ``MatrixFormatError`` subclass, or an ``OSError``
 such as a missing matrix file or an ``--out`` path that is a directory)
@@ -69,7 +70,8 @@ def _add_common_flags(p):
     p.add_argument("--quad-tol", type=_positive_number(float), default=1e-8,
                    help="quadrature tolerance (default 1e-8)")
     p.add_argument("--quad-max-panels", type=_positive_number(int), default=10000,
-                   help="maximum adaptive panels per integral")
+                   help="maximum adaptive panels per adaptive segment of each "
+                        "distinct distance (default 10000)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 
@@ -142,6 +144,21 @@ def build_parser():
     return parser
 
 
+def _exit_status(summary):
+    """0, or 2 after one stderr line naming the first 10 distances (or
+    distance tuples) whose quadrature did not converge."""
+    failed = summary["nonconverged"]
+    if not failed:
+        return 0
+    shown = ", ".join(
+        f"({', '.join(f'{x:g}' for x in d)})" if isinstance(d, tuple)
+        else f"{d:g}" for d in failed[:10])
+    more = ", ..." if len(failed) > 10 else ""
+    print(f"decay: quadrature did not converge at {len(failed)} distance(s): "
+          f"{shown}{more}", file=sys.stderr)
+    return 2
+
+
 def _cmd_bound(args, self_check=False):
     M = parse_matrix_spec(args.matrix, args.n)
     if not (1 <= args.column <= M.n):
@@ -159,11 +176,9 @@ def _cmd_bound(args, self_check=False):
               f"{fmt(s['ratio_median'])}/{fmt(s['ratio_max'])} "
               f"violations {s['violations']} resolved {s['resolved']}",
               file=sys.stderr)
-    if not summary["converged"]:
-        return 2
-    if self_check and summary["violations"] > 0:
+    if self_check and summary["converged"] and summary["violations"] > 0:
         return 3
-    return 0
+    return _exit_status(summary)
 
 
 def _cmd_kron(args):
@@ -182,7 +197,7 @@ def _cmd_kron(args):
         A, t, args.function, args.klass, tau=args.tau,
         quad_tol=args.quad_tol, max_panels=args.quad_max_panels)
     figures._write_csv(args.out, header, rows)
-    return 0 if summary["converged"] else 2
+    return _exit_status(summary)
 
 
 def _cmd_oracle(args):
@@ -205,7 +220,7 @@ def _cmd_figure(args):
     print(f"# wrote {out}: rows {summary['rows']} violations "
           f"{summary['violations']} (resolved {summary['resolved']})",
           file=sys.stderr)
-    return 0 if summary["converged"] else 2
+    return _exit_status(summary)
 
 
 def _cmd_surface(args):

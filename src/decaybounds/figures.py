@@ -133,7 +133,8 @@ def run_figure(figure_id, matrix_kind, out_path, quad_tol):
         rows, floor = _closed_form_rows(figure_id, matrix_kind)
         header = ("k", "oracle", "bound")
         summary = dict(_ratio_stats([(b, o) for _, o, b in rows], floor),
-                       converged=True, max_relative_error_estimate=0.0,
+                       converged=True, nonconverged=[],
+                       max_relative_error_estimate=0.0,
                        oracle_floor=floor)
     elif _DRIVER_PRESETS[figure_id][0] == "compare":
         M = make_test_matrix(matrix_kind, _N)
@@ -201,10 +202,13 @@ def resolve_function(name, klass, tau, zeta):
 
 
 def _summary(pairs, floor, reports, nrows):
-    """Dominance statistics plus convergence over the quadrature reports."""
+    """Dominance statistics plus convergence over the quadrature reports;
+    ``nonconverged`` lists the sorted distances whose report did not
+    converge."""
     summary = _ratio_stats(pairs, floor)
+    nonconverged = sorted(r.distance for r in reports if not r.converged)
     summary.update(
-        rows=nrows, converged=all(r.converged for r in reports),
+        rows=nrows, converged=not nonconverged, nonconverged=nonconverged,
         max_relative_error_estimate=max(
             (r.error_estimate / r.bound for r in reports if r.bound > 0),
             default=0.0),
@@ -218,10 +222,11 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     """Bound/oracle comparison for one column; returns (summary, header,
     rows) with CSV columns ``k,distance,bound,oracle,ratio``.
 
-    Every bound depends on the row only through its distance, so each
-    distinct distance is evaluated once and its value shared by all rows
-    at that distance; the summary's convergence figures come from one
-    quadrature report per distinct distance.  Dominance violations are
+    Every bound depends on the row only through its distance, so the
+    column's distinct distances are collected first and evaluated in one
+    call (one lockstep quadrature for the quadrature classes), each value
+    shared by all rows at that distance; the summary's convergence figures
+    come from one quadrature report per distinct distance.  Dominance violations are
     counted against oracle entries at or above the dense oracle's
     resolution floor; smaller entries are rounding noise (see
     :func:`decaybounds.oracle.oracle_floor`).
@@ -237,34 +242,38 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     floor = oracle.oracle_floor(M, f)
     dist = geodesic_from(M, t, drop_tol=drop_tol) if distance_mode == "graph" else None
 
-    # The kind's bound at distance d: a number, a quadrature report, or
-    # None where the bound is not stated.  Only row t has d = 0.
+    # The kind's bounds at a list of distances: numbers, quadrature
+    # reports, or None where the bound is not stated.  Only row t has d = 0.
     if kind == "exp":
-        entry = lambda d: bounds.exp_entry_bound(iv, tau, d) if d > 0 else None
+        entries = lambda ds: [bounds.exp_entry_bound(iv, tau, d) if d > 0
+                              else None for d in ds]
     elif kind == "demko" or (kind == "resolvent" and zeta == 0.0):
         diag_max = M.diagonal_max()
-        entry = lambda d: bounds.demko_bound(iv, d, diag_max=diag_max)
+        entries = lambda ds: [bounds.demko_bound(iv, d, diag_max=diag_max)
+                              for d in ds]
     elif kind == "resolvent":
-        entry = lambda d: (bounds.freund_resolvent_bound(iv, zeta, d)
-                           if d > 0 else None)
+        entries = lambda ds: [bounds.freund_resolvent_bound(iv, zeta, d)
+                              if d > 0 else None for d in ds]
     elif kind == "laplace":
-        entry = lambda d: (bounds.laplace_entry_bound(
-            iv, measure, d, quad_tol=quad_tol, max_panels=max_panels)
-            if d >= 2.0 else None)
+        def entries(ds):
+            stated = [d for d in ds if d >= 2.0]
+            found = dict(zip(stated, bounds.laplace_bounds(
+                iv, measure, stated, quad_tol=quad_tol, max_panels=max_panels)))
+            return [found.get(d) for d in ds]
     else:
-        entry = lambda d: bounds.cauchy_entry_bound(
-            iv, measure, d, quad_tol=quad_tol, max_panels=max_panels)
+        entries = lambda ds: bounds.cauchy_bounds(
+            iv, measure, ds, quad_tol=quad_tol, max_panels=max_panels)
 
-    at_distance = {}
+    ds = [dist[k] if dist is not None else abs(k - t) / beta
+          for k in range(1, n + 1)]
+    distinct = list(dict.fromkeys(d for d in ds if not math.isinf(d)))
+    at_distance = dict(zip(distinct, entries(distinct)))
     rows = []
-    for k in range(1, n + 1):
-        d = dist[k] if dist is not None else abs(k - t) / beta
+    for k, d in enumerate(ds, start=1):
         o = float(col[k - 1])
         if math.isinf(d):
             rows.append((k, None, None, o, None))
             continue
-        if d not in at_distance:
-            at_distance[d] = entry(d)
         b = at_distance[d]
         if isinstance(b, bounds.DecayBoundReport):
             b = b.bound
@@ -283,9 +292,9 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
     columns ``k,k1,...,d1,...,bound,oracle``.
 
     Every bound depends on the row only through its ordered tuple of
-    per-factor distances, so each distinct tuple is evaluated once and its
-    value shared by all rows with that tuple; (d1, d2) and (d2, d1) are
-    different tuples.  The summary's convergence figures come from one
+    per-factor distances, so the column's distinct tuples are collected
+    first and evaluated in one call, each value shared by all rows with
+    that tuple; (d1, d2) and (d2, d1) are different tuples.  The summary's convergence figures come from one
     report per distinct tuple.
     """
     f, kind, measure = resolve_function(function, klass, tau, 0.0)
@@ -293,29 +302,29 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
     ivs = tuple(spectral_interval(m) for m in A.factors)
     nfac = len(A.factors)
     if kind == "exp":
-        evaluate = lambda ds: kron.exp_kron_bound(ivs, tau, ds)
+        evaluate = lambda dss: [kron.exp_kron_bound(ivs, tau, ds) for ds in dss]
     elif kind in ("laplace", "cauchy"):
-        bound = (kron.laplace_kron_bound if kind == "laplace"
-                 else kron.cauchy_kron_bound)
-        evaluate = lambda ds: bound(ivs, measure, ds, quad_tol=quad_tol,
-                                    on_invalid="extend", max_panels=max_panels)
+        bound = (kron.laplace_kron_bounds if kind == "laplace"
+                 else kron.cauchy_kron_bounds)
+        evaluate = lambda dss: bound(ivs, measure, dss, quad_tol=quad_tol,
+                                     on_invalid="extend", max_panels=max_panels)
     else:
         raise ValueError(f"--class {klass} --function {function} is not "
                          "available for Kronecker sums")
     col = np.abs(oracle.function_column(A, f, t))
     floor = oracle.oracle_floor(A, f)
-    at_distances = {}
+    # the diagonal entry of exp is not covered by the bound
+    ds = [None if k == t and kind == "exp" else kron._component_distances(A, k, t)
+          for k in range(1, A.total_order + 1)]
+    distinct = list(dict.fromkeys(d for d in ds if d is not None))
+    at_distances = dict(zip(distinct, evaluate(distinct)))
     rows = []
-    for k in range(1, A.total_order + 1):
+    for k, d in enumerate(ds, start=1):
         km = A.delinearize(k)
-        if k == t and kind == "exp":
+        if d is None:
             rows.append((k, *km, *(0.0,) * nfac, None, float(col[k - 1])))
-            continue
-        ds = kron._component_distances(A, k, t)
-        if ds not in at_distances:
-            at_distances[ds] = evaluate(ds)
-        rep = at_distances[ds]
-        rows.append((k, *km, *ds, rep.bound, float(col[k - 1])))
+        else:
+            rows.append((k, *km, *d, at_distances[d].bound, float(col[k - 1])))
     header = (["k"] + [f"k{i+1}" for i in range(nfac)]
               + [f"d{i+1}" for i in range(nfac)] + ["bound", "oracle"])
     summary = _summary([(r[-2], r[-1]) for r in rows], floor,

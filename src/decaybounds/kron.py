@@ -59,28 +59,32 @@ def _check_validity(dists, on_invalid):
     return valid
 
 
-def _kron_bound(intervals, distances, on_invalid, weight, upper, singularity,
-                atoms, quad_tol, max_panels):
-    """Shared wrapper of the Laplace and Cauchy routes: the product-envelope
-    integral over the factors at their component distances."""
+def _kron_bounds(intervals, distances, on_invalid, weight, upper,
+                 singularity, atoms, quad_tol, max_panels):
+    """Shared engine of the Laplace and Cauchy routes: the product-envelope
+    integrals over the factors at each tuple of component distances."""
     if len(intervals) not in (2, 3):
         raise ValueError("Kronecker bounds support two or three factors")
     for iv in intervals:
         if not iv.is_positive_definite:
             raise ValueError("Kronecker bounds need positive definite factors")
-    dists = tuple(distances)
-    valid = _check_validity(dists, on_invalid)
-    total, _, err, evals, converged = _envelope_integral(
-        tuple(zip(intervals, dists, strict=True)), weight, upper, singularity,
-        atoms, quad_tol, max_panels)
-    return DecayBoundReport(distance=dists, bound=total,
-                            error_estimate=err, evaluations=evals,
-                            converged=converged, valid=valid)
+    distances = [tuple(ds) for ds in distances]
+    if any(len(ds) != len(intervals) for ds in distances):
+        raise ValueError("each distance tuple needs one distance per factor")
+    valid = [_check_validity(ds, on_invalid) for ds in distances]
+    integrals = _envelope_integral(intervals, distances, weight, upper,
+                                   singularity, atoms, quad_tol, max_panels)
+    return [DecayBoundReport(distance=ds, bound=total, error_estimate=err,
+                             evaluations=evals, converged=converged, valid=ok)
+            for ds, ok, (total, _, err, evals, converged)
+            in zip(distances, valid, integrals)]
 
 
-def laplace_kron_bound(intervals, measure, distances, *, quad_tol=1e-10,
-                       on_invalid="raise", max_panels=10000):
-    """Entry bound for f(A), f completely monotonic, A = M_1 (+) M_2 [(+) M_3].
+def laplace_kron_bounds(intervals, measure, distances, *, quad_tol=1e-10,
+                        on_invalid="raise", max_panels=10000):
+    """Entry bounds for f(A), f completely monotonic, A = M_1 (+) M_2
+    [(+) M_3], at each tuple of per-factor distances: a list of reports,
+    from one lockstep quadrature.
 
     Integrates the product of per-factor capped envelopes against the
     representing measure; the integration is split at every factor's
@@ -88,14 +92,24 @@ def laplace_kron_bound(intervals, measure, distances, *, quad_tol=1e-10,
     """
     if not measure.has_representation:
         raise ValueError(f"measure {measure.name!r} has no stored representation")
-    return _kron_bound(intervals, distances, on_invalid, measure.density,
-                       measure.support_upper, measure.singularity_exponent,
-                       measure.atoms, quad_tol, max_panels)
+    return _kron_bounds(intervals, distances, on_invalid, measure.density,
+                        measure.support_upper, measure.singularity_exponent,
+                        measure.atoms, quad_tol, max_panels)
 
 
-def cauchy_kron_bound(intervals, measure, distances, *, quad_tol=1e-10,
-                      on_invalid="raise", max_panels=10000):
-    """Entry bound for f(A), f Markov-type with support in (-inf, 0].
+def laplace_kron_bound(intervals, measure, distances, *, quad_tol=1e-10,
+                       on_invalid="raise", max_panels=10000):
+    """Entry bound at one distance tuple: the one-tuple laplace_kron_bounds."""
+    return laplace_kron_bounds(intervals, measure, (distances,),
+                               quad_tol=quad_tol, on_invalid=on_invalid,
+                               max_panels=max_panels)[0]
+
+
+def cauchy_kron_bounds(intervals, measure, distances, *, quad_tol=1e-10,
+                       on_invalid="raise", max_panels=10000):
+    """Entry bounds for f(A), f Markov-type with support in (-inf, 0], at
+    each tuple of per-factor distances: a list of reports, from one
+    lockstep quadrature.
 
     The resolvent route reduces to a Laplace-type integral: the inner
     integral over the measure is its Laplace transform g(tau), and the
@@ -107,5 +121,13 @@ def cauchy_kron_bound(intervals, measure, distances, *, quad_tol=1e-10,
               else measure.laplace_transform)
     if weight is None:
         raise ValueError(f"measure {measure.name!r} has no closed-form transform")
-    return _kron_bound(intervals, distances, on_invalid, weight, math.inf,
-                       measure.transform_singularity, (), quad_tol, max_panels)
+    return _kron_bounds(intervals, distances, on_invalid, weight, math.inf,
+                        measure.transform_singularity, (), quad_tol, max_panels)
+
+
+def cauchy_kron_bound(intervals, measure, distances, *, quad_tol=1e-10,
+                      on_invalid="raise", max_panels=10000):
+    """Entry bound at one distance tuple: the one-tuple cauchy_kron_bounds."""
+    return cauchy_kron_bounds(intervals, measure, (distances,),
+                              quad_tol=quad_tol, on_invalid=on_invalid,
+                              max_panels=max_panels)[0]

@@ -2,9 +2,14 @@
 
 Panel-adaptive Gauss-Kronrod (7/15 pair) with deterministic panel ordering,
 a declared left-endpoint singularity substitution and geometric tail
-extension.  Integrands receive a numpy array of abscissae and must return
-an array of matching leading shape; vector-valued integrands (shape
-``(npts, m)``) are supported, with errors measured in the max norm.
+extension, written once as generator steps: a step yields the panels it
+needs and receives their (value, error) pairs.  :func:`run_steps` drives
+many steps in lockstep with one vectorized kernel call per round, and a
+step's result does not depend on the steps it runs with.  Integrands of
+:func:`integrate` and :func:`integrate_semi_infinite` (its one-step case)
+receive a numpy array of abscissae and must return an array of matching
+leading shape; vector-valued integrands (shape ``(npts, m)``) are
+supported, with errors measured in the max norm.
 """
 
 from __future__ import annotations
@@ -70,19 +75,64 @@ def _norm(v):
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def _panel(f, a, b):
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _NODES
-    y = np.asarray(f(x), dtype=float)
-    k = half * np.tensordot(_W_KRONROD, y, axes=(0, 0))
-    g = half * np.tensordot(_W_GAUSS, y, axes=(0, 0))
-    return k, _norm(k - g)
+def _evaluate(kernel, panels):
+    """Values and error estimates of ``panels``, (step, a, b, substitution)
+    tuples, from one call ``kernel(x, step)`` with one row of 15 abscissae
+    per panel and the owning step of each row."""
+    step, lo, hi, subs = zip(*panels)
+    lo, hi = np.array(lo), np.array(hi)
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    jacobians = []
+    for a, m in set(subs) - {None}:       # tau = a + u**m
+        rows = np.array([s == (a, m) for s in subs])
+        u = x[rows]
+        x[rows] = a + u ** m
+        jacobians.append((rows, m * u ** (m - 1)))
+    y = np.asarray(kernel(x, np.array(step)), dtype=float)
+    trail = (None,) * (y.ndim - 2)        # vector-valued integrands
+    for rows, jac in jacobians:
+        y[rows] = y[rows] * jac[(...,) + trail]
+    # a row-wise sum (not y @ W) keeps each panel independent of the batch
+    k = half[(...,) + trail] * (y * _W_KRONROD[(slice(None),) + trail]).sum(axis=1)
+    g = half[(...,) + trail] * (y * _W_GAUSS[(slice(None),) + trail]).sum(axis=1)
+    err = np.abs(k - g).reshape(len(panels), -1).max(axis=1, initial=0.0)
+    return (k.tolist() if k.ndim == 1 else list(k)), err.tolist()
 
 
-def _adaptive(f, a, b, atol, rtol, max_panels):
-    """Globally adaptive bisection driver; deterministic (value summed in
+def run_steps(kernel, steps):
+    """Run integration steps (:func:`finite_step`,
+    :func:`semi_infinite_step`) in lockstep; returns their
+    :class:`QuadratureResult` values in order.
+
+    Each round stacks the pending panels of every step into one
+    ``(P, 15)`` abscissa array x and calls ``kernel(x, step)`` once;
+    ``step[i]`` is the index of the step owning row i, and the kernel
+    returns values of shape ``(P, 15)`` or ``(P, 15, m)``."""
+    steps = list(steps)
+    results = [None] * len(steps)
+    sent = [None] * len(steps)
+    active = range(len(steps))
+    while active:
+        asked = []
+        for i in active:
+            try:
+                asked.append((i, steps[i].send(sent[i])))
+            except StopIteration as stop:
+                results[i] = stop.value
+        if asked:
+            got = zip(*_evaluate(kernel, [(i, *p) for i, ps in asked
+                                          for p in ps]))
+            for i, ps in asked:
+                sent[i] = [next(got) for _ in ps]
+        active = [i for i, _ in asked]
+    return results
+
+
+def _adaptive(a, b, atol, rtol, max_panels, sub):
+    """Globally adaptive bisection step; deterministic (value summed in
     interval order, heap ties broken by insertion sequence)."""
-    val, err = _panel(f, a, b)
+    ((val, err),) = yield [(a, b, sub)]
     evaluations = 15
     seq = 0
     heap = [(-err, seq, a, b, val, err)]
@@ -105,8 +155,9 @@ def _adaptive(f, a, b, atol, rtol, max_panels):
             continue
         total_err -= perr
         total_val = total_val - pval
-        for qa, qb in ((pa, mid), (mid, pb)):
-            v, e = _panel(f, qa, qb)
+        halves = ((pa, mid), (mid, pb))
+        got = yield [(qa, qb, sub) for qa, qb in halves]
+        for (qa, qb), (v, e) in zip(halves, got):
             evaluations += 15
             seq += 1
             total_err += e
@@ -121,29 +172,8 @@ def _adaptive(f, a, b, atol, rtol, max_panels):
     return value, error, evaluations, converged
 
 
-def _substitute_left(f, a, exponent):
-    # tau = a + u**m removes an integrable endpoint singularity tau**p, p > -1
-    m = max(2, math.ceil(2.0 / (1.0 + exponent)))
-
-    def g(u):
-        return f(a + u ** m) * (m * u ** (m - 1))
-
-    return g, m
-
-
-def integrate(f, a, b, tol=1e-8, *, rtol=None, singularity_a=0.0,
-              max_panels=10000):
-    """Integrate ``f`` over [a, b] with adaptive Gauss-Kronrod panels.
-
-    ``tol`` is the absolute tolerance; ``rtol`` defaults to ``tol`` so the
-    stopping rule is ``err <= max(tol, rtol * |value|)``.  A left-endpoint
-    singularity must be declared via ``singularity_a`` as an exponent p in
-    (-1, 0]: the integrand behaves like ``(x - a)**p`` near ``a`` and is
-    removed by a power substitution before the adaptive pass.
-
-    Non-convergence after ``max_panels`` panels is reported through
-    ``converged=False``; no exception is raised.
-    """
+def finite_step(a, b, tol, rtol, singularity_a, max_panels):
+    """Step integrating over [a, b]; see :func:`integrate`."""
     if not (a < b):
         if a == b:
             return QuadratureResult(0.0, 0.0, 0, True)
@@ -151,31 +181,22 @@ def integrate(f, a, b, tol=1e-8, *, rtol=None, singularity_a=0.0,
     if not (-1.0 < singularity_a <= 0.0):
         raise ValueError(
             f"singularity exponent must lie in (-1, 0], got {singularity_a}")
-    if rtol is None:
-        rtol = tol
-
     if singularity_a < 0.0:
-        g, m = _substitute_left(f, a, singularity_a)
-        val, err, ev, ok = _adaptive(g, 0.0, (b - a) ** (1.0 / m), tol, rtol, max_panels)
+        # tau = a + u**m removes an integrable endpoint singularity tau**p
+        m = max(2, math.ceil(2.0 / (1.0 + singularity_a)))
+        val, err, ev, ok = yield from _adaptive(
+            0.0, (b - a) ** (1.0 / m), tol, rtol, max_panels, (a, m))
     else:
-        val, err, ev, ok = _adaptive(f, a, b, tol, rtol, max_panels)
+        val, err, ev, ok = yield from _adaptive(a, b, tol, rtol, max_panels,
+                                                None)
     if np.ndim(val) == 0:
         val = float(val)
     return QuadratureResult(val, err, ev, ok)
 
 
-def integrate_semi_infinite(f, a, tol=1e-8, *, rtol=None, singularity_a=0.0,
-                            max_panels=10000, initial_width=1.0):
-    """Integrate ``f`` over [a, oo) for absolutely integrable ``f`` with
-    eventually monotone decay.
-
-    Intervals of geometrically doubling width are integrated until two
-    consecutive contributions fall below a tenth of the running tolerance;
-    the last contribution is charged to the error estimate as a tail
-    allowance.
-    """
-    if rtol is None:
-        rtol = tol
+def semi_infinite_step(a, tol, rtol, singularity_a, max_panels,
+                       initial_width=1.0):
+    """Step integrating over [a, oo); see :func:`integrate_semi_infinite`."""
     total = None
     err = 0.0
     evaluations = 0
@@ -188,9 +209,8 @@ def integrate_semi_infinite(f, a, tol=1e-8, *, rtol=None, singularity_a=0.0,
     for i in range(_MAX_INTERVALS):
         hi = lo + width
         budget = max(64, max_panels - evaluations // 15)
-        r = integrate(f, lo, hi, tol=0.0, rtol=rtol,
-                      singularity_a=singularity_a if i == 0 else 0.0,
-                      max_panels=budget)
+        r = yield from finite_step(lo, hi, 0.0, rtol,
+                                   singularity_a if i == 0 else 0.0, budget)
         total = r.value if total is None else total + r.value
         err += r.error_estimate
         evaluations += r.evaluations
@@ -211,3 +231,45 @@ def integrate_semi_infinite(f, a, tol=1e-8, *, rtol=None, singularity_a=0.0,
     if np.ndim(total) == 0:
         total = float(total)
     return QuadratureResult(total, err, evaluations, converged_all and not ran_out)
+
+
+def _pointwise(f):
+    """Kernel of a one-step run: ``f`` on the flattened abscissae."""
+    def kernel(x, _):
+        y = np.asarray(f(x.ravel()), dtype=float)
+        return y.reshape(x.shape + y.shape[1:])
+    return kernel
+
+
+def integrate(f, a, b, tol=1e-8, *, rtol=None, singularity_a=0.0,
+              max_panels=10000):
+    """Integrate ``f`` over [a, b] with adaptive Gauss-Kronrod panels.
+
+    ``tol`` is the absolute tolerance; ``rtol`` defaults to ``tol`` so the
+    stopping rule is ``err <= max(tol, rtol * |value|)``.  A left-endpoint
+    singularity must be declared via ``singularity_a`` as an exponent p in
+    (-1, 0]: the integrand behaves like ``(x - a)**p`` near ``a`` and is
+    removed by a power substitution before the adaptive pass.
+
+    Non-convergence after ``max_panels`` panels is reported through
+    ``converged=False``; no exception is raised.
+    """
+    step = finite_step(a, b, tol, tol if rtol is None else rtol,
+                       singularity_a, max_panels)
+    return run_steps(_pointwise(f), [step])[0]
+
+
+def integrate_semi_infinite(f, a, tol=1e-8, *, rtol=None, singularity_a=0.0,
+                            max_panels=10000, initial_width=1.0):
+    """Integrate ``f`` over [a, oo) for absolutely integrable ``f`` with
+    eventually monotone decay.
+
+    Intervals of geometrically doubling width are integrated until two
+    consecutive contributions fall below a tenth of the running tolerance;
+    the last contribution is charged to the error estimate as a tail
+    allowance.  Each doubling interval may use the panels that the earlier
+    ones left of ``max_panels``, and at least 64.
+    """
+    step = semi_infinite_step(a, tol, tol if rtol is None else rtol,
+                              singularity_a, max_panels, initial_width)
+    return run_steps(_pointwise(f), [step])[0]

@@ -6,7 +6,9 @@ nonpositive off-diagonal entries (accurate in the relative sense at any
 magnitude, far below the eigensolver's noise floor), high-precision
 analytic eigenpair sums for the tridiagonal Toeplitz test matrix, exact
 rational inversion, Floyd-Warshall distances, and scipy quadrature of
-total-variation transforms.  ``laplace_transform_of_cauchy`` evaluates a
+total-variation transforms.  ``envelope_integral_reference`` integrates
+the single-matrix Laplace envelope by piecewise scipy quadrature, split
+at every kink of the envelope.  ``laplace_transform_of_cauchy`` evaluates a
 Cauchy measure's Laplace transform from its density with the package's
 semi-infinite quadrature, for checking the stored closed forms.
 
@@ -254,8 +256,8 @@ def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
     dists = _component_distances(A, k, t)
     out = 1.0 / math.sqrt(math.pi)
     for iv, d in zip(ivs, dists):
-        val, _, _, _, conv = _envelope_integral(
-            ((iv, d), (iv, d)), lambda taus: taus ** -0.5, math.inf, -0.5, (),
+        ((val, _, _, _, conv),) = _envelope_integral(
+            (iv, iv), [(d, d)], lambda taus: taus ** -0.5, math.inf, -0.5, (),
             quad_tol, max_panels)
         if not conv:
             raise RuntimeError("split-bound quadrature did not converge")
@@ -324,3 +326,56 @@ def stdlib_csv_write(path, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow(["" if c is None else f"{c:.17g}" for c in row])
+
+
+def _gauss_superexp_crossing(d, rho):
+    """tau where the Gaussian branch at d1 = 2 r (10 e^{-0.8 r}) meets the
+    superexponential branch inside piece I, r = rho tau in [1, d/2]; None
+    when they do not cross there."""
+    from scipy.optimize import brentq
+
+    def gap(r):   # log Gaussian - log superexponential
+        return 0.2 * r + math.log(r) - d * (1.0 + math.log(r) - math.log(d))
+
+    if d <= 2.0 or rho <= 0 or gap(1.0) * gap(d / 2.0) >= 0:
+        return None
+    return brentq(gap, 1.0, d / 2.0, xtol=1e-14, rtol=1e-15) / rho
+
+
+def envelope_integral_reference(interval, measure, distance, rtol=1e-12):
+    """The single-matrix Laplace envelope integral of
+    :func:`decaybounds.bounds.laplace_entry_bound` (atoms included) by
+    piecewise ``scipy.integrate.quad`` in u = sqrt(tau).
+
+    The pieces are split at every envelope breakpoint and at the crossing
+    of the Gaussian and superexponential branches inside piece I, so each
+    piece is smooth; the substitution removes a tau^{-1/2} endpoint
+    singularity of the weight.
+    """
+    from scipy.integrate import quad
+
+    from decaybounds.bounds import _envelope_breakpoints, exp_envelope
+
+    d, lmin, rho = float(distance), interval.lambda_min, interval.rho
+    upper = measure.support_upper
+    cuts = set(_envelope_breakpoints(d, rho))
+    cross = _gauss_superexp_crossing(d, rho)
+    if cross is not None:
+        cuts.add(cross)
+    edges = [0.0] + sorted(c for c in cuts if 0.0 < c < upper) + [upper]
+
+    def f(u):
+        tau = u * u
+        if tau == 0.0:
+            return 0.0
+        return (math.exp(-lmin * tau) * exp_envelope(rho * tau, d)
+                * float(measure.density(tau)) * 2.0 * u)
+
+    total = 0.0
+    if measure.density is not None:
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            total += quad(f, math.sqrt(lo), math.sqrt(hi), epsabs=0.0,
+                          epsrel=rtol, limit=500)[0]
+    for loc, mass in measure.atoms:
+        total += mass * math.exp(-lmin * loc) * exp_envelope(rho * loc, d)
+    return total

@@ -11,9 +11,11 @@ from decaybounds import (SpectralInterval, banded_from_stencil,
                          freund_resolvent_bound, function_column,
                          invsqrt_closed_bound, laplace_catalog,
                          laplace_entry_bound, make_test_matrix, oracle_floor,
-                         resolvent_column, spectral_interval)
-from reference import (expm_column_nonneg, gershgorin_interval,
-                       tridiag_entry_mp, tridiag_lambda_min)
+                         parse_matrix_spec, resolvent_column,
+                         spectral_interval)
+from reference import (envelope_integral_reference, expm_column_nonneg,
+                       gershgorin_interval, tridiag_entry_mp,
+                       tridiag_lambda_min)
 
 SLACK = 1.0 - 1e-10
 
@@ -62,6 +64,22 @@ def test_envelope_vectorized_over_rho_tau():
     assert vec.shape == (4,)
     for rt, v in zip(rts, vec):
         assert v == exp_envelope(float(rt), 9.0)
+
+
+def test_envelope_with_array_distance_is_bitwise_scalar():
+    # a (P, 1) column of distances against a (P, 15) block of rho * tau, as
+    # the lockstep quadrature calls it, and a 1-D row of distances
+    ds = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.3, 9.0, 63.0, 118.0, 280.0])
+    rts = np.random.default_rng(7).exponential(20.0, (ds.size, 15))
+    rts[:, 0] = 0.0
+    rts[:, 1] = 1.0
+    block = exp_envelope(rts, ds[:, None])
+    assert block.shape == rts.shape
+    for i, d in enumerate(ds):
+        for j, rt in enumerate(rts[i]):
+            assert block[i, j] == exp_envelope(float(rt), float(d)), (i, j)
+    row = exp_envelope(4.0, ds)
+    assert [float(v) for v in row] == [exp_envelope(4.0, float(d)) for d in ds]
 
 
 def test_phi_guards_diagonal():
@@ -341,6 +359,32 @@ def test_laplace_shifted_dominates_complex_shift_oracle():
             continue
         rep = laplace_entry_bound(iv, measure, abs(k - t))
         assert rep.bound >= col[k - 1] * SLACK
+
+
+def test_envelope_integral_reference_agrees_away_from_the_crossing():
+    # where no kink falls inside a panel, the adaptive value and the
+    # piecewise scipy reference agree far inside the tolerance
+    iv = spectral_interval(make_test_matrix("tridiag", 200))
+    for fname in ("inv_sqrt", "phi1", "exp"):
+        measure = laplace_catalog(fname)
+        for d in (2.0, 5.0, 12.0):
+            got = laplace_entry_bound(iv, measure, d, quad_tol=1e-12).bound
+            ref = envelope_integral_reference(iv, measure, d)
+            assert got == pytest.approx(ref, rel=1e-9), (fname, d)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the crossing of the Gaussian branch at d1 = 2r with the "
+    "superexponential branch inside piece I is not a panel edge, and the "
+    "adaptive rule under-integrates the kink there (1.2e-7 to 1.9e-7 "
+    "relative below the reference, error estimate <= 9.5e-9)"))
+def test_laplace_bound_not_below_envelope_integral_at_the_crossing():
+    m = parse_matrix_spec("tridiag:-1.0772,4.1069,-1.0772", 560)
+    iv, measure, tol = spectral_interval(m), laplace_catalog("inv_sqrt"), 1e-8
+    below = [d for d in (63.0, 118.0, 280.0)
+             if laplace_entry_bound(iv, measure, d, quad_tol=tol).bound
+             < envelope_integral_reference(iv, measure, d) * (1 - tol)]
+    assert not below
 
 
 # ----------------------------------------------------- Cauchy-class bound

@@ -190,13 +190,56 @@ def test_run_compare_library_api():
     assert summary["ratio_min"] is not None and summary["ratio_min"] >= 1.0
 
 
-def test_non_convergence_exits_two(tmp_path):
+def test_non_convergence_exits_two(tmp_path, capsys):
     out = tmp_path / "n.csv"
     code = main(["bound", "--matrix", "tridiag", "--n", "60", "--function",
                  "inv_sqrt", "--class", "laplace", "--column", "30",
                  "--quad-max-panels", "2", "--out", str(out)])
     assert code == 2
     assert out.exists()  # output is still written for inspection
+    # one stderr line names the failing distances, the first 10 of them
+    summary, _, _ = run_compare(make_test_matrix("tridiag", 60), 30,
+                                "inv_sqrt", "laplace", max_panels=2)
+    failed = summary["nonconverged"]
+    assert len(failed) > 10 and failed == sorted(failed)
+    shown = ", ".join(f"{d:g}" for d in failed[:10])
+    assert capsys.readouterr().err.splitlines() == [
+        f"decay: quadrature did not converge at {len(failed)} distance(s): "
+        f"{shown}, ..."]
+    # compare prints its ratio line first
+    code = main(["compare", "--matrix", "tridiag", "--n", "12", "--function",
+                 "inv_sqrt", "--class", "laplace", "--column", "6",
+                 "--quad-max-panels", "2", "--self-check", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("# ratio ")
+    assert err[1].startswith("decay: quadrature did not converge at ")
+
+
+def test_kron_non_convergence_exits_two(tmp_path, capsys):
+    out = tmp_path / "k.csv"
+    code = main(["kron", "--factors", "tridiag,tridiag", "--n", "4",
+                 "--function", "inv_sqrt", "--class", "laplace",
+                 "--column", "2,2", "--quad-max-panels", "2", "--out", str(out)])
+    assert code == 2
+    assert out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "decay: quadrature did not converge at 3 distance(s): "
+        "(0, 2), (2, 0), (2, 2)"]
+    # more than 10 failing tuples: the first 10, then "..."
+    code = main(["kron", "--factors", "tridiag,tridiag", "--n", "6",
+                 "--function", "log1p_over_z", "--class", "cauchy",
+                 "--column", "2,2", "--quad-max-panels", "2", "--out", str(out)])
+    assert code == 2
+    summary, _, _ = run_kron_compare(
+        KroneckerSum(factors=(make_test_matrix("tridiag", 6),) * 2), 8,
+        "log1p_over_z", "cauchy", max_panels=2)
+    failed = summary["nonconverged"]
+    assert len(failed) > 10 and failed == sorted(failed)
+    shown = ", ".join(f"({d1:g}, {d2:g})" for d1, d2 in failed[:10])
+    assert capsys.readouterr().err.splitlines() == [
+        f"decay: quadrature did not converge at {len(failed)} distance(s): "
+        f"{shown}, ..."]
 
 
 def test_kron_exp_command(tmp_path):
@@ -485,18 +528,18 @@ def test_shifted_resolvent_floor_comes_from_the_shifted_inverse(tmp_path,
     assert "violations 0 resolved 10" in capsys.readouterr().err
 
 
-def _record_distances(monkeypatch, module, name):
-    """Wrap module.name so that the distance of every call is recorded."""
+def _record_engine(monkeypatch, module, name, position):
+    """Wrap module.name so that the distances argument (at ``position``) of
+    every call is recorded, one list per call."""
     real = getattr(module, name)
-    seen = []
+    calls = []
 
     def counted(*args, **kwargs):
-        report = real(*args, **kwargs)
-        seen.append(report.distance)
-        return report
+        calls.append(list(args[position]))
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
-    return real, seen
+    return calls
 
 
 @pytest.mark.parametrize("mode", ["band", "graph"])
@@ -505,15 +548,24 @@ def _record_distances(monkeypatch, module, name):
     ("cauchy", "log1p_over_z", "cauchy_entry_bound")])
 def test_run_compare_evaluates_each_distance_once(monkeypatch, mode, klass,
                                                   function, name):
+    # one engine call per column, each distinct distance in it once
     m, t, tol = make_test_matrix("pentadiag", 30), 12, 1e-6
-    real, seen = _record_distances(monkeypatch, bounds, name)
+    if klass == "laplace":
+        calls = _record_engine(monkeypatch, bounds, "_envelope_integral", 1)
+    else:
+        calls = _record_engine(monkeypatch, bounds,
+                               "_total_variation_quadrature", 2)
     _, _, rows = run_compare(m, t, function, klass, distance_mode=mode,
                              quad_tol=tol)
     bounded = [(k, d, b) for k, d, b, _, _ in rows if b is not None]
     distances = [d for _, d, _ in bounded]
     # rows share distances on both sides of t; each is evaluated once
     assert len(set(distances)) < len(distances)
+    assert len(calls) == 1
+    seen = [d[0] if klass == "laplace" else d for d in calls[0]]
     assert sorted(seen) == sorted(set(distances))
+    # every row is the public per-distance bound, bit for bit
+    real = getattr(bounds, name)
     _, _, measure = figures.resolve_function(function, klass, None, 0.0)
     iv = spectral_interval(m)
     for k, d, b in bounded:
@@ -525,16 +577,20 @@ def test_run_compare_evaluates_each_distance_once(monkeypatch, mode, klass,
     ("cauchy", "inv_sqrt", "cauchy_kron_bound")])
 def test_run_kron_compare_evaluates_each_distance_tuple_once(
         monkeypatch, klass, function, name):
+    # one engine call per column, each distinct distance tuple in it once
     a = KroneckerSum(factors=(make_test_matrix("tridiag", 6),
                               make_test_matrix("pentadiag", 6)))
     t, tol = a.linearize((3, 1)), 1e-6
-    real, seen = _record_distances(monkeypatch, kron, name)
+    calls = _record_engine(monkeypatch, kron, "_envelope_integral", 1)
     _, _, rows = run_kron_compare(a, t, function, klass, quad_tol=tol)
     tuples = [(d1, d2) for _, _, _, d1, d2, _, _ in rows]
     assert len(set(tuples)) < len(tuples)
+    assert len(calls) == 1
+    seen = calls[0]
     assert sorted(seen) == sorted(set(tuples))
     # the factors differ, so (d1, d2) and (d2, d1) are different entries
     assert seen.count((1.0, 2.0)) == 1 and seen.count((2.0, 1.0)) == 1
+    real = getattr(kron, name)
     _, _, measure = figures.resolve_function(function, klass, None, 0.0)
     ivs = tuple(spectral_interval(f) for f in a.factors)
     for k, *_, b, _ in rows:

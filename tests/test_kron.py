@@ -330,6 +330,15 @@ def test_kron_bounds_reject_many_factors():
                            component_distances(a, 1, 2))
 
 
+def test_kron_bounds_need_one_distance_per_factor(kron10):
+    ivs = factor_intervals(kron10)
+    for ds in ((3.0,), (3.0, 4.0, 5.0)):
+        with pytest.raises(ValueError, match="one distance per factor"):
+            laplace_kron_bound(ivs, laplace_catalog("phi1"), ds)
+        with pytest.raises(ValueError, match="one distance per factor"):
+            cauchy_kron_bound(ivs, cauchy_catalog("inv_sqrt"), ds)
+
+
 def test_diagonal_factor_has_no_band_distance():
     d = SparseHermitianMatrix(n=4, matrix=scipy.sparse.diags(np.arange(1.0, 5.0)))
     a = KroneckerSum(factors=(make_test_matrix("tridiag", 4), d))

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decaybounds.quadrature import integrate, integrate_semi_infinite
+from decaybounds.quadrature import (_NODES, _W_GAUSS, _W_KRONROD, _evaluate,
+                                    finite_step, integrate,
+                                    integrate_semi_infinite, run_steps,
+                                    semi_infinite_step)
 
 
 def test_constant():
@@ -107,3 +110,92 @@ def test_interval_additivity(split):
     left = integrate(f, 0.0, split, tol)
     right = integrate(f, split, 2.0, tol)
     assert abs(left.value + right.value - whole.value) <= 2 * tol + 1e-12
+
+
+# -- the lockstep engine -------------------------------------------------
+
+def test_panel_rule_matches_the_dot_product_reference():
+    # the batched row-wise weighted sum against one 15-point dot product
+    # per panel; only the summation order differs
+    rng = np.random.default_rng(3)
+    lo, width = rng.uniform(-3.0, 3.0, 50), rng.uniform(0.01, 4.0, 50)
+    panels = [(0, a, a + w, None) for a, w in zip(lo, width)]
+    f = lambda x: np.exp(np.sin(3.0 * x)) + x * x
+    vals, errs = _evaluate(lambda x, step: f(x), panels)
+    eps = np.finfo(float).eps
+    for (_, a, b, _), v, e in zip(panels, vals, errs):
+        half = 0.5 * (b - a)
+        y = f(0.5 * (a + b) + half * _NODES)
+        k, g = half * np.dot(_W_KRONROD, y), half * np.dot(_W_GAUSS, y)
+        assert abs(v - k) <= 8 * eps * abs(k)
+        assert abs(e - abs(k - g)) <= 16 * eps * abs(k)
+
+
+def _family(params):
+    """Kernel whose step i integrates exp(-c_i x) x**-0.5 cos(w_i x)."""
+    c = np.array([p[0] for p in params])[:, None]
+    w = np.array([p[1] for p in params])[:, None]
+
+    def kernel(x, step):
+        return np.exp(-c[step] * x) * x ** -0.5 * np.cos(w[step] * x)
+    return kernel
+
+
+_PARAMS = [(0.5, 0.0), (1.0, 3.0), (2.0, 10.0), (0.1, 1.0), (4.0, 0.5)]
+
+
+def _make_steps(budgets=None):
+    budgets = budgets or [10000] * len(_PARAMS)
+    steps = []
+    for i, b in enumerate(budgets):
+        if i % 2:
+            steps.append(finite_step(0.0, 7.0, 0.0, 1e-11, -0.5, b))
+        else:
+            steps.append(semi_infinite_step(0.0, 0.0, 1e-11, -0.5, b))
+    return steps
+
+
+def _alone(i, budgets=None):
+    """Step i run on its own, as the only step of the driver."""
+    return run_steps(_family([_PARAMS[i]]), [_make_steps(budgets)[i]])[0]
+
+
+def test_batch_is_bitwise_equal_to_one_step_runs():
+    batch = run_steps(_family(_PARAMS), _make_steps())
+    for i, r in enumerate(batch):
+        assert r == _alone(i), i
+        assert r.converged
+
+
+def test_shuffled_batch_is_bitwise_equal():
+    batch = run_steps(_family(_PARAMS), _make_steps())
+    order = [3, 0, 4, 2, 1]
+    steps = _make_steps()
+    shuffled = run_steps(_family([_PARAMS[i] for i in order]),
+                         [steps[i] for i in order])
+    for j, i in enumerate(order):
+        assert shuffled[j] == batch[i]
+
+
+def test_step_out_of_panels_leaves_the_others_unchanged():
+    budgets = [10000, 2, 10000, 10000, 10000]
+    batch = run_steps(_family(_PARAMS), _make_steps(budgets))
+    assert not batch[1].converged
+    assert batch[1] == _alone(1, budgets)
+    for i in (0, 2, 3, 4):
+        assert batch[i] == _alone(i)
+
+
+def test_empty_batch_calls_no_kernel():
+    def kernel(x, step):
+        raise AssertionError("no panel to evaluate")
+    assert run_steps(kernel, []) == []
+
+
+def test_public_routes_are_one_step_runs():
+    f = lambda x: np.exp(-x) * np.cos(3 * x)
+    kernel = lambda x, step: f(x)
+    assert integrate(f, 0.0, 5.0, 1e-11) == run_steps(
+        kernel, [finite_step(0.0, 5.0, 1e-11, 1e-11, 0.0, 10000)])[0]
+    assert integrate_semi_infinite(f, 0.0, 1e-11) == run_steps(
+        kernel, [semi_infinite_step(0.0, 1e-11, 1e-11, 0.0, 10000)])[0]
