@@ -179,11 +179,10 @@ def _envelope_breakpoints(d, rho):
 
 
 def _segment_steps(pieces, quad_tol, max_panels):
-    """Quadrature steps of the (lo, hi, singularity) pieces, hi may be inf;
-    absolute tolerance 0."""
-    return [semi_infinite_step(lo, 0.0, quad_tol, sing, max_panels)
+    """Quadrature steps of the (lo, hi, singularity) pieces, hi may be inf."""
+    return [semi_infinite_step(lo, quad_tol, sing, max_panels)
             if math.isinf(hi) else
-            finite_step(lo, hi, 0.0, quad_tol, sing, max_panels)
+            finite_step(lo, hi, quad_tol, sing, max_panels)
             for lo, hi, sing in pieces]
 
 
@@ -232,7 +231,7 @@ def _envelope_integral(intervals, distances, weight, upper, singularity,
         segments, err, evals, converged = [], 0.0, 0, True
         for lo, hi, _ in segs:
             r = next(results)
-            segments.append((lo, hi, float(np.asarray(r.value))))
+            segments.append((lo, hi, r.value))
             err += r.error_estimate
             evals += r.evaluations
             converged = converged and r.converged
@@ -248,30 +247,24 @@ def _envelope_integral(intervals, distances, weight, upper, singularity,
 
 
 def laplace_bounds(interval, measure, distances, *, quad_tol=1e-10,
-                   on_invalid="raise", max_panels=10000):
+                   max_panels=10000):
     """Entry bounds for f(M) with f completely monotonic, M HPD, at each
     of ``distances``: a list of reports, from one lockstep quadrature.
 
     Integrates the capped semigroup envelope against the representing
     measure, split at the envelope's regime boundaries.  The report's
     pieces I, II, III sum the segments (and atoms) in the superexponential,
-    Gaussian and trivial regimes.  Stated validity requires
-    d >= 2; smaller distances either raise
-    (``on_invalid='raise'``) or are evaluated with the capped envelope and
-    flagged ``valid=False`` (``on_invalid='extend'``).  The same number
-    bounds |f(M + i zeta I)|_{k t} for every real zeta: the shift only
-    rotates the semigroup by a unimodular phase.
+    Gaussian and trivial regimes.  The bound is stated for d >= 2; at
+    smaller distances the capped envelope still gives a rigorous value,
+    reported with ``valid=False``.  The same number bounds
+    |f(M + i zeta I)|_{k t} for every real zeta: the shift only rotates
+    the semigroup by a unimodular phase.
     """
     if not interval.is_positive_definite:
         raise ValueError("Laplace-class bounds need a positive definite matrix")
     if not measure.has_representation:
         raise ValueError(f"measure {measure.name!r} has no stored representation")
     distances = [float(d) for d in distances]
-    for d in distances:
-        if d < 2.0 and on_invalid == "raise":
-            raise ValueError(
-                f"bound is stated for distance >= 2; got distance {d} "
-                "(use on_invalid='extend' for the capped-envelope extension)")
     integrals = _envelope_integral(
         (interval,), [(d,) for d in distances], measure.density,
         measure.support_upper, measure.singularity_exponent, measure.atoms,
@@ -296,10 +289,10 @@ def laplace_bounds(interval, measure, distances, *, quad_tol=1e-10,
 
 
 def laplace_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
-                        on_invalid="raise", max_panels=10000):
+                        max_panels=10000):
     """Entry bound at one distance: the one-distance laplace_bounds."""
     return laplace_bounds(interval, measure, (distance,), quad_tol=quad_tol,
-                          on_invalid=on_invalid, max_panels=max_panels)[0]
+                          max_panels=max_panels)[0]
 
 
 def _total_variation_quadrature(kernel, measure, distances, quad_tol,
@@ -332,7 +325,7 @@ def _total_variation_quadrature(kernel, measure, distances, quad_tol,
     results = run_steps(integrand, _segment_steps(
         pieces * len(dist), quad_tol, max_panels))
     return [DecayBoundReport(
-        distance=float(d), bound=sum(float(np.asarray(r.value)) for r in rs),
+        distance=float(d), bound=sum(r.value for r in rs),
         error_estimate=sum(r.error_estimate for r in rs),
         evaluations=sum(r.evaluations for r in rs),
         converged=all(r.converged for r in rs), valid=True)

@@ -37,8 +37,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Every bound integral runs with absolute tolerance 0, and below 50 eps no
-# relative tolerance can be met: QUADPACK's floor for epsrel when epsabs <= 0
+# The bound quadrature has a relative tolerance only, and below 50 eps none
+# can be met: QUADPACK's floor for epsrel when epsabs <= 0
 # (scipy.integrate.quad rejects smaller ones).
 _QUAD_TOL_FLOOR = 50 * np.finfo(float).eps
 

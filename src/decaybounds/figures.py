@@ -29,10 +29,6 @@ FIGURE_IDS = (
     "fig7-kron-invsqrt",
 )
 
-# Oracle entries below this are never emitted for the exponential preset;
-# in practice the resolution floor of the dense oracle governs first.
-_EXP_FIGURE_CUTOFF = 1e-60
-
 _DOMINANCE_SLACK = 1e-10
 
 
@@ -68,14 +64,13 @@ def _ratio_stats(pairs, floor):
             violations += 1
         if o > 0:
             ratios.append(b / o)
-    stats = {
+    return {
         "resolved": len(ratios),
         "violations": violations,
         "ratio_min": min(ratios) if ratios else None,
         "ratio_median": float(np.median(ratios)) if ratios else None,
         "ratio_max": max(ratios) if ratios else None,
     }
-    return stats
 
 
 # Quadrature presets are argument sets for the comparison drivers:
@@ -97,10 +92,9 @@ def _closed_form_rows(figure_id, matrix_kind):
     if figure_id == "fig1-exp":
         f = lambda x: np.exp(-tau * (x - iv.lambda_min))
         shifted = SpectralInterval(0.0, iv.lambda_max - iv.lambda_min)
-        floor = max(_EXP_FIGURE_CUTOFF, oracle.oracle_floor(M, f))
     else:
         f = lambda x: x ** -0.5
-        floor = oracle.oracle_floor(M, f)
+    floor = oracle.oracle_floor(M, f)
     col = np.abs(oracle.function_column(M, f, t))
     rows = []
     for k in range(1, _N + 1):
@@ -121,7 +115,7 @@ def run_figure(figure_id, matrix_kind, out_path, quad_tol):
 
     Rows where the bound's stated validity precondition fails carry an
     empty bound cell; for the exponential preset, rows whose oracle entry
-    falls below max(1e-60, oracle resolution floor) are omitted entirely.
+    falls below the oracle resolution floor are omitted entirely.
     The quadrature presets run through :func:`run_compare` or
     :func:`run_kron_compare` and keep the columns k[, k1, k2], oracle,
     bound.
@@ -307,7 +301,7 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
         bound = (kron.laplace_kron_bounds if kind == "laplace"
                  else kron.cauchy_kron_bounds)
         evaluate = lambda dss: bound(ivs, measure, dss, quad_tol=quad_tol,
-                                     on_invalid="extend", max_panels=max_panels)
+                                     max_panels=max_panels)
     else:
         raise ValueError(f"--class {klass} --function {function} is not "
                          "available for Kronecker sums")

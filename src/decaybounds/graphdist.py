@@ -37,6 +37,9 @@ def geodesic_from(M, t, *, drop_tol=0.0):
     ``drop_tol`` (default 0: the exact nonzero pattern).  Diagonal entries
     never contribute edges.  Disconnected nodes get distance inf.
     """
+    if not (math.isfinite(drop_tol) and drop_tol >= 0.0):
+        raise ValueError(
+            f"drop tolerance must be finite and >= 0, got {drop_tol}")
     n = M.n
     if not (1 <= t <= n):
         raise IndexError(f"source {t} outside 1..{n}")

@@ -49,20 +49,11 @@ def exp_kron_bound(intervals, tau, distances):
     return DecayBoundReport(distance=tuple(distances), bound=val, valid=valid)
 
 
-def _check_validity(dists, on_invalid):
-    valid = all(d >= 2.0 for d in dists)
-    if not valid and on_invalid == "raise":
-        raise ValueError(
-            "the Kronecker bound is stated for component distances "
-            f"d_i >= 2; got {dists} "
-            "(use on_invalid='extend' for the capped-envelope extension)")
-    return valid
-
-
-def _kron_bounds(intervals, distances, on_invalid, weight, upper,
-                 singularity, atoms, quad_tol, max_panels):
+def _kron_bounds(intervals, distances, weight, upper, singularity, atoms,
+                 quad_tol, max_panels):
     """Shared engine of the Laplace and Cauchy routes: the product-envelope
-    integrals over the factors at each tuple of component distances."""
+    integrals over the factors at each tuple of component distances, each
+    ``valid`` when every d_L >= 2 (the capped envelopes bound any d_L)."""
     if len(intervals) not in (2, 3):
         raise ValueError("Kronecker bounds support two or three factors")
     for iv in intervals:
@@ -71,17 +62,17 @@ def _kron_bounds(intervals, distances, on_invalid, weight, upper,
     distances = [tuple(ds) for ds in distances]
     if any(len(ds) != len(intervals) for ds in distances):
         raise ValueError("each distance tuple needs one distance per factor")
-    valid = [_check_validity(ds, on_invalid) for ds in distances]
     integrals = _envelope_integral(intervals, distances, weight, upper,
                                    singularity, atoms, quad_tol, max_panels)
     return [DecayBoundReport(distance=ds, bound=total, error_estimate=err,
-                             evaluations=evals, converged=converged, valid=ok)
-            for ds, ok, (total, _, err, evals, converged)
-            in zip(distances, valid, integrals)]
+                             evaluations=evals, converged=converged,
+                             valid=all(d >= 2.0 for d in ds))
+            for ds, (total, _, err, evals, converged)
+            in zip(distances, integrals)]
 
 
 def laplace_kron_bounds(intervals, measure, distances, *, quad_tol=1e-10,
-                        on_invalid="raise", max_panels=10000):
+                        max_panels=10000):
     """Entry bounds for f(A), f completely monotonic, A = M_1 (+) M_2
     [(+) M_3], at each tuple of per-factor distances: a list of reports,
     from one lockstep quadrature.
@@ -92,21 +83,20 @@ def laplace_kron_bounds(intervals, measure, distances, *, quad_tol=1e-10,
     """
     if not measure.has_representation:
         raise ValueError(f"measure {measure.name!r} has no stored representation")
-    return _kron_bounds(intervals, distances, on_invalid, measure.density,
+    return _kron_bounds(intervals, distances, measure.density,
                         measure.support_upper, measure.singularity_exponent,
                         measure.atoms, quad_tol, max_panels)
 
 
 def laplace_kron_bound(intervals, measure, distances, *, quad_tol=1e-10,
-                       on_invalid="raise", max_panels=10000):
+                       max_panels=10000):
     """Entry bound at one distance tuple: the one-tuple laplace_kron_bounds."""
     return laplace_kron_bounds(intervals, measure, (distances,),
-                               quad_tol=quad_tol, on_invalid=on_invalid,
-                               max_panels=max_panels)[0]
+                               quad_tol=quad_tol, max_panels=max_panels)[0]
 
 
 def cauchy_kron_bounds(intervals, measure, distances, *, quad_tol=1e-10,
-                       on_invalid="raise", max_panels=10000):
+                       max_panels=10000):
     """Entry bounds for f(A), f Markov-type with support in (-inf, 0], at
     each tuple of per-factor distances: a list of reports, from one
     lockstep quadrature.
@@ -121,13 +111,12 @@ def cauchy_kron_bounds(intervals, measure, distances, *, quad_tol=1e-10,
               else measure.laplace_transform)
     if weight is None:
         raise ValueError(f"measure {measure.name!r} has no closed-form transform")
-    return _kron_bounds(intervals, distances, on_invalid, weight, math.inf,
+    return _kron_bounds(intervals, distances, weight, math.inf,
                         measure.transform_singularity, (), quad_tol, max_panels)
 
 
 def cauchy_kron_bound(intervals, measure, distances, *, quad_tol=1e-10,
-                      on_invalid="raise", max_panels=10000):
+                      max_panels=10000):
     """Entry bound at one distance tuple: the one-tuple cauchy_kron_bounds."""
     return cauchy_kron_bounds(intervals, measure, (distances,),
-                              quad_tol=quad_tol, on_invalid=on_invalid,
-                              max_panels=max_panels)[0]
+                              quad_tol=quad_tol, max_panels=max_panels)[0]

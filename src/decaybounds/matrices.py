@@ -158,12 +158,6 @@ class SpectralInterval:
         return (self.lambda_max - self.lambda_min) / 4.0
 
     @property
-    def kappa(self):
-        if self.lambda_min <= 0:
-            raise ValueError("condition number needs a positive definite interval")
-        return self.lambda_max / self.lambda_min
-
-    @property
     def is_positive_definite(self):
         return self.lambda_min > 0
 

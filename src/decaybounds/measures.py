@@ -77,7 +77,10 @@ def _parse_parameter(name, key):
     head, _, rest = name.partition(":")
     if head != key or not rest:
         raise ValueError(f"expected {key}:<value>, got {name!r}")
-    return float(rest)
+    value = float(rest)
+    if not math.isfinite(value):
+        raise ValueError(f"{key} needs a finite value, got {name!r}")
+    return value
 
 
 def laplace_catalog(name):
@@ -118,7 +121,11 @@ def laplace_catalog(name):
         sigma = _parse_parameter(name, "inv_pow")
         if sigma <= 0:
             raise ValueError(f"inv_pow requires sigma > 0, got {sigma}")
-        c = 1.0 / math.gamma(sigma)
+        try:
+            c = 1.0 / math.gamma(sigma)
+        except OverflowError:
+            raise ValueError("inv_pow requires sigma below about 171.62, where "
+                             f"Gamma(sigma) overflows; got {sigma}") from None
         return LaplaceMeasure(
             name=name,
             closed_form=lambda x: x ** -sigma,

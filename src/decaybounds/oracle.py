@@ -35,7 +35,7 @@ def eigendecomposition(M):
 
 def _on_spectrum(f, w):
     """f on the eigenvalues w; a ValueError where it is not finite."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         fw = np.asarray(f(w))
     if not np.all(np.isfinite(fw)):
         raise ValueError("function is undefined or non-finite on the spectrum")

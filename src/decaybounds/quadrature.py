@@ -5,11 +5,10 @@ a declared left-endpoint singularity substitution and geometric tail
 extension, written once as generator steps: a step yields the panels it
 needs and receives their (value, error) pairs.  :func:`run_steps` drives
 many steps in lockstep with one vectorized kernel call per round, and a
-step's result does not depend on the steps it runs with.  Integrands of
-:func:`integrate` and :func:`integrate_semi_infinite` (its one-step case)
-receive a numpy array of abscissae and must return an array of matching
-leading shape; vector-valued integrands (shape ``(npts, m)``) are
-supported, with errors measured in the max norm.
+step's result does not depend on the steps it runs with.  Integrands are
+scalar: they receive a numpy array of abscissae and return an array of the
+same shape.  The one tolerance is relative: a step stops once its error
+estimate is at most ``rtol`` times the magnitude of its value.
 """
 
 from __future__ import annotations
@@ -62,17 +61,10 @@ _MAX_INTERVALS = 200
 class QuadratureResult:
     """Value, error estimate, evaluation count and convergence flag."""
 
-    value: object
+    value: float
     error_estimate: float
     evaluations: int
     converged: bool
-
-
-def _norm(v):
-    a = np.asarray(v)
-    if a.ndim == 0:
-        return abs(float(a))
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def _evaluate(kernel, panels):
@@ -90,14 +82,12 @@ def _evaluate(kernel, panels):
         x[rows] = a + u ** m
         jacobians.append((rows, m * u ** (m - 1)))
     y = np.asarray(kernel(x, np.array(step)), dtype=float)
-    trail = (None,) * (y.ndim - 2)        # vector-valued integrands
     for rows, jac in jacobians:
-        y[rows] = y[rows] * jac[(...,) + trail]
+        y[rows] = y[rows] * jac
     # a row-wise sum (not y @ W) keeps each panel independent of the batch
-    k = half[(...,) + trail] * (y * _W_KRONROD[(slice(None),) + trail]).sum(axis=1)
-    g = half[(...,) + trail] * (y * _W_GAUSS[(slice(None),) + trail]).sum(axis=1)
-    err = np.abs(k - g).reshape(len(panels), -1).max(axis=1, initial=0.0)
-    return (k.tolist() if k.ndim == 1 else list(k)), err.tolist()
+    k = half * (y * _W_KRONROD).sum(axis=1)
+    g = half * (y * _W_GAUSS).sum(axis=1)
+    return k.tolist(), np.abs(k - g).tolist()
 
 
 def run_steps(kernel, steps):
@@ -108,7 +98,7 @@ def run_steps(kernel, steps):
     Each round stacks the pending panels of every step into one
     ``(P, 15)`` abscissa array x and calls ``kernel(x, step)`` once;
     ``step[i]`` is the index of the step owning row i, and the kernel
-    returns values of shape ``(P, 15)`` or ``(P, 15, m)``."""
+    returns values of shape ``(P, 15)``."""
     steps = list(steps)
     results = [None] * len(steps)
     sent = [None] * len(steps)
@@ -129,7 +119,7 @@ def run_steps(kernel, steps):
     return results
 
 
-def _adaptive(a, b, atol, rtol, max_panels, sub):
+def _adaptive(a, b, rtol, max_panels, sub):
     """Globally adaptive bisection step; deterministic (value summed in
     interval order, heap ties broken by insertion sequence)."""
     ((val, err),) = yield [(a, b, sub)]
@@ -141,7 +131,7 @@ def _adaptive(a, b, atol, rtol, max_panels, sub):
     total_err = err
     total_val = val
     while True:
-        if total_err <= max(atol, rtol * _norm(total_val)):
+        if total_err <= rtol * abs(total_val):
             converged = True
             break
         if not heap or n_panels >= max_panels:
@@ -154,25 +144,25 @@ def _adaptive(a, b, atol, rtol, max_panels, sub):
             dead.append(worst)
             continue
         total_err -= perr
-        total_val = total_val - pval
+        total_val -= pval
         halves = ((pa, mid), (mid, pb))
         got = yield [(qa, qb, sub) for qa, qb in halves]
         for (qa, qb), (v, e) in zip(halves, got):
             evaluations += 15
             seq += 1
             total_err += e
-            total_val = total_val + v
+            total_val += v
             heapq.heappush(heap, (-e, seq, qa, qb, v, e))
         n_panels += 1
     panels = sorted(heap + dead, key=lambda p: p[2])
     value = panels[0][4]
     for p in panels[1:]:
-        value = value + p[4]
+        value += p[4]
     error = float(sum(p[5] for p in panels))
     return value, error, evaluations, converged
 
 
-def finite_step(a, b, tol, rtol, singularity_a, max_panels):
+def finite_step(a, b, rtol, singularity_a, max_panels):
     """Step integrating over [a, b]; see :func:`integrate`."""
     if not (a < b):
         if a == b:
@@ -184,69 +174,56 @@ def finite_step(a, b, tol, rtol, singularity_a, max_panels):
     if singularity_a < 0.0:
         # tau = a + u**m removes an integrable endpoint singularity tau**p
         m = max(2, math.ceil(2.0 / (1.0 + singularity_a)))
-        val, err, ev, ok = yield from _adaptive(
-            0.0, (b - a) ** (1.0 / m), tol, rtol, max_panels, (a, m))
+        result = yield from _adaptive(0.0, (b - a) ** (1.0 / m), rtol,
+                                      max_panels, (a, m))
     else:
-        val, err, ev, ok = yield from _adaptive(a, b, tol, rtol, max_panels,
-                                                None)
-    if np.ndim(val) == 0:
-        val = float(val)
-    return QuadratureResult(val, err, ev, ok)
+        result = yield from _adaptive(a, b, rtol, max_panels, None)
+    return QuadratureResult(*result)
 
 
-def semi_infinite_step(a, tol, rtol, singularity_a, max_panels,
-                       initial_width=1.0):
+def semi_infinite_step(a, rtol, singularity_a, max_panels):
     """Step integrating over [a, oo); see :func:`integrate_semi_infinite`."""
-    total = None
+    total = 0.0
     err = 0.0
     evaluations = 0
     converged_all = True
     lo = float(a)
-    width = float(initial_width)
+    width = 1.0
     small_streak = 0
-    tail = 0.0
-    ran_out = True
     for i in range(_MAX_INTERVALS):
         hi = lo + width
         budget = max(64, max_panels - evaluations // 15)
-        r = yield from finite_step(lo, hi, 0.0, rtol,
+        r = yield from finite_step(lo, hi, rtol,
                                    singularity_a if i == 0 else 0.0, budget)
-        total = r.value if total is None else total + r.value
+        total += r.value
         err += r.error_estimate
         evaluations += r.evaluations
         converged_all = converged_all and r.converged
-        chunk = _norm(r.value)
-        tail_tol = max(tol, rtol * _norm(total)) / 10.0
-        if chunk <= tail_tol:
+        chunk = abs(r.value)
+        if chunk <= rtol * abs(total) / 10.0:
             small_streak += 1
             if small_streak >= 2:
-                tail = chunk
-                ran_out = False
-                break
+                # the last contribution is charged as the tail allowance
+                return QuadratureResult(total, err + chunk, evaluations,
+                                        converged_all)
         else:
             small_streak = 0
         lo = hi
         width *= 2.0
-    err += tail
-    if np.ndim(total) == 0:
-        total = float(total)
-    return QuadratureResult(total, err, evaluations, converged_all and not ran_out)
+    return QuadratureResult(total, err, evaluations, False)
 
 
 def _pointwise(f):
     """Kernel of a one-step run: ``f`` on the flattened abscissae."""
     def kernel(x, _):
-        y = np.asarray(f(x.ravel()), dtype=float)
-        return y.reshape(x.shape + y.shape[1:])
+        return np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
     return kernel
 
 
-def integrate(f, a, b, tol=1e-8, *, rtol=None, singularity_a=0.0,
-              max_panels=10000):
+def integrate(f, a, b, rtol=1e-8, *, singularity_a=0.0, max_panels=10000):
     """Integrate ``f`` over [a, b] with adaptive Gauss-Kronrod panels.
 
-    ``tol`` is the absolute tolerance; ``rtol`` defaults to ``tol`` so the
-    stopping rule is ``err <= max(tol, rtol * |value|)``.  A left-endpoint
+    The stopping rule is ``err <= rtol * |value|``.  A left-endpoint
     singularity must be declared via ``singularity_a`` as an exponent p in
     (-1, 0]: the integrand behaves like ``(x - a)**p`` near ``a`` and is
     removed by a power substitution before the adaptive pass.
@@ -254,22 +231,20 @@ def integrate(f, a, b, tol=1e-8, *, rtol=None, singularity_a=0.0,
     Non-convergence after ``max_panels`` panels is reported through
     ``converged=False``; no exception is raised.
     """
-    step = finite_step(a, b, tol, tol if rtol is None else rtol,
-                       singularity_a, max_panels)
+    step = finite_step(a, b, rtol, singularity_a, max_panels)
     return run_steps(_pointwise(f), [step])[0]
 
 
-def integrate_semi_infinite(f, a, tol=1e-8, *, rtol=None, singularity_a=0.0,
-                            max_panels=10000, initial_width=1.0):
+def integrate_semi_infinite(f, a, rtol=1e-8, *, singularity_a=0.0,
+                            max_panels=10000):
     """Integrate ``f`` over [a, oo) for absolutely integrable ``f`` with
     eventually monotone decay.
 
-    Intervals of geometrically doubling width are integrated until two
-    consecutive contributions fall below a tenth of the running tolerance;
-    the last contribution is charged to the error estimate as a tail
-    allowance.  Each doubling interval may use the panels that the earlier
-    ones left of ``max_panels``, and at least 64.
+    Intervals of doubling width, starting at 1, are integrated until two
+    consecutive contributions fall below ``rtol / 10`` times the running
+    total; the last contribution is charged to the error estimate as a
+    tail allowance.  Each doubling interval may use the panels that the
+    earlier ones left of ``max_panels``, and at least 64.
     """
-    step = semi_infinite_step(a, tol, tol if rtol is None else rtol,
-                              singularity_a, max_panels, initial_width)
+    step = semi_infinite_step(a, rtol, singularity_a, max_panels)
     return run_steps(_pointwise(f), [step])[0]

@@ -1,3 +1,6 @@
+import contextlib
+import warnings
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -7,6 +10,15 @@ settings.register_profile(
     "suite", max_examples=30, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+
+# On a failing example hypothesis imports this module, and through libcst
+# mypy_extensions, which warns on import.  Under filterwarnings = error
+# that warning is raised inside the plugin's report hook and ends the
+# whole session.  Imported once here, with warnings silenced, it has
+# nothing left to warn about later.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore")
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(scope="session")

@@ -9,14 +9,15 @@ rational inversion, Floyd-Warshall distances, and scipy quadrature of
 total-variation transforms.  ``envelope_integral_reference`` integrates
 the single-matrix Laplace envelope by piecewise scipy quadrature, split
 at every kink of the envelope.  ``laplace_transform_of_cauchy`` evaluates a
-Cauchy measure's Laplace transform from its density with the package's
-semi-infinite quadrature, for checking the stored closed forms.
+Cauchy measure's Laplace transform from its density with
+``scipy.integrate.quad``, for checking the stored closed forms.
 
 The remaining routes were moved here from the package because only tests
 call them; their behaviour is unchanged:
 
 * ``lancaster_column`` (from ``oracle``): a Kronecker-sum resolvent
-  column by quadrature of the Sylvester exponential kernel;
+  column by ``scipy.integrate.quad_vec`` of the Sylvester exponential
+  kernel;
 * ``exp_kron_entry_exact`` and ``sincos_kron_exact`` (from ``kron``):
   exp(-tau A), sin(A) and cos(A) entries of a Kronecker sum from the
   factors' eigendecompositions;
@@ -26,7 +27,10 @@ call them; their behaviour is unchanged:
   "gershgorin")``): the Gershgorin disc enclosure;
 * ``laplace_reconstruct`` and ``cauchy_reconstruct`` (the former
   ``LaplaceMeasure.reconstruct`` and ``CauchyMeasure.reconstruct``):
-  f(x) from a measure by quadrature.
+  f(x) from a measure by ``scipy.integrate.quad``.
+
+None of the quadrature routes here runs the package's own quadrature
+engine, so they check it independently.
 
 ``stdlib_csv_write`` renders a CSV through the standard library's
 ``csv.writer``, the reference for the package's own CSV writer.
@@ -44,7 +48,6 @@ from decaybounds.bounds import _envelope_integral
 from decaybounds.kron import _component_distances
 from decaybounds.matrices import SpectralInterval, spectral_interval
 from decaybounds.oracle import eigendecomposition
-from decaybounds.quadrature import integrate, integrate_semi_infinite
 
 
 def expm_column_nonneg(a, tau, t, max_terms=2000):
@@ -151,29 +154,43 @@ def expsqrt_variation_transform(tpar, tau):
             return total
 
 
+def _quad(f, a, b, tol, singularity_a, what):
+    """int_a^b f (b may be inf) by ``scipy.integrate.quad`` to
+    max(tol, tol * |value|).  A left-endpoint singularity (x - a)**p,
+    ``singularity_a`` = p in (-1, 0), is first weakened by x = a + u**2.
+    Raises RuntimeError naming ``what`` when QUADPACK reports a failure
+    (divergent integrals are reported the same way).  The subdivision
+    limit is high because the expsqrt densities oscillate without end."""
+    from scipy.integrate import quad
+
+    if singularity_a < 0.0:
+        g, lo, hi = (lambda u: 2.0 * u * f(a + u * u)), 0.0, math.sqrt(b - a)
+    else:
+        g, lo, hi = f, a, b
+    value, _, _, *failure = quad(g, lo, hi, epsabs=tol, epsrel=tol,
+                                 limit=10000, full_output=1)
+    if failure:
+        raise RuntimeError(f"{what} did not converge: {failure[0]}")
+    return value
+
+
 def laplace_transform_of_cauchy(measure, tau, tol=1e-10, use_abs=False):
     """g(tau) = int_{-inf}^{upper} exp(tau omega) dgamma(omega), tau > 0.
 
     The stored closed form is used when available; for total-variation
     integrals of signed measures (``use_abs=True``) or measures without a
-    closed form, the integral is evaluated by semi-infinite quadrature.
-    Raises when the quadrature does not converge (divergent integrals are
-    reported the same way, with a diagnostic).
+    closed form, the integral is evaluated by scipy quadrature.  Raises
+    when the quadrature does not converge.
     """
     if tau <= 0:
         raise ValueError("the transform needs tau > 0")
     if measure.laplace_transform is not None and not (use_abs and measure.signed):
         return float(measure.laplace_transform(tau))
     dens = measure.abs_density_s if use_abs else measure.density_s
-    s0 = -measure.support_upper
-    f = lambda s: np.exp(-tau * s) * dens(s)
-    r = integrate_semi_infinite(f, s0, tol,
-                                singularity_a=measure.singularity_exponent)
-    if not r.converged:
-        raise RuntimeError(
-            f"Laplace transform of {measure.name} did not converge at tau={tau}; "
-            "the integral may be divergent")
-    return r.value
+    return _quad(lambda s: math.exp(-tau * s) * float(dens(s)),
+                 -measure.support_upper, math.inf, tol,
+                 measure.singularity_exponent,
+                 f"Laplace transform of {measure.name} at tau={tau}")
 
 
 def lancaster_column(M, omega, t, tol=1e-8):
@@ -185,8 +202,11 @@ def lancaster_column(M, omega, t, tol=1e-8):
     Returns vec(X) with the first index fastest, i.e. the column of
     (A - omega I)^{-1} at index t for A the Kronecker sum of M with itself.
     This route is deliberately independent of a direct dense solve so the
-    two can be cross-checked.
+    two can be cross-checked; ``tol`` is the absolute and relative
+    tolerance of ``scipy.integrate.quad_vec`` in the max norm.
     """
+    from scipy.integrate import quad_vec
+
     if omega > 0:
         raise ValueError("omega must be <= 0")
     t1, t2 = t
@@ -197,17 +217,19 @@ def lancaster_column(M, omega, t, tol=1e-8):
     a = np.conj(u[t1 - 1, :])
     b = np.conj(u[t2 - 1, :])
 
-    def integrand(taus):
-        # columns u exp(-tau w) a and u exp(-tau (w - omega)) b per node
-        e1 = u @ (np.exp(-np.outer(w, taus)) * a[:, None])            # (n, npts)
-        e2 = u @ (np.exp(-np.outer(w - omega, taus)) * b[:, None])    # (n, npts)
+    def integrand(tau):
+        # the columns u exp(-tau w) a and u exp(-tau (w - omega)) b
+        e1 = u @ (np.exp(-tau * w) * a)
+        e2 = u @ (np.exp(-tau * (w - omega)) * b)
         # vec with first index fastest: flat[(k2-1)n + k1 - 1] = X[k1, k2]
-        return (e2.T[:, :, None] * e1.T[:, None, :]).reshape(taus.size, -1)
+        return np.outer(e2, e1).ravel()
 
-    r = integrate_semi_infinite(integrand, 0.0, tol, initial_width=0.5 / w[0])
-    if not r.converged:
-        raise RuntimeError("Sylvester kernel quadrature did not converge")
-    return np.asarray(r.value)
+    value, _, info = quad_vec(integrand, 0.0, math.inf, epsabs=tol,
+                              epsrel=tol, norm="max", full_output=True)
+    if not info.success:
+        raise RuntimeError("Sylvester kernel quadrature did not converge: "
+                           f"{info.message}")
+    return value
 
 
 def exp_kron_entry_exact(A, tau, k, t):
@@ -290,16 +312,10 @@ def laplace_reconstruct(measure, x, tol=1e-10):
             "density; only its closed form is available")
     total = 0.0
     if measure.density is not None:
-        f = lambda t: np.exp(-x * t) * measure.density(t)
-        if math.isinf(measure.support_upper):
-            r = integrate_semi_infinite(f, 0.0, tol,
-                                        singularity_a=measure.singularity_exponent)
-        else:
-            r = integrate(f, 0.0, measure.support_upper, tol,
-                          singularity_a=measure.singularity_exponent)
-        if not r.converged:
-            raise RuntimeError(f"reconstruction quadrature failed for {measure.name}")
-        total += r.value
+        total += _quad(lambda t: math.exp(-x * t) * float(measure.density(t)),
+                       0.0, measure.support_upper, tol,
+                       measure.singularity_exponent,
+                       f"reconstruction quadrature for {measure.name}")
     for loc, weight in measure.atoms:
         total += weight * math.exp(-x * loc)
     return total
@@ -307,13 +323,10 @@ def laplace_reconstruct(measure, x, tol=1e-10):
 
 def cauchy_reconstruct(measure, x, tol=1e-10):
     """Evaluate f(x) = int v(omega)/(x - omega) domega by quadrature."""
-    s0 = -measure.support_upper
-    f = lambda s: measure.density_s(s) / (x + s)
-    r = integrate_semi_infinite(f, s0, tol,
-                                singularity_a=measure.singularity_exponent)
-    if not r.converged:
-        raise RuntimeError(f"reconstruction quadrature failed for {measure.name}")
-    return r.value
+    return _quad(lambda s: float(measure.density_s(s)) / (x + s),
+                 -measure.support_upper, math.inf, tol,
+                 measure.singularity_exponent,
+                 f"reconstruction quadrature for {measure.name}")
 
 
 def stdlib_csv_write(path, header, rows):

@@ -187,7 +187,7 @@ def test_criterion_06_kron_bounds_dominate_and_oscillate():
             ivs = factor_intervals(a)
             for k in range(1, 401):
                 rep = bound(ivs, measure, component_distances(a, k, t),
-                            on_invalid="extend", quad_tol=1e-9)
+                            quad_tol=1e-9)
                 assert rep.converged
                 bounds[k - 1] = rep.bound
                 if col[k - 1] >= floor:
@@ -234,8 +234,8 @@ def test_criterion_08_dual_class_consistency():
     ivs = factor_intervals(a)
     for k in (30, 94 - 45, 201, 350):
         ds = component_distances(a, k, 94)
-        ls = laplace_kron_bound(ivs, lm, ds, on_invalid="extend", quad_tol=1e-10)
-        cs = cauchy_kron_bound(ivs, cm, ds, on_invalid="extend", quad_tol=1e-10)
+        ls = laplace_kron_bound(ivs, lm, ds, quad_tol=1e-10)
+        cs = cauchy_kron_bound(ivs, cm, ds, quad_tol=1e-10)
         tol = ls.error_estimate + cs.error_estimate + 1e-13 * ls.bound
         assert abs(ls.bound - cs.bound) <= tol, k
         if ls.bound > 0:

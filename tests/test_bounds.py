@@ -158,7 +158,8 @@ def test_demko_zero_for_scaled_identity():
 def test_demko_normalization_cancels():
     m = make_test_matrix("tridiag", 60)
     iv = spectral_interval(m)
-    q = (math.sqrt(iv.kappa) - 1.0) / (math.sqrt(iv.kappa) + 1.0)
+    kappa = iv.lambda_max / iv.lambda_min
+    q = (math.sqrt(kappa) - 1.0) / (math.sqrt(kappa) + 1.0)
     for k, t in ((5, 30), (30, 30), (58, 12)):
         direct = demko_constant(iv.lambda_min, iv.lambda_max) * q ** abs(k - t)
         assert demko_bound(iv, abs(k - t), diag_max=m.diagonal_max()) == \
@@ -257,7 +258,8 @@ def test_shifted_kernel_never_worse_than_unshifted(width, shift):
     lmin = 1.0
     base = SpectralInterval(lmin, lmin + width)
     shifted = SpectralInterval(lmin + shift, lmin + width + shift)
-    assert shifted.kappa <= base.kappa + 1e-12
+    assert (shifted.lambda_max / shifted.lambda_min
+            <= base.lambda_max / base.lambda_min + 1e-12)
     assert _demko_rate(shifted) <= _demko_rate(base) + 1e-12
 
 
@@ -316,7 +318,7 @@ def test_laplace_pieces_sum_to_bound(fname, mode):
     iv = spectral_interval(m) if mode == "exact" else gershgorin_interval(m)
     measure = laplace_catalog(fname)
     for d in (1.0, 2.0, 20.0):
-        rep = laplace_entry_bound(iv, measure, d, on_invalid="extend")
+        rep = laplace_entry_bound(iv, measure, d)
         assert rep.valid == (d >= 2.0)
         assert rep.converged
         assert min(rep.pieces.values()) >= 0.0
@@ -337,9 +339,7 @@ def test_laplace_validity_guard_and_extension():
     m = make_test_matrix("pentadiag", 30)
     iv = spectral_interval(m)
     measure = laplace_catalog("inv")
-    with pytest.raises(ValueError):
-        laplace_entry_bound(iv, measure, 0.5)
-    rep = laplace_entry_bound(iv, measure, 0.5, on_invalid="extend")
+    rep = laplace_entry_bound(iv, measure, 0.5)
     assert not rep.valid
     assert rep.bound > 0
 

@@ -411,6 +411,28 @@ def _write_diagonal_mtx(path, n=5):
      "--function", "inv_sqrt", "--column", "100", "--quad-tol", "2e-15"],
     ["compare", "--matrix", "tridiag", "--n", "200", "--class", "laplace",
      "--function", "inv_sqrt", "--column", "100", "--quad-tol", "1e-14"],
+    # catalog parameters must be finite, and Gamma(sigma) must not overflow
+    ["compare", "--matrix", "tridiag", "--n", "20", "--class", "laplace",
+     "--function", "inv_pow:172", "--column", "10"],
+    ["compare", "--matrix", "tridiag", "--n", "20", "--class", "laplace",
+     "--function", "inv_pow:inf", "--column", "10"],
+    ["compare", "--matrix", "tridiag", "--n", "20", "--class", "cauchy",
+     "--function", "expsqrt:inf", "--column", "10"],
+    # a drop tolerance of nan or inf would drop every pattern edge
+    ["compare", "--matrix", "tridiag", "--n", "20", "--class", "cauchy",
+     "--function", "inv", "--column", "10", "--distance", "graph",
+     "--pattern-drop-tol", "nan"],
+    ["compare", "--matrix", "tridiag", "--n", "20", "--class", "cauchy",
+     "--function", "inv", "--column", "10", "--distance", "graph",
+     "--pattern-drop-tol", "inf"],
+    # exp(-tau x) overflows on the spectrum: an error, and no numpy warning
+    ["compare", "--matrix", "tridiag", "--n", "20", "--class", "exp",
+     "--tau", "-1000", "--column", "10"],
+    ["oracle", "--matrix", "tridiag", "--n", "20", "--class", "exp",
+     "--function", "exp", "--tau", "-1000", "--column", "10"],
+    ["kron", "--factors", "tridiag,tridiag", "--n", "5", "--class", "exp",
+     "--tau", "-1000", "--column", "13"],
+    ["surface", "--function", "exp", "--tau", "-100", "--out", "{tmp}/x.csv"],
 ])
 def test_input_errors_exit_one_with_message(argv, tmp_path, capsys):
     _write_diagonal_mtx(tmp_path / "diag.mtx")
@@ -595,7 +617,7 @@ def test_run_kron_compare_evaluates_each_distance_tuple_once(
     ivs = tuple(spectral_interval(f) for f in a.factors)
     for k, *_, b, _ in rows:
         assert b == real(ivs, measure, kron._component_distances(a, k, t),
-                         quad_tol=tol, on_invalid="extend").bound, k
+                         quad_tol=tol).bound, k
 
 
 # The documented (--class, --function) vocabulary of the README.

@@ -49,6 +49,13 @@ def test_drop_tolerance_removes_weak_edges():
     assert math.isinf(geodesic_from(m, 1, drop_tol=1e-6)[2])
 
 
+@pytest.mark.parametrize("drop_tol", [math.nan, math.inf, -1.0])
+def test_drop_tolerance_must_be_finite_and_nonnegative(drop_tol):
+    # nan and inf would silently drop every edge
+    with pytest.raises(ValueError):
+        geodesic_from(make_test_matrix("tridiag", 5), 1, drop_tol=drop_tol)
+
+
 @pytest.mark.parametrize("beta", [1, 2, 3])
 def test_full_band_matches_ceiling_exhaustively(beta):
     stencil = [-0.25] * beta + [4.0] + [-0.25] * beta

@@ -176,7 +176,7 @@ def test_laplace_kron_phi1_dominates_and_oscillates(kind):
     ivs = factor_intervals(a)
     for k in range(1, 401):
         rep = laplace_kron_bound(ivs, measure, component_distances(a, k, t),
-                                 on_invalid="extend", quad_tol=1e-9)
+                                 quad_tol=1e-9)
         assert rep.converged
         bounds[k - 1] = rep.bound
         if col[k - 1] >= floor:
@@ -203,7 +203,7 @@ def test_cauchy_kron_invsqrt_dominates():
     ivs = factor_intervals(a)
     for k in range(1, 401, 2):
         rep = cauchy_kron_bound(ivs, measure, component_distances(a, k, t),
-                                on_invalid="extend", quad_tol=1e-9)
+                                quad_tol=1e-9)
         assert rep.converged
         if col[k - 1] >= floor:
             assert rep.bound >= col[k - 1] * SLACK
@@ -216,8 +216,8 @@ def test_kron_invsqrt_two_routes_agree(kron10):
     ivs = factor_intervals(kron10)
     for k in (17, 50, 83):
         ds = component_distances(kron10, k, 94)
-        a = laplace_kron_bound(ivs, ls, ds, on_invalid="extend").bound
-        b = cauchy_kron_bound(ivs, cs, ds, on_invalid="extend").bound
+        a = laplace_kron_bound(ivs, ls, ds).bound
+        b = cauchy_kron_bound(ivs, cs, ds).bound
         assert b == pytest.approx(a, rel=1e-8)
 
 
@@ -225,8 +225,8 @@ def test_kron_split_bound_dominates_direct(kron10):
     cs = cauchy_catalog("inv_sqrt")
     ivs = factor_intervals(kron10)
     for k in (17, 50, 83):
-        direct = cauchy_kron_bound(ivs, cs, component_distances(kron10, k, 94),
-                                   on_invalid="extend").bound
+        direct = cauchy_kron_bound(
+            ivs, cs, component_distances(kron10, k, 94)).bound
         split = invsqrt_kron_split_bound(kron10, k, 94)
         assert split >= direct * SLACK
 
@@ -236,7 +236,7 @@ def test_kron_atom_measure_reduces_to_exp_kron(kron10):
     ivs = factor_intervals(kron10)
     for k in (3, 40, 77):
         ds = component_distances(kron10, k, 94)
-        rep = laplace_kron_bound(ivs, measure, ds, on_invalid="extend")
+        rep = laplace_kron_bound(ivs, measure, ds)
         expect = exp_kron_bound(ivs, 1.0, ds)
         assert rep.bound == pytest.approx(expect.bound, rel=1e-12)
 
@@ -244,9 +244,7 @@ def test_kron_atom_measure_reduces_to_exp_kron(kron10):
 def test_kron_validity_guard(kron10):
     measure = laplace_catalog("phi1")
     ivs, ds = factor_intervals(kron10), component_distances(kron10, 94, 95)
-    with pytest.raises(ValueError):
-        laplace_kron_bound(ivs, measure, ds)
-    rep = laplace_kron_bound(ivs, measure, ds, on_invalid="extend")
+    rep = laplace_kron_bound(ivs, measure, ds)
     assert not rep.valid
 
 
@@ -259,8 +257,7 @@ def test_laplace_kron_three_factors_dominates():
     floor = oracle_floor(a, measure.closed_form)
     ivs = factor_intervals(a)
     for k in range(1, 126, 2):
-        rep = laplace_kron_bound(ivs, measure, component_distances(a, k, t),
-                                 on_invalid="extend")
+        rep = laplace_kron_bound(ivs, measure, component_distances(a, k, t))
         if col[k - 1] >= floor:
             assert rep.bound >= col[k - 1] * SLACK
 
@@ -274,14 +271,13 @@ def test_laplace_kron_three_factors_single_active_distance():
     phi1 = laplace_catalog("phi1")
     t = a.linearize((1, 3, 4))
     k = a.linearize((5, 3, 4))
-    rep = laplace_kron_bound((iv, iv, iv), phi1, component_distances(a, k, t),
-                             on_invalid="extend")
+    rep = laplace_kron_bound((iv, iv, iv), phi1, component_distances(a, k, t))
     damped = LaplaceMeasure(
         name="phi1-damped",
         closed_form=phi1.closed_form,
         density=lambda taus: phi1.density(taus) * np.exp(-2 * iv.lambda_min * taus),
         support_upper=phi1.support_upper)
-    single = laplace_entry_bound(iv, damped, 4.0, on_invalid="extend")
+    single = laplace_entry_bound(iv, damped, 4.0)
     assert rep.bound == pytest.approx(single.bound, rel=1e-9)
 
 
@@ -290,7 +286,7 @@ def test_kron_atom_measure_three_factors(kron10):
     a = KroneckerSum(factors=(m, m, m))
     measure = laplace_catalog("exp")
     ivs, ds = factor_intervals(a), component_distances(a, 7, 100)
-    rep = laplace_kron_bound(ivs, measure, ds, on_invalid="extend")
+    rep = laplace_kron_bound(ivs, measure, ds)
     expect = exp_kron_bound(ivs, 1.0, ds)
     assert rep.bound == pytest.approx(expect.bound, rel=1e-12)
 
@@ -302,11 +298,10 @@ def test_kron_factor_symmetry(kron10):
     t_swap = kron10.linearize((8, 3))
     k_swap = kron10.linearize((2, 7))
     ivs = factor_intervals(kron10)
-    a = laplace_kron_bound(ivs, measure, component_distances(kron10, k, t),
-                           on_invalid="extend").bound
+    a = laplace_kron_bound(
+        ivs, measure, component_distances(kron10, k, t)).bound
     b = laplace_kron_bound(ivs, measure,
-                           component_distances(kron10, k_swap, t_swap),
-                           on_invalid="extend").bound
+                           component_distances(kron10, k_swap, t_swap)).bound
     assert a == pytest.approx(b, rel=1e-12)
 
 

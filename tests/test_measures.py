@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import exp1
 
 from decaybounds import cauchy_catalog, laplace_catalog
-from decaybounds.quadrature import integrate_semi_infinite
 from reference import (cauchy_reconstruct, expsqrt_variation_transform,
                        laplace_reconstruct, laplace_transform_of_cauchy)
 
@@ -61,6 +61,16 @@ def test_unknown_names_rejected():
         cauchy_catalog("expsqrt:0")
 
 
+@pytest.mark.parametrize("catalog, name", [
+    (laplace_catalog, "inv_pow:inf"), (laplace_catalog, "inv_pow:nan"),
+    # Gamma(172) overflows a double
+    (laplace_catalog, "inv_pow:172"),
+    (cauchy_catalog, "expsqrt:inf"), (cauchy_catalog, "expsqrt:nan")])
+def test_catalog_parameters_must_be_finite(catalog, name):
+    with pytest.raises(ValueError):
+        catalog(name)
+
+
 def test_exp_inv_is_a_stub():
     m = laplace_catalog("exp_inv")
     assert not m.has_representation
@@ -82,9 +92,10 @@ def test_cauchy_log1p_transform_is_the_exponential_integral():
     got = laplace_transform_of_cauchy(m, 1.0)
     assert got == pytest.approx(exp1(1.0), abs=1e-8)
     # brute-force quadrature of the defining integral as an independent check
-    brute = integrate_semi_infinite(lambda s: np.exp(-s) / s, 1.0, 1e-9)
-    assert brute.converged
-    assert got == pytest.approx(brute.value, abs=1e-6)
+    brute, _, _, *failure = quad(lambda s: math.exp(-s) / s, 1.0, math.inf,
+                                 epsabs=1e-9, epsrel=1e-9, full_output=1)
+    assert not failure
+    assert got == pytest.approx(brute, abs=1e-6)
 
 
 def test_transform_closed_forms_match_quadrature():
