@@ -94,9 +94,9 @@ def build_parser():
         p.add_argument("--zeta", type=float, default=0.0)
         p.add_argument("--column", type=int, required=True)
         p.add_argument("--distance", choices=("band", "graph"), default="band")
-        p.add_argument("--pattern-drop-tol", type=float, default=0.0,
-                       help="drop pattern edges with |value| <= tol (default 0: "
-                            "exact nonzero pattern)")
+        p.add_argument("--pattern-drop-tol", type=float, default=None,
+                       help="--distance graph only: drop pattern edges with "
+                            "|value| <= tol (default 0: exact nonzero pattern)")
         _add_common_flags(p)
         if name == "compare":
             p.add_argument("--self-check", action="store_true",
@@ -160,13 +160,15 @@ def _exit_status(summary):
 
 
 def _cmd_bound(args, self_check=False):
+    if args.pattern_drop_tol is not None and args.distance != "graph":
+        raise UsageError("--pattern-drop-tol applies only to --distance graph")
     M = parse_matrix_spec(args.matrix, args.n)
     if not (1 <= args.column <= M.n):
         raise UsageError(f"--column {args.column} outside 1..{M.n}")
     summary, header, rows = figures.run_compare(
         M, args.column, args.function, args.klass, tau=args.tau,
         zeta=args.zeta, distance_mode=args.distance,
-        drop_tol=args.pattern_drop_tol, quad_tol=args.quad_tol,
+        drop_tol=args.pattern_drop_tol or 0.0, quad_tol=args.quad_tol,
         max_panels=args.quad_max_panels)
     figures._write_csv(args.out, header, rows)
     if self_check or args.command == "compare":

@@ -38,19 +38,25 @@ _N, _T, _TAU = 200, 127, 4.0
 _FACTOR_N, _T_KRON = 20, 94
 
 
-def _fmt(x):
-    return "" if x is None else f"{x:.17g}"
+def _write_csv(path, header, rows=(), lines=()):
+    """Write CSV to ``path``, or to standard output when it is None: the
+    header, ``rows`` (tuples of numbers or None) and then ``lines``, text
+    already formatted.  No cell needs quoting: the header is plain words,
+    the cells are numbers or empty."""
+    template = ",".join(["%.17g"] * len(header)) + "\r\n"
 
+    def line(row):
+        try:
+            return template % row
+        except TypeError:  # an empty cell
+            return ",".join(["" if c is None else "%.17g" % c
+                             for c in row]) + "\r\n"
 
-def _write_csv(path, header, rows):
-    """Write CSV to ``path``, or to standard output when it is None.  No
-    cell needs quoting: the header is plain words, the cells are numbers
-    or empty."""
     with (contextlib.nullcontext(sys.stdout) if path is None
           else open(path, "w", newline="")) as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join([_fmt(c) for c in row]) + "\r\n"
-                      for row in rows)
+        fh.writelines(map(line, rows))
+        fh.writelines(lines)
 
 
 def _ratio_stats(pairs, floor):
@@ -305,20 +311,17 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
     else:
         raise ValueError(f"--class {klass} --function {function} is not "
                          "available for Kronecker sums")
-    col = np.abs(oracle.function_column(A, f, t))
+    col = np.abs(oracle.function_column(A, f, t)).tolist()
     floor = oracle.oracle_floor(A, f)
-    # the diagonal entry of exp is not covered by the bound
-    ds = [None if k == t and kind == "exp" else kron._component_distances(A, k, t)
-          for k in range(1, A.total_order + 1)]
+    ds = kron._component_distances(A, t)
+    if kind == "exp":
+        ds[t - 1] = None   # the diagonal entry of exp is not covered
     distinct = list(dict.fromkeys(d for d in ds if d is not None))
     at_distances = dict(zip(distinct, evaluate(distinct)))
-    rows = []
-    for k, d in enumerate(ds, start=1):
-        km = A.delinearize(k)
-        if d is None:
-            rows.append((k, *km, *(0.0,) * nfac, None, float(col[k - 1])))
-        else:
-            rows.append((k, *km, *d, at_distances[d].bound, float(col[k - 1])))
+    rows = [(k, *km, *(d or (0.0,) * nfac),
+             None if d is None else at_distances[d].bound, o)
+            for k, (km, d, o) in enumerate(zip(A.multi_indices.tolist(), ds,
+                                               col), start=1)]
     header = (["k"] + [f"k{i+1}" for i in range(nfac)]
               + [f"d{i+1}" for i in range(nfac)] + ["bound", "oracle"])
     summary = _summary([(r[-2], r[-1]) for r in rows], floor,
@@ -338,9 +341,22 @@ def run_surface(function, tau, grid_n, out_path):
         f = lambda x: x ** -0.5
     else:
         raise ValueError(f"unknown surface function {function!r}")
-    F = oracle.matrix_function(A, f).tolist()
-    n = A.total_order
-    rows = [(i, j, value) for i, line in enumerate(F, start=1)
-            for j, value in enumerate(line, start=1)]
-    _write_csv(out_path, ("i", "j", "value"), rows)
-    return {"rows": len(rows), "order": n}
+    F = oracle.matrix_function(A, f)
+    _write_csv(out_path, ("i", "j", "value"), lines=_symmetric_lines(F))
+    return {"rows": F.size, "order": len(F)}
+
+
+def _symmetric_lines(F):
+    """Lazy CSV lines ``i,j,value``, one matrix row per item, of F with
+    F == F.T bitwise (matrix_function re-Hermitianizes): each value of
+    the upper triangle is formatted once, for both of its entries."""
+    n = len(F)
+    upper = np.triu_indices(n)
+    cells = np.empty((n, n), dtype=object)
+    cells[upper] = cells[upper[::-1]] = (",".join(["%.17g"] * upper[0].size)
+                                         % tuple(F[upper].tolist())).split(",")
+    template = "".join(f"%d,{j},%s\r\n" for j in range(1, n + 1))
+    for i, row in enumerate(cells.tolist(), start=1):
+        args = [i] * (2 * n)
+        args[1::2] = row
+        yield template % tuple(args)

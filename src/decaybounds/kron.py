@@ -21,12 +21,14 @@ from .matrices import spectral_interval  # noqa: F401
 from .quadrature import integrate, integrate_semi_infinite  # noqa: F401
 
 
-def _component_distances(A, k, t):
-    """Per-factor band distances |k_L - t_L| / beta_L of entry (k, t)."""
+def _component_distances(A, t):
+    """Per-factor band distances |k_L - t_L| / beta_L of every entry (k, t)
+    of column t: a list of tuples, row k at index k - 1."""
     if any(f.beta <= 0 for f in A.factors):
         raise ValueError("band distance needs beta >= 1 in every factor")
-    return tuple(abs(a - b) / f.beta for a, b, f in
-                 zip(A.delinearize(k), A.delinearize(t), A.factors))
+    km = A.multi_indices
+    d = abs(km - km[t - 1]) / [f.beta for f in A.factors]
+    return list(map(tuple, d.tolist()))
 
 
 def exp_kron_bound(intervals, tau, distances):

@@ -186,47 +186,40 @@ class KroneckerSum:
         if len(self.factors) < 2:
             raise ValueError("a Kronecker sum needs at least two factors")
 
-    @property
+    @functools.cached_property
     def orders(self):
         return tuple(f.n for f in self.factors)
 
-    @property
+    @functools.cached_property
     def total_order(self):
         return math.prod(self.orders)
 
-    @property
-    def strides(self):
-        s, out = 1, []
-        for n in self.orders:
-            out.append(s)
-            s *= n
-        return tuple(out)
+    @functools.cached_property
+    def multi_indices(self):
+        """(total_order, L) array; row k - 1 is the multi-index of k."""
+        return np.stack(np.unravel_index(np.arange(self.total_order),
+                                         self.orders, order="F"), axis=1) + 1
 
     def linearize(self, multi):
         """1-based multi-index -> 1-based linear index."""
         if len(multi) != len(self.factors):
             raise ValueError("component count disagrees with factor count")
-        lin = 0
-        for comp, n, stride in zip(multi, self.orders, self.strides):
+        lin, stride = 0, 1
+        for comp, n in zip(multi, self.orders):
             if not (1 <= comp <= n):
                 raise IndexError(f"component {comp} outside 1..{n}")
-            lin += (comp - 1) * stride
+            lin, stride = lin + (comp - 1) * stride, stride * n
         return lin + 1
 
     def delinearize(self, k):
         """1-based linear index -> 1-based multi-index tuple."""
         if not (1 <= k <= self.total_order):
             raise IndexError(f"linear index {k} outside 1..{self.total_order}")
-        rem = k - 1
-        out = []
-        for n in self.orders:
-            out.append(rem % n + 1)
-            rem //= n
-        return tuple(out)
+        return tuple(self.multi_indices[k - 1].tolist())
 
     def toarray(self):
-        """Dense assembly; guarded since it is only meant for identity and
-        dominance checks at desk scale."""
+        """Dense assembly, for the tests only (the oracle works from the
+        factors); capped at order 4096."""
         if self.total_order > 4096:
             raise ValueError("dense assembly capped at order 4096; "
                              f"requested {self.total_order}")

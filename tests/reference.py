@@ -23,6 +23,9 @@ call them; their behaviour is unchanged:
   factors' eigendecompositions;
 * ``invsqrt_kron_split_bound`` (from ``kron``): the Cauchy-Schwarz split
   of the Kronecker inverse-square-root bound;
+* ``component_distances`` (the former per-entry
+  ``kron._component_distances``, which now covers a whole column): the
+  per-factor band distances of one entry;
 * ``gershgorin_interval`` (the former ``spectral_interval(M,
   "gershgorin")``): the Gershgorin disc enclosure;
 * ``laplace_reconstruct`` and ``cauchy_reconstruct`` (the former
@@ -45,7 +48,6 @@ from fractions import Fraction
 import numpy as np
 
 from decaybounds.bounds import _envelope_integral
-from decaybounds.kron import _component_distances
 from decaybounds.matrices import SpectralInterval, spectral_interval
 from decaybounds.oracle import eigendecomposition
 
@@ -275,7 +277,7 @@ def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
     if len(A.factors) != 2:
         raise ValueError("the split bound is stated for two factors")
     ivs = factor_intervals(A) if intervals is None else intervals
-    dists = _component_distances(A, k, t)
+    dists = component_distances(A, k, t)
     out = 1.0 / math.sqrt(math.pi)
     for iv, d in zip(ivs, dists):
         ((val, _, _, _, conv),) = _envelope_integral(
@@ -285,6 +287,14 @@ def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
             raise RuntimeError("split-bound quadrature did not converge")
         out *= math.sqrt(val)
     return out
+
+
+def component_distances(A, k, t):
+    """Per-factor band distances |k_L - t_L| / beta_L of one entry (k, t),
+    entry by entry: the loop reference for the column-wide
+    ``kron._component_distances``."""
+    return tuple(abs(a - b) / f.beta for a, b, f in
+                 zip(A.delinearize(k), A.delinearize(t), A.factors))
 
 
 def factor_intervals(A):

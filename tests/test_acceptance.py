@@ -22,9 +22,8 @@ from decaybounds import (KroneckerSum, cauchy_catalog, cauchy_kron_bound,
                          laplace_kron_bound, make_test_matrix, oracle_floor,
                          banded_from_stencil, cauchy_entry_bound,
                          spectral_interval)
-from decaybounds.kron import _component_distances as component_distances
-from reference import (cauchy_reconstruct, expm_column_nonneg,
-                       factor_intervals, lancaster_column,
+from reference import (cauchy_reconstruct, component_distances,
+                       expm_column_nonneg, factor_intervals, lancaster_column,
                        laplace_reconstruct, laplace_transform_of_cauchy,
                        sincos_kron_exact)
 

@@ -1,14 +1,19 @@
+import contextlib
 import csv
+import io
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
+from hypothesis import given, strategies as st
 
-from decaybounds import (KroneckerSum, SparseHermitianMatrix, bounds,
-                         cauchy_catalog, figures, kron, make_test_matrix,
-                         oracle, oracle_floor, parse_matrix_spec,
-                         spectral_interval)
+from decaybounds import (KroneckerSum, SparseHermitianMatrix,
+                         banded_from_stencil, bounds, cauchy_catalog, figures,
+                         kron, make_test_matrix, oracle, oracle_floor,
+                         parse_matrix_spec, spectral_interval)
 from decaybounds.cli import main
 from decaybounds.figures import run_compare, run_figure, run_kron_compare
 from reference import stdlib_csv_write
@@ -166,6 +171,50 @@ def test_surface_dump(tmp_path):
     assert len(rows) == 36 * 36
 
 
+def test_surface_reuses_mirror_strings_byte_for_byte(tmp_path):
+    # the dump formats the upper triangle once; the bytes are those of the
+    # per-cell format of the same matrix
+    out = tmp_path / "s.csv"
+    assert main(["surface", "--function", "inv_sqrt", "--grid-n", "5",
+                 "--out", str(out)]) == 0
+    t = banded_from_stencil((-1.0, 2.0, -1.0), 5)
+    f = oracle.matrix_function(KroneckerSum(factors=(t, t)), lambda x: x ** -0.5)
+    assert out.read_bytes().decode() == "i,j,value\r\n" + "".join(
+        f"{i},{j},{v:.17g}\r\n" for i, row in enumerate(f.tolist(), start=1)
+        for j, v in enumerate(row, start=1))
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e308, -1e308,
+            math.nan, math.inf, -math.inf]
+
+
+@given(st.lists(st.integers(-2 ** 62, 2 ** 62) | st.floats(allow_nan=True)
+                | st.sampled_from(_SPECIAL), min_size=1, max_size=40))
+def test_symmetric_lines_match_per_cell_format(values):
+    n = math.isqrt(len(values))
+    a = np.array(values[:n * n], dtype=float).reshape(n, n)
+    f = np.where(np.triu(np.ones((n, n), dtype=bool)), a, a.T)  # F == F.T
+    assert "".join(figures._symmetric_lines(f)) == "".join(
+        f"{i},{j},{v:.17g}\r\n" for i, row in enumerate(f.tolist(), start=1)
+        for j, v in enumerate(row, start=1))
+
+
+_CELLS = (st.none() | st.integers(-2 ** 62, 2 ** 62)
+          | st.floats(allow_nan=True, allow_infinity=True)
+          | st.sampled_from(_SPECIAL))
+
+
+@given(st.lists(st.tuples(_CELLS, _CELLS, _CELLS), max_size=20))
+def test_csv_rows_match_per_cell_format(rows):
+    # the one-template row format writes the bytes of the per-cell format
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        figures._write_csv(None, ("k", "oracle", "bound"), rows)
+    assert buf.getvalue() == "k,oracle,bound\r\n" + "".join(
+        ",".join("" if c is None else f"{c:.17g}" for c in row) + "\r\n"
+        for row in rows)
+
+
 def test_seventeen_significant_digits(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["bound", "--matrix", "tridiag", "--n", "10", "--function",
@@ -253,6 +302,42 @@ def test_kron_exp_command(tmp_path):
     for row in rows:
         if row[5]:
             assert float(row[5]) >= float(row[6]) * (1 - 1e-10)
+
+
+def test_kron_never_assembles_the_sum(monkeypatch, tmp_path):
+    def no_assembly(self):
+        raise AssertionError("decay kron assembled the Kronecker sum")
+
+    monkeypatch.setattr(KroneckerSum, "toarray", no_assembly)
+    for klass in (["--class", "exp"], ["--class", "laplace", "--function",
+                                       "phi1"]):
+        assert main(["kron", "--factors", "tridiag,pentadiag", "--n", "8",
+                     *klass, "--column", "3,4",
+                     "--out", str(tmp_path / "k.csv")]) == 0
+
+
+def test_kron_order_64000_column(tmp_path):
+    # far above the old assembly cap of order 4096: the oracle column is
+    # the product of per-factor exponential entries, to rounding
+    out = tmp_path / "k40.csv"
+    assert main(["kron", "--factors", "tridiag,tridiag,tridiag", "--n", "40",
+                 "--class", "exp", "--tau", "1", "--column", "20,20,20",
+                 "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 64000
+    e = scipy.linalg.expm(-make_test_matrix("tridiag", 40).toarray())[:, 19]
+    expect = np.multiply.outer(e, np.multiply.outer(e, e)).ravel()
+    got = np.array([float(r[8]) for r in rows])
+    assert np.max(np.abs(got - expect)) <= 100 * np.finfo(float).eps * expect.max()
+    m = make_test_matrix("tridiag", 40)
+    floor = oracle_floor(KroneckerSum(factors=(m, m, m)), lambda x: np.exp(-x))
+    resolved = [(r[7], float(r[8])) for r in rows if float(r[8]) >= floor]
+    assert len(resolved) > 1000
+    assert all(float(b) >= o * (1 - 1e-10) for b, o in resolved if b)
+    # two order-70 factors, order 4900, once over the cap, now run as well
+    assert main(["kron", "--factors", "tridiag,tridiag", "--n", "70",
+                 "--class", "exp", "--column", "35,35",
+                 "--out", str(out)]) == 0
 
 
 def test_kron_three_factor_command(tmp_path):
@@ -374,7 +459,7 @@ def _write_diagonal_mtx(path, n=5):
 
 @pytest.mark.parametrize("argv", [
     ["surface", "--grid-n", "1", "--out", "{tmp}/x.csv"],
-    # 65^2 exceeds the dense Kronecker assembly cap
+    # 65^2 exceeds the cap on a dense f(A) of a Kronecker sum
     ["surface", "--grid-n", "65", "--out", "{tmp}/x.csv"],
     # tridiag(1, 0, 1) is indefinite: x^-1/2 is undefined on its spectrum
     ["oracle", "--matrix", "tridiag:1,0,1", "--n", "10", "--function",
@@ -425,6 +510,11 @@ def _write_diagonal_mtx(path, n=5):
     ["compare", "--matrix", "tridiag", "--n", "20", "--class", "cauchy",
      "--function", "inv", "--column", "10", "--distance", "graph",
      "--pattern-drop-tol", "inf"],
+    # a drop tolerance applies only to graph distances
+    ["compare", "--matrix", "tridiag", "--n", "20", "--class", "cauchy",
+     "--function", "inv", "--column", "10", "--pattern-drop-tol", "nan"],
+    ["bound", "--matrix", "tridiag", "--n", "20", "--class", "cauchy",
+     "--function", "inv", "--column", "10", "--pattern-drop-tol", "0"],
     # exp(-tau x) overflows on the spectrum: an error, and no numpy warning
     ["compare", "--matrix", "tridiag", "--n", "20", "--class", "exp",
      "--tau", "-1000", "--column", "10"],
@@ -616,7 +706,7 @@ def test_run_kron_compare_evaluates_each_distance_tuple_once(
     _, _, measure = figures.resolve_function(function, klass, None, 0.0)
     ivs = tuple(spectral_interval(f) for f in a.factors)
     for k, *_, b, _ in rows:
-        assert b == real(ivs, measure, kron._component_distances(a, k, t),
+        assert b == real(ivs, measure, kron._component_distances(a, t)[k - 1],
                          quad_tol=tol).bound, k
 
 

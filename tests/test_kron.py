@@ -11,10 +11,11 @@ from decaybounds import (KroneckerSum, LaplaceMeasure, SparseHermitianMatrix,
                          laplace_kron_bound, make_test_matrix,
                          banded_from_stencil, oracle_floor, spectral_interval)
 from decaybounds.figures import run_kron_compare
-from decaybounds.kron import _component_distances as component_distances
-from reference import (exp_kron_entry_exact, expm_column_nonneg,
-                       factor_intervals, invsqrt_kron_split_bound,
-                       lancaster_column, sincos_kron_exact)
+from decaybounds.kron import _component_distances
+from reference import (component_distances, exp_kron_entry_exact,
+                       expm_column_nonneg, factor_intervals,
+                       invsqrt_kron_split_bound, lancaster_column,
+                       sincos_kron_exact)
 
 SLACK = 1.0 - 1e-10
 
@@ -339,3 +340,12 @@ def test_diagonal_factor_has_no_band_distance():
     a = KroneckerSum(factors=(make_test_matrix("tridiag", 4), d))
     with pytest.raises(ValueError, match="beta >= 1"):
         run_kron_compare(a, 6, "exp", "exp")
+
+
+def test_column_distances_match_entrywise_reference():
+    a = KroneckerSum(factors=(make_test_matrix("tridiag", 5),
+                              make_test_matrix("pentadiag", 7),
+                              make_test_matrix("tridiag", 4)))
+    for t in (1, 17, a.total_order):
+        assert _component_distances(a, t) == [
+            component_distances(a, k, t) for k in range(1, a.total_order + 1)]

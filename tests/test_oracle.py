@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from decaybounds import (KroneckerSum, banded_from_stencil, eigendecomposition,
-                         function_column, make_test_matrix, matrix_function,
-                         resolvent_column)
+                         function_column, load_matrix_market, make_test_matrix,
+                         matrix_function, oracle_floor, resolvent_column)
 from reference import exact_inverse, lancaster_column
 
 
@@ -127,3 +127,79 @@ def test_lancaster_rejects_positive_omega():
     m = make_test_matrix("tridiag", 5)
     with pytest.raises(ValueError):
         lancaster_column(m, 0.5, (1, 1))
+
+
+# ------------------------------------------- factorized Kronecker oracle
+
+_COMPLEX_MTX = """%%MatrixMarket matrix coordinate complex hermitian
+4 4 7
+1 1 3.0 0.0
+2 2 3.5 0.0
+3 3 3.0 0.0
+4 4 4.0 0.0
+2 1 -1.0 0.5
+3 2 -0.5 -1.0
+4 3 -1.0 0.25
+"""
+
+
+def _kron_cases(tmp_path):
+    path = tmp_path / "herm.mtx"
+    path.write_text(_COMPLEX_MTX)
+    m5 = make_test_matrix("tridiag", 5)
+    m7 = make_test_matrix("pentadiag", 7)
+    m4 = banded_from_stencil((-0.5, 3.0, -0.5), 4)
+    return [KroneckerSum(factors=(m5, m7)), KroneckerSum(factors=(m5, m7, m4)),
+            KroneckerSum(factors=(load_matrix_market(path), m5))]
+
+
+@pytest.mark.parametrize("f", [lambda x: x ** -0.5,
+                               lambda x: np.exp(-0.8 * x),
+                               lambda x: 1.0 / (x - 0.7j)])
+def test_kron_oracle_matches_assembled_eigh(f, tmp_path):
+    # the dense route the oracle used before it worked from the factors
+    eps = np.finfo(float).eps
+    for a in _kron_cases(tmp_path):
+        w, u = np.linalg.eigh(a.toarray())
+        dense = (u * f(w)) @ u.conj().T
+        scale = np.max(np.abs(dense))
+        for t in (1, 6, a.total_order // 2, a.total_order):
+            col = function_column(a, f, t)
+            assert np.max(np.abs(col - dense[:, t - 1])) <= 100 * eps * scale
+        if np.isrealobj(f(w)):  # matrix_function re-Hermitianizes f(A)
+            assert np.max(np.abs(matrix_function(a, f) - dense)) <= (
+                100 * eps * scale)
+        floor = 100.0 * w.size * eps * np.max(np.abs(f(w)))
+        assert oracle_floor(a, f) == pytest.approx(floor, rel=8 * eps)
+
+
+def test_kron_decomposition_is_built_from_cached_factors(tmp_path):
+    for a in _kron_cases(tmp_path):
+        dec = eigendecomposition(a)
+        assert dec is eigendecomposition(a)
+        assert dec.eigenvectors is None
+        assert all(p is eigendecomposition(m)
+                   for p, m in zip(dec.factors, a.factors))
+        # first index fastest: entry k is the sum at the multi-index of k
+        for k in (1, 2, a.total_order):
+            assert dec.eigenvalues[k - 1] == sum(
+                p.eigenvalues[i - 1] for p, i in zip(dec.factors,
+                                                     a.delinearize(k)))
+    np.testing.assert_allclose(
+        np.sort(eigendecomposition(_kron_cases(tmp_path)[1]).eigenvalues),
+        np.linalg.eigvalsh(_kron_cases(tmp_path)[1].toarray()), rtol=1e-14)
+
+
+def test_kron_matrix_function_is_symmetric_bitwise():
+    m = banded_from_stencil((-1.0, 2.0, -1.0), 6)
+    f = matrix_function(KroneckerSum(factors=(m, m)), lambda x: x ** -0.5)
+    assert np.array_equal(f, f.T)
+
+
+def test_kron_dense_function_capped_and_column_uncapped():
+    m = make_test_matrix("tridiag", 65)
+    a = KroneckerSum(factors=(m, m))
+    with pytest.raises(ValueError, match="4096"):
+        matrix_function(a, np.exp)
+    col = function_column(a, lambda x: np.exp(-x), a.linearize((30, 40)))
+    assert col.shape == (65 * 65,)
