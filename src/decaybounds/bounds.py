@@ -222,7 +222,9 @@ def _envelope_integral(intervals, distances, weight, upper, singularity,
         for L, (lmin, rho) in enumerate(terms):
             out = (out * np.exp(-lmin * taus)
                    * exp_envelope(rho * taus, ds[:, L:L + 1]))
-        return out * weight(taus)
+        w = weight(taus)
+        # a weight past the largest double bounds by inf, not inf * 0 = nan
+        return np.where(np.isinf(w), np.inf, out * w)
 
     results = iter(run_steps(integrand, _segment_steps(
         [p for ps in pieces for p in ps], quad_tol, max_panels)))

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import bounds, kron, oracle
 from .graphdist import geodesic_from
-from .matrices import (KroneckerSum, SpectralInterval, banded_from_stencil,
-                       make_test_matrix, spectral_interval)
+from .matrices import (KroneckerSum, banded_from_stencil, make_test_matrix,
+                       spectral_interval)
 from .measures import cauchy_catalog, laplace_catalog
 
 FIGURE_IDS = (
@@ -90,29 +90,27 @@ _DRIVER_PRESETS = {
 
 
 def _closed_form_rows(figure_id, matrix_kind):
-    """Rows (k, oracle, bound) of the presets no comparison class covers:
-    the shifted exponential and the closed-form inverse square root."""
+    """Rows (k, oracle, bound) and oracle floor of the presets no comparison
+    class covers: the shifted exponential and the closed-form M^{-1/2}."""
     M = make_test_matrix(matrix_kind, _N)
     iv = spectral_interval(M)
-    t, tau, beta = _T, _TAU, M.beta
+    ds = [abs(k - _T) / M.beta for k in range(1, _N + 1)]
     if figure_id == "fig1-exp":
-        f = lambda x: np.exp(-tau * (x - iv.lambda_min))
-        shifted = SpectralInterval(0.0, iv.lambda_max - iv.lambda_min)
+        # exp(-tau (M - lambda_min)) is bounded by the envelope itself,
+        # stated where d clears the Gaussian window (> 0, so not at row t)
+        f = lambda x: np.exp(-_TAU * (x - iv.lambda_min))
+        window = math.sqrt(4.0 * iv.rho * _TAU)
+        keys = [d if d >= window else None for d in ds]
+        bounds_at = lambda ds: bounds.exp_envelope(iv.rho * _TAU, ds).tolist()
     else:
         f = lambda x: x ** -0.5
-    floor = oracle.oracle_floor(M, f)
-    col = np.abs(oracle.function_column(M, f, t))
-    rows = []
-    for k in range(1, _N + 1):
-        b, d = None, abs(k - t) / beta
-        if figure_id == "fig1-exp":
-            if col[k - 1] < floor:
-                continue
-            if k != t and d >= math.sqrt(4.0 * shifted.rho * tau):
-                b = bounds.exp_entry_bound(shifted, tau, d)
-        elif k != t:
-            b = bounds.invsqrt_closed_bound(iv, d, diag_max=M.diagonal_max())
-        rows.append((k, float(col[k - 1]), b))
+        keys = [d if d > 0 else None for d in ds]
+        diag_max = M.diagonal_max()
+        bounds_at = lambda ds: [bounds.invsqrt_closed_bound(
+            iv, d, diag_max=diag_max) for d in ds]
+    col, floor, bs, _ = _column(M, _T, f, keys, bounds_at)
+    rows = [(k, o, b) for k, (o, b) in enumerate(zip(col, bs), start=1)
+            if figure_id != "fig1-exp" or o >= floor]
     return rows, floor
 
 
@@ -132,10 +130,7 @@ def run_figure(figure_id, matrix_kind, out_path, quad_tol):
     if figure_id not in _DRIVER_PRESETS:
         rows, floor = _closed_form_rows(figure_id, matrix_kind)
         header = ("k", "oracle", "bound")
-        summary = dict(_ratio_stats([(b, o) for _, o, b in rows], floor),
-                       converged=True, nonconverged=[],
-                       max_relative_error_estimate=0.0,
-                       oracle_floor=floor)
+        summary = _summary([(b, o) for _, o, b in rows], floor, [], len(rows))
     elif _DRIVER_PRESETS[figure_id][0] == "compare":
         M = make_test_matrix(matrix_kind, _N)
         summary, _, out = run_compare(M, _T, *_DRIVER_PRESETS[figure_id][1:],
@@ -180,7 +175,7 @@ def resolve_function(name, klass, tau, zeta):
             raise ValueError("--class resolvent bounds the (shifted) inverse; "
                              f"--function {name} contradicts it")
         if zeta == 0.0:
-            return (lambda x: 1.0 / x), "resolvent", None
+            return (lambda x: 1.0 / x), "demko", None
         shift = 1j * zeta
         return (lambda x: 1.0 / (x - shift)), "resolvent", None
     if klass in ("laplace", "cauchy") and name is None:
@@ -216,6 +211,21 @@ def _summary(pairs, floor, reports, nrows):
     return summary
 
 
+def _column(A, t, f, keys, bounds_at):
+    """The pass behind every printed column: (|column t of f(A)|, its
+    oracle floor, each row's bound, the reports).  A row's bound depends
+    on it only through its key, a distance or a per-factor distance tuple
+    (None: no bound), so the distinct keys go to one ``bounds_at(keys)``
+    call, which returns numbers or quadrature reports."""
+    col = np.abs(oracle.function_column(A, f, t)).tolist()
+    floor = oracle.oracle_floor(A, f)
+    distinct = list(dict.fromkeys(k for k in keys if k is not None))
+    found = bounds_at(distinct)
+    reports = [r for r in found if isinstance(r, bounds.DecayBoundReport)]
+    values = dict(zip(distinct, (getattr(r, "bound", r) for r in found)))
+    return col, floor, [values.get(k) for k in keys], reports
+
+
 def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
                 distance_mode="band", drop_tol=0.0, quad_tol=1e-8,
                 max_panels=10000):
@@ -223,10 +233,10 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     rows) with CSV columns ``k,distance,bound,oracle,ratio``.
 
     Every bound depends on the row only through its distance, so the
-    column's distinct distances are collected first and evaluated in one
-    call (one lockstep quadrature for the quadrature classes), each value
-    shared by all rows at that distance; the summary's convergence figures
-    come from one quadrature report per distinct distance.  Dominance violations are
+    column's distinct distances are evaluated in one call (one lockstep
+    quadrature for the quadrature classes), each value shared by all rows
+    at that distance; the summary's convergence figures come from one
+    quadrature report per distinct distance.  Dominance violations are
     counted against oracle entries at or above the dense oracle's
     resolution floor; smaller entries are rounding noise (see
     :func:`decaybounds.oracle.oracle_floor`).
@@ -238,52 +248,36 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     f, kind, measure = resolve_function(function, klass, tau, zeta)
     tau = 1.0 if tau is None else tau
     iv = spectral_interval(M)
-    col = np.abs(oracle.function_column(M, f, t))
-    floor = oracle.oracle_floor(M, f)
-    dist = geodesic_from(M, t, drop_tol=drop_tol) if distance_mode == "graph" else None
-
-    # The kind's bounds at a list of distances: numbers, quadrature
-    # reports, or None where the bound is not stated.  Only row t has d = 0.
     if kind == "exp":
-        entries = lambda ds: [bounds.exp_entry_bound(iv, tau, d) if d > 0
-                              else None for d in ds]
-    elif kind == "demko" or (kind == "resolvent" and zeta == 0.0):
+        # exp_entry_bound from one envelope call; each entry equals the
+        # scalar call, so the products keep their bits
+        bounds_at = lambda ds: (math.exp(-tau * iv.lambda_min)
+                                * bounds.exp_envelope(iv.rho * tau, ds)).tolist()
+    elif kind == "demko":
         diag_max = M.diagonal_max()
-        entries = lambda ds: [bounds.demko_bound(iv, d, diag_max=diag_max)
-                              for d in ds]
+        bounds_at = lambda ds: [bounds.demko_bound(iv, d, diag_max=diag_max)
+                                for d in ds]
     elif kind == "resolvent":
-        entries = lambda ds: [bounds.freund_resolvent_bound(iv, zeta, d)
-                              if d > 0 else None for d in ds]
-    elif kind == "laplace":
-        def entries(ds):
-            stated = [d for d in ds if d >= 2.0]
-            found = dict(zip(stated, bounds.laplace_bounds(
-                iv, measure, stated, quad_tol=quad_tol, max_panels=max_panels)))
-            return [found.get(d) for d in ds]
+        bounds_at = lambda ds: [bounds.freund_resolvent_bound(iv, zeta, d)
+                                for d in ds]
     else:
-        entries = lambda ds: bounds.cauchy_bounds(
-            iv, measure, ds, quad_tol=quad_tol, max_panels=max_panels)
-
+        bound = bounds.laplace_bounds if kind == "laplace" else bounds.cauchy_bounds
+        bounds_at = lambda ds: bound(iv, measure, ds, quad_tol=quad_tol,
+                                     max_panels=max_panels)
+    dist = geodesic_from(M, t, drop_tol=drop_tol) if distance_mode == "graph" else None
     ds = [dist[k] if dist is not None else abs(k - t) / beta
           for k in range(1, n + 1)]
-    distinct = list(dict.fromkeys(d for d in ds if not math.isinf(d)))
-    at_distance = dict(zip(distinct, entries(distinct)))
-    rows = []
-    for k, d in enumerate(ds, start=1):
-        o = float(col[k - 1])
-        if math.isinf(d):
-            rows.append((k, None, None, o, None))
-            continue
-        b = at_distance[d]
-        if isinstance(b, bounds.DecayBoundReport):
-            b = b.bound
-        ratio = (b / o) if (b is not None and o > 0) else None
-        rows.append((k, d, b, o, ratio))
-    reports = [r for r in at_distance.values()
-               if isinstance(r, bounds.DecayBoundReport)]
+    # No bound at an unreachable row, at d = 0 (row t) for exp and the
+    # shifted resolvent, nor below the stated d >= 2 of the Laplace class.
+    least = 2.0 if kind == "laplace" else 0.0
+    keys = [None if math.isinf(d) or d < least
+            or (d == 0 and kind in ("exp", "resolvent")) else d for d in ds]
+    col, floor, bs, reports = _column(M, t, f, keys, bounds_at)
+    rows = [(k, None if math.isinf(d) else d, b, o,
+             b / o if b is not None and o > 0 else None)
+            for k, (d, b, o) in enumerate(zip(ds, bs, col), start=1)]
     header = ("k", "distance", "bound", "oracle", "ratio")
-    summary = _summary([(r[2], r[3]) for r in rows], floor, reports, len(rows))
-    return summary, header, rows
+    return _summary(zip(bs, col), floor, reports, n), header, rows
 
 
 def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
@@ -292,41 +286,34 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
     columns ``k,k1,...,d1,...,bound,oracle``.
 
     Every bound depends on the row only through its ordered tuple of
-    per-factor distances, so the column's distinct tuples are collected
-    first and evaluated in one call, each value shared by all rows with
-    that tuple; (d1, d2) and (d2, d1) are different tuples.  The summary's convergence figures come from one
-    report per distinct tuple.
+    per-factor distances, so the column's distinct tuples are evaluated in
+    one call, each value shared by all rows with that tuple; (d1, d2) and
+    (d2, d1) are different tuples.  The summary's convergence figures come
+    from one report per distinct tuple.
     """
     f, kind, measure = resolve_function(function, klass, tau, 0.0)
     tau = 1.0 if tau is None else tau
     ivs = tuple(spectral_interval(m) for m in A.factors)
-    nfac = len(A.factors)
     if kind == "exp":
-        evaluate = lambda dss: [kron.exp_kron_bound(ivs, tau, ds) for ds in dss]
+        bounds_at = lambda dss: kron.exp_kron_bounds(ivs, tau, dss)
     elif kind in ("laplace", "cauchy"):
         bound = (kron.laplace_kron_bounds if kind == "laplace"
                  else kron.cauchy_kron_bounds)
-        evaluate = lambda dss: bound(ivs, measure, dss, quad_tol=quad_tol,
-                                     max_panels=max_panels)
+        bounds_at = lambda dss: bound(ivs, measure, dss, quad_tol=quad_tol,
+                                      max_panels=max_panels)
     else:
         raise ValueError(f"--class {klass} --function {function} is not "
                          "available for Kronecker sums")
-    col = np.abs(oracle.function_column(A, f, t)).tolist()
-    floor = oracle.oracle_floor(A, f)
     ds = kron._component_distances(A, t)
-    if kind == "exp":
-        ds[t - 1] = None   # the diagonal entry of exp is not covered
-    distinct = list(dict.fromkeys(d for d in ds if d is not None))
-    at_distances = dict(zip(distinct, evaluate(distinct)))
-    rows = [(k, *km, *(d or (0.0,) * nfac),
-             None if d is None else at_distances[d].bound, o)
-            for k, (km, d, o) in enumerate(zip(A.multi_indices.tolist(), ds,
-                                               col), start=1)]
-    header = (["k"] + [f"k{i+1}" for i in range(nfac)]
-              + [f"d{i+1}" for i in range(nfac)] + ["bound", "oracle"])
-    summary = _summary([(r[-2], r[-1]) for r in rows], floor,
-                       list(at_distances.values()), len(rows))
-    return summary, header, rows
+    # the diagonal entry of exp is not covered
+    keys = [None if kind == "exp" and k == t else d
+            for k, d in enumerate(ds, start=1)]
+    col, floor, bs, reports = _column(A, t, f, keys, bounds_at)
+    rows = [(k, *km, *d, b, o) for k, (km, d, b, o)
+            in enumerate(zip(A.multi_indices.tolist(), ds, bs, col), start=1)]
+    header = (["k"] + [f"k{i+1}" for i in range(len(ivs))]
+              + [f"d{i+1}" for i in range(len(ivs))] + ["bound", "oracle"])
+    return _summary(zip(bs, col), floor, reports, len(rows)), header, rows
 
 
 def run_surface(function, tau, grid_n, out_path):

@@ -19,15 +19,10 @@ import numpy as np
 class DistanceVector:
     """Single-source geodesic distances; unreachable nodes carry inf."""
 
-    source: int               # 1-based
     distances: np.ndarray     # float array, index j-1 holds d(source, j)
 
     def __getitem__(self, j):
         return float(self.distances[j - 1])
-
-    @property
-    def n(self):
-        return self.distances.size
 
 
 def geodesic_from(M, t, *, drop_tol=0.0):
@@ -57,4 +52,4 @@ def geodesic_from(M, t, *, drop_tol=0.0):
             if edge[p] and dist[j] == math.inf:
                 dist[j] = step
                 queue.append(j)
-    return DistanceVector(source=t, distances=np.array(dist))
+    return DistanceVector(distances=np.array(dist))

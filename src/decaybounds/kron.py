@@ -31,24 +31,35 @@ def _component_distances(A, t):
     return list(map(tuple, d.tolist()))
 
 
-def exp_kron_bound(intervals, tau, distances):
-    """Product envelope bound for |exp(-tau A)|_{k t} at per-factor
-    distances d_L, not all zero.
+def exp_kron_bounds(intervals, tau, distances):
+    """Product envelope bounds for |exp(-tau A)|_{k t} at each tuple of
+    per-factor distances d_L, not all zero: a list of reports, from one
+    envelope call per factor.
 
     Stated validity needs every component distance to clear the envelope's
     Gaussian window, d_L >= sqrt(4 rho_L tau); outside it the capped
     envelope (factor at most exp(-tau lambda_min)) still gives a rigorous
     value, reported with ``valid=False``.
     """
-    if not any(distances):
-        raise ValueError("diagonal entries are not covered by the bound")
-    val = 1.0
-    valid = True
-    for iv, d in zip(intervals, distances, strict=True):
-        val *= math.exp(-tau * iv.lambda_min) * exp_envelope(iv.rho * tau, d)
-        if d < math.sqrt(4.0 * iv.rho * tau):
-            valid = False
-    return DecayBoundReport(distance=tuple(distances), bound=val, valid=valid)
+    distances = [tuple(ds) for ds in distances]
+    if any(len(ds) != len(intervals) or not any(ds) for ds in distances):
+        raise ValueError("each distance tuple needs one distance per factor, "
+                         "not all zero: diagonal entries are not covered")
+    vals, valid = [1.0] * len(distances), [True] * len(distances)
+    for iv, d in zip(intervals, zip(*distances)):
+        # each entry equals the scalar call, so every product keeps its bits
+        env = exp_envelope(iv.rho * tau, d).tolist()
+        scale = math.exp(-tau * iv.lambda_min)
+        vals = [v * (scale * e) for v, e in zip(vals, env)]
+        window = math.sqrt(4.0 * iv.rho * tau)
+        valid = [ok and x >= window for ok, x in zip(valid, d)]
+    return [DecayBoundReport(distance=ds, bound=v, valid=ok)
+            for ds, v, ok in zip(distances, vals, valid)]
+
+
+def exp_kron_bound(intervals, tau, distances):
+    """Entry bound at one distance tuple: the one-tuple exp_kron_bounds."""
+    return exp_kron_bounds(intervals, tau, (distances,))[0]
 
 
 def _kron_bounds(intervals, distances, weight, upper, singularity, atoms,

@@ -122,14 +122,15 @@ def laplace_catalog(name):
         if sigma <= 0:
             raise ValueError(f"inv_pow requires sigma > 0, got {sigma}")
         try:
-            c = 1.0 / math.gamma(sigma)
+            log_gamma = math.log(math.gamma(sigma))
         except OverflowError:
             raise ValueError("inv_pow requires sigma below about 171.62, where "
                              f"Gamma(sigma) overflows; got {sigma}") from None
         return LaplaceMeasure(
             name=name,
             closed_form=lambda x: x ** -sigma,
-            density=lambda t: c * np.asarray(t, dtype=float) ** (sigma - 1.0),
+            # tau^(sigma-1) / Gamma(sigma) in log space: no power overflows
+            density=lambda t: np.exp((sigma - 1.0) * np.log(t) - log_gamma),
             singularity_exponent=min(sigma - 1.0, 0.0),
         )
     if name == "log1p_inv":

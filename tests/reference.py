@@ -365,7 +365,8 @@ def _gauss_superexp_crossing(d, rho):
     return brentq(gap, 1.0, d / 2.0, xtol=1e-14, rtol=1e-15) / rho
 
 
-def envelope_integral_reference(interval, measure, distance, rtol=1e-12):
+def envelope_integral_reference(interval, measure, distance, rtol=1e-12,
+                                log_density=None):
     """The single-matrix Laplace envelope integral of
     :func:`decaybounds.bounds.laplace_entry_bound` (atoms included) by
     piecewise ``scipy.integrate.quad`` in u = sqrt(tau).
@@ -373,7 +374,9 @@ def envelope_integral_reference(interval, measure, distance, rtol=1e-12):
     The pieces are split at every envelope breakpoint and at the crossing
     of the Gaussian and superexponential branches inside piece I, so each
     piece is smooth; the substitution removes a tau^{-1/2} endpoint
-    singularity of the weight.
+    singularity of the weight.  ``log_density``, when given, is log w(tau)
+    in place of the measure's density, and the weight enters as
+    exp(log w(tau) - lambda_min tau): finite where w alone overflows.
     """
     from scipy.integrate import quad
 
@@ -391,6 +394,9 @@ def envelope_integral_reference(interval, measure, distance, rtol=1e-12):
         tau = u * u
         if tau == 0.0:
             return 0.0
+        if log_density is not None:
+            return (math.exp(log_density(tau) - lmin * tau)
+                    * exp_envelope(rho * tau, d) * 2.0 * u)
         return (math.exp(-lmin * tau) * exp_envelope(rho * tau, d)
                 * float(measure.density(tau)) * 2.0 * u)
 

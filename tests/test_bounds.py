@@ -325,6 +325,39 @@ def test_laplace_pieces_sum_to_bound(fname, mode):
         assert rep.pieces["I"] + rep.pieces["II"] + rep.pieces["III"] == rep.bound
 
 
+@pytest.mark.parametrize("sigma", [140.0, 171.0])
+def test_inv_pow_large_sigma_matches_a_log_space_reference(sigma):
+    # tau^(sigma-1) and Gamma(sigma) overflow on their own near sigma = 171;
+    # the density is their finite quotient, and the bound matches a quad
+    # reference that carries the weight in log space
+    import mpmath as mp
+    measure = laplace_catalog(f"inv_pow:{sigma:g}")
+    for tau in (30.0, 140.0, 400.0):
+        exact = float(mp.mpf(tau) ** (sigma - 1) / mp.gamma(sigma))
+        assert float(measure.density(np.asarray(tau))) == pytest.approx(
+            exact, rel=1e-12)
+    iv = spectral_interval(make_test_matrix("tridiag", 20))
+    log_w = lambda tau: (sigma - 1.0) * math.log(tau) - math.lgamma(sigma)
+    for d in (1.0, 2.0, 5.0, 9.0):
+        rep = laplace_entry_bound(iv, measure, d, quad_tol=1e-8)
+        assert rep.converged
+        assert rep.bound == pytest.approx(envelope_integral_reference(
+            iv, measure, d, log_density=log_w), rel=1e-12), d
+
+
+def test_overflowing_weight_bounds_by_inf_not_nan():
+    # with lambda_min small the tail reaches tau where the inv_pow:171
+    # density itself overflows while the envelope has underflowed to 0;
+    # inf is still an upper bound, inf * 0 = nan is none
+    iv = SpectralInterval(0.05, 4.05)
+    measure = laplace_catalog("inv_pow:171")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in (2.0, 9.0):
+            rep = laplace_entry_bound(iv, measure, d, quad_tol=1e-8,
+                                      max_panels=100)
+            assert rep.bound == math.inf, d
+
+
 def test_laplace_atom_measure_reduces_to_exp_bound():
     m = make_test_matrix("tridiag", 60)
     iv = spectral_interval(m)

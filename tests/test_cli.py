@@ -686,16 +686,23 @@ def test_run_compare_evaluates_each_distance_once(monkeypatch, mode, klass,
 
 @pytest.mark.parametrize("klass, function, name", [
     ("laplace", "phi1", "laplace_kron_bound"),
-    ("cauchy", "inv_sqrt", "cauchy_kron_bound")])
+    ("cauchy", "inv_sqrt", "cauchy_kron_bound"),
+    ("exp", None, "exp_kron_bound")])
 def test_run_kron_compare_evaluates_each_distance_tuple_once(
         monkeypatch, klass, function, name):
     # one engine call per column, each distinct distance tuple in it once
     a = KroneckerSum(factors=(make_test_matrix("tridiag", 6),
                               make_test_matrix("pentadiag", 6)))
     t, tol = a.linearize((3, 1)), 1e-6
-    calls = _record_engine(monkeypatch, kron, "_envelope_integral", 1)
+    if klass == "exp":
+        calls = _record_engine(monkeypatch, kron, "exp_kron_bounds", 2)
+    else:
+        calls = _record_engine(monkeypatch, kron, "_envelope_integral", 1)
     _, _, rows = run_kron_compare(a, t, function, klass, quad_tol=tol)
-    tuples = [(d1, d2) for _, _, _, d1, d2, _, _ in rows]
+    # exp gives the diagonal entry (row t) no bound
+    bounded = [r for r in rows if klass != "exp" or r[0] != t]
+    assert [r[-2] for r in rows if r not in bounded] in ([], [None])
+    tuples = [(d1, d2) for _, _, _, d1, d2, _, _ in bounded]
     assert len(set(tuples)) < len(tuples)
     assert len(calls) == 1
     seen = calls[0]
@@ -703,11 +710,59 @@ def test_run_kron_compare_evaluates_each_distance_tuple_once(
     # the factors differ, so (d1, d2) and (d2, d1) are different entries
     assert seen.count((1.0, 2.0)) == 1 and seen.count((2.0, 1.0)) == 1
     real = getattr(kron, name)
-    _, _, measure = figures.resolve_function(function, klass, None, 0.0)
     ivs = tuple(spectral_interval(f) for f in a.factors)
-    for k, *_, b, _ in rows:
-        assert b == real(ivs, measure, kron._component_distances(a, t)[k - 1],
-                         quad_tol=tol).bound, k
+    if klass == "exp":
+        per_tuple = lambda ds: real(ivs, 1.0, ds)
+    else:
+        _, _, measure = figures.resolve_function(function, klass, None, 0.0)
+        per_tuple = lambda ds: real(ivs, measure, ds, quad_tol=tol)
+    for k, *_, b, _ in bounded:
+        assert b == per_tuple(kron._component_distances(a, t)[k - 1]).bound, k
+
+
+@pytest.mark.parametrize("kind", ["tridiag", "pentadiag"])
+def test_figure_fig4_evaluates_each_distance_once(monkeypatch, tmp_path,
+                                                  kind):
+    # one closed-form call per distinct distance, and the CSV of the
+    # per-row recipe: the oracle column, the bound at every k != t
+    real = bounds.invsqrt_closed_bound
+    calls = []
+
+    def counted(interval, distance, **kwargs):
+        calls.append(distance)
+        return real(interval, distance, **kwargs)
+
+    monkeypatch.setattr(bounds, "invsqrt_closed_bound", counted)
+    out = tmp_path / "fig4.csv"
+    assert main(["figure", "fig4-cs-invsqrt", "--matrix-kind", kind,
+                 "--out", str(out)]) == 0
+    m, t = make_test_matrix(kind, 200), 127
+    ds = [abs(k - t) / m.beta for k in range(1, 201)]
+    assert sorted(calls) == sorted(set(ds) - {0.0})
+    assert len(calls) == 126
+    iv, diag_max = spectral_interval(m), m.diagonal_max()
+    col = np.abs(oracle.function_column(m, lambda x: x ** -0.5, t))
+    expect = tmp_path / "expect.csv"
+    figures._write_csv(str(expect), ("k", "oracle", "bound"), [
+        (k, float(col[k - 1]),
+         real(iv, d, diag_max=diag_max) if k != t else None)
+        for k, d in enumerate(ds, start=1)])
+    assert out.read_bytes() == expect.read_bytes()
+
+
+@pytest.mark.parametrize("sigma", ["140", "171"])
+def test_inv_pow_large_sigma_runs_clean(capsys, sigma):
+    # tau^(sigma-1) overflows a double here; the density never forms it
+    argv = ["compare", "--matrix", "tridiag", "--n", "20", "--class",
+            "laplace", "--function", f"inv_pow:{sigma}", "--column", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "violations 0 " in err
+    _, *rows = out.splitlines()
+    ratios = [float(r.split(",")[-1]) for r in rows if r.split(",")[-1]]
+    assert len(ratios) == 17 and all(math.isfinite(x) for x in ratios)
 
 
 # The documented (--class, --function) vocabulary of the README.

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from hypothesis import given, strategies as st
 
 from decaybounds import (KroneckerSum, LaplaceMeasure, SparseHermitianMatrix,
-                         cauchy_catalog, cauchy_kron_bound, exp_kron_bound,
+                         SpectralInterval, cauchy_catalog, cauchy_kron_bound,
+                         exp_envelope, exp_kron_bound,
                          function_column, laplace_catalog, laplace_entry_bound,
                          laplace_kron_bound, make_test_matrix,
                          banded_from_stencil, oracle_floor, spectral_interval)
 from decaybounds.figures import run_kron_compare
-from decaybounds.kron import _component_distances
+from decaybounds.kron import _component_distances, exp_kron_bounds
 from reference import (component_distances, exp_kron_entry_exact,
                        expm_column_nonneg, factor_intervals,
                        invsqrt_kron_split_bound, lancaster_column,
@@ -161,6 +163,41 @@ def test_exp_kron_bound_extended_regime_flag():
 def test_exp_kron_bound_rejects_diagonal(kron10):
     with pytest.raises(ValueError):
         exp_kron_bound(factor_intervals(kron10), 1.0, (0.0, 0.0))
+
+
+_INTERVALS = st.builds(lambda lmin, width: SpectralInterval(lmin, lmin + width),
+                       st.floats(0.0, 5.0), st.floats(0.01, 16.0))
+# band distances are multiples of 1/beta; zero components are common
+_COMPONENTS = st.one_of(st.just(0.0), st.integers(1, 160).map(lambda i: i / 2))
+
+
+@given(data=st.data(), nfac=st.sampled_from([2, 3]),
+       tau=st.floats(0.01, 10.0))
+def test_exp_kron_bounds_equal_the_per_tuple_bound_bit_for_bit(data, nfac,
+                                                                tau):
+    ivs = tuple(data.draw(_INTERVALS) for _ in range(nfac))
+    tuples = data.draw(st.lists(st.tuples(*[_COMPONENTS] * nfac).filter(any),
+                                min_size=1, max_size=40))
+    reports = exp_kron_bounds(ivs, tau, tuples)
+    assert [r.distance for r in reports] == tuples
+    for ds, rep in zip(tuples, reports):
+        assert rep == exp_kron_bound(ivs, tau, ds)
+        # the scalar product over the factors, in factor order
+        val = 1.0
+        for iv, d in zip(ivs, ds):
+            val *= math.exp(-tau * iv.lambda_min) * exp_envelope(iv.rho * tau, d)
+        assert rep.bound == val
+        assert rep.valid == all(d >= math.sqrt(4.0 * iv.rho * tau)
+                                for iv, d in zip(ivs, ds))
+
+
+def test_exp_kron_bounds_reject_a_diagonal_tuple_anywhere(kron10):
+    ivs = factor_intervals(kron10)
+    with pytest.raises(ValueError):
+        exp_kron_bounds(ivs, 1.0, [(1.0, 0.0), (0.0, 0.0)])
+    with pytest.raises(ValueError):
+        exp_kron_bounds(ivs, 1.0, [(1.0, 2.0, 3.0)])
+    assert exp_kron_bounds(ivs, 1.0, []) == []
 
 
 # -------------------------------------------------- transform-class bounds

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import pathlib
+import sys
 
 import pytest
 
@@ -45,6 +46,36 @@ def test_reproduce_figures_rejects_bad_quad_tol(monkeypatch, tmp_path):
         script.main(["--out-dir", str(tmp_path), "--quad-tol", "0"])
     assert exc.value.code == 2
     assert calls == []
+
+
+@pytest.fixture
+def perfbench_on_path(monkeypatch):
+    """perfbench/ importable for one test; what importing run.py sets
+    (BLAS thread variables, no bytecode) and the perfbench modules it
+    loads are undone afterwards, so later tests see neither."""
+    perfbench = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    loaded = set(sys.modules)
+    yield
+    for name in set(sys.modules) - loaded:
+        path = getattr(sys.modules[name], "__file__", None)
+        if path and pathlib.Path(path).parent == perfbench:
+            del sys.modules[name]
+
+
+def test_job_digests_repeat_on_the_figure_presets(perfbench_on_path):
+    # the byte-identity gate between two checkouts needs digests that do
+    # not change from one run to the next
+    script = _load("job_digests", ROOT / "scripts/job_digests.py")
+    jobs = script.workloads.figure_jobs()
+    first = script.digest_lines("figures-kron", jobs)
+    assert len(first) == 12
+    assert [line.split()[:3] for line in first] == [
+        ["figures-kron", job.key, "0"] for job in jobs]
+    assert script.digest_lines("figures-kron", jobs) == first
 
 
 def test_public_names_resolve_once():
