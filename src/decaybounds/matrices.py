@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.io
+import scipy.linalg
 import scipy.sparse
 
 
@@ -53,6 +54,21 @@ class SparseHermitianMatrix:
         if coo.nnz == 0:
             return 0
         return int(np.max(np.abs(coo.row - coo.col)))
+
+    @functools.cached_property
+    def tridiagonal(self):
+        """(diagonal, subdiagonal) float arrays of a real, finite matrix of
+        bandwidth at most 1; None for any other matrix.  Real means what
+        ``toarray`` means: no stored entry has a nonzero imaginary part.
+        The subdiagonal is the lower triangle, which the dense LAPACK
+        solvers read.  A non-finite entry keeps the dense path, and its
+        error message."""
+        data = self.matrix.data
+        if (self.beta > 1 or not np.all(np.isfinite(data))
+                or (np.iscomplexobj(data) and np.any(data.imag))):
+            return None
+        return (self.matrix.diagonal().real.astype(float),
+                self.matrix.diagonal(-1).real.astype(float))
 
 
 def banded_from_stencil(stencil, n):
@@ -163,9 +179,23 @@ class SpectralInterval:
 
 
 def spectral_interval(M):
-    """Exact spectral enclosure of a Hermitian matrix from a dense
-    symmetric eigensolve (intended for desk-scale orders)."""
-    w = np.linalg.eigvalsh(M.toarray())
+    """Spectral interval [w_1, w_n] of a Hermitian matrix from its extreme
+    computed eigenvalues.
+
+    A real tridiagonal matrix (``M.tridiagonal``) goes to LAPACK's
+    ``dstevd``, which scales it as ``dsyevd`` does and then runs
+    ``dsterf``: O(n^2) work and no dense matrix.  numpy's dense
+    ``eigvalsh`` calls ``dsyevd``, whose Householder reduction of a matrix
+    that is already tridiagonal is the identity, so both run the same
+    routines on the same numbers and give the same bits (numpy and scipy
+    ship their own LAPACK builds; the tests hold them to it).  Any other
+    matrix takes the dense eigensolve (intended for desk-scale orders).
+    """
+    tri = M.tridiagonal
+    if tri is not None:
+        w = scipy.linalg.eigvalsh_tridiagonal(*tri, lapack_driver="stevd")
+    else:
+        w = np.linalg.eigvalsh(M.toarray())
     return SpectralInterval(float(w[0]), float(w[-1]))
 
 

@@ -13,11 +13,11 @@ suite checks each representation by quadrature reconstruction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, exp1
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,15 @@ class CauchyMeasure:
     def abs_density_s(self, s):
         """|v(-s)|: the bounds integrate against the total variation."""
         return np.abs(self.density_s(s))
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on first use: the import costs about 45 ms,
+    and only the Cauchy transforms (``laplace_transform`` and
+    ``variation_transform``) of ``expsqrt`` and ``log1p_over_z`` call it."""
+    import scipy.special
+    return scipy.special
 
 
 def _parse_parameter(name, key):
@@ -181,12 +190,12 @@ def cauchy_catalog(name):
             density=density,
             support_upper=0.0,
             singularity_exponent=-0.5,
-            laplace_transform=lambda t: erf(tpar / (2.0 * np.sqrt(t))),
+            laplace_transform=lambda t: _special().erf(tpar / (2.0 * np.sqrt(t))),
             signed=True,
             # |sin(t sqrt(s))| <= min(t sqrt(s), 1), split at s = 1/t^2
             variation_transform=lambda tau: (
-                tpar * erf(np.sqrt(tau) / tpar) / np.sqrt(math.pi * tau)
-                + exp1(tau / tpar ** 2) / math.pi),
+                tpar * _special().erf(np.sqrt(tau) / tpar) / np.sqrt(math.pi * tau)
+                + _special().exp1(tau / tpar ** 2) / math.pi),
             tail_envelope=lambda s: np.minimum(
                 tpar / (math.pi * np.sqrt(np.asarray(s, dtype=float))),
                 1.0 / (math.pi * np.asarray(s, dtype=float))),
@@ -198,7 +207,7 @@ def cauchy_catalog(name):
             closed_form=lambda x: np.log1p(x) / x,
             density=lambda w: 1.0 / (-np.asarray(w, dtype=float)),
             support_upper=-1.0,
-            laplace_transform=lambda t: exp1(t),
+            laplace_transform=lambda t: _special().exp1(t),
         )
     raise ValueError(f"unknown Cauchy-class function {name!r}")
 

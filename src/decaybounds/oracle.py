@@ -1,11 +1,19 @@
-"""Exact dense reference computations.
+"""Exact reference computations.
 
 Eigendecomposition is the single reference path for every matrix function
 here; it is the ground truth each decay bound is compared against at desk
 scale.  Decompositions are cached per matrix object and never mutated.
-A Kronecker sum is never assembled: its eigenpairs are sums of factor
-eigenvalues and Kronecker products of factor eigenvectors, so a column of
-f(A) is a tensor contraction with the factors' U, O(N sum_L n_L) work.
+A real tridiagonal matrix (``M.tridiagonal``) is never made dense: its
+eigenpairs come from LAPACK's tridiagonal divide and conquer
+(``dstevd``).  numpy's dense ``eigh`` calls ``dsyevd``, whose Householder
+reduction of such a matrix is the identity and which then runs the same
+divide and conquer on the same numbers, so with BLAS on one thread both
+give the same bits.  (Its merges multiply through BLAS, and numpy and
+scipy ship their own builds: under threaded BLAS the eigenvectors may
+differ in the last bits.)  Every other matrix takes the dense ``eigh``.  A Kronecker sum is never assembled: its
+eigenpairs are sums of factor eigenvalues and Kronecker products of
+factor eigenvectors, so a column of f(A) is a tensor contraction with
+the factors' U, O(N sum_L n_L) work.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .matrices import KroneckerSum
 
@@ -49,7 +58,14 @@ def eigendecomposition(M):
         w = _combine(np.add.outer, [p.eigenvalues for p in parts]).ravel()
         dec = EigenDecomposition(eigenvalues=w, eigenvectors=None, factors=parts)
     else:
-        w, u = np.linalg.eigh(M.toarray())
+        tri = M.tridiagonal
+        if tri is not None:
+            w, u = scipy.linalg.eigh_tridiagonal(*tri, lapack_driver="stevd")
+            # C order, as numpy's eigh returns it: ``u @ v`` in
+            # function_column then adds its terms in the same order
+            u = np.ascontiguousarray(u)
+        else:
+            w, u = np.linalg.eigh(M.toarray())
         dec = EigenDecomposition(eigenvalues=w, eigenvectors=u)
     _CACHE[M] = dec
     return dec
