@@ -187,7 +187,7 @@ def _segment_steps(pieces, quad_tol, max_panels):
 
 
 def _envelope_integral(intervals, distances, weight, upper, singularity,
-                       atoms, quad_tol, max_panels):
+                       atoms, quad_tol, max_panels, log_weight=None):
     """Integrals of the product envelope prod_L exp(-lambda_min_L tau)
     E(rho_L tau, d_L) against weight(tau) dtau on (0, upper], plus the
     envelope at each atom (location, mass), at every tuple (d_L) of
@@ -198,8 +198,11 @@ def _envelope_integral(intervals, distances, weight, upper, singularity,
     since the semigroup of a Kronecker sum factorizes entrywise.  Each
     tuple's quadrature is split at its own factors' envelope breakpoints,
     ``singularity`` (the weight's exponent at 0) applies to the first
-    segment, and ``weight=None`` integrates the atoms only.  The segments
-    of all tuples run as one lockstep quadrature.  Returns one (total,
+    segment, and ``weight=None`` integrates the atoms only.  A
+    ``log_weight`` (log of ``weight``) joins the exponent -sum_L
+    lambda_min_L tau before it is exponentiated, so the integrand is
+    formed where the weight alone overflows.  The segments of all tuples
+    run as one lockstep quadrature.  Returns one (total,
     segments, error, evaluations, converged) per tuple; ``segments`` lists
     (lo, hi, value) in edge order followed by one (location, location,
     value) per atom, and ``total`` sums them in that order.
@@ -219,10 +222,15 @@ def _envelope_integral(intervals, distances, weight, upper, singularity,
     def integrand(taus, step):
         ds = rows[owner[step]]
         out = 1.0
-        for L, (lmin, rho) in enumerate(terms):
-            out = (out * np.exp(-lmin * taus)
-                   * exp_envelope(rho * taus, ds[:, L:L + 1]))
-        w = weight(taus)
+        if log_weight is None:
+            for L, (lmin, rho) in enumerate(terms):
+                out = (out * np.exp(-lmin * taus)
+                       * exp_envelope(rho * taus, ds[:, L:L + 1]))
+            w = weight(taus)
+        else:
+            for L, (_, rho) in enumerate(terms):
+                out = out * exp_envelope(rho * taus, ds[:, L:L + 1])
+            w = np.exp(log_weight(taus) - sum(lmin for lmin, _ in terms) * taus)
         # a weight past the largest double bounds by inf, not inf * 0 = nan
         return np.where(np.isinf(w), np.inf, out * w)
 
@@ -270,7 +278,7 @@ def laplace_bounds(interval, measure, distances, *, quad_tol=1e-10,
     integrals = _envelope_integral(
         (interval,), [(d,) for d in distances], measure.density,
         measure.support_upper, measure.singularity_exponent, measure.atoms,
-        quad_tol, max_panels)
+        quad_tol, max_panels, measure.log_density)
     rho = interval.rho
     reports = []
     for d, (_, segments, err, evals, converged) in zip(distances, integrals):

@@ -63,7 +63,7 @@ def exp_kron_bound(intervals, tau, distances):
 
 
 def _kron_bounds(intervals, distances, weight, upper, singularity, atoms,
-                 quad_tol, max_panels):
+                 quad_tol, max_panels, log_weight=None):
     """Shared engine of the Laplace and Cauchy routes: the product-envelope
     integrals over the factors at each tuple of component distances, each
     ``valid`` when every d_L >= 2 (the capped envelopes bound any d_L)."""
@@ -76,7 +76,8 @@ def _kron_bounds(intervals, distances, weight, upper, singularity, atoms,
     if any(len(ds) != len(intervals) for ds in distances):
         raise ValueError("each distance tuple needs one distance per factor")
     integrals = _envelope_integral(intervals, distances, weight, upper,
-                                   singularity, atoms, quad_tol, max_panels)
+                                   singularity, atoms, quad_tol, max_panels,
+                                   log_weight)
     return [DecayBoundReport(distance=ds, bound=total, error_estimate=err,
                              evaluations=evals, converged=converged,
                              valid=all(d >= 2.0 for d in ds))
@@ -98,7 +99,8 @@ def laplace_kron_bounds(intervals, measure, distances, *, quad_tol=1e-10,
         raise ValueError(f"measure {measure.name!r} has no stored representation")
     return _kron_bounds(intervals, distances, measure.density,
                         measure.support_upper, measure.singularity_exponent,
-                        measure.atoms, quad_tol, max_panels)
+                        measure.atoms, quad_tol, max_panels,
+                        measure.log_density)
 
 
 def laplace_kron_bound(intervals, measure, distances, *, quad_tol=1e-10,

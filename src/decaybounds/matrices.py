@@ -41,7 +41,10 @@ class SparseHermitianMatrix:
         object.__setattr__(self, "matrix", m)
 
     def toarray(self):
-        a = self.matrix.toarray()
+        """Dense copy, real when no entry has a nonzero imaginary part; in
+        Fortran order, the layout LAPACK reads, so an eigensolve can
+        overwrite it instead of copying it."""
+        a = self.matrix.toarray(order="F")
         return a.real if not np.iscomplexobj(a) or np.max(np.abs(a.imag)) == 0 else a
 
     def diagonal_max(self):
@@ -184,18 +187,20 @@ def spectral_interval(M):
 
     A real tridiagonal matrix (``M.tridiagonal``) goes to LAPACK's
     ``dstevd``, which scales it as ``dsyevd`` does and then runs
-    ``dsterf``: O(n^2) work and no dense matrix.  numpy's dense
-    ``eigvalsh`` calls ``dsyevd``, whose Householder reduction of a matrix
-    that is already tridiagonal is the identity, so both run the same
-    routines on the same numbers and give the same bits (numpy and scipy
-    ship their own LAPACK builds; the tests hold them to it).  Any other
-    matrix takes the dense eigensolve (intended for desk-scale orders).
+    ``dsterf``: O(n^2) work and no dense matrix, and the bits of numpy's
+    dense ``eigvalsh``, whose Householder reduction of a matrix that is
+    already tridiagonal is the identity.  Any other matrix reads its ends
+    off the oracle's cached eigendecomposition, so the oracle pass that
+    follows reuses the one dense solve.
     """
     tri = M.tridiagonal
     if tri is not None:
         w = scipy.linalg.eigvalsh_tridiagonal(*tri, lapack_driver="stevd")
     else:
-        w = np.linalg.eigvalsh(M.toarray())
+        # imported here, as oracle imports this module; the attribute
+        # lookup lets a wrapped or patched eigendecomposition see the call
+        from . import oracle
+        w = oracle.eigendecomposition(M).eigenvalues
     return SpectralInterval(float(w[0]), float(w[-1]))
 
 

@@ -28,6 +28,9 @@ class LaplaceMeasure:
     support_upper: float = math.inf
     singularity_exponent: float = 0.0  # w(tau) ~ tau**p as tau -> 0+
     atoms: tuple = ()                # ((location > 0, weight > 0), ...)
+    # log w(tau), for a density that overflows a double where the bound
+    # integrand exp(-lambda_min tau) w(tau) does not
+    log_density: object = None
 
     def __post_init__(self):
         for loc, weight in self.atoms:
@@ -135,12 +138,14 @@ def laplace_catalog(name):
         except OverflowError:
             raise ValueError("inv_pow requires sigma below about 171.62, where "
                              f"Gamma(sigma) overflows; got {sigma}") from None
+        # tau^(sigma-1) / Gamma(sigma) in log space: no power overflows
+        log_density = lambda t: (sigma - 1.0) * np.log(t) - log_gamma
         return LaplaceMeasure(
             name=name,
             closed_form=lambda x: x ** -sigma,
-            # tau^(sigma-1) / Gamma(sigma) in log space: no power overflows
-            density=lambda t: np.exp((sigma - 1.0) * np.log(t) - log_gamma),
+            density=lambda t: np.exp(log_density(t)),
             singularity_exponent=min(sigma - 1.0, 0.0),
+            log_density=log_density,
         )
     if name == "log1p_inv":
         # Frullani: log(1 + 1/x) = int_0^inf exp(-x tau) (1 - exp(-tau))/tau dtau

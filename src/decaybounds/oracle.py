@@ -3,6 +3,8 @@
 Eigendecomposition is the single reference path for every matrix function
 here; it is the ground truth each decay bound is compared against at desk
 scale.  Decompositions are cached per matrix object and never mutated.
+The spectral enclosure of any matrix that is not real tridiagonal reads
+its ends off this decomposition, so each matrix costs one eigensolve.
 A real tridiagonal matrix (``M.tridiagonal``) is never made dense: its
 eigenpairs come from LAPACK's tridiagonal divide and conquer
 (``dstevd``).  numpy's dense ``eigh`` calls ``dsyevd``, whose Householder
@@ -10,10 +12,13 @@ reduction of such a matrix is the identity and which then runs the same
 divide and conquer on the same numbers, so with BLAS on one thread both
 give the same bits.  (Its merges multiply through BLAS, and numpy and
 scipy ship their own builds: under threaded BLAS the eigenvectors may
-differ in the last bits.)  Every other matrix takes the dense ``eigh``.  A Kronecker sum is never assembled: its
-eigenpairs are sums of factor eigenvalues and Kronecker products of
-factor eigenvectors, so a column of f(A) is a tensor contraction with
-the factors' U, O(N sum_L n_L) work.
+differ in the last bits.)  Every other matrix takes one dense
+``dsyevd``/``zheevd`` solve, through scipy on a Fortran-order copy that
+it overwrites: the routine numpy's ``eigh`` calls, on the same numbers,
+without numpy's extra copy of the matrix.  A Kronecker sum is never
+assembled: its eigenpairs are sums of factor eigenvalues and Kronecker
+products of factor eigenvectors, so a column of f(A) is a tensor
+contraction with the factors' U, O(N sum_L n_L) work.
 """
 
 from __future__ import annotations
@@ -61,11 +66,18 @@ def eigendecomposition(M):
         tri = M.tridiagonal
         if tri is not None:
             w, u = scipy.linalg.eigh_tridiagonal(*tri, lapack_driver="stevd")
-            # C order, as numpy's eigh returns it: ``u @ v`` in
-            # function_column then adds its terms in the same order
-            u = np.ascontiguousarray(u)
+        elif not np.all(np.isfinite(M.matrix.data)):
+            # LAPACK's answer to one varies: nan eigenvalues, or an error
+            # naming a submatrix
+            raise np.linalg.LinAlgError(
+                "Eigenvalues did not converge: the matrix has a non-finite entry")
         else:
-            w, u = np.linalg.eigh(M.toarray())
+            # the Fortran-order copy is overwritten, not copied once more
+            w, u = scipy.linalg.eigh(M.toarray(), driver="evd",
+                                     overwrite_a=True, check_finite=False)
+        # C order, as numpy's eigh returns it: ``u @ v`` in function_column
+        # then adds its terms in the same order
+        u = np.ascontiguousarray(u)
         dec = EigenDecomposition(eigenvalues=w, eigenvectors=u)
     _CACHE[M] = dec
     return dec

@@ -4,11 +4,15 @@ Panel-adaptive Gauss-Kronrod (7/15 pair) with deterministic panel ordering,
 a declared left-endpoint singularity substitution and geometric tail
 extension, written once as generator steps: a step yields the panels it
 needs and receives their (value, error) pairs.  :func:`run_steps` drives
-many steps in lockstep with one vectorized kernel call per round, and a
-step's result does not depend on the steps it runs with.  Integrands are
-scalar: they receive a numpy array of abscissae and return an array of the
-same shape.  The one tolerance is relative: a step stops once its error
-estimate is at most ``rtol`` times the magnitude of its value.
+many steps in lockstep with one vectorized kernel call per round.  A
+step's result depends on the steps it runs with only through the last
+bits of its kernel values: numpy's array ``**`` may round differently
+from its scalar ``**`` (its AVX-512 kernels), so a batched value can
+differ by an ulp or so from the same value computed alone, and such a bit
+can in turn tip a refinement decision.  Integrands are scalar: they
+receive a numpy array of abscissae and return an array of the same shape.
+The one tolerance is relative: a step stops once its error estimate is at
+most ``rtol`` times the magnitude of its value.
 """
 
 from __future__ import annotations

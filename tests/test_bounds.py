@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -348,14 +349,36 @@ def test_inv_pow_large_sigma_matches_a_log_space_reference(sigma):
 def test_overflowing_weight_bounds_by_inf_not_nan():
     # with lambda_min small the tail reaches tau where the inv_pow:171
     # density itself overflows while the envelope has underflowed to 0;
-    # inf is still an upper bound, inf * 0 = nan is none
+    # integrated as a plain density, inf is still an upper bound, inf * 0
+    # = nan is none
     iv = SpectralInterval(0.05, 4.05)
     measure = laplace_catalog("inv_pow:171")
+    plain = dataclasses.replace(measure, log_density=None)
     with np.errstate(over="ignore", invalid="ignore"):
         for d in (2.0, 9.0):
-            rep = laplace_entry_bound(iv, measure, d, quad_tol=1e-8,
+            rep = laplace_entry_bound(iv, plain, d, quad_tol=1e-8,
                                       max_panels=100)
             assert rep.bound == math.inf, d
+    # the catalog's log density joins the exponent: a finite bound, at most
+    # the lambda_min^-171 that a unit envelope gives
+    for d in (2.0, 9.0):
+        rep = laplace_entry_bound(iv, measure, d, quad_tol=1e-8,
+                                  max_panels=100)
+        assert rep.converged and 0 < rep.bound <= 0.05 ** -171 * (1 + 1e-7), d
+
+
+@pytest.mark.parametrize("fname", ["inv_pow:0.55", "inv_pow:2.5",
+                                   "inv_pow:60"])
+def test_inv_pow_log_density_matches_the_density_route(fname):
+    # where the density is finite both routes integrate the same function
+    measure = laplace_catalog(fname)
+    plain = dataclasses.replace(measure, log_density=None)
+    iv = spectral_interval(make_test_matrix("pentadiag", 40))
+    for d in (2.0, 5.0, 12.0):
+        a = laplace_entry_bound(iv, measure, d, quad_tol=1e-10)
+        b = laplace_entry_bound(iv, plain, d, quad_tol=1e-10)
+        assert a.converged and b.converged
+        assert a.bound == pytest.approx(b.bound, rel=1e-9), d
 
 
 def test_laplace_atom_measure_reduces_to_exp_bound():

@@ -765,6 +765,38 @@ def test_inv_pow_large_sigma_runs_clean(capsys, sigma):
     assert len(ratios) == 17 and all(math.isfinite(x) for x in ratios)
 
 
+def test_inv_pow_weight_past_the_largest_double_runs_clean(capsys):
+    # lambda_min = 0.072: the density tau^170 / Gamma(171) overflows where
+    # the bound integrand peaks, near tau = 2350, but the integrand is 1e195
+    argv = ["compare", "--matrix", "tridiag:-1,2.05,-1", "--n", "20",
+            "--class", "laplace", "--function", "inv_pow:171", "--column", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert "violations 0 resolved 17" in err
+    lmin = 2.05 - 2 * math.cos(math.pi / 21)
+    cells = [r.split(",") for r in out.splitlines()[1:]]
+    bounded = [(float(b), float(o)) for _, _, b, o, _ in cells if b]
+    assert len(bounded) == 17
+    # every cell is finite, dominates its oracle and stays below the
+    # trivial bound ||f(M)|| = lambda_min^-171 that a unit envelope gives
+    for b, o in bounded:
+        assert o <= b <= lmin ** -171 * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("command", ["compare", "bound", "oracle"])
+def test_non_finite_dense_matrix_exits_one(command, capsys):
+    argv = [command, "--matrix", "pentadiag:-0.5,-1,nan,-1,-0.5", "--n", "30",
+            "--class", "laplace", "--function", "inv_sqrt", "--column", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("decay: error: ") and "did not converge" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 # The documented (--class, --function) vocabulary of the README.
 _VOCABULARY = ([("laplace", f) for f in ("inv", "exp", "phi1", "inv_sqrt",
                                          "inv_pow:0.5", "log1p_inv")]
