@@ -1,15 +1,17 @@
-"""Entrywise decay bounds for functions of a single banded Hermitian
-positive definite matrix.
+"""Entrywise decay bounds for functions of a banded Hermitian positive
+definite matrix, and the exponential and envelope-integral routes that a
+Kronecker sum shares with it as their one-factor case.
 
 The two building blocks are the capped two-regime envelope for entries of
 the semigroup exp(-tau M) (superexponential tail) and the resolvent decay
 constants of Demko/Freund type (exponential tail).  Transform-class bounds
 integrate these kernels against the representing measure.
 
-Every bound depends on the entry (k, t) only through a distance d, its
-one spatial input: the band distance |k - t| / beta of a banded matrix or
-the geodesic distance in the sparsity-pattern graph of a general one
-(:mod:`decaybounds.graphdist`).  The callers compute it.
+Every bound depends on the entry (k, t) only through a distance d (one
+per Kronecker factor), its one spatial input: the band distance
+|k - t| / beta of a banded matrix or the geodesic distance in the
+sparsity-pattern graph of a general one (:mod:`decaybounds.graphdist`).
+The callers compute it (``figures._distances``).
 """
 
 from __future__ import annotations
@@ -87,11 +89,37 @@ def _positive(distance):
     return float(distance)
 
 
+def exp_bounds(intervals, tau, distances):
+    """Bounds for |exp(-tau A)|_{k t} at each tuple of per-factor
+    distances d_L, not all zero: a list of reports, from one envelope call
+    per factor.  ``intervals`` holds one SpectralInterval per Kronecker
+    factor; a single matrix is the one-factor case.
+
+    Stated validity needs every distance to clear the envelope's Gaussian
+    window, d_L >= sqrt(4 rho_L tau); outside it the capped envelope
+    (factor at most exp(-tau lambda_min)) still gives a rigorous value,
+    reported with ``valid=False``.
+    """
+    distances = [tuple(ds) for ds in distances]
+    if any(len(ds) != len(intervals) or not any(ds) for ds in distances):
+        raise ValueError("each distance tuple needs one distance per factor, "
+                         "not all zero: diagonal entries are not covered")
+    vals, valid = [1.0] * len(distances), [True] * len(distances)
+    for iv, d in zip(intervals, zip(*distances)):
+        # each entry equals the scalar call, so every product keeps its bits
+        env = exp_envelope(iv.rho * tau, d).tolist()
+        scale = math.exp(-tau * iv.lambda_min)
+        vals = [v * (scale * e) for v, e in zip(vals, env)]
+        window = math.sqrt(4.0 * iv.rho * tau)
+        valid = [ok and x >= window for ok, x in zip(valid, d)]
+    return [DecayBoundReport(distance=ds, bound=v, valid=ok)
+            for ds, v, ok in zip(distances, vals, valid)]
+
+
 def exp_entry_bound(interval, tau, distance):
-    """Upper bound for |exp(-tau M)|_{k t} at distance d > 0, M Hermitian
-    PSD with spectrum in [lambda_min, lambda_min + 4 rho]."""
-    d = _positive(distance)
-    return math.exp(-tau * interval.lambda_min) * exp_envelope(interval.rho * tau, d)
+    """Upper bound for |exp(-tau M)|_{k t} at distance d > 0: the
+    one-factor, one-distance exp_bounds."""
+    return exp_bounds((interval,), tau, [(_positive(distance),)])[0].bound
 
 
 def _demko_kernel(lmin, lmax, s):
@@ -178,12 +206,19 @@ def _envelope_breakpoints(d, rho):
     return tuple(pts)
 
 
-def _segment_steps(pieces, quad_tol, max_panels):
-    """Quadrature steps of the (lo, hi, singularity) pieces, hi may be inf."""
-    return [semi_infinite_step(lo, quad_tol, sing, max_panels)
-            if math.isinf(hi) else
-            finite_step(lo, hi, quad_tol, sing, max_panels)
-            for lo, hi, sing in pieces]
+def _lockstep(pieces, integrand, quad_tol, max_panels):
+    """One lockstep quadrature over groups of (lo, hi, singularity)
+    pieces, hi may be inf; ``integrand(x, group, piece)`` gets each
+    abscissa row's group and piece index.  Returns the QuadratureResults
+    regrouped as ``pieces`` is."""
+    flat = [(i, j, *p) for i, ps in enumerate(pieces) for j, p in enumerate(ps)]
+    group, piece = np.array([f[:2] for f in flat], dtype=int).reshape(-1, 2).T
+    results = iter(run_steps(
+        lambda x, step: integrand(x, group[step], piece[step]),
+        [semi_infinite_step(lo, quad_tol, sing, max_panels) if math.isinf(hi)
+         else finite_step(lo, hi, quad_tol, sing, max_panels)
+         for _, _, lo, hi, sing in flat]))
+    return [[next(results) for _ in ps] for ps in pieces]
 
 
 def _envelope_integral(intervals, distances, weight, upper, singularity,
@@ -209,18 +244,16 @@ def _envelope_integral(intervals, distances, weight, upper, singularity,
     """
     terms = [(iv.lambda_min, iv.rho) for iv in intervals]
     rows = np.array(distances, dtype=float).reshape(len(distances), len(terms))
-    pieces, owner = [], []
-    for i, ds in enumerate(rows.tolist()):
+    pieces = []
+    for ds in rows.tolist():
         cuts = sorted({c for (_, rho), d in zip(terms, ds)
                        for c in _envelope_breakpoints(d, rho) if 0.0 < c < upper})
         edges = [0.0] + cuts + [upper] if weight is not None else [0.0]
         pieces.append([(lo, hi, singularity if lo == 0.0 else 0.0)
                        for lo, hi in zip(edges[:-1], edges[1:])])
-        owner += [i] * len(pieces[-1])
-    owner = np.array(owner, dtype=int)
 
-    def integrand(taus, step):
-        ds = rows[owner[step]]
+    def integrand(taus, group, _):
+        ds = rows[group]
         out = 1.0
         if log_weight is None:
             for L, (lmin, rho) in enumerate(terms):
@@ -234,25 +267,18 @@ def _envelope_integral(intervals, distances, weight, upper, singularity,
         # a weight past the largest double bounds by inf, not inf * 0 = nan
         return np.where(np.isinf(w), np.inf, out * w)
 
-    results = iter(run_steps(integrand, _segment_steps(
-        [p for ps in pieces for p in ps], quad_tol, max_panels)))
+    results = _lockstep(pieces, integrand, quad_tol, max_panels)
     out = []
-    for ds, segs in zip(rows.tolist(), pieces):
-        segments, err, evals, converged = [], 0.0, 0, True
-        for lo, hi, _ in segs:
-            r = next(results)
-            segments.append((lo, hi, r.value))
-            err += r.error_estimate
-            evals += r.evaluations
-            converged = converged and r.converged
-        for loc, mass in atoms:
-            segments.append((loc, loc, mass * math.prod(
-                math.exp(-lmin * loc) * exp_envelope(rho * loc, d)
-                for (lmin, rho), d in zip(terms, ds))))
+    for ds, segs, rs in zip(rows.tolist(), pieces, results):
+        segments = [(lo, hi, r.value) for (lo, hi, _), r in zip(segs, rs)]
+        segments += [(loc, loc, mass * math.prod(
+            math.exp(-lmin * loc) * exp_envelope(rho * loc, d)
+            for (lmin, rho), d in zip(terms, ds))) for loc, mass in atoms]
         total = 0.0
         for _, _, value in segments:
             total += value
-        out.append((total, segments, err, evals, converged))
+        out.append((total, segments, sum((r.error_estimate for r in rs), 0.0),
+                    sum(r.evaluations for r in rs), all(r.converged for r in rs)))
     return out
 
 
@@ -321,25 +347,23 @@ def _total_variation_quadrature(kernel, measure, distances, quad_tol,
     else:
         split = max(measure.tail_start, s0 + 1.0)
         pieces = [(s0, split, sing), (split, math.inf, 0.0)]
-    n = len(pieces)
     dist = np.array(distances, dtype=float)[:, None]
 
-    def integrand(s, step):
-        out = kernel(s, dist[step // n])
-        tail = step % n == 1
+    def integrand(s, group, piece):
+        out = kernel(s, dist[group])
+        tail = piece == 1
         out[~tail] *= measure.abs_density_s(s[~tail])
         if tail.any():
             out[tail] *= measure.tail_envelope(s[tail])
         return out
 
-    results = run_steps(integrand, _segment_steps(
-        pieces * len(dist), quad_tol, max_panels))
+    results = _lockstep([pieces] * len(dist), integrand, quad_tol, max_panels)
     return [DecayBoundReport(
         distance=float(d), bound=sum(r.value for r in rs),
         error_estimate=sum(r.error_estimate for r in rs),
         evaluations=sum(r.evaluations for r in rs),
         converged=all(r.converged for r in rs), valid=True)
-        for d, rs in zip(distances, zip(*[iter(results)] * n))]
+        for d, rs in zip(distances, results)]
 
 
 def cauchy_bounds(interval, measure, distances, *, quad_tol=1e-10,

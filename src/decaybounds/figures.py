@@ -16,8 +16,8 @@ import numpy as np
 
 from . import bounds, kron, oracle
 from .graphdist import geodesic_from
-from .matrices import (KroneckerSum, banded_from_stencil, make_test_matrix,
-                       spectral_interval)
+from .matrices import (KroneckerSum, SpectralInterval, banded_from_stencil,
+                       make_test_matrix, spectral_interval)
 from .measures import cauchy_catalog, laplace_catalog
 
 FIGURE_IDS = (
@@ -94,20 +94,19 @@ def _closed_form_rows(figure_id, matrix_kind):
     class covers: the shifted exponential and the closed-form M^{-1/2}."""
     M = make_test_matrix(matrix_kind, _N)
     iv = spectral_interval(M)
-    ds = [abs(k - _T) / M.beta for k in range(1, _N + 1)]
+    keys = [ds if ds[0] > 0 else None for ds in _distances(M, _T)]
     if figure_id == "fig1-exp":
-        # exp(-tau (M - lambda_min)) is bounded by the envelope itself,
-        # stated where d clears the Gaussian window (> 0, so not at row t)
+        # exp(-tau (M - lambda_min)): one factor with spectrum in
+        # [0, lambda_max - lambda_min], stated where the report is valid
         f = lambda x: np.exp(-_TAU * (x - iv.lambda_min))
-        window = math.sqrt(4.0 * iv.rho * _TAU)
-        keys = [d if d >= window else None for d in ds]
-        bounds_at = lambda ds: bounds.exp_envelope(iv.rho * _TAU, ds).tolist()
+        shifted = SpectralInterval(0.0, iv.lambda_max - iv.lambda_min)
+        bounds_at = lambda dss: [r.bound if r.valid else None for r in
+                                 bounds.exp_bounds((shifted,), _TAU, dss)]
     else:
         f = lambda x: x ** -0.5
-        keys = [d if d > 0 else None for d in ds]
         diag_max = M.diagonal_max()
-        bounds_at = lambda ds: [bounds.invsqrt_closed_bound(
-            iv, d, diag_max=diag_max) for d in ds]
+        bounds_at = lambda dss: [bounds.invsqrt_closed_bound(
+            iv, d, diag_max=diag_max) for d, in dss]
     col, floor, bs, _ = _column(M, _T, f, keys, bounds_at)
     rows = [(k, o, b) for k, (o, b) in enumerate(zip(col, bs), start=1)
             if figure_id != "fig1-exp" or o >= floor]
@@ -211,6 +210,27 @@ def _summary(pairs, floor, reports, nrows):
     return summary
 
 
+def _distances(A, t, mode="band", drop_tol=0.0):
+    """Per-factor distances of every entry (k, t) of column t: a list of
+    tuples, row k at index k - 1; a single matrix is the one-factor case.
+    Band distances are |k_L - t_L| / beta_L; graph distances (single
+    matrices only) are breadth-first distances in the sparsity-pattern
+    graph, inf at an unreachable row."""
+    if mode == "graph":
+        return [(d,) for d in
+                geodesic_from(A, t, drop_tol=drop_tol).distances.tolist()]
+    if isinstance(A, KroneckerSum):
+        factors, km = A.factors, A.multi_indices
+    else:
+        factors, km = (A,), np.arange(1, A.n + 1)[:, None]
+    if any(f.beta < 1 for f in factors):
+        raise ValueError("band distances need bandwidth beta >= 1 in every "
+                         "factor; a diagonal matrix has graph distances only "
+                         "(compare --distance graph)")
+    d = abs(km - km[t - 1]) / [f.beta for f in factors]
+    return list(map(tuple, d.tolist()))
+
+
 def _column(A, t, f, keys, bounds_at):
     """The pass behind every printed column: (|column t of f(A)|, its
     oracle floor, each row's bound, the reports).  A row's bound depends
@@ -241,18 +261,12 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     resolution floor; smaller entries are rounding noise (see
     :func:`decaybounds.oracle.oracle_floor`).
     """
-    n, beta = M.n, M.beta
-    if distance_mode == "band" and beta < 1:
-        raise ValueError("band distances need bandwidth >= 1 and the matrix "
-                         "is diagonal; use --distance graph")
+    ds = [d for d, in _distances(M, t, distance_mode, drop_tol)]
     f, kind, measure = resolve_function(function, klass, tau, zeta)
     tau = 1.0 if tau is None else tau
     iv = spectral_interval(M)
     if kind == "exp":
-        # exp_entry_bound from one envelope call; each entry equals the
-        # scalar call, so the products keep their bits
-        bounds_at = lambda ds: (math.exp(-tau * iv.lambda_min)
-                                * bounds.exp_envelope(iv.rho * tau, ds)).tolist()
+        bounds_at = lambda ds: bounds.exp_bounds((iv,), tau, [(d,) for d in ds])
     elif kind == "demko":
         diag_max = M.diagonal_max()
         bounds_at = lambda ds: [bounds.demko_bound(iv, d, diag_max=diag_max)
@@ -264,9 +278,6 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
         bound = bounds.laplace_bounds if kind == "laplace" else bounds.cauchy_bounds
         bounds_at = lambda ds: bound(iv, measure, ds, quad_tol=quad_tol,
                                      max_panels=max_panels)
-    dist = geodesic_from(M, t, drop_tol=drop_tol) if distance_mode == "graph" else None
-    ds = [dist[k] if dist is not None else abs(k - t) / beta
-          for k in range(1, n + 1)]
     # No bound at an unreachable row, at d = 0 (row t) for exp and the
     # shifted resolvent, nor below the stated d >= 2 of the Laplace class.
     least = 2.0 if kind == "laplace" else 0.0
@@ -277,7 +288,7 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
              b / o if b is not None and o > 0 else None)
             for k, (d, b, o) in enumerate(zip(ds, bs, col), start=1)]
     header = ("k", "distance", "bound", "oracle", "ratio")
-    return _summary(zip(bs, col), floor, reports, n), header, rows
+    return _summary(zip(bs, col), floor, reports, M.n), header, rows
 
 
 def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
@@ -291,11 +302,12 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
     (d2, d1) are different tuples.  The summary's convergence figures come
     from one report per distinct tuple.
     """
+    ds = _distances(A, t)
     f, kind, measure = resolve_function(function, klass, tau, 0.0)
     tau = 1.0 if tau is None else tau
     ivs = tuple(spectral_interval(m) for m in A.factors)
     if kind == "exp":
-        bounds_at = lambda dss: kron.exp_kron_bounds(ivs, tau, dss)
+        bounds_at = lambda dss: bounds.exp_bounds(ivs, tau, dss)
     elif kind in ("laplace", "cauchy"):
         bound = (kron.laplace_kron_bounds if kind == "laplace"
                  else kron.cauchy_kron_bounds)
@@ -304,7 +316,6 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
     else:
         raise ValueError(f"--class {klass} --function {function} is not "
                          "available for Kronecker sums")
-    ds = kron._component_distances(A, t)
     # the diagonal entry of exp is not covered
     keys = [None if kind == "exp" and k == t else d
             for k, d in enumerate(ds, start=1)]

@@ -5,61 +5,28 @@ entrywise, exp(-tau A)[k, t] = prod_L exp(-tau M_L)[k_L, t_L], so
 transform-class bounds for f(A) integrate a product of per-factor capped
 envelopes.  The non-monotonic, oscillating profile of f(A) columns
 comes out of the product structure automatically.  Every bound takes the
-factors' spectral intervals and the tuple of per-factor band distances,
-its one spatial input.
+factors' spectral intervals and the tuple of per-factor band distances
+(``figures._distances``), its one spatial input.  A single matrix is the
+one-factor case, so the product envelope integral and ``exp_bounds`` live
+in :mod:`decaybounds.bounds`; this module checks the factors.
 """
 
 from __future__ import annotations
 
 import math
 
-from .bounds import DecayBoundReport, _envelope_integral, exp_envelope
-# Neither is called here; perfbench/tracer.py wraps kron.spectral_interval
-# when it times the enclosure layer and kron.integrate* when it times the
-# quadrature layer, so the names must exist.
+from .bounds import DecayBoundReport, _envelope_integral, exp_bounds
+# None is called here; perfbench/tracer.py wraps kron.exp_envelope,
+# kron.spectral_interval and kron.integrate* when it times the envelope,
+# enclosure and quadrature layers, so the names must exist.
+from .bounds import exp_envelope  # noqa: F401
 from .matrices import spectral_interval  # noqa: F401
 from .quadrature import integrate, integrate_semi_infinite  # noqa: F401
 
 
-def _component_distances(A, t):
-    """Per-factor band distances |k_L - t_L| / beta_L of every entry (k, t)
-    of column t: a list of tuples, row k at index k - 1."""
-    if any(f.beta <= 0 for f in A.factors):
-        raise ValueError("band distance needs beta >= 1 in every factor")
-    km = A.multi_indices
-    d = abs(km - km[t - 1]) / [f.beta for f in A.factors]
-    return list(map(tuple, d.tolist()))
-
-
-def exp_kron_bounds(intervals, tau, distances):
-    """Product envelope bounds for |exp(-tau A)|_{k t} at each tuple of
-    per-factor distances d_L, not all zero: a list of reports, from one
-    envelope call per factor.
-
-    Stated validity needs every component distance to clear the envelope's
-    Gaussian window, d_L >= sqrt(4 rho_L tau); outside it the capped
-    envelope (factor at most exp(-tau lambda_min)) still gives a rigorous
-    value, reported with ``valid=False``.
-    """
-    distances = [tuple(ds) for ds in distances]
-    if any(len(ds) != len(intervals) or not any(ds) for ds in distances):
-        raise ValueError("each distance tuple needs one distance per factor, "
-                         "not all zero: diagonal entries are not covered")
-    vals, valid = [1.0] * len(distances), [True] * len(distances)
-    for iv, d in zip(intervals, zip(*distances)):
-        # each entry equals the scalar call, so every product keeps its bits
-        env = exp_envelope(iv.rho * tau, d).tolist()
-        scale = math.exp(-tau * iv.lambda_min)
-        vals = [v * (scale * e) for v, e in zip(vals, env)]
-        window = math.sqrt(4.0 * iv.rho * tau)
-        valid = [ok and x >= window for ok, x in zip(valid, d)]
-    return [DecayBoundReport(distance=ds, bound=v, valid=ok)
-            for ds, v, ok in zip(distances, vals, valid)]
-
-
 def exp_kron_bound(intervals, tau, distances):
-    """Entry bound at one distance tuple: the one-tuple exp_kron_bounds."""
-    return exp_kron_bounds(intervals, tau, (distances,))[0]
+    """Entry bound at one distance tuple: the one-tuple exp_bounds."""
+    return exp_bounds(intervals, tau, (distances,))[0]
 
 
 def _kron_bounds(intervals, distances, weight, upper, singularity, atoms,

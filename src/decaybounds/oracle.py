@@ -18,7 +18,8 @@ it overwrites: the routine numpy's ``eigh`` calls, on the same numbers,
 without numpy's extra copy of the matrix.  A Kronecker sum is never
 assembled: its eigenpairs are sums of factor eigenvalues and Kronecker
 products of factor eigenvectors, so a column of f(A) is a tensor
-contraction with the factors' U, O(N sum_L n_L) work.
+contraction with the factors' U, O(N sum_L n_L) work.  A single matrix
+is the one-factor case of the same contraction.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def eigendecomposition(M):
             # the Fortran-order copy is overwritten, not copied once more
             w, u = scipy.linalg.eigh(M.toarray(), driver="evd",
                                      overwrite_a=True, check_finite=False)
-        # C order, as numpy's eigh returns it: ``u @ v`` in function_column
-        # then adds its terms in the same order
+        # C order, as numpy's eigh returns it: the contraction in
+        # function_column then adds its terms in the same order
         u = np.ascontiguousarray(u)
         dec = EigenDecomposition(eigenvalues=w, eigenvectors=u)
     _CACHE[M] = dec
@@ -101,30 +102,29 @@ def matrix_function(M, f):
     """
     dec = eigendecomposition(M)
     fw = _on_spectrum(f, dec.eigenvalues)
-    u = dec.eigenvectors
-    if dec.factors:
-        if fw.size > 4096:
-            raise ValueError("dense f(A) of a Kronecker sum capped at order "
-                             f"4096; requested {fw.size}")
-        u = _combine(np.kron, [p.eigenvectors for p in dec.factors])
+    if dec.factors and fw.size > 4096:
+        raise ValueError("dense f(A) of a Kronecker sum capped at order "
+                         f"4096; requested {fw.size}")
+    u = _combine(np.kron, [p.eigenvectors for p in dec.factors or (dec,)])
     out = (u * fw) @ u.conj().T
     return 0.5 * (out + out.conj().T)
 
 
 def function_column(M, f, t):
-    """Column t (1-based) of f(M) without forming the full matrix."""
+    """Column t (1-based) of f(M) without forming the full matrix: a
+    tensor contraction with the factors' eigenvectors, a single matrix
+    being the one-factor case (where it is ``U (f(w) * conj(U[t-1]))``)."""
     dec = eigendecomposition(M)
     fw = _on_spectrum(f, dec.eigenvalues)
-    if not dec.factors:
-        u = dec.eigenvectors
-        return u @ (fw * np.conj(u[t - 1, :]))
+    parts = dec.factors or (dec,)
     # U* e_t is the outer product of the conjugated factor rows at t_L, an
     # (n_L, ..., n_1) tensor; U_1, U_2, ... in turn contract its last axis
     # and put the result first, so after all L the order is restored
-    c = _combine(np.multiply.outer, [np.conj(p.eigenvectors[s - 1, :]) for p, s
-                                     in zip(dec.factors, M.delinearize(t))])
+    ts = np.unravel_index(t - 1, [p.eigenvalues.size for p in parts], order="F")
+    c = _combine(np.multiply.outer, [np.conj(p.eigenvectors[s, :])
+                                     for p, s in zip(parts, ts)])
     c = fw.reshape(c.shape) * c
-    for p in dec.factors:
+    for p in parts:
         c = np.tensordot(p.eigenvectors, c, axes=(1, -1))
     return c.ravel()
 

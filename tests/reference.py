@@ -23,9 +23,9 @@ call them; their behaviour is unchanged:
   factors' eigendecompositions;
 * ``invsqrt_kron_split_bound`` (from ``kron``): the Cauchy-Schwarz split
   of the Kronecker inverse-square-root bound;
-* ``component_distances`` (the former per-entry
-  ``kron._component_distances``, which now covers a whole column): the
-  per-factor band distances of one entry;
+* ``component_distances`` (the former per-entry form of what
+  ``figures._distances`` computes for a whole column): the per-factor
+  band distances of one entry;
 * ``gershgorin_interval`` (the former ``spectral_interval(M,
   "gershgorin")``): the Gershgorin disc enclosure;
 * ``laplace_reconstruct`` and ``cauchy_reconstruct`` (the former
@@ -292,7 +292,7 @@ def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
 def component_distances(A, k, t):
     """Per-factor band distances |k_L - t_L| / beta_L of one entry (k, t),
     entry by entry: the loop reference for the column-wide
-    ``kron._component_distances``."""
+    ``figures._distances``."""
     return tuple(abs(a - b) / f.beta for a, b, f in
                  zip(A.delinearize(k), A.delinearize(t), A.factors))
 

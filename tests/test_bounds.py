@@ -654,3 +654,34 @@ def test_laplace_bound_zero_for_scaled_identity():
     rep = laplace_entry_bound(iv, laplace_catalog("inv"), 4.0)
     assert rep.bound == 0.0
     assert rep.converged
+
+
+# ------------------------------------------------------- monotone in d
+
+_MONOTONE_CASES = (
+    [("laplace", name) for name in ("inv", "exp", "phi1", "inv_sqrt",
+                                    "log1p_inv", "inv_pow:0.55")]
+    + [("cauchy", name) for name in ("inv_sqrt", "log1p_over_z",
+                                     "expsqrt:1.2")]
+    + [("exp", tau) for tau in (0.3, 1.0, 4.0)])
+
+
+@pytest.mark.parametrize("kind", ["tridiag", "pentadiag"])
+@pytest.mark.parametrize("klass, arg", _MONOTONE_CASES)
+def test_bounds_never_grow_with_distance(kind, klass, arg):
+    # each bound at the band distances from 2 up is at most the previous
+    # one, exactly: a farther entry never gets a weaker bound
+    from decaybounds.bounds import cauchy_bounds, exp_bounds, laplace_bounds
+    m = make_test_matrix(kind, 300)
+    iv = spectral_interval(m)
+    ds = [d / m.beta for d in range(2 * m.beta, 300)]
+    if klass == "laplace":
+        reports = laplace_bounds(iv, laplace_catalog(arg), ds)
+    elif klass == "cauchy":
+        reports = cauchy_bounds(iv, cauchy_catalog(arg), ds)
+    else:
+        reports = exp_bounds((iv,), arg, [(d,) for d in ds])
+    values = [r.bound for r in reports]
+    assert len(values) == len(ds) > 100
+    for i in range(1, len(values)):
+        assert values[i] <= values[i - 1], (ds[i], values[i - 1], values[i])

@@ -538,6 +538,14 @@ def test_input_errors_exit_one_with_message(argv, tmp_path, capsys):
                for a in argv if a.startswith("--quad"))
 
 
+def test_too_small_test_matrix_exits_one_with_the_stencil_message(capsys):
+    argv = ["compare", "--matrix", "tridiag", "--n", "2", "--class", "exp",
+            "--column", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "decay: error: order 2 too small for bandwidth 1\n")
+
+
 def test_diagonal_matrix_needs_graph_distance(tmp_path, capsys):
     path = tmp_path / "diag.mtx"
     _write_diagonal_mtx(path)
@@ -695,7 +703,7 @@ def test_run_kron_compare_evaluates_each_distance_tuple_once(
                               make_test_matrix("pentadiag", 6)))
     t, tol = a.linearize((3, 1)), 1e-6
     if klass == "exp":
-        calls = _record_engine(monkeypatch, kron, "exp_kron_bounds", 2)
+        calls = _record_engine(monkeypatch, bounds, "exp_bounds", 2)
     else:
         calls = _record_engine(monkeypatch, kron, "_envelope_integral", 1)
     _, _, rows = run_kron_compare(a, t, function, klass, quad_tol=tol)
@@ -717,7 +725,7 @@ def test_run_kron_compare_evaluates_each_distance_tuple_once(
         _, _, measure = figures.resolve_function(function, klass, None, 0.0)
         per_tuple = lambda ds: real(ivs, measure, ds, quad_tol=tol)
     for k, *_, b, _ in bounded:
-        assert b == per_tuple(kron._component_distances(a, t)[k - 1]).bound, k
+        assert b == per_tuple(figures._distances(a, t)[k - 1]).bound, k
 
 
 @pytest.mark.parametrize("kind", ["tridiag", "pentadiag"])

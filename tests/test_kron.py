@@ -12,8 +12,8 @@ from decaybounds import (KroneckerSum, LaplaceMeasure, SparseHermitianMatrix,
                          function_column, laplace_catalog, laplace_entry_bound,
                          laplace_kron_bound, make_test_matrix,
                          banded_from_stencil, oracle_floor, spectral_interval)
-from decaybounds.figures import run_kron_compare
-from decaybounds.kron import _component_distances, exp_kron_bounds
+from decaybounds.bounds import exp_bounds
+from decaybounds.figures import _distances, run_kron_compare
 from reference import (component_distances, exp_kron_entry_exact,
                        expm_column_nonneg, factor_intervals,
                        invsqrt_kron_split_bound, lancaster_column,
@@ -178,7 +178,7 @@ def test_exp_kron_bounds_equal_the_per_tuple_bound_bit_for_bit(data, nfac,
     ivs = tuple(data.draw(_INTERVALS) for _ in range(nfac))
     tuples = data.draw(st.lists(st.tuples(*[_COMPONENTS] * nfac).filter(any),
                                 min_size=1, max_size=40))
-    reports = exp_kron_bounds(ivs, tau, tuples)
+    reports = exp_bounds(ivs, tau, tuples)
     assert [r.distance for r in reports] == tuples
     for ds, rep in zip(tuples, reports):
         assert rep == exp_kron_bound(ivs, tau, ds)
@@ -194,10 +194,10 @@ def test_exp_kron_bounds_equal_the_per_tuple_bound_bit_for_bit(data, nfac,
 def test_exp_kron_bounds_reject_a_diagonal_tuple_anywhere(kron10):
     ivs = factor_intervals(kron10)
     with pytest.raises(ValueError):
-        exp_kron_bounds(ivs, 1.0, [(1.0, 0.0), (0.0, 0.0)])
+        exp_bounds(ivs, 1.0, [(1.0, 0.0), (0.0, 0.0)])
     with pytest.raises(ValueError):
-        exp_kron_bounds(ivs, 1.0, [(1.0, 2.0, 3.0)])
-    assert exp_kron_bounds(ivs, 1.0, []) == []
+        exp_bounds(ivs, 1.0, [(1.0, 2.0, 3.0)])
+    assert exp_bounds(ivs, 1.0, []) == []
 
 
 # -------------------------------------------------- transform-class bounds
@@ -384,5 +384,5 @@ def test_column_distances_match_entrywise_reference():
                               make_test_matrix("pentadiag", 7),
                               make_test_matrix("tridiag", 4)))
     for t in (1, 17, a.total_order):
-        assert _component_distances(a, t) == [
+        assert _distances(a, t) == [
             component_distances(a, k, t) for k in range(1, a.total_order + 1)]

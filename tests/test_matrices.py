@@ -30,6 +30,32 @@ def test_size_guards():
         make_test_matrix("heptadiag", 9)
 
 
+def test_test_matrix_order_guard_is_the_stencil_guard():
+    # one check: banded_from_stencil's n >= 2 beta + 1
+    for kind, n, beta in (("tridiag", 2, 1), ("pentadiag", 4, 2)):
+        with pytest.raises(ValueError,
+                           match=f"order {n} too small for bandwidth {beta}"):
+            make_test_matrix(kind, n)
+    assert make_test_matrix("pentadiag", 5).n == 5
+
+
+def test_complex_typed_real_matrix_densifies_like_the_real_one():
+    # a complex stencil whose imaginary parts are all zero: the dense copy
+    # is the real-typed matrix's, in Fortran order, and so are the bits of
+    # its eigendecomposition
+    from decaybounds import eigendecomposition
+    stencil = (-0.5, -1.0, 4.0, -1.0, -0.5)
+    real = banded_from_stencil(stencil, 120)
+    cplx = banded_from_stencil([complex(c) for c in stencil], 120)
+    assert np.iscomplexobj(cplx.matrix.data)
+    a = cplx.toarray()
+    assert a.dtype == np.float64 and a.flags.f_contiguous
+    assert np.array_equal(a, real.toarray())
+    dr, dc = eigendecomposition(real), eigendecomposition(cplx)
+    assert np.array_equal(dc.eigenvalues, dr.eigenvalues)
+    assert np.array_equal(dc.eigenvectors, dr.eigenvectors)
+
+
 def test_entry_accessor_hermitian():
     m = banded_from_stencil((1 - 2j, 0.5j, 4.0, -0.5j, 1 + 2j), 6)
     a = m.toarray()

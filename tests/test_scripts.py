@@ -94,3 +94,34 @@ def test_tracer_targets_exist():
                if not hasattr(importlib.import_module(f"decaybounds.{module}"),
                               attribute)]
     assert missing == []
+
+
+def test_tracer_targets_see_the_distance_and_envelope_calls(monkeypatch,
+                                                            tmp_path):
+    # the tracer wraps module attributes, so the calls it measures must go
+    # through them: the graph-distance layer through figures.geodesic_from,
+    # every exponential bound through bounds.exp_envelope, once per column
+    from decaybounds import bounds, figures, make_test_matrix
+    tracer = _load("perfbench_tracer", ROOT / "perfbench/tracer.py")
+    assert ("graphdist", "figures", "geodesic_from", "bfs") in tracer.TARGETS
+    assert ("bounds", "bounds", "exp_envelope", "envelope") in tracer.TARGETS
+    counts = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(figures, "geodesic_from")
+    count(bounds, "exp_envelope")
+    m = make_test_matrix("pentadiag", 40)
+    figures.run_compare(m, 11, "inv", "cauchy", distance_mode="graph")
+    assert counts == {"geodesic_from": 1}
+    figures.run_compare(m, 11, None, "exp", tau=2.0)
+    assert counts == {"geodesic_from": 1, "exp_envelope": 1}
+    figures.run_figure("fig1-exp", "tridiag", str(tmp_path / "f.csv"), 1e-10)
+    assert counts == {"geodesic_from": 1, "exp_envelope": 2}
