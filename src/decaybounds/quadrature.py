@@ -2,23 +2,26 @@
 
 Panel-adaptive Gauss-Kronrod (7/15 pair) with deterministic panel ordering,
 a declared left-endpoint singularity substitution and geometric tail
-extension, written once as generator steps: a step yields the panels it
-needs and receives their (value, error) pairs.  :func:`run_steps` drives
-many steps in lockstep with one vectorized kernel call per round.  A
-step's result depends on the steps it runs with only through the last
-bits of its kernel values: numpy's array ``**`` may round differently
-from its scalar ``**`` (its AVX-512 kernels), so a batched value can
-differ by an ulp or so from the same value computed alone, and such a bit
-can in turn tip a refinement decision.  Integrands are scalar: they
-receive a numpy array of abscissae and return an array of the same shape.
-The one tolerance is relative: a step stops once its error estimate is at
-most ``rtol`` times the magnitude of its value.
+extension.  :func:`run_steps` integrates many steps, plain records made by
+:func:`finite_step` and :func:`semi_infinite_step`, in lockstep: their
+panels and running totals are held in arrays, and each round bisects the
+worst panel of every running step with one vectorized kernel call and a
+fixed number of array passes.  A step's result depends on the steps it
+runs with only through the last bits of its kernel values: numpy's array
+``**`` may round differently from its scalar ``**`` (its AVX-512
+kernels), so a batched value can differ by an ulp or so from the same
+value computed alone, and such a bit can in turn tip a refinement
+decision.  Integrands are scalar: they receive a numpy array of abscissae
+and return an array of the same shape.  The one tolerance is relative: a
+step stops once its error estimate is at most ``rtol`` times the magnitude
+of its value.
 """
 
 from __future__ import annotations
 
-import heapq
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,27 +74,196 @@ class QuadratureResult:
     converged: bool
 
 
-def _evaluate(kernel, panels):
-    """Values and error estimates of ``panels``, (step, a, b, substitution)
-    tuples, from one call ``kernel(x, step)`` with one row of 15 abscissae
-    per panel and the owning step of each row."""
-    step, lo, hi, subs = zip(*panels)
-    lo, hi = np.array(lo), np.array(hi)
+@dataclass(frozen=True)
+class Step:
+    """One integral of a :func:`run_steps` batch, made and checked by
+    :func:`finite_step` or :func:`semi_infinite_step`.
+
+    A finite step integrates over [a, b]; a semi-infinite step over
+    intervals of doubling width from [a, b = a + 1] on.  ``m`` > 0
+    substitutes tau = a + u**m on the first interval."""
+
+    a: float
+    b: float
+    rtol: float
+    m: int
+    max_panels: int
+    semi_infinite: bool
+
+
+def _substitution(a, b, singularity_a):
+    """Power m of the substitution that removes a left-endpoint
+    singularity (x - a)**p on [a, b], 0 for none; raises on an invalid
+    interval or exponent.  An empty interval needs no exponent."""
+    if not (a < b):
+        if a == b:
+            return 0
+        raise ValueError(f"require a < b, got [{a}, {b}]")
+    if not (-1.0 < singularity_a <= 0.0):
+        raise ValueError(
+            f"singularity exponent must lie in (-1, 0], got {singularity_a}")
+    if singularity_a < 0.0:
+        # tau = a + u**m removes an integrable endpoint singularity tau**p
+        return max(2, math.ceil(2.0 / (1.0 + singularity_a)))
+    return 0
+
+
+def finite_step(a, b, rtol, singularity_a, max_panels):
+    """Step integrating over [a, b]; see :func:`integrate`."""
+    return Step(a, b, rtol, _substitution(a, b, singularity_a), max_panels,
+                False)
+
+
+def semi_infinite_step(a, rtol, singularity_a, max_panels):
+    """Step integrating over [a, oo); see :func:`integrate_semi_infinite`."""
+    a = float(a)
+    return Step(a, a + 1.0, rtol, _substitution(a, a + 1.0, singularity_a),
+                max_panels, True)
+
+
+def _panel_rule(kernel, step, lo, hi, sub, pairs):
+    """Values and error estimates of the panels [lo, hi] (arrays, one
+    entry per panel) from one call ``kernel(x, step)`` with one row of 15
+    abscissae per panel and the owning step of each row.  ``sub`` indexes
+    each panel's substitution tau = a + u**m in ``pairs`` of (a, m), or
+    is -1 for none."""
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     jacobians = []
-    for a, m in set(subs) - {None}:       # tau = a + u**m
-        rows = np.array([s == (a, m) for s in subs])
-        u = x[rows]
-        x[rows] = a + u ** m
-        jacobians.append((rows, m * u ** (m - 1)))
-    y = np.asarray(kernel(x, np.array(step)), dtype=float)
+    if pairs:
+        # one power per substitution over all of its rows at once: an
+        # array ``**`` may round an element by its place in the array
+        for s in set(sub.tolist()) - {-1}:
+            a, m = pairs[s]
+            rows = sub == s
+            u = x[rows]
+            x[rows] = a + u ** m
+            jacobians.append((rows, m * u ** (m - 1)))
+    y = np.asarray(kernel(x, step), dtype=float)
     for rows, jac in jacobians:
         y[rows] = y[rows] * jac
     # a row-wise sum (not y @ W) keeps each panel independent of the batch
     k = half * (y * _W_KRONROD).sum(axis=1)
     g = half * (y * _W_GAUSS).sum(axis=1)
-    return k.tolist(), np.abs(k - g).tolist()
+    return k, np.abs(k - g)
+
+
+def _worst(key, slot, k):
+    """Largest key of each of the k runs and the first row holding it;
+    ``slot`` names each row's run (-1 for none) and a run's rows come in
+    the order they were made."""
+    top = np.empty(k + 1)
+    top.fill(-np.inf)
+    np.maximum.at(top, slot, key)
+    top[k] = np.inf                     # rows of no run match nothing
+    at = (key == top[slot]).nonzero()[0]
+    first = np.empty(k + 1, np.intp)
+    first.fill(key.size)
+    np.minimum.at(first, slot[at], at)
+    return top[:k], first[:k]
+
+
+class _Batch:
+    """Per-step bookkeeping of a :func:`run_steps` batch between rounds,
+    in arrays over its steps: the running sums and doubling intervals of
+    semi-infinite steps, the results, and the runs opened since the last
+    round.  A run is one adaptive integration over one interval: a finite
+    step is one run, a semi-infinite step one run per doubling
+    interval."""
+
+    def __init__(self, steps):
+        n = len(steps)
+        self.results = [None] * n
+        self.semi = np.array([s.semi_infinite for s in steps], dtype=bool)
+        self.rtol = np.array([s.rtol for s in steps], dtype=float)
+        self.max_panels = np.array([s.max_panels for s in steps])
+        self.total, self.error = np.zeros(n), np.zeros(n)
+        self.evaluations = np.zeros(n, np.int64)
+        self.converged = np.ones(n, dtype=bool)
+        self.hi = np.array([s.b for s in steps], dtype=float)
+        self.width = np.ones(n)
+        self.streak = np.zeros(n, np.intp)
+        self.intervals = np.zeros(n, np.intp)
+        self.opened = []
+        self.pairs = {}                 # (a, m) -> substitution index
+        lo, hi, sub = [], [], []
+        for s in steps:
+            if s.m:                     # tau = a + u**m on [0, (b - a)**(1/m)]
+                lo.append(0.0)
+                hi.append((s.b - s.a) ** (1.0 / s.m))
+                sub.append(self.pairs.setdefault((s.a, s.m), len(self.pairs)))
+            else:
+                lo.append(s.a)
+                hi.append(s.b)
+                sub.append(-1)
+        self.close(self.open(np.arange(n), np.array(lo, dtype=float),
+                             np.array(hi, dtype=float),
+                             np.array(sub, dtype=np.intp)))
+
+    def open(self, steps, lo, hi, sub):
+        """Open runs of ``steps`` over [lo, hi]; returns the steps whose
+        interval is empty, a zero run that needs no panel."""
+        run = lo < hi
+        steps, empty = steps[run], steps[~run]
+        budget = self.max_panels[steps]
+        budget = np.where(self.semi[steps], np.maximum(
+            64, budget - self.evaluations[steps] // 15), budget)
+        self.opened.append((steps, lo[run], hi[run], sub[run], budget,
+                            self.rtol[steps]))
+        return empty
+
+    def close(self, steps, value=0.0, error=0.0, evaluations=0,
+              converged=True):
+        """Account finished runs of ``steps`` (zero runs by default); a
+        semi-infinite step goes on to its next interval or ends."""
+        while steps.size:
+            value, error, evaluations, converged = (
+                np.broadcast_to(v, steps.shape)
+                for v in (value, error, evaluations, converged))
+            finite = ~self.semi[steps]
+            self._result(steps[finite], value[finite], error[finite],
+                         evaluations[finite], converged[finite])
+            on = ~finite
+            steps, value, error, evaluations, converged = (
+                v[on] for v in (steps, value, error, evaluations, converged))
+            total = self.total[steps] = self.total[steps] + value
+            err = self.error[steps] = self.error[steps] + error
+            evaluations = self.evaluations[steps] = (
+                self.evaluations[steps] + evaluations)
+            converged = self.converged[steps] = (
+                self.converged[steps] & converged)
+            chunk = np.abs(value)
+            small = chunk <= self.rtol[steps] * np.abs(total) / 10.0
+            streak = self.streak[steps] = np.where(
+                small, self.streak[steps] + 1, 0)
+            # the last contribution is charged as the tail allowance
+            tail = streak >= 2
+            self._result(steps[tail], total[tail], (err + chunk)[tail],
+                         evaluations[tail], converged[tail])
+            count = self.intervals[steps] = self.intervals[steps] + 1
+            spent = ~tail & (count == _MAX_INTERVALS)
+            self._result(steps[spent], total[spent], err[spent],
+                         evaluations[spent], np.zeros(spent.sum(), bool))
+            steps = steps[~(tail | spent)]
+            lo = self.hi[steps]
+            width = self.width[steps] = self.width[steps] * 2.0
+            self.hi[steps] = lo + width
+            steps = self.open(steps, lo, self.hi[steps],
+                              np.full(steps.size, -1, np.intp))
+            value, error, evaluations, converged = 0.0, 0.0, 0, True
+
+    def _result(self, steps, value, error, evaluations, converged):
+        for i, *r in zip(steps.tolist(), value.tolist(), error.tolist(),
+                         evaluations.tolist(), converged.tolist()):
+            self.results[i] = QuadratureResult(*r)
+
+    def take_opened(self):
+        """Arrays (step, lo, hi, sub, panel budget, rtol) of the runs
+        opened since the last call; None if there are none."""
+        opened, self.opened = [o for o in self.opened if o[0].size], []
+        if not opened:
+            return None
+        return tuple(np.concatenate(v) for v in zip(*opened))
 
 
 def run_steps(kernel, steps):
@@ -102,119 +274,141 @@ def run_steps(kernel, steps):
     Each round stacks the pending panels of every step into one
     ``(P, 15)`` abscissa array x and calls ``kernel(x, step)`` once;
     ``step[i]`` is the index of the step owning row i, and the kernel
-    returns values of shape ``(P, 15)``."""
-    steps = list(steps)
-    results = [None] * len(steps)
-    sent = [None] * len(steps)
-    active = range(len(steps))
-    while active:
-        asked = []
-        for i in active:
-            try:
-                asked.append((i, steps[i].send(sent[i])))
-            except StopIteration as stop:
-                results[i] = stop.value
-        if asked:
-            got = zip(*_evaluate(kernel, [(i, *p) for i, ps in asked
-                                          for p in ps]))
-            for i, ps in asked:
-                sent[i] = [next(got) for _ in ps]
-        active = [i for i, _ in asked]
-    return results
+    returns values of shape ``(P, 15)``.  Rows come in step order: a
+    newly opened run asks for its one panel, a running one for the two
+    halves of its worst panel."""
+    batch = _Batch(list(steps))
+    outer = np.geterr()
+    # the bookkeeping keeps Python float semantics, where inf and nan
+    # pass silently; the panel rule and the kernel run under the caller's
+    # settings
+    with np.errstate(all="ignore"):
+        _rounds(kernel, batch, list(batch.pairs), outer)
+    return batch.results
 
 
-def _adaptive(a, b, rtol, max_panels, sub):
-    """Globally adaptive bisection step; deterministic (value summed in
-    interval order, heap ties broken by insertion sequence)."""
-    ((val, err),) = yield [(a, b, sub)]
-    evaluations = 15
-    seq = 0
-    heap = [(-err, seq, a, b, val, err)]
-    dead = []  # panels too narrow to split further
-    n_panels = 1
-    total_err = err
-    total_val = val
+# columns of the panel table
+_LO, _HI, _VAL, _ERR = range(4)
+
+
+def _rounds(kernel, batch, pairs, outer):
+    """The rounds of :func:`run_steps`, a fixed number of array passes
+    each over every run in progress.
+
+    The panels of running runs are rows ``[0, n)`` of ``panels`` (lo,
+    hi, value, error) in the order they were made, with ``key``, which
+    ranks them (the error, inf for nan, -inf once set aside or gone), and
+    ``slot``, the index of their run in ``act``, -1 once gone (split or
+    closed).  Gone rows are dropped when they outnumber the others or
+    the table is full.  The per-run arrays follow ``act``, the running
+    steps in ascending order: panels held, (value, error) totals, panel
+    budget, rtol and substitution."""
+    act, sizes, sub = (np.empty(0, np.intp) for _ in range(3))
+    budget, rtol = np.empty(0), np.empty(0)
+    totals = np.empty((2, 0))
+    panels, key, slot = np.empty((0, 4)), np.empty(0), np.empty(0, np.intp)
+    n = gone = 0
+    halves = np.empty((0, 2))   # (lo, hi) rows asked for by act
     while True:
-        if total_err <= rtol * abs(total_val):
-            converged = True
-            break
-        if not heap or n_panels >= max_panels:
-            converged = False
-            break
-        worst = heapq.heappop(heap)
-        _, _, pa, pb, pval, perr = worst
-        mid = 0.5 * (pa + pb)
-        if not (pa < mid < pb) or perr == 0.0:
-            dead.append(worst)
-            continue
-        total_err -= perr
-        total_val -= pval
-        halves = ((pa, mid), (mid, pb))
-        got = yield [(qa, qb, sub) for qa, qb in halves]
-        for (qa, qb), (v, e) in zip(halves, got):
-            evaluations += 15
-            seq += 1
-            total_err += e
-            total_val += v
-            heapq.heappush(heap, (-e, seq, qa, qb, v, e))
-        n_panels += 1
-    panels = sorted(heap + dead, key=lambda p: p[2])
-    value = panels[0][4]
-    for p in panels[1:]:
-        value += p[4]
-    error = float(sum(p[5] for p in panels))
-    return value, error, evaluations, converged
+        opened = batch.take_opened()
+        step, lo, hi = act.repeat(2), halves[:, 0], halves[:, 1]
+        rsub = sub.repeat(2)
+        if opened is not None:
+            step, lo, hi, rsub = (np.concatenate(p) for p in zip(
+                (step, lo, hi, rsub), opened))
+            order = step.argsort(kind="stable")
+            step, lo, hi, rsub = step[order], lo[order], hi[order], rsub[order]
+        elif not step.size:
+            return
+        with np.errstate(**outer):
+            val, err = _panel_rule(kernel, step, lo, hi, rsub, pairs)
+
+        n2 = 2 * act.size
+        got = np.array([val, err])
+        if opened is not None:
+            back = np.empty_like(order)
+            back[order] = np.arange(order.size)
+            got = got.take(back, axis=1)
+        totals = totals + got[:, :n2:2] + got[:, 1:n2:2]
+        sizes = sizes + 1
+        if opened is not None:
+            merged = np.concatenate((act, opened[0]))
+            at = merged.argsort()
+            place = np.empty_like(at)
+            place[at] = np.arange(at.size)
+            slot[:n] = np.append(place[:act.size], -1)[slot[:n]]
+            act = merged[at]
+            totals = np.concatenate((totals, got[:, n2:]), axis=1)[:, at]
+            sizes, sub, budget, rtol = (
+                np.concatenate((v, w))[at] for v, w in zip(
+                    (sizes, sub, budget, rtol),
+                    (np.ones_like(opened[0]), *opened[3:])))
+
+        # the new panels go behind the held ones
+        if n + step.size > key.size or 2 * gone > n:
+            live = (slot[:n] >= 0).nonzero()[0]
+            spare = live.size + 2 * step.size
+            panels = np.concatenate((panels[live], np.empty((spare, 4))))
+            key = np.concatenate((key[live], np.empty(spare)))
+            slot = np.concatenate((slot[live], np.empty(spare, np.intp)))
+            n, gone = live.size, 0
+        new = slice(n, n + step.size)
+        panels[new] = np.array([lo, hi, val, err]).T
+        key[new] = np.where(np.isnan(err), np.inf, err)
+        slot[new] = act.searchsorted(step)
+        n = new.stop
+
+        converged = totals[1] <= rtol * np.abs(totals[0])
+        stop = converged | (sizes >= budget)
+        go = ~stop
+        # each running run bisects its worst panel, ties going to the
+        # earliest made.  A panel too narrow to split or without error is
+        # set aside and the next worst taken; a run left with none stops
+        top, first = _worst(key[:n], slot[:n], act.size)
+        while True:
+            pick = first[go]
+            picked = panels.take(pick, axis=0)
+            pa, pb, perr = picked[:, _LO], picked[:, _HI], picked[:, _ERR]
+            mid = 0.5 * (pa + pb)
+            splits = (pa < mid) & (mid < pb) & (perr != 0.0)
+            if splits.all():
+                break
+            key[pick[~splits]] = -np.inf
+            top, first = _worst(key[:n], slot[:n], act.size)
+            stop |= top == -np.inf
+            go = ~stop
+
+        if stop.any():
+            rows = np.append(stop, False)[slot[:n]].nonzero()[0]
+            done = stop.nonzero()[0]
+            _close_runs(batch, panels[rows], slot[rows], act[done],
+                        sizes[done], converged[done])
+            slot[rows], key[rows] = -1, -np.inf
+            gone += rows.size
+            slot[:n] = np.append(go.cumsum() - 1, -1)[slot[:n]]
+            act, sizes, sub, budget, rtol = (
+                v[go] for v in (act, sizes, sub, budget, rtol))
+            totals = totals[:, go]
+        slot[pick], key[pick] = -1, -np.inf
+        gone += pick.size
+        totals = totals - picked[:, _VAL:_ERR + 1].T
+        halves = np.array([pa, mid, mid, pb]).T.reshape(-1, 2)
 
 
-def finite_step(a, b, rtol, singularity_a, max_panels):
-    """Step integrating over [a, b]; see :func:`integrate`."""
-    if not (a < b):
-        if a == b:
-            return QuadratureResult(0.0, 0.0, 0, True)
-        raise ValueError(f"require a < b, got [{a}, {b}]")
-    if not (-1.0 < singularity_a <= 0.0):
-        raise ValueError(
-            f"singularity exponent must lie in (-1, 0], got {singularity_a}")
-    if singularity_a < 0.0:
-        # tau = a + u**m removes an integrable endpoint singularity tau**p
-        m = max(2, math.ceil(2.0 / (1.0 + singularity_a)))
-        result = yield from _adaptive(0.0, (b - a) ** (1.0 / m), rtol,
-                                      max_panels, (a, m))
-    else:
-        result = yield from _adaptive(a, b, rtol, max_panels, None)
-    return QuadratureResult(*result)
-
-
-def semi_infinite_step(a, rtol, singularity_a, max_panels):
-    """Step integrating over [a, oo); see :func:`integrate_semi_infinite`."""
-    total = 0.0
-    err = 0.0
-    evaluations = 0
-    converged_all = True
-    lo = float(a)
-    width = 1.0
-    small_streak = 0
-    for i in range(_MAX_INTERVALS):
-        hi = lo + width
-        budget = max(64, max_panels - evaluations // 15)
-        r = yield from finite_step(lo, hi, rtol,
-                                   singularity_a if i == 0 else 0.0, budget)
-        total += r.value
-        err += r.error_estimate
-        evaluations += r.evaluations
-        converged_all = converged_all and r.converged
-        chunk = abs(r.value)
-        if chunk <= rtol * abs(total) / 10.0:
-            small_streak += 1
-            if small_streak >= 2:
-                # the last contribution is charged as the tail allowance
-                return QuadratureResult(total, err + chunk, evaluations,
-                                        converged_all)
-        else:
-            small_streak = 0
-        lo = hi
-        width *= 2.0
-    return QuadratureResult(total, err, evaluations, False)
+def _close_runs(batch, panels, slot, steps, sizes, converged):
+    """Close the finished runs of ``steps`` (ascending), whose panels are
+    the rows of ``panels`` with their runs' slots: value and error are
+    summed one panel after another in interval order."""
+    order = np.lexsort((panels[:, _LO], slot))
+    values = panels[order, _VAL].tolist()
+    errors = panels[order, _ERR].tolist()
+    ends = sizes.cumsum().tolist()
+    value, error = [], []
+    for start, end in zip([0] + ends[:-1], ends):
+        value.append(functools.reduce(operator.add, values[start:end]))
+        error.append(sum(errors[start:end]))
+    batch.close(steps, np.array(value), np.array(error, dtype=float),
+                15 * (2 * sizes - 1), converged)
 
 
 def _pointwise(f):

@@ -35,12 +35,19 @@ call them; their behaviour is unchanged:
 None of the quadrature routes here runs the package's own quadrature
 engine, so they check it independently.
 
+``reference_run_steps`` (with ``reference_finite_step`` and
+``reference_semi_infinite_step``) is the lockstep engine as it was
+before ``decaybounds.quadrature`` held its steps in arrays: generator
+steps, one heap per step.  The array engine must give the same results
+field for field.
+
 ``stdlib_csv_write`` renders a CSV through the standard library's
 ``csv.writer``, the reference for the package's own CSV writer.
 """
 
 import contextlib
 import csv
+import heapq
 import math
 import sys
 from fractions import Fraction
@@ -50,6 +57,8 @@ import numpy as np
 from decaybounds.bounds import _envelope_integral
 from decaybounds.matrices import SpectralInterval, spectral_interval
 from decaybounds.oracle import eigendecomposition
+from decaybounds.quadrature import (_MAX_INTERVALS, _NODES, _W_GAUSS, _W_KRONROD,
+                                    QuadratureResult)
 
 
 def expm_column_nonneg(a, tau, t, max_terms=2000):
@@ -408,3 +417,157 @@ def envelope_integral_reference(interval, measure, distance, rtol=1e-12,
     for loc, mass in measure.atoms:
         total += mass * math.exp(-lmin * loc) * exp_envelope(rho * loc, d)
     return total
+
+
+# -- the generator lockstep engine ---------------------------------------
+#
+# The quadrature engine as it was before ``decaybounds.quadrature`` held
+# its steps in arrays, kept unchanged as the reference that the array
+# engine must equal field for field (tests/test_quadrature.py): a step is
+# a generator that yields the panels it needs and receives their (value,
+# error) pairs; each step keeps its own heap of panels.
+
+def _evaluate(kernel, panels):
+    """Values and error estimates of ``panels``, (step, a, b, substitution)
+    tuples, from one call ``kernel(x, step)`` with one row of 15 abscissae
+    per panel and the owning step of each row."""
+    step, lo, hi, subs = zip(*panels)
+    lo, hi = np.array(lo), np.array(hi)
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    jacobians = []
+    for a, m in set(subs) - {None}:       # tau = a + u**m
+        rows = np.array([s == (a, m) for s in subs])
+        u = x[rows]
+        x[rows] = a + u ** m
+        jacobians.append((rows, m * u ** (m - 1)))
+    y = np.asarray(kernel(x, np.array(step)), dtype=float)
+    for rows, jac in jacobians:
+        y[rows] = y[rows] * jac
+    # a row-wise sum (not y @ W) keeps each panel independent of the batch
+    k = half * (y * _W_KRONROD).sum(axis=1)
+    g = half * (y * _W_GAUSS).sum(axis=1)
+    return k.tolist(), np.abs(k - g).tolist()
+
+
+def reference_run_steps(kernel, steps):
+    """Run integration steps (:func:`reference_finite_step`,
+    :func:`reference_semi_infinite_step`) in lockstep; returns their
+    :class:`QuadratureResult` values in order.
+
+    Each round stacks the pending panels of every step into one
+    ``(P, 15)`` abscissa array x and calls ``kernel(x, step)`` once;
+    ``step[i]`` is the index of the step owning row i, and the kernel
+    returns values of shape ``(P, 15)``."""
+    steps = list(steps)
+    results = [None] * len(steps)
+    sent = [None] * len(steps)
+    active = range(len(steps))
+    while active:
+        asked = []
+        for i in active:
+            try:
+                asked.append((i, steps[i].send(sent[i])))
+            except StopIteration as stop:
+                results[i] = stop.value
+        if asked:
+            got = zip(*_evaluate(kernel, [(i, *p) for i, ps in asked
+                                          for p in ps]))
+            for i, ps in asked:
+                sent[i] = [next(got) for _ in ps]
+        active = [i for i, _ in asked]
+    return results
+
+
+def _adaptive(a, b, rtol, max_panels, sub):
+    """Globally adaptive bisection step; deterministic (value summed in
+    interval order, heap ties broken by insertion sequence)."""
+    ((val, err),) = yield [(a, b, sub)]
+    evaluations = 15
+    seq = 0
+    heap = [(-err, seq, a, b, val, err)]
+    dead = []  # panels too narrow to split further
+    n_panels = 1
+    total_err = err
+    total_val = val
+    while True:
+        if total_err <= rtol * abs(total_val):
+            converged = True
+            break
+        if not heap or n_panels >= max_panels:
+            converged = False
+            break
+        worst = heapq.heappop(heap)
+        _, _, pa, pb, pval, perr = worst
+        mid = 0.5 * (pa + pb)
+        if not (pa < mid < pb) or perr == 0.0:
+            dead.append(worst)
+            continue
+        total_err -= perr
+        total_val -= pval
+        halves = ((pa, mid), (mid, pb))
+        got = yield [(qa, qb, sub) for qa, qb in halves]
+        for (qa, qb), (v, e) in zip(halves, got):
+            evaluations += 15
+            seq += 1
+            total_err += e
+            total_val += v
+            heapq.heappush(heap, (-e, seq, qa, qb, v, e))
+        n_panels += 1
+    panels = sorted(heap + dead, key=lambda p: p[2])
+    value = panels[0][4]
+    for p in panels[1:]:
+        value += p[4]
+    error = float(sum(p[5] for p in panels))
+    return value, error, evaluations, converged
+
+
+def reference_finite_step(a, b, rtol, singularity_a, max_panels):
+    """Step integrating over [a, b]; see ``integrate``."""
+    if not (a < b):
+        if a == b:
+            return QuadratureResult(0.0, 0.0, 0, True)
+        raise ValueError(f"require a < b, got [{a}, {b}]")
+    if not (-1.0 < singularity_a <= 0.0):
+        raise ValueError(
+            f"singularity exponent must lie in (-1, 0], got {singularity_a}")
+    if singularity_a < 0.0:
+        # tau = a + u**m removes an integrable endpoint singularity tau**p
+        m = max(2, math.ceil(2.0 / (1.0 + singularity_a)))
+        result = yield from _adaptive(0.0, (b - a) ** (1.0 / m), rtol,
+                                      max_panels, (a, m))
+    else:
+        result = yield from _adaptive(a, b, rtol, max_panels, None)
+    return QuadratureResult(*result)
+
+
+def reference_semi_infinite_step(a, rtol, singularity_a, max_panels):
+    """Step integrating over [a, oo); see ``integrate_semi_infinite``."""
+    total = 0.0
+    err = 0.0
+    evaluations = 0
+    converged_all = True
+    lo = float(a)
+    width = 1.0
+    small_streak = 0
+    for i in range(_MAX_INTERVALS):
+        hi = lo + width
+        budget = max(64, max_panels - evaluations // 15)
+        r = yield from reference_finite_step(lo, hi, rtol,
+                                   singularity_a if i == 0 else 0.0, budget)
+        total += r.value
+        err += r.error_estimate
+        evaluations += r.evaluations
+        converged_all = converged_all and r.converged
+        chunk = abs(r.value)
+        if chunk <= rtol * abs(total) / 10.0:
+            small_streak += 1
+            if small_streak >= 2:
+                # the last contribution is charged as the tail allowance
+                return QuadratureResult(total, err + chunk, evaluations,
+                                        converged_all)
+        else:
+            small_streak = 0
+        lo = hi
+        width *= 2.0
+    return QuadratureResult(total, err, evaluations, False)

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from reference import (reference_finite_step, reference_run_steps,
+                       reference_semi_infinite_step)
 
-from decaybounds.quadrature import (_NODES, _W_GAUSS, _W_KRONROD, _evaluate,
-                                    finite_step, integrate,
+from decaybounds.quadrature import (_NODES, _W_GAUSS, _W_KRONROD,
+                                    _panel_rule, finite_step, integrate,
                                     integrate_semi_infinite, run_steps,
                                     semi_infinite_step)
 
@@ -110,11 +113,11 @@ def test_panel_rule_matches_the_dot_product_reference():
     # per panel; only the summation order differs
     rng = np.random.default_rng(3)
     lo, width = rng.uniform(-3.0, 3.0, 50), rng.uniform(0.01, 4.0, 50)
-    panels = [(0, a, a + w, None) for a, w in zip(lo, width)]
     f = lambda x: np.exp(np.sin(3.0 * x)) + x * x
-    vals, errs = _evaluate(lambda x, step: f(x), panels)
+    vals, errs = _panel_rule(lambda x, step: f(x), np.zeros(50, np.intp), lo,
+                             lo + width, np.full(50, -1), [])
     eps = np.finfo(float).eps
-    for (_, a, b, _), v, e in zip(panels, vals, errs):
+    for a, b, v, e in zip(lo, lo + width, vals, errs):
         half = 0.5 * (b - a)
         y = f(0.5 * (a + b) + half * _NODES)
         k, g = half * np.dot(_W_KRONROD, y), half * np.dot(_W_GAUSS, y)
@@ -190,3 +193,143 @@ def test_public_routes_are_one_step_runs():
         kernel, [finite_step(0.0, 5.0, 1e-11, 0.0, 10000)])[0]
     assert integrate_semi_infinite(f, 0.0, 1e-11) == run_steps(
         kernel, [semi_infinite_step(0.0, 1e-11, 0.0, 10000)])[0]
+
+
+def test_steps_are_checked_when_made():
+    with pytest.raises(ValueError):
+        finite_step(1.0, 0.0, 1e-8, 0.0, 100)
+    with pytest.raises(ValueError):
+        finite_step(0.0, 1.0, 1e-8, -1.0, 100)
+    with pytest.raises(ValueError):
+        semi_infinite_step(0.0, 1e-8, 0.5, 100)
+    with pytest.raises(ValueError):
+        semi_infinite_step(math.nan, 1e-8, 0.0, 100)
+
+
+# -- the array engine against the generator engine ------------------------
+
+def _integrand(family, c, x):
+    if family == 0:
+        return np.exp(-c * x) * np.cos(3.0 * c * x)
+    if family == 1:
+        return np.full_like(x, c)               # zero-error panels
+    if family == 2:
+        return 1.0 / (1.0 + np.abs(x))          # no limit: 200 intervals
+    return np.sqrt(np.abs(x - c)) * np.exp(-np.abs(x))   # a kink to refine
+
+
+def _mixed_kernel(specs):
+    """Kernel of a batch: step i integrates family specs[i][6] with
+    parameter specs[i][7]."""
+    family = np.array([s[6] for s in specs])
+    c = np.array([s[7] for s in specs])
+
+    def kernel(x, step):
+        out = np.empty_like(x)
+        for f in range(4):
+            rows = family[step] == f
+            out[rows] = _integrand(f, c[step][rows][:, None], x[rows])
+        return out
+    return kernel
+
+
+def _make(specs, finite, semi):
+    steps = []
+    for is_semi, a, width, sing, budget, rtol, _, _ in specs:
+        if is_semi:
+            steps.append(semi(a, rtol, sing, budget))
+        else:
+            b = float(np.nextafter(a, np.inf)) if width == "ulp" else a + width
+            steps.append(finite(a, b, rtol, sing, budget))
+    return steps
+
+
+def _affordable(spec):
+    # a run that cannot converge (rtol <= 0) spends its whole budget, and
+    # a semi-infinite one does so in each of its 200 intervals
+    is_semi, a, width, sing, budget, rtol, family, c = spec
+    if rtol <= 0.0:
+        budget = min(budget, 60)
+        if is_semi and family != 1:
+            rtol = 1e-8
+    return is_semi, a, width, sing, budget, rtol, family, c
+
+
+_SPECS = st.lists(st.tuples(
+    st.booleans(),                                      # semi-infinite
+    st.sampled_from([0.0, -1.5, 0.25, 2.0, 1e17]),      # a; a + 1 == 1e17
+    st.sampled_from([0.0, 1.0, 3.0, "ulp"]),            # b - a
+    st.sampled_from([0.0, -0.3, -0.5, -0.9]),           # singularity
+    st.integers(2, 10000),                              # panel budget
+    # rtol 0 converges only on exact zero error; -1 never does, so a
+    # constant integrand sets its zero-error panels aside
+    st.sampled_from([1e-3, 1e-8, 1e-12, 0.0, -1.0]),
+    st.integers(0, 3), st.floats(0.1, 2.0),
+).map(_affordable), min_size=1, max_size=8)
+
+
+def _same(r, s):
+    return (np.array_equal([r.value, r.error_estimate],
+                           [s.value, s.error_estimate], equal_nan=True)
+            and (r.evaluations, r.converged) == (s.evaluations, s.converged))
+
+
+@given(_SPECS, st.data())
+def test_array_engine_equals_the_generator_engine(specs, data):
+    # same bits field for field, on a batch in drawn order
+    specs = data.draw(st.permutations(specs))
+    kernel = _mixed_kernel(specs)
+    got = run_steps(kernel, _make(specs, finite_step, semi_infinite_step))
+    want = reference_run_steps(kernel, _make(
+        specs, reference_finite_step, reference_semi_infinite_step))
+    assert len(got) == len(want)
+    for i, (r, s) in enumerate(zip(got, want)):
+        assert _same(r, s), (i, specs[i], r, s)
+
+
+def test_memory_follows_the_panels_held():
+    # n semi-infinite steps refine a kink in each doubling interval,
+    # holding a few panels each, for some 1100 rounds; one more step
+    # splits every round.  A table of running steps x widest run, at 48
+    # bytes a panel (what the engine keeps), would need over 50 MB.
+    n = 1000
+    running = []
+
+    def kernel(x, step):
+        running.append(np.unique(step[step < n]).size)
+        t = np.log2(1.0 + x)
+        y = (1.0 + np.abs(t - np.floor(t) - 0.37)) * (1.0 + x) ** -1.5
+        long = step == n
+        y[long] = np.sqrt(np.abs(x[long] - 0.3))
+        return y
+
+    steps = [semi_infinite_step(0.0, 1e-11, 0.0, 10000) for _ in range(n)]
+    steps.append(finite_step(0.0, 1.0, 0.0, 0.0, 1150))
+    tracemalloc.start()
+    try:
+        run_steps(kernel, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the long step holds r + 1 panels in round r
+    table = max((k + 1) * (r + 1) for r, k in enumerate(running)) * 48
+    assert table > 50e6
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_kernel_ends_within_the_panel_budget(bad):
+    # inf on part of [0, 1] makes k - g = inf - inf = nan; a nan error
+    # ranks as the worst panel, and the run still ends at its budget
+    def kernel(x, step):
+        return np.where(x < 0.3, bad, np.exp(-x))
+
+    with np.errstate(invalid="ignore"):
+        r = run_steps(kernel, [finite_step(0.0, 1.0, 1e-8, 0.0, 8)])[0]
+    assert not r.converged
+    assert r.evaluations <= 15 * (2 * 8 - 1)
+    if math.isinf(bad):
+        assert r.value == math.inf
+    else:
+        assert math.isnan(r.value)
+

@@ -78,6 +78,23 @@ def test_job_digests_repeat_on_the_figure_presets(perfbench_on_path):
     assert script.digest_lines("figures-kron", jobs) == first
 
 
+def test_quad_rounds_repeat_on_the_figure_presets(perfbench_on_path):
+    # the per-layer counts compare two checkouts of one algorithm, so
+    # they must not change from one run to the next
+    script = _load("quad_rounds", ROOT / "scripts/quad_rounds.py")
+    jobs = [job for job in script.workloads.figure_jobs()
+            if job.key.startswith("fig3-")]
+
+    def counts():
+        return [line.split()[:6]
+                for line in script.job_lines("figures-kron", jobs)]
+
+    first = counts()
+    assert [c[1] for c in first] == [job.key for job in jobs] + ["total"]
+    assert all(int(n) > 0 for c in first for n in c[2:])
+    assert counts() == first
+
+
 def test_public_names_resolve_once():
     import decaybounds
     assert [name for name in decaybounds.__all__
