@@ -11,7 +11,7 @@ from .bounds import (DecayBoundReport, cauchy_entry_bound, cauchy_shifted_bound,
                      demko_bound, demko_constant, exp_entry_bound, exp_envelope,
                      freund_resolvent_bound, invsqrt_closed_bound,
                      laplace_entry_bound)
-from .graphdist import DistanceVector, geodesic_from
+from .graphdist import geodesic_from
 from .kron import cauchy_kron_bound, exp_kron_bound, laplace_kron_bound
 from .matrices import (KroneckerSum, MatrixFormatError, SparseHermitianMatrix,
                        SpectralInterval, banded_from_stencil,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CauchyMeasure", "DecayBoundReport",
-    "DistanceVector", "EigenDecomposition", "KroneckerSum", "LaplaceMeasure",
+    "EigenDecomposition", "KroneckerSum", "LaplaceMeasure",
     "MatrixFormatError", "QuadratureResult", "SparseHermitianMatrix",
     "SpectralInterval", "banded_from_stencil", "cauchy_catalog",
     "cauchy_entry_bound", "cauchy_kron_bound", "cauchy_shifted_bound",

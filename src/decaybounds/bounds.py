@@ -1,6 +1,12 @@
 """Entrywise decay bounds for functions of a banded Hermitian positive
-definite matrix, and the exponential and envelope-integral routes that a
-Kronecker sum shares with it as their one-factor case.
+definite matrix and of Kronecker sums of such matrices.
+
+A single matrix is the one-factor case of a Kronecker sum, since the
+semigroup of a sum factorizes entrywise: ``exp_bounds`` and
+``laplace_bounds`` take one spectral interval per factor and one
+distance per factor.  ``laplace_bounds`` carries the Cauchy class of a
+Kronecker sum too, on the measure's Laplace transform
+(``CauchyMeasure.as_laplace``).
 
 The two building blocks are the capped two-regime envelope for entries of
 the semigroup exp(-tau M) (superexponential tail) and the resolvent decay
@@ -31,9 +37,11 @@ _LOG10 = math.log(10.0)
 
 @dataclass(frozen=True)
 class DecayBoundReport:
-    """Bound at one distance with provenance: the distance (a tuple of
-    per-factor distances for a Kronecker sum), integral pieces, quadrature
-    error estimate and whether the stated validity region holds."""
+    """Bound at one distance with provenance: the distance, integral
+    pieces, quadrature error estimate and whether the stated validity
+    region holds.  A Kronecker report carries its tuple of per-factor
+    distances, and so does every ``exp_bounds`` report; a one-factor
+    Laplace or Cauchy report carries the number d."""
 
     distance: object
     bound: float
@@ -221,35 +229,50 @@ def _lockstep(pieces, integrand, quad_tol, max_panels):
     return [[next(results) for _ in ps] for ps in pieces]
 
 
-def _envelope_integral(intervals, distances, weight, upper, singularity,
-                       atoms, quad_tol, max_panels, log_weight=None):
-    """Integrals of the product envelope prod_L exp(-lambda_min_L tau)
-    E(rho_L tau, d_L) against weight(tau) dtau on (0, upper], plus the
-    envelope at each atom (location, mass), at every tuple (d_L) of
-    ``distances``.
+def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10,
+                   max_panels=10000):
+    """Entry bounds for f(A) with f completely monotonic, at each tuple of
+    per-factor distances d_L: a list of reports, from one lockstep
+    quadrature.  ``intervals`` holds one SpectralInterval per Kronecker
+    factor, one to three; a single matrix is the one-factor case, since
+    the semigroup of a Kronecker sum factorizes entrywise.  A Markov
+    function enters as its transform, ``CauchyMeasure.as_laplace()``.
 
-    ``intervals`` holds one SpectralInterval per Kronecker factor and each
-    tuple one distance per factor; a single matrix is the one-factor case,
-    since the semigroup of a Kronecker sum factorizes entrywise.  Each
-    tuple's quadrature is split at its own factors' envelope breakpoints,
-    ``singularity`` (the weight's exponent at 0) applies to the first
-    segment, and ``weight=None`` integrates the atoms only.  A
-    ``log_weight`` (log of ``weight``) joins the exponent -sum_L
-    lambda_min_L tau before it is exponentiated, so the integrand is
-    formed where the weight alone overflows.  The segments of all tuples
-    run as one lockstep quadrature.  Returns one (total,
-    segments, error, evaluations, converged) per tuple; ``segments`` lists
-    (lo, hi, value) in edge order followed by one (location, location,
-    value) per atom, and ``total`` sums them in that order.
+    Integrates the product envelope prod_L exp(-lambda_min_L tau)
+    E(rho_L tau, d_L) against the measure's density on (0, support_upper],
+    plus the envelope at each atom.  Each tuple's quadrature is split at
+    its own factors' envelope breakpoints, and the density's exponent at 0
+    applies to the first segment.  A ``log_density`` joins the exponent
+    -sum_L lambda_min_L tau before it is exponentiated, so the integrand is
+    formed where the density alone overflows.  A one-factor report carries
+    the distance d, and its pieces I, II, III sum the segments (and atoms)
+    in the superexponential, Gaussian and trivial regimes; a Kronecker
+    report carries the tuple, and its bound sums the segments in edge
+    order, then the atoms.  The bound is stated for every d_L >= 2; at
+    smaller distances the capped envelopes still give a rigorous value,
+    reported with ``valid=False``.  The same number bounds
+    |f(M + i zeta I)|_{k t} for every real zeta: the shift only rotates
+    the semigroup by a unimodular phase.
     """
+    if not 1 <= len(intervals) <= 3:
+        raise ValueError("Laplace-class bounds support one to three factors")
+    if not all(iv.is_positive_definite for iv in intervals):
+        raise ValueError("Laplace-class bounds need positive definite factors")
+    if not measure.has_representation:
+        raise ValueError(f"measure {measure.name!r} has no stored representation")
+    distances = [tuple(ds) for ds in distances]
+    if any(len(ds) != len(intervals) for ds in distances):
+        raise ValueError("each distance tuple needs one distance per factor")
     terms = [(iv.lambda_min, iv.rho) for iv in intervals]
     rows = np.array(distances, dtype=float).reshape(len(distances), len(terms))
+    weight, log_weight = measure.density, measure.log_density
+    upper, sing = measure.support_upper, measure.singularity_exponent
     pieces = []
     for ds in rows.tolist():
         cuts = sorted({c for (_, rho), d in zip(terms, ds)
                        for c in _envelope_breakpoints(d, rho) if 0.0 < c < upper})
         edges = [0.0] + cuts + [upper] if weight is not None else [0.0]
-        pieces.append([(lo, hi, singularity if lo == 0.0 else 0.0)
+        pieces.append([(lo, hi, sing if lo == 0.0 else 0.0)
                        for lo, hi in zip(edges[:-1], edges[1:])])
 
     def integrand(taus, group, _):
@@ -268,67 +291,43 @@ def _envelope_integral(intervals, distances, weight, upper, singularity,
         return np.where(np.isinf(w), np.inf, out * w)
 
     results = _lockstep(pieces, integrand, quad_tol, max_panels)
-    out = []
-    for ds, segs, rs in zip(rows.tolist(), pieces, results):
+    reports = []
+    for ds, row, segs, rs in zip(distances, rows.tolist(), pieces, results):
         segments = [(lo, hi, r.value) for (lo, hi, _), r in zip(segs, rs)]
         segments += [(loc, loc, mass * math.prod(
             math.exp(-lmin * loc) * exp_envelope(rho * loc, d)
-            for (lmin, rho), d in zip(terms, ds))) for loc, mass in atoms]
-        total = 0.0
-        for _, _, value in segments:
-            total += value
-        out.append((total, segments, sum((r.error_estimate for r in rs), 0.0),
-                    sum(r.evaluations for r in rs), all(r.converged for r in rs)))
-    return out
-
-
-def laplace_bounds(interval, measure, distances, *, quad_tol=1e-10,
-                   max_panels=10000):
-    """Entry bounds for f(M) with f completely monotonic, M HPD, at each
-    of ``distances``: a list of reports, from one lockstep quadrature.
-
-    Integrates the capped semigroup envelope against the representing
-    measure, split at the envelope's regime boundaries.  The report's
-    pieces I, II, III sum the segments (and atoms) in the superexponential,
-    Gaussian and trivial regimes.  The bound is stated for d >= 2; at
-    smaller distances the capped envelope still gives a rigorous value,
-    reported with ``valid=False``.  The same number bounds
-    |f(M + i zeta I)|_{k t} for every real zeta: the shift only rotates
-    the semigroup by a unimodular phase.
-    """
-    if not interval.is_positive_definite:
-        raise ValueError("Laplace-class bounds need a positive definite matrix")
-    if not measure.has_representation:
-        raise ValueError(f"measure {measure.name!r} has no stored representation")
-    distances = [float(d) for d in distances]
-    integrals = _envelope_integral(
-        (interval,), [(d,) for d in distances], measure.density,
-        measure.support_upper, measure.singularity_exponent, measure.atoms,
-        quad_tol, max_panels, measure.log_density)
-    rho = interval.rho
-    reports = []
-    for d, (_, segments, err, evals, converged) in zip(distances, integrals):
-        pieces = {"I": 0.0, "II": 0.0, "III": 0.0}
-        for lo, hi, value in segments:
-            mid = 0.5 * (lo + hi) if math.isfinite(hi) else lo + 1.0
-            if rho > 0 and mid <= d / (2.0 * rho):
-                pieces["I"] += value
-            elif rho > 0 and mid <= d * d / (4.0 * rho):
-                pieces["II"] += value
-            else:
-                pieces["III"] += value
-        total = pieces["I"] + pieces["II"] + pieces["III"]
+            for (lmin, rho), d in zip(terms, row))) for loc, mass in measure.atoms]
+        if len(terms) == 1:
+            (d,), rho = row, terms[0][1]
+            parts = {"I": 0.0, "II": 0.0, "III": 0.0}
+            for lo, hi, value in segments:
+                mid = 0.5 * (lo + hi) if math.isfinite(hi) else lo + 1.0
+                if rho > 0 and mid <= d / (2.0 * rho):
+                    parts["I"] += value
+                elif rho > 0 and mid <= d * d / (4.0 * rho):
+                    parts["II"] += value
+                else:
+                    parts["III"] += value
+            total = parts["I"] + parts["II"] + parts["III"]
+        else:
+            d, parts, total = ds, {}, 0.0
+            for _, _, value in segments:
+                total += value
         reports.append(DecayBoundReport(
-            distance=d, bound=total, pieces=pieces, error_estimate=err,
-            evaluations=evals, converged=converged, valid=d >= 2.0))
+            distance=d, bound=total, pieces=parts,
+            error_estimate=sum((r.error_estimate for r in rs), 0.0),
+            evaluations=sum(r.evaluations for r in rs),
+            converged=all(r.converged for r in rs),
+            valid=all(x >= 2.0 for x in row)))
     return reports
 
 
 def laplace_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
                         max_panels=10000):
-    """Entry bound at one distance: the one-distance laplace_bounds."""
-    return laplace_bounds(interval, measure, (distance,), quad_tol=quad_tol,
-                          max_panels=max_panels)[0]
+    """Entry bound at one distance: the one-factor, one-distance
+    laplace_bounds."""
+    return laplace_bounds((interval,), measure, [(distance,)],
+                          quad_tol=quad_tol, max_panels=max_panels)[0]
 
 
 def _total_variation_quadrature(kernel, measure, distances, quad_tol,

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import bounds, kron, oracle
+from . import bounds, oracle
 from .graphdist import geodesic_from
 from .matrices import (KroneckerSum, SpectralInterval, banded_from_stencil,
                        make_test_matrix, spectral_interval)
@@ -217,8 +217,7 @@ def _distances(A, t, mode="band", drop_tol=0.0):
     matrices only) are breadth-first distances in the sparsity-pattern
     graph, inf at an unreachable row."""
     if mode == "graph":
-        return [(d,) for d in
-                geodesic_from(A, t, drop_tol=drop_tol).distances.tolist()]
+        return [(d,) for d in geodesic_from(A, t, drop_tol=drop_tol).tolist()]
     if isinstance(A, KroneckerSum):
         factors, km = A.factors, A.multi_indices
     else:
@@ -274,10 +273,13 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     elif kind == "resolvent":
         bounds_at = lambda ds: [bounds.freund_resolvent_bound(iv, zeta, d)
                                 for d in ds]
+    elif kind == "laplace":
+        bounds_at = lambda ds: bounds.laplace_bounds(
+            (iv,), measure, [(d,) for d in ds], quad_tol=quad_tol,
+            max_panels=max_panels)
     else:
-        bound = bounds.laplace_bounds if kind == "laplace" else bounds.cauchy_bounds
-        bounds_at = lambda ds: bound(iv, measure, ds, quad_tol=quad_tol,
-                                     max_panels=max_panels)
+        bounds_at = lambda ds: bounds.cauchy_bounds(
+            iv, measure, ds, quad_tol=quad_tol, max_panels=max_panels)
     # No bound at an unreachable row, at d = 0 (row t) for exp and the
     # shifted resolvent, nor below the stated d >= 2 of the Laplace class.
     least = 2.0 if kind == "laplace" else 0.0
@@ -309,10 +311,12 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
     if kind == "exp":
         bounds_at = lambda dss: bounds.exp_bounds(ivs, tau, dss)
     elif kind in ("laplace", "cauchy"):
-        bound = (kron.laplace_kron_bounds if kind == "laplace"
-                 else kron.cauchy_kron_bounds)
-        bounds_at = lambda dss: bound(ivs, measure, dss, quad_tol=quad_tol,
-                                      max_panels=max_panels)
+        # a Markov function is completely monotonic: its transform is the
+        # density of the same envelope integral
+        if kind == "cauchy":
+            measure = measure.as_laplace()
+        bounds_at = lambda dss: bounds.laplace_bounds(
+            ivs, measure, dss, quad_tol=quad_tol, max_panels=max_panels)
     else:
         raise ValueError(f"--class {klass} --function {function} is not "
                          "available for Kronecker sums")

@@ -10,23 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceVector:
-    """Single-source geodesic distances; unreachable nodes carry inf."""
-
-    distances: np.ndarray     # float array, index j-1 holds d(source, j)
-
-    def __getitem__(self, j):
-        return float(self.distances[j - 1])
-
-
 def geodesic_from(M, t, *, drop_tol=0.0):
-    """Breadth-first distances from node t (1-based) in the pattern graph.
+    """Breadth-first distances from node t (1-based) in the pattern graph:
+    a float array whose index j - 1 holds d(t, j).
 
     Edges are off-diagonal stored entries with magnitude above
     ``drop_tol`` (default 0: the exact nonzero pattern).  Diagonal entries
@@ -52,4 +42,4 @@ def geodesic_from(M, t, *, drop_tol=0.0):
             if edge[p] and dist[j] == math.inf:
                 dist[j] = step
                 queue.append(j)
-    return DistanceVector(distances=np.array(dist))
+    return np.array(dist)

@@ -6,6 +6,9 @@ f(x) = int_0^inf exp(-x tau) w(tau) dtau + sum_i w_i exp(-x tau_i)
 and Markov-type functions written as
 f(x) = int_{-inf}^{upper} v(omega) / (x - omega) domega
 (``CauchyMeasure``: density v on (-inf, support_upper], upper <= 0).
+A Markov function is also completely monotonic: its Laplace-type
+density is the transform g(tau) = int exp(tau omega) v(omega) domega
+(``CauchyMeasure.as_laplace``).
 
 Every catalog entry carries the closed-form f, against which the test
 suite checks each representation by quadrature reconstruction.
@@ -74,6 +77,18 @@ class CauchyMeasure:
     def abs_density_s(self, s):
         """|v(-s)|: the bounds integrate against the total variation."""
         return np.abs(self.density_s(s))
+
+    def as_laplace(self):
+        """The transform g as a Laplace measure: a Markov function is
+        completely monotonic, f(x) = int_0^inf exp(-x tau) g(tau) dtau.
+        A signed measure gives its ``variation_transform`` instead, whose
+        integral bounds |f| from above."""
+        g = self.variation_transform if self.signed else self.laplace_transform
+        if g is None:
+            raise ValueError(f"measure {self.name!r} has no closed-form transform")
+        return LaplaceMeasure(name=self.name, closed_form=self.closed_form,
+                              density=g,
+                              singularity_exponent=self.transform_singularity)
 
 
 @functools.cache

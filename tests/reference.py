@@ -54,8 +54,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from decaybounds.bounds import _envelope_integral
+from decaybounds.bounds import laplace_bounds
 from decaybounds.matrices import SpectralInterval, spectral_interval
+from decaybounds.measures import LaplaceMeasure
 from decaybounds.oracle import eigendecomposition
 from decaybounds.quadrature import (_MAX_INTERVALS, _NODES, _W_GAUSS, _W_KRONROD,
                                     QuadratureResult)
@@ -288,13 +289,15 @@ def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
     ivs = factor_intervals(A) if intervals is None else intervals
     dists = component_distances(A, k, t)
     out = 1.0 / math.sqrt(math.pi)
+    squared = LaplaceMeasure(name="tau^-1/2", closed_form=None,
+                             density=lambda taus: taus ** -0.5,
+                             singularity_exponent=-0.5)
     for iv, d in zip(ivs, dists):
-        ((val, _, _, _, conv),) = _envelope_integral(
-            (iv, iv), [(d, d)], lambda taus: taus ** -0.5, math.inf, -0.5, (),
-            quad_tol, max_panels)
-        if not conv:
+        (rep,) = laplace_bounds((iv, iv), squared, [(d, d)],
+                                quad_tol=quad_tol, max_panels=max_panels)
+        if not rep.converged:
             raise RuntimeError("split-bound quadrature did not converge")
-        out *= math.sqrt(val)
+        out *= math.sqrt(rep.bound)
     return out
 
 

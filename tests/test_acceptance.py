@@ -252,7 +252,7 @@ def test_criterion_09_graph_distance_reduction():
             for t in range(1, n + 1):
                 dv = geodesic_from(m, t)
                 for j in range(1, n + 1):
-                    assert dv[j] == math.ceil(abs(j - t) / beta), (beta, n, t, j)
+                    assert dv[j - 1] == math.ceil(abs(j - t) / beta), (beta, n, t, j)
     # graph-mode bounds never exceed band-mode bounds
     m = make_test_matrix("pentadiag", 40)
     iv = spectral_interval(m)
@@ -262,7 +262,7 @@ def test_criterion_09_graph_distance_reduction():
     cmea = cauchy_catalog("inv_sqrt")
     s = m.diagonal_max()
     for k in range(1, 41):
-        dg, db = dv[k], abs(k - t) / 2
+        dg, db = dv[k - 1], abs(k - t) / 2
         assert demko_bound(iv, dg, diag_max=s) <= \
             demko_bound(iv, db, diag_max=s) * (1 + 1e-12)
         if k != t:

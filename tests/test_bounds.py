@@ -676,7 +676,8 @@ def test_bounds_never_grow_with_distance(kind, klass, arg):
     iv = spectral_interval(m)
     ds = [d / m.beta for d in range(2 * m.beta, 300)]
     if klass == "laplace":
-        reports = laplace_bounds(iv, laplace_catalog(arg), ds)
+        reports = laplace_bounds((iv,), laplace_catalog(arg),
+                                 [(d,) for d in ds])
     elif klass == "cauchy":
         reports = cauchy_bounds(iv, cauchy_catalog(arg), ds)
     else:

@@ -671,7 +671,7 @@ def test_run_compare_evaluates_each_distance_once(monkeypatch, mode, klass,
     # one engine call per column, each distinct distance in it once
     m, t, tol = make_test_matrix("pentadiag", 30), 12, 1e-6
     if klass == "laplace":
-        calls = _record_engine(monkeypatch, bounds, "_envelope_integral", 1)
+        calls = _record_engine(monkeypatch, bounds, "laplace_bounds", 2)
     else:
         calls = _record_engine(monkeypatch, bounds,
                                "_total_variation_quadrature", 2)
@@ -705,7 +705,7 @@ def test_run_kron_compare_evaluates_each_distance_tuple_once(
     if klass == "exp":
         calls = _record_engine(monkeypatch, bounds, "exp_bounds", 2)
     else:
-        calls = _record_engine(monkeypatch, kron, "_envelope_integral", 1)
+        calls = _record_engine(monkeypatch, bounds, "laplace_bounds", 2)
     _, _, rows = run_kron_compare(a, t, function, klass, quad_tol=tol)
     # exp gives the diagonal entry (row t) no bound
     bounded = [r for r in rows if klass != "exp" or r[0] != t]

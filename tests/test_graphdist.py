@@ -17,14 +17,14 @@ from reference import floyd_warshall
 def test_path_graph_distances():
     m = make_test_matrix("tridiag", 5)
     dv = geodesic_from(m, 1)
-    assert np.array_equal(dv.distances, [0, 1, 2, 3, 4])
+    assert np.array_equal(dv, [0, 1, 2, 3, 4])
 
 
 def test_pentadiag_ceiling_formula():
     m = make_test_matrix("pentadiag", 9)
     dv = geodesic_from(m, 1)
     expect = [math.ceil(abs(j - 1) / 2) for j in range(1, 10)]
-    assert np.array_equal(dv.distances, expect)
+    assert np.array_equal(dv, expect)
 
 
 def test_disconnected_blocks_are_unreachable():
@@ -34,8 +34,8 @@ def test_disconnected_blocks_are_unreachable():
     ]).tocsr()
     m = SparseHermitianMatrix(n=3, matrix=a)
     dv = geodesic_from(m, 1)
-    assert dv[2] == 1.0
-    assert math.isinf(dv[3])
+    assert dv[1] == 1.0
+    assert math.isinf(dv[2])
 
 
 def test_drop_tolerance_removes_weak_edges():
@@ -45,8 +45,8 @@ def test_drop_tolerance_removes_weak_edges():
         [0.0, 1.0, 2.0],
     ]))
     m = SparseHermitianMatrix(n=3, matrix=a)
-    assert geodesic_from(m, 1)[2] == 1.0
-    assert math.isinf(geodesic_from(m, 1, drop_tol=1e-6)[2])
+    assert geodesic_from(m, 1)[1] == 1.0
+    assert math.isinf(geodesic_from(m, 1, drop_tol=1e-6)[1])
 
 
 @pytest.mark.parametrize("drop_tol", [math.nan, math.inf, -1.0])
@@ -64,7 +64,7 @@ def test_full_band_matches_ceiling_exhaustively(beta):
         for t in range(1, n + 1, max(1, n // 7)):
             dv = geodesic_from(m, t)
             for j in range(1, n + 1):
-                assert dv[j] == math.ceil(abs(j - t) / beta)
+                assert dv[j - 1] == math.ceil(abs(j - t) / beta)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 24))
@@ -78,7 +78,7 @@ def test_bfs_matches_floyd_warshall(seed, n):
     fw = floyd_warshall(adj)
     t = int(rng.integers(1, n + 1))
     dv = geodesic_from(m, t)
-    assert np.array_equal(dv.distances, fw[t - 1])
+    assert np.array_equal(dv, fw[t - 1])
 
 
 def test_bfs_matches_floyd_warshall_at_64():
@@ -90,7 +90,7 @@ def test_bfs_matches_floyd_warshall_at_64():
         n=64, matrix=scipy.sparse.csr_matrix(adj.astype(float) + 200 * np.eye(64)))
     fw = floyd_warshall(adj)
     for t in (1, 30, 64):
-        assert np.array_equal(geodesic_from(m, t).distances, fw[t - 1])
+        assert np.array_equal(geodesic_from(m, t), fw[t - 1])
 
 
 def test_graph_bounds_never_exceed_band_bounds():
@@ -103,7 +103,7 @@ def test_graph_bounds_never_exceed_band_bounds():
     cmeasure = cauchy_catalog("inv_sqrt")
     s = m.diagonal_max()
     for k in range(1, 51):
-        d_graph, d_band = dv[k], abs(k - t) / m.beta
+        d_graph, d_band = dv[k - 1], abs(k - t) / m.beta
         if k != t:
             assert (exp_entry_bound(iv, 4.0, d_graph)
                     <= exp_entry_bound(iv, 4.0, d_band) * (1 + 1e-12))
@@ -128,9 +128,9 @@ def test_arrowhead_pattern_no_decay():
     m = SparseHermitianMatrix(n=n, matrix=scipy.sparse.csr_matrix(a))
     iv = spectral_interval(m)
     dv = geodesic_from(m, 2)
-    assert all(dv[j] == 2.0 for j in range(3, n + 1))
+    assert all(dv[j - 1] == 2.0 for j in range(3, n + 1))
     inv = np.abs(function_column(m, lambda x: 1.0 / x, 2))
-    bounds = [demko_bound(iv, dv[j], diag_max=m.diagonal_max())
+    bounds = [demko_bound(iv, dv[j - 1], diag_max=m.diagonal_max())
               for j in range(3, n + 1)]
     assert len(set(bounds)) == 1  # flat bound along the family
     assert np.ptp(inv[2:]) <= 1e-12  # oracle is flat too
@@ -166,6 +166,7 @@ def test_distances_symmetric_with_triangle_inequality(seed):
         n=n, matrix=scipy.sparse.csr_matrix(adj.astype(float) + 2 * n * np.eye(n)))
     vectors = [geodesic_from(m, t) for t in range(1, n + 1)]
     i, j, k = (int(x) % n + 1 for x in rng.integers(0, n, size=3))
-    assert vectors[i - 1][i] == 0.0
-    assert vectors[i - 1][j] == vectors[j - 1][i]
-    assert vectors[i - 1][j] <= vectors[i - 1][k] + vectors[k - 1][j]
+    assert vectors[i - 1][i - 1] == 0.0
+    assert vectors[i - 1][j - 1] == vectors[j - 1][i - 1]
+    assert (vectors[i - 1][j - 1]
+            <= vectors[i - 1][k - 1] + vectors[k - 1][j - 1])

@@ -147,6 +147,31 @@ def test_dual_class_consistency_inv_sqrt():
         assert abs(g - w) <= 1e-8 * abs(w)
 
 
+@pytest.mark.parametrize("name", ["inv_sqrt", "log1p_over_z"])
+@pytest.mark.parametrize("x", RECONSTRUCTION_POINTS)
+def test_as_laplace_represents_the_markov_function(name, x):
+    # the Kronecker Cauchy bound integrates the envelope against this
+    # density, so its Laplace integral must give back f
+    m = cauchy_catalog(name)
+    expect = m.closed_form(x)
+    got = laplace_reconstruct(m.as_laplace(), x)
+    assert abs(got - expect) <= 1e-8 * abs(expect)
+
+
+@pytest.mark.parametrize("tpar", [0.5, 1.2])
+@pytest.mark.parametrize("x", RECONSTRUCTION_POINTS)
+def test_as_laplace_of_a_signed_measure_bounds_the_function(tpar, x):
+    # a signed measure gives the transform of its total variation
+    m = cauchy_catalog(f"expsqrt:{tpar}")
+    assert laplace_reconstruct(m.as_laplace(), x) >= abs(m.closed_form(x))
+
+
+def test_as_laplace_needs_a_closed_form_transform():
+    m = cauchy_catalog("inv_sqrt")
+    with pytest.raises(ValueError, match="no closed-form transform"):
+        type(m)(**{**m.__dict__, "laplace_transform": None}).as_laplace()
+
+
 def test_atom_validation():
     from decaybounds import LaplaceMeasure
     with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ def test_single_matrix_distances_are_band_and_graph_distances(kind, n, t):
     assert _distances(m, t) == [(abs(k - t) / m.beta,)
                                 for k in range(1, n + 1)]
     assert _distances(m, t, "graph") == [
-        (d,) for d in geodesic_from(m, t).distances.tolist()]
+        (d,) for d in geodesic_from(m, t).tolist()]
 
 
 def test_single_matrix_graph_distances_keep_unreachable_rows():

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import sys
 
@@ -111,6 +112,19 @@ def test_tracer_targets_exist():
                if not hasattr(importlib.import_module(f"decaybounds.{module}"),
                               attribute)]
     assert missing == []
+
+
+def test_kron_defines_only_the_tracer_names():
+    # every Kronecker route is bounds.laplace_bounds or bounds.exp_bounds
+    # on a tuple of factors; kron.py keeps only the one-tuple names that
+    # the tracer times, so no Kronecker-only route grows back beside them
+    from decaybounds import kron
+    tracer = _load("perfbench_tracer", ROOT / "perfbench/tracer.py")
+    traced = {attribute for _, module, attribute, _ in tracer.TARGETS
+              if module == "kron"}
+    defined = {name for name, obj in vars(kron).items()
+               if inspect.isfunction(obj) and obj.__module__ == kron.__name__}
+    assert defined and defined <= traced, defined - traced
 
 
 def test_tracer_targets_see_the_distance_and_envelope_calls(monkeypatch,
