@@ -146,8 +146,14 @@ def laplace_catalog(name):
         )
     if name.startswith("inv_pow"):
         sigma = _parse_parameter(name, "inv_pow")
-        if sigma <= 0:
-            raise ValueError(f"inv_pow requires sigma > 0, got {sigma}")
+        if not sigma >= 0.05:
+            # tau = u**m, m = ceil(2/sigma), removes the singularity at 0;
+            # for m much above 40 it sends tau on the finest leftmost
+            # panels below 1e-300, where tau**(sigma-1) overflows
+            raise ValueError("inv_pow requires sigma of at least 0.05, below "
+                             "which the substitution that removes its "
+                             "singularity at 0 overflows the density; "
+                             f"got {sigma}")
         try:
             log_gamma = math.log(math.gamma(sigma))
         except OverflowError:

@@ -3,14 +3,18 @@
 Panel-adaptive Gauss-Kronrod (7/15 pair) with deterministic panel ordering,
 a declared left-endpoint singularity substitution and geometric tail
 extension.  :func:`run_steps` integrates many steps, plain records made by
-:func:`finite_step` and :func:`semi_infinite_step`, in lockstep: their
-panels and running totals are held in arrays, and each round bisects the
-worst panel of every running step with one vectorized kernel call and a
-fixed number of array passes.  A step's result depends on the steps it
-runs with only through the last bits of its kernel values: numpy's array
-``**`` may round differently from its scalar ``**`` (its AVX-512
-kernels), so a batched value can differ by an ulp or so from the same
-value computed alone, and such a bit can in turn tip a refinement
+:func:`finite_step` and :func:`semi_infinite_step`, in lockstep.  A step
+runs one adaptive integration at a time (a finite step one, a
+semi-infinite step one per doubling interval), so the step is the one
+index of the engine: the running sums, the totals and budget of the run
+in progress and the rows asked for next sit in arrays over the steps,
+and each panel names its step.  Each round bisects the worst panel of
+every running step with one vectorized kernel call, its rows in step
+order, and a fixed number of array passes.  A step's result depends on
+the steps it runs with only through the last bits of its kernel values:
+numpy's array ``**`` may round differently from its scalar ``**`` (its
+AVX-512 kernels), so a batched value can differ by an ulp or so from the
+same value computed alone, and such a bit can in turn tip a refinement
 decision.  Integrands are scalar: they receive a numpy array of abscissae
 and return an array of the same shape.  The one tolerance is relative: a
 step stops once its error estimate is at most ``rtol`` times the magnitude
@@ -149,9 +153,9 @@ def _panel_rule(kernel, step, lo, hi, sub, pairs):
 
 
 def _worst(key, slot, k):
-    """Largest key of each of the k runs and the first row holding it;
-    ``slot`` names each row's run (-1 for none) and a run's rows come in
-    the order they were made."""
+    """Largest key of each of the k steps and the first row holding it;
+    ``slot`` names each row's step (-1 for none) and a step's rows come
+    in the order they were made."""
     top = np.empty(k + 1)
     top.fill(-np.inf)
     np.maximum.at(top, slot, key)
@@ -163,13 +167,24 @@ def _worst(key, slot, k):
     return top[:k], first[:k]
 
 
-class _Batch:
-    """Per-step bookkeeping of a :func:`run_steps` batch between rounds,
-    in arrays over its steps: the running sums and doubling intervals of
-    semi-infinite steps, the results, and the runs opened since the last
-    round.  A run is one adaptive integration over one interval: a finite
-    step is one run, a semi-infinite step one run per doubling
-    interval."""
+# columns of the panel table
+_LO, _HI, _VAL, _ERR = range(4)
+
+
+class _Steps:
+    """State of a :func:`run_steps` batch between rounds, in arrays
+    indexed by step.
+
+    A run is one adaptive integration over one interval: a finite step
+    is one run, a semi-infinite step one run per doubling interval, so a
+    step has at most one run in progress.  Held per step: the running
+    sums and doubling intervals of a semi-infinite step and its result;
+    its run's panels held, value and error totals, panel budget and
+    substitution (an index into ``pairs`` of (a, m), -1 for none); and
+    its request for the next round, ``asks[s, j]`` for row j = (edges[s,
+    j], edges[s, j + 1]): row 0 alone for a newly opened run, rows 0 and
+    1 for the halves of a running run's worst panel, none once it has no
+    run in progress."""
 
     def __init__(self, steps):
         n = len(steps)
@@ -184,7 +199,12 @@ class _Batch:
         self.width = np.ones(n)
         self.streak = np.zeros(n, np.intp)
         self.intervals = np.zeros(n, np.intp)
-        self.opened = []
+        self.sizes = np.zeros(n, np.intp)
+        self.run_value, self.run_error = np.zeros(n), np.zeros(n)
+        self.budget = np.zeros(n, self.max_panels.dtype)
+        self.sub = np.full(n, -1, np.intp)
+        self.asks = np.zeros((n, 2), dtype=bool)
+        self.edges = np.empty((n, 3))
         self.pairs = {}                 # (a, m) -> substitution index
         lo, hi, sub = [], [], []
         for s in steps:
@@ -206,10 +226,14 @@ class _Batch:
         run = lo < hi
         steps, empty = steps[run], steps[~run]
         budget = self.max_panels[steps]
-        budget = np.where(self.semi[steps], np.maximum(
+        self.budget[steps] = np.where(self.semi[steps], np.maximum(
             64, budget - self.evaluations[steps] // 15), budget)
-        self.opened.append((steps, lo[run], hi[run], sub[run], budget,
-                            self.rtol[steps]))
+        self.sizes[steps] = 0
+        # -0.0 + x is x bit for bit: a new run's totals are its panel's
+        self.run_value[steps] = self.run_error[steps] = -0.0
+        self.sub[steps] = sub[run]
+        self.asks[steps, 0] = True
+        self.edges[steps, :2] = np.array([lo[run], hi[run]]).T
         return empty
 
     def close(self, steps, value=0.0, error=0.0, evaluations=0,
@@ -257,13 +281,102 @@ class _Batch:
                          evaluations.tolist(), converged.tolist()):
             self.results[i] = QuadratureResult(*r)
 
-    def take_opened(self):
-        """Arrays (step, lo, hi, sub, panel budget, rtol) of the runs
-        opened since the last call; None if there are none."""
-        opened, self.opened = [o for o in self.opened if o[0].size], []
-        if not opened:
-            return None
-        return tuple(np.concatenate(v) for v in zip(*opened))
+    def run(self, kernel, outer):
+        """The rounds of :func:`run_steps`, each a fixed number of array
+        passes over the steps and the panels held; returns the results.
+
+        The panels of runs in progress are rows ``[0, n)`` of ``panels``
+        (lo, hi, value, error) in the order they were made, with ``key``,
+        which ranks them (the error, inf for nan, -inf once set aside or
+        gone), and ``slot``, their step, -1 once gone (split or closed).
+        Gone rows are dropped when they outnumber the others or the table
+        is full."""
+        asks, edges, sizes = self.asks, self.edges, self.sizes
+        run_value, run_error = self.run_value, self.run_error
+        # row j of step s is entry 2 s + j of ``asked``; its ends are
+        # entries 3 s + j and 3 s + j + 1 of ``edge``
+        asked, edge = asks.reshape(-1), edges.reshape(-1)
+        pairs, k = list(self.pairs), len(asks)
+        panels, key, slot = np.empty((0, 4)), np.empty(0), np.empty(0, np.intp)
+        n = gone = 0
+        while True:
+            on = asks[:, 0].nonzero()[0]
+            if not on.size:
+                return self.results
+            row = asked.nonzero()[0]
+            step = row >> 1
+            at = row + step
+            lo, hi = edge[at], edge[at + 1]
+            with np.errstate(**outer):
+                val, err = _panel_rule(kernel, step, lo, hi, self.sub[step],
+                                       pairs)
+            sizes[on] += 1
+
+            # the new panels go behind the held ones
+            if n + step.size > key.size or 2 * gone > n:
+                live = (slot[:n] >= 0).nonzero()[0]
+                spare = live.size + 2 * step.size
+                panels = np.concatenate((panels[live], np.empty((spare, 4))))
+                key = np.concatenate((key[live], np.empty(spare)))
+                slot = np.concatenate((slot[live], np.empty(spare, np.intp)))
+                n, gone = live.size, 0
+            new = slice(n, n + step.size)
+            panels[new] = np.array([lo, hi, val, err]).T
+            key[new] = np.where(np.isnan(err), np.inf, err)
+            slot[new] = step
+            n = new.stop
+            # in row order: a split's totals become (total + left) + right
+            np.add.at(run_value, step, val)
+            np.add.at(run_error, step, err)
+
+            converged = run_error <= self.rtol * np.abs(run_value)
+            stop = (converged | (sizes >= self.budget))[on]
+            go = on[~stop]
+            # each running run bisects its worst panel, ties going to the
+            # earliest made.  A panel too narrow to split or without error
+            # is set aside and the next worst taken; a run left with none
+            # stops
+            top, first = _worst(key[:n], slot[:n], k)
+            while True:
+                pick = first[go]
+                picked = panels.take(pick, axis=0)
+                pa, pb, perr = picked[:, _LO], picked[:, _HI], picked[:, _ERR]
+                mid = 0.5 * (pa + pb)
+                splits = (pa < mid) & (mid < pb) & (perr != 0.0)
+                if splits.all():
+                    break
+                key[pick[~splits]] = -np.inf
+                top, first = _worst(key[:n], slot[:n], k)
+                stop |= top[on] == -np.inf
+                go = on[~stop]
+
+            if stop.any():
+                # value and error of a closing run are summed one panel
+                # after another in interval order
+                done = on[stop]
+                closing = np.zeros(k + 1, dtype=bool)
+                closing[done] = True
+                held = closing[slot[:n]].nonzero()[0]
+                held = held[np.lexsort((panels[held, _LO], slot[held]))]
+                values = panels[held, _VAL].tolist()
+                errors = panels[held, _ERR].tolist()
+                ends = sizes[done].cumsum().tolist()
+                value, error = [], []
+                for start, end in zip([0] + ends[:-1], ends):
+                    value.append(functools.reduce(operator.add,
+                                                  values[start:end]))
+                    error.append(sum(errors[start:end]))
+                slot[held], key[held] = -1, -np.inf
+                gone += held.size
+                asks[done] = False
+                self.close(done, np.array(value), np.array(error, dtype=float),
+                           15 * (2 * sizes[done] - 1), converged[done])
+            slot[pick], key[pick] = -1, -np.inf
+            gone += pick.size
+            run_value[go] -= picked[:, _VAL]
+            run_error[go] -= picked[:, _ERR]
+            asks[go, 1] = True
+            edges[go] = np.array([pa, mid, pb]).T
 
 
 def run_steps(kernel, steps):
@@ -271,144 +384,19 @@ def run_steps(kernel, steps):
     :func:`semi_infinite_step`) in lockstep; returns their
     :class:`QuadratureResult` values in order.
 
-    Each round stacks the pending panels of every step into one
-    ``(P, 15)`` abscissa array x and calls ``kernel(x, step)`` once;
-    ``step[i]`` is the index of the step owning row i, and the kernel
-    returns values of shape ``(P, 15)``.  Rows come in step order: a
-    newly opened run asks for its one panel, a running one for the two
-    halves of its worst panel."""
-    batch = _Batch(list(steps))
+    Every piece of state is indexed by step: a step has at most one run
+    in progress, and each round asks it for one panel when that run is
+    new and for the two halves of the run's worst panel after.  The
+    round stacks these rows, in step order, into one ``(P, 15)`` abscissa
+    array x and calls ``kernel(x, step)`` once; ``step[i]`` is the index
+    of the step owning row i, and the kernel returns values of shape
+    ``(P, 15)``."""
     outer = np.geterr()
     # the bookkeeping keeps Python float semantics, where inf and nan
     # pass silently; the panel rule and the kernel run under the caller's
     # settings
     with np.errstate(all="ignore"):
-        _rounds(kernel, batch, list(batch.pairs), outer)
-    return batch.results
-
-
-# columns of the panel table
-_LO, _HI, _VAL, _ERR = range(4)
-
-
-def _rounds(kernel, batch, pairs, outer):
-    """The rounds of :func:`run_steps`, a fixed number of array passes
-    each over every run in progress.
-
-    The panels of running runs are rows ``[0, n)`` of ``panels`` (lo,
-    hi, value, error) in the order they were made, with ``key``, which
-    ranks them (the error, inf for nan, -inf once set aside or gone), and
-    ``slot``, the index of their run in ``act``, -1 once gone (split or
-    closed).  Gone rows are dropped when they outnumber the others or
-    the table is full.  The per-run arrays follow ``act``, the running
-    steps in ascending order: panels held, (value, error) totals, panel
-    budget, rtol and substitution."""
-    act, sizes, sub = (np.empty(0, np.intp) for _ in range(3))
-    budget, rtol = np.empty(0), np.empty(0)
-    totals = np.empty((2, 0))
-    panels, key, slot = np.empty((0, 4)), np.empty(0), np.empty(0, np.intp)
-    n = gone = 0
-    halves = np.empty((0, 2))   # (lo, hi) rows asked for by act
-    while True:
-        opened = batch.take_opened()
-        step, lo, hi = act.repeat(2), halves[:, 0], halves[:, 1]
-        rsub = sub.repeat(2)
-        if opened is not None:
-            step, lo, hi, rsub = (np.concatenate(p) for p in zip(
-                (step, lo, hi, rsub), opened))
-            order = step.argsort(kind="stable")
-            step, lo, hi, rsub = step[order], lo[order], hi[order], rsub[order]
-        elif not step.size:
-            return
-        with np.errstate(**outer):
-            val, err = _panel_rule(kernel, step, lo, hi, rsub, pairs)
-
-        n2 = 2 * act.size
-        got = np.array([val, err])
-        if opened is not None:
-            back = np.empty_like(order)
-            back[order] = np.arange(order.size)
-            got = got.take(back, axis=1)
-        totals = totals + got[:, :n2:2] + got[:, 1:n2:2]
-        sizes = sizes + 1
-        if opened is not None:
-            merged = np.concatenate((act, opened[0]))
-            at = merged.argsort()
-            place = np.empty_like(at)
-            place[at] = np.arange(at.size)
-            slot[:n] = np.append(place[:act.size], -1)[slot[:n]]
-            act = merged[at]
-            totals = np.concatenate((totals, got[:, n2:]), axis=1)[:, at]
-            sizes, sub, budget, rtol = (
-                np.concatenate((v, w))[at] for v, w in zip(
-                    (sizes, sub, budget, rtol),
-                    (np.ones_like(opened[0]), *opened[3:])))
-
-        # the new panels go behind the held ones
-        if n + step.size > key.size or 2 * gone > n:
-            live = (slot[:n] >= 0).nonzero()[0]
-            spare = live.size + 2 * step.size
-            panels = np.concatenate((panels[live], np.empty((spare, 4))))
-            key = np.concatenate((key[live], np.empty(spare)))
-            slot = np.concatenate((slot[live], np.empty(spare, np.intp)))
-            n, gone = live.size, 0
-        new = slice(n, n + step.size)
-        panels[new] = np.array([lo, hi, val, err]).T
-        key[new] = np.where(np.isnan(err), np.inf, err)
-        slot[new] = act.searchsorted(step)
-        n = new.stop
-
-        converged = totals[1] <= rtol * np.abs(totals[0])
-        stop = converged | (sizes >= budget)
-        go = ~stop
-        # each running run bisects its worst panel, ties going to the
-        # earliest made.  A panel too narrow to split or without error is
-        # set aside and the next worst taken; a run left with none stops
-        top, first = _worst(key[:n], slot[:n], act.size)
-        while True:
-            pick = first[go]
-            picked = panels.take(pick, axis=0)
-            pa, pb, perr = picked[:, _LO], picked[:, _HI], picked[:, _ERR]
-            mid = 0.5 * (pa + pb)
-            splits = (pa < mid) & (mid < pb) & (perr != 0.0)
-            if splits.all():
-                break
-            key[pick[~splits]] = -np.inf
-            top, first = _worst(key[:n], slot[:n], act.size)
-            stop |= top == -np.inf
-            go = ~stop
-
-        if stop.any():
-            rows = np.append(stop, False)[slot[:n]].nonzero()[0]
-            done = stop.nonzero()[0]
-            _close_runs(batch, panels[rows], slot[rows], act[done],
-                        sizes[done], converged[done])
-            slot[rows], key[rows] = -1, -np.inf
-            gone += rows.size
-            slot[:n] = np.append(go.cumsum() - 1, -1)[slot[:n]]
-            act, sizes, sub, budget, rtol = (
-                v[go] for v in (act, sizes, sub, budget, rtol))
-            totals = totals[:, go]
-        slot[pick], key[pick] = -1, -np.inf
-        gone += pick.size
-        totals = totals - picked[:, _VAL:_ERR + 1].T
-        halves = np.array([pa, mid, mid, pb]).T.reshape(-1, 2)
-
-
-def _close_runs(batch, panels, slot, steps, sizes, converged):
-    """Close the finished runs of ``steps`` (ascending), whose panels are
-    the rows of ``panels`` with their runs' slots: value and error are
-    summed one panel after another in interval order."""
-    order = np.lexsort((panels[:, _LO], slot))
-    values = panels[order, _VAL].tolist()
-    errors = panels[order, _ERR].tolist()
-    ends = sizes.cumsum().tolist()
-    value, error = [], []
-    for start, end in zip([0] + ends[:-1], ends):
-        value.append(functools.reduce(operator.add, values[start:end]))
-        error.append(sum(errors[start:end]))
-    batch.close(steps, np.array(value), np.array(error, dtype=float),
-                15 * (2 * sizes - 1), converged)
+        return _Steps(list(steps)).run(kernel, outer)
 
 
 def _pointwise(f):

@@ -793,6 +793,25 @@ def test_inv_pow_weight_past_the_largest_double_runs_clean(capsys):
         assert o <= b <= lmin ** -171 * (1 + 1e-6)
 
 
+@pytest.mark.parametrize("sigma, code", [
+    ("0.05", 0), ("0.0511", 0), ("0.0499", 1), ("0.015", 1), ("1e-20", 1)])
+def test_inv_pow_small_sigma_limit(capsys, sigma, code):
+    # tau = u**ceil(2/sigma) removes the singularity at 0; below sigma =
+    # 0.05 it overflowed the density into nan bounds (all 400 at 0.015)
+    argv = ["kron", "--factors", "tridiag,tridiag", "--n", "20", "--class",
+            "laplace", "--function", f"inv_pow:{sigma}", "--column", "94"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "inv_pow requires sigma of at least 0.05" in err
+        assert not out
+    else:
+        bounds = [float(r.split(",")[-2]) for r in out.splitlines()[1:]]
+        assert len(bounds) == 400 and all(math.isfinite(b) for b in bounds)
+
+
 @pytest.mark.parametrize("command", ["compare", "bound", "oracle"])
 def test_non_finite_dense_matrix_exits_one(command, capsys):
     argv = [command, "--matrix", "pentadiag:-0.5,-1,nan,-1,-0.5", "--n", "30",
