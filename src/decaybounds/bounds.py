@@ -30,7 +30,7 @@ import numpy as np
 # Not called here: perfbench/tracer.py wraps bounds.integrate* when it
 # times the quadrature layer, so the names must exist.
 from .quadrature import integrate, integrate_semi_infinite  # noqa: F401
-from .quadrature import finite_step, run_steps, semi_infinite_step
+from .quadrature import run_steps
 
 _LOG10 = math.log(10.0)
 
@@ -216,16 +216,17 @@ def _envelope_breakpoints(d, rho):
 
 def _lockstep(pieces, integrand, quad_tol, max_panels):
     """One lockstep quadrature over groups of (lo, hi, singularity)
-    pieces, hi may be inf; ``integrand(x, group, piece)`` gets each
-    abscissa row's group and piece index.  Returns the QuadratureResults
-    regrouped as ``pieces`` is."""
-    flat = [(i, j, *p) for i, ps in enumerate(pieces) for j, p in enumerate(ps)]
-    group, piece = np.array([f[:2] for f in flat], dtype=int).reshape(-1, 2).T
+    pieces, hi may be inf: one step per piece, in group order;
+    ``integrand(x, group, piece)`` gets each abscissa row's group and
+    piece index.  Returns the QuadratureResults regrouped as ``pieces``
+    is."""
+    group, piece, lo, hi, sing = np.array(
+        [(i, j, *p) for i, ps in enumerate(pieces) for j, p in enumerate(ps)],
+        dtype=float).reshape(-1, 5).T
+    group, piece = group.astype(int), piece.astype(int)
     results = iter(run_steps(
         lambda x, step: integrand(x, group[step], piece[step]),
-        [semi_infinite_step(lo, quad_tol, sing, max_panels) if math.isinf(hi)
-         else finite_step(lo, hi, quad_tol, sing, max_panels)
-         for _, _, lo, hi, sing in flat]))
+        lo, hi, quad_tol, sing, max_panels))
     return [[next(results) for _ in ps] for ps in pieces]
 
 

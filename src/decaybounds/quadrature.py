@@ -2,16 +2,18 @@
 
 Panel-adaptive Gauss-Kronrod (7/15 pair) with deterministic panel ordering,
 a declared left-endpoint singularity substitution and geometric tail
-extension.  :func:`run_steps` integrates many steps, plain records made by
-:func:`finite_step` and :func:`semi_infinite_step`, in lockstep.  A step
-runs one adaptive integration at a time (a finite step one, a
-semi-infinite step one per doubling interval), so the step is the one
-index of the engine: the running sums, the totals and budget of the run
-in progress and the rows asked for next sit in arrays over the steps,
-and each panel names its step.  Each round bisects the worst panel of
-every running step with one vectorized kernel call, its rows in step
-order, and a fixed number of array passes.  A step's result depends on
-the steps it runs with only through the last bits of its kernel values:
+extension.  :func:`run_steps` integrates many steps in lockstep, given as
+arrays of lower and upper limits (an upper limit of inf makes a
+semi-infinite step) and of singularity exponents, under one tolerance
+and one panel budget.  A step runs one adaptive integration at a time (a
+finite step one, a semi-infinite step one per doubling interval), so the
+step is the one index of the engine: its result (a finite step's run, a
+semi-infinite step's running sums), the totals and budget of the run in
+progress and the rows asked for next sit in arrays over the steps, and
+each panel names its step.  Each round bisects the worst panel of every
+running step with one vectorized kernel call, its rows in step order,
+and a fixed number of array passes.  A step's result depends on the
+steps it runs with only through the last bits of its kernel values:
 numpy's array ``**`` may round differently from its scalar ``**`` (its
 AVX-512 kernels), so a batched value can differ by an ulp or so from the
 same value computed alone, and such a bit can in turn tip a refinement
@@ -64,7 +66,7 @@ _W_KRONROD = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]])
 _W_GAUSS = np.zeros(15)
 _W_GAUSS[[1, 3, 5, 7, 9, 11, 13]] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 
-# doubling intervals tried by integrate_semi_infinite before giving up
+# doubling intervals tried by a semi-infinite step before giving up
 _MAX_INTERVALS = 200
 
 
@@ -76,53 +78,6 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class Step:
-    """One integral of a :func:`run_steps` batch, made and checked by
-    :func:`finite_step` or :func:`semi_infinite_step`.
-
-    A finite step integrates over [a, b]; a semi-infinite step over
-    intervals of doubling width from [a, b = a + 1] on.  ``m`` > 0
-    substitutes tau = a + u**m on the first interval."""
-
-    a: float
-    b: float
-    rtol: float
-    m: int
-    max_panels: int
-    semi_infinite: bool
-
-
-def _substitution(a, b, singularity_a):
-    """Power m of the substitution that removes a left-endpoint
-    singularity (x - a)**p on [a, b], 0 for none; raises on an invalid
-    interval or exponent.  An empty interval needs no exponent."""
-    if not (a < b):
-        if a == b:
-            return 0
-        raise ValueError(f"require a < b, got [{a}, {b}]")
-    if not (-1.0 < singularity_a <= 0.0):
-        raise ValueError(
-            f"singularity exponent must lie in (-1, 0], got {singularity_a}")
-    if singularity_a < 0.0:
-        # tau = a + u**m removes an integrable endpoint singularity tau**p
-        return max(2, math.ceil(2.0 / (1.0 + singularity_a)))
-    return 0
-
-
-def finite_step(a, b, rtol, singularity_a, max_panels):
-    """Step integrating over [a, b]; see :func:`integrate`."""
-    return Step(a, b, rtol, _substitution(a, b, singularity_a), max_panels,
-                False)
-
-
-def semi_infinite_step(a, rtol, singularity_a, max_panels):
-    """Step integrating over [a, oo); see :func:`integrate_semi_infinite`."""
-    a = float(a)
-    return Step(a, a + 1.0, rtol, _substitution(a, a + 1.0, singularity_a),
-                max_panels, True)
 
 
 def _panel_rule(kernel, step, lo, hi, sub, pairs):
@@ -177,57 +132,67 @@ class _Steps:
 
     A run is one adaptive integration over one interval: a finite step
     is one run, a semi-infinite step one run per doubling interval, so a
-    step has at most one run in progress.  Held per step: the running
-    sums and doubling intervals of a semi-infinite step and its result;
-    its run's panels held, value and error totals, panel budget and
-    substitution (an index into ``pairs`` of (a, m), -1 for none); and
-    its request for the next round, ``asks[s, j]`` for row j = (edges[s,
-    j], edges[s, j + 1]): row 0 alone for a newly opened run, rows 0 and
-    1 for the halves of a running run's worst panel, none once it has no
-    run in progress."""
+    step has at most one run in progress.  Held per step: its result
+    (``total``, ``error``, ``evaluations``, ``converged``: the one run of
+    a finite step, the running sums of a semi-infinite one) and a
+    semi-infinite step's doubling intervals; its run's panels held,
+    value and error totals, panel budget and substitution (an index into
+    ``pairs`` of (a, m), -1 for none); and its request for the next
+    round, ``asks[s, j]`` for row j = (edges[s, j], edges[s, j + 1]): row
+    0 alone for a newly opened run, rows 0 and 1 for the halves of a
+    running run's worst panel, none once it has no run in progress."""
 
-    def __init__(self, steps):
-        n = len(steps)
-        self.results = [None] * n
-        self.semi = np.array([s.semi_infinite for s in steps], dtype=bool)
-        self.rtol = np.array([s.rtol for s in steps], dtype=float)
-        self.max_panels = np.array([s.max_panels for s in steps])
-        self.total, self.error = np.zeros(n), np.zeros(n)
+    def __init__(self, a, b, rtol, singularity, max_panels):
+        a, b, sing = (np.asarray(v, dtype=float) for v in (a, b, singularity))
+        bad = ~np.isfinite(a)
+        if bad.any():
+            raise ValueError(f"require a finite lower limit, got {a[bad][0]}")
+        self.semi = b == np.inf
+        # a semi-infinite step's first interval is [a, a + 1]
+        self.hi = np.where(self.semi, a + 1.0, b)
+        bad = ~(a <= self.hi)
+        if bad.any():
+            i = bad.argmax()
+            raise ValueError(f"require a <= b, got [{a[i]}, {b[i]}]")
+        run = a < self.hi               # an empty interval needs no exponent
+        bad = run & ~((-1.0 < sing) & (sing <= 0.0))
+        if bad.any():
+            raise ValueError("singularity exponent must lie in (-1, 0], "
+                             f"got {sing[bad][0]}")
+        n = a.size
+        self.rtol, self.max_panels = rtol, max_panels
+        # -0.0 + x is x bit for bit: a finite step's sums are its run's
+        self.total = np.where(self.semi, 0.0, -0.0)
+        self.error = np.zeros(n)
         self.evaluations = np.zeros(n, np.int64)
         self.converged = np.ones(n, dtype=bool)
-        self.hi = np.array([s.b for s in steps], dtype=float)
         self.width = np.ones(n)
         self.streak = np.zeros(n, np.intp)
         self.intervals = np.zeros(n, np.intp)
         self.sizes = np.zeros(n, np.intp)
         self.run_value, self.run_error = np.zeros(n), np.zeros(n)
-        self.budget = np.zeros(n, self.max_panels.dtype)
+        self.budget = np.full(n, max_panels)
         self.sub = np.full(n, -1, np.intp)
         self.asks = np.zeros((n, 2), dtype=bool)
         self.edges = np.empty((n, 3))
         self.pairs = {}                 # (a, m) -> substitution index
-        lo, hi, sub = [], [], []
-        for s in steps:
-            if s.m:                     # tau = a + u**m on [0, (b - a)**(1/m)]
-                lo.append(0.0)
-                hi.append((s.b - s.a) ** (1.0 / s.m))
-                sub.append(self.pairs.setdefault((s.a, s.m), len(self.pairs)))
-            else:
-                lo.append(s.a)
-                hi.append(s.b)
-                sub.append(-1)
-        self.close(self.open(np.arange(n), np.array(lo, dtype=float),
-                             np.array(hi, dtype=float),
-                             np.array(sub, dtype=np.intp)))
+        lo, hi, sub = a.copy(), self.hi.copy(), self.sub.copy()
+        for i in (run & (sing < 0.0)).nonzero()[0].tolist():
+            # tau = a + u**m on [0, (b - a)**(1/m)] removes an integrable
+            # endpoint singularity tau**p
+            m = max(2, math.ceil(2.0 / (1.0 + float(sing[i]))))
+            lo[i], hi[i] = 0.0, float(hi[i] - a[i]) ** (1.0 / m)
+            sub[i] = self.pairs.setdefault((float(a[i]), m), len(self.pairs))
+        self.close(self.open(np.arange(n), lo, hi, sub))
 
     def open(self, steps, lo, hi, sub):
         """Open runs of ``steps`` over [lo, hi]; returns the steps whose
         interval is empty, a zero run that needs no panel."""
         run = lo < hi
         steps, empty = steps[run], steps[~run]
-        budget = self.max_panels[steps]
-        self.budget[steps] = np.where(self.semi[steps], np.maximum(
-            64, budget - self.evaluations[steps] // 15), budget)
+        semi = steps[self.semi[steps]]
+        self.budget[semi] = np.maximum(
+            64, self.max_panels - self.evaluations[semi] // 15)
         self.sizes[steps] = 0
         # -0.0 + x is x bit for bit: a new run's totals are its panel's
         self.run_value[steps] = self.run_error[steps] = -0.0
@@ -238,36 +203,25 @@ class _Steps:
 
     def close(self, steps, value=0.0, error=0.0, evaluations=0,
               converged=True):
-        """Account finished runs of ``steps`` (zero runs by default); a
-        semi-infinite step goes on to its next interval or ends."""
+        """Add finished runs of ``steps`` (zero runs by default) to their
+        sums; a semi-infinite step goes on to its next interval or ends."""
         while steps.size:
-            value, error, evaluations, converged = (
-                np.broadcast_to(v, steps.shape)
-                for v in (value, error, evaluations, converged))
-            finite = ~self.semi[steps]
-            self._result(steps[finite], value[finite], error[finite],
-                         evaluations[finite], converged[finite])
-            on = ~finite
-            steps, value, error, evaluations, converged = (
-                v[on] for v in (steps, value, error, evaluations, converged))
             total = self.total[steps] = self.total[steps] + value
-            err = self.error[steps] = self.error[steps] + error
-            evaluations = self.evaluations[steps] = (
-                self.evaluations[steps] + evaluations)
-            converged = self.converged[steps] = (
-                self.converged[steps] & converged)
-            chunk = np.abs(value)
-            small = chunk <= self.rtol[steps] * np.abs(total) / 10.0
+            self.error[steps] += error
+            self.evaluations[steps] += evaluations
+            self.converged[steps] &= converged
+            semi = self.semi[steps]
+            steps, total = steps[semi], total[semi]
+            chunk = np.abs(np.broadcast_to(value, semi.shape)[semi])
+            small = chunk <= self.rtol * np.abs(total) / 10.0
             streak = self.streak[steps] = np.where(
                 small, self.streak[steps] + 1, 0)
             # the last contribution is charged as the tail allowance
             tail = streak >= 2
-            self._result(steps[tail], total[tail], (err + chunk)[tail],
-                         evaluations[tail], converged[tail])
+            self.error[steps[tail]] += chunk[tail]
             count = self.intervals[steps] = self.intervals[steps] + 1
             spent = ~tail & (count == _MAX_INTERVALS)
-            self._result(steps[spent], total[spent], err[spent],
-                         evaluations[spent], np.zeros(spent.sum(), bool))
+            self.converged[steps[spent]] = False
             steps = steps[~(tail | spent)]
             lo = self.hi[steps]
             width = self.width[steps] = self.width[steps] * 2.0
@@ -276,14 +230,9 @@ class _Steps:
                               np.full(steps.size, -1, np.intp))
             value, error, evaluations, converged = 0.0, 0.0, 0, True
 
-    def _result(self, steps, value, error, evaluations, converged):
-        for i, *r in zip(steps.tolist(), value.tolist(), error.tolist(),
-                         evaluations.tolist(), converged.tolist()):
-            self.results[i] = QuadratureResult(*r)
-
     def run(self, kernel, outer):
         """The rounds of :func:`run_steps`, each a fixed number of array
-        passes over the steps and the panels held; returns the results.
+        passes over the steps and the panels held.
 
         The panels of runs in progress are rows ``[0, n)`` of ``panels``
         (lo, hi, value, error) in the order they were made, with ``key``,
@@ -302,7 +251,7 @@ class _Steps:
         while True:
             on = asks[:, 0].nonzero()[0]
             if not on.size:
-                return self.results
+                return
             row = asked.nonzero()[0]
             step = row >> 1
             at = row + step
@@ -379,24 +328,31 @@ class _Steps:
             edges[go] = np.array([pa, mid, pb]).T
 
 
-def run_steps(kernel, steps):
-    """Run integration steps (:func:`finite_step`,
-    :func:`semi_infinite_step`) in lockstep; returns their
-    :class:`QuadratureResult` values in order.
+def run_steps(kernel, a, b, rtol, singularity, max_panels):
+    """Integrate over [a[i], b[i]] for every step i in lockstep; returns
+    the steps' :class:`QuadratureResult` values in order.
 
-    Every piece of state is indexed by step: a step has at most one run
-    in progress, and each round asks it for one panel when that run is
-    new and for the two halves of the run's worst panel after.  The
-    round stacks these rows, in step order, into one ``(P, 15)`` abscissa
-    array x and calls ``kernel(x, step)`` once; ``step[i]`` is the index
-    of the step owning row i, and the kernel returns values of shape
-    ``(P, 15)``."""
+    ``a``, ``b`` and ``singularity`` hold one entry per step, ``rtol``
+    and ``max_panels`` hold for them all (see :func:`integrate`).  A step
+    with ``b[i] = inf`` integrates over [a[i], oo) as
+    :func:`integrate_semi_infinite` does; ``a`` must be finite, and a
+    ``b`` below ``a`` or nan raises ValueError.  Every piece of state is
+    indexed by step: a step has at most one run in progress, and each
+    round asks it for one panel when that run is new and for the two
+    halves of the run's worst panel after.  The round stacks these rows,
+    in step order, into one ``(P, 15)`` abscissa array x and calls
+    ``kernel(x, step)`` once; ``step[i]`` is the index of the step owning
+    row i, and the kernel returns values of shape ``(P, 15)``."""
     outer = np.geterr()
     # the bookkeeping keeps Python float semantics, where inf and nan
     # pass silently; the panel rule and the kernel run under the caller's
     # settings
     with np.errstate(all="ignore"):
-        return _Steps(list(steps)).run(kernel, outer)
+        steps = _Steps(a, b, rtol, singularity, max_panels)
+        steps.run(kernel, outer)
+    return [QuadratureResult(*r) for r in zip(
+        steps.total.tolist(), steps.error.tolist(),
+        steps.evaluations.tolist(), steps.converged.tolist())]
 
 
 def _pointwise(f):
@@ -407,24 +363,26 @@ def _pointwise(f):
 
 
 def integrate(f, a, b, rtol=1e-8, *, singularity_a=0.0, max_panels=10000):
-    """Integrate ``f`` over [a, b] with adaptive Gauss-Kronrod panels.
+    """Integrate ``f`` over [a, b] with adaptive Gauss-Kronrod panels;
+    ``b = inf`` integrates over [a, oo) as :func:`integrate_semi_infinite`.
 
     The stopping rule is ``err <= rtol * |value|``.  A left-endpoint
     singularity must be declared via ``singularity_a`` as an exponent p in
     (-1, 0]: the integrand behaves like ``(x - a)**p`` near ``a`` and is
-    removed by a power substitution before the adaptive pass.
+    removed by a power substitution before the adaptive pass.  ``a`` must
+    be finite and ``b`` at least ``a``; otherwise ValueError is raised.
 
     Non-convergence after ``max_panels`` panels is reported through
     ``converged=False``; no exception is raised.
     """
-    step = finite_step(a, b, rtol, singularity_a, max_panels)
-    return run_steps(_pointwise(f), [step])[0]
+    return run_steps(_pointwise(f), [a], [b], rtol, [singularity_a],
+                     max_panels)[0]
 
 
 def integrate_semi_infinite(f, a, rtol=1e-8, *, singularity_a=0.0,
                             max_panels=10000):
     """Integrate ``f`` over [a, oo) for absolutely integrable ``f`` with
-    eventually monotone decay.
+    eventually monotone decay; ``a`` must be finite.
 
     Intervals of doubling width, starting at 1, are integrated until two
     consecutive contributions fall below ``rtol / 10`` times the running
@@ -432,5 +390,5 @@ def integrate_semi_infinite(f, a, rtol=1e-8, *, singularity_a=0.0,
     tail allowance.  Each doubling interval may use the panels that the
     earlier ones left of ``max_panels``, and at least 64.
     """
-    step = semi_infinite_step(a, rtol, singularity_a, max_panels)
-    return run_steps(_pointwise(f), [step])[0]
+    return run_steps(_pointwise(f), [a], [math.inf], rtol, [singularity_a],
+                     max_panels)[0]

@@ -8,9 +8,8 @@ from reference import (reference_finite_step, reference_run_steps,
                        reference_semi_infinite_step)
 
 from decaybounds.quadrature import (_NODES, _W_GAUSS, _W_KRONROD,
-                                    _panel_rule, finite_step, integrate,
-                                    integrate_semi_infinite, run_steps,
-                                    semi_infinite_step)
+                                    _panel_rule, integrate,
+                                    integrate_semi_infinite, run_steps)
 
 
 def test_constant():
@@ -138,72 +137,93 @@ def _family(params):
 _PARAMS = [(0.5, 0.0), (1.0, 3.0), (2.0, 10.0), (0.1, 1.0), (4.0, 0.5)]
 
 
-def _make_steps(budgets=None):
-    budgets = budgets or [10000] * len(_PARAMS)
-    steps = []
-    for i, b in enumerate(budgets):
-        if i % 2:
-            steps.append(finite_step(0.0, 7.0, 1e-11, -0.5, b))
-        else:
-            steps.append(semi_infinite_step(0.0, 1e-11, -0.5, b))
-    return steps
+def _make_steps(n=len(_PARAMS)):
+    """Limits of n steps alternating [0, oo) and [0, 7], and their
+    singularity exponents."""
+    return (np.zeros(n), np.where(np.arange(n) % 2, 7.0, math.inf),
+            np.full(n, -0.5))
 
 
-def _alone(i, budgets=None):
+def _run(params, budget=10000):
+    """The steps of ``_make_steps`` run with the family ``params``."""
+    a, b, sing = _make_steps(len(params))
+    return run_steps(_family(params), a, b, 1e-11, sing, budget)
+
+
+def _alone(i, params=_PARAMS, budget=10000):
     """Step i run on its own, as the only step of the driver."""
-    return run_steps(_family([_PARAMS[i]]), [_make_steps(budgets)[i]])[0]
+    a, b, sing = _make_steps()
+    return run_steps(_family([params[i]]), a[i:i + 1], b[i:i + 1], 1e-11,
+                     sing[i:i + 1], budget)[0]
 
 
 def test_batch_is_bitwise_equal_to_one_step_runs():
-    batch = run_steps(_family(_PARAMS), _make_steps())
+    batch = _run(_PARAMS)
     for i, r in enumerate(batch):
         assert r == _alone(i), i
         assert r.converged
 
 
 def test_shuffled_batch_is_bitwise_equal():
-    batch = run_steps(_family(_PARAMS), _make_steps())
+    batch = _run(_PARAMS)
     order = [3, 0, 4, 2, 1]
-    steps = _make_steps()
-    shuffled = run_steps(_family([_PARAMS[i] for i in order]),
-                         [steps[i] for i in order])
+    a, b, sing = _make_steps()
+    shuffled = run_steps(_family([_PARAMS[i] for i in order]), a[order],
+                         b[order], 1e-11, sing[order], 10000)
     for j, i in enumerate(order):
         assert shuffled[j] == batch[i]
 
 
 def test_step_out_of_panels_leaves_the_others_unchanged():
-    budgets = [10000, 2, 10000, 10000, 10000]
-    batch = run_steps(_family(_PARAMS), _make_steps(budgets))
+    # step 1 oscillates too fast for the shared budget: cos(3e4 x) has
+    # some 33000 periods on [0, 7], and 400 panels cannot resolve them
+    params = list(_PARAMS)
+    params[1] = (1.0, 3e4)
+    batch = _run(params, 400)
     assert not batch[1].converged
-    assert batch[1] == _alone(1, budgets)
+    assert batch[1] == _alone(1, params, 400)
     for i in (0, 2, 3, 4):
-        assert batch[i] == _alone(i)
+        assert batch[i] == _alone(i, params, 400)
+        assert batch[i].converged
 
 
 def test_empty_batch_calls_no_kernel():
     def kernel(x, step):
         raise AssertionError("no panel to evaluate")
-    assert run_steps(kernel, []) == []
+    assert run_steps(kernel, [], [], 1e-8, [], 100) == []
 
 
 def test_public_routes_are_one_step_runs():
     f = lambda x: np.exp(-x) * np.cos(3 * x)
     kernel = lambda x, step: f(x)
     assert integrate(f, 0.0, 5.0, 1e-11) == run_steps(
-        kernel, [finite_step(0.0, 5.0, 1e-11, 0.0, 10000)])[0]
+        kernel, [0.0], [5.0], 1e-11, [0.0], 10000)[0]
     assert integrate_semi_infinite(f, 0.0, 1e-11) == run_steps(
-        kernel, [semi_infinite_step(0.0, 1e-11, 0.0, 10000)])[0]
+        kernel, [0.0], [math.inf], 1e-11, [0.0], 10000)[0]
+    # an upper limit of inf makes the semi-infinite step
+    assert integrate(f, 0.0, math.inf, 1e-11) == integrate_semi_infinite(
+        f, 0.0, 1e-11)
 
 
 def test_steps_are_checked_when_made():
+    def kernel(x, step):
+        raise AssertionError("a rejected step evaluates no panel")
+
+    for a, b, sing in [(1.0, 0.0, 0.0),         # b below a
+                       (0.0, 1.0, -1.0),        # exponent out of (-1, 0]
+                       (0.0, math.inf, 0.5),
+                       (math.nan, math.inf, 0.0),
+                       (math.inf, math.inf, 0.0),   # a non-finite a
+                       (-math.inf, 0.0, 0.0),
+                       (0.0, -math.inf, 0.0),   # b = -inf or nan
+                       (0.0, math.nan, 0.0)]:
+        with pytest.raises(ValueError):
+            run_steps(kernel, [0.0, a], [1.0, b], 1e-8, [0.0, sing], 100)
+    f = lambda x: np.exp(-x)
     with pytest.raises(ValueError):
-        finite_step(1.0, 0.0, 1e-8, 0.0, 100)
+        integrate(f, -math.inf, 0.0)
     with pytest.raises(ValueError):
-        finite_step(0.0, 1.0, 1e-8, -1.0, 100)
-    with pytest.raises(ValueError):
-        semi_infinite_step(0.0, 1e-8, 0.5, 100)
-    with pytest.raises(ValueError):
-        semi_infinite_step(math.nan, 1e-8, 0.0, 100)
+        integrate_semi_infinite(f, math.inf)
 
 
 # -- the array engine against the generator engine ------------------------
@@ -219,10 +239,10 @@ def _integrand(family, c, x):
 
 
 def _mixed_kernel(specs):
-    """Kernel of a batch: step i integrates family specs[i][6] with
-    parameter specs[i][7]."""
-    family = np.array([s[6] for s in specs])
-    c = np.array([s[7] for s in specs])
+    """Kernel of a batch: step i integrates family specs[i][4] with
+    parameter specs[i][5]."""
+    family = np.array([s[4] for s in specs])
+    c = np.array([s[5] for s in specs])
 
     def kernel(x, step):
         out = np.empty_like(x)
@@ -233,39 +253,48 @@ def _mixed_kernel(specs):
     return kernel
 
 
-def _make(specs, finite, semi):
-    steps = []
-    for is_semi, a, width, sing, budget, rtol, _, _ in specs:
-        if is_semi:
-            steps.append(semi(a, rtol, sing, budget))
-        else:
-            b = float(np.nextafter(a, np.inf)) if width == "ulp" else a + width
-            steps.append(finite(a, b, rtol, sing, budget))
-    return steps
+def _limits(specs):
+    """Arrays a, b and singularity of ``run_steps``."""
+    a = np.array([s[1] for s in specs])
+    b = [math.inf if is_semi else
+         float(np.nextafter(a_, np.inf)) if width == "ulp" else a_ + width
+         for is_semi, a_, width, *_ in specs]
+    return a, np.array(b), np.array([s[3] for s in specs])
 
 
-def _affordable(spec):
+def _reference_steps(specs, rtol, budget):
+    """The generator steps of the same batch."""
+    b = _limits(specs)[1].tolist()
+    return [reference_semi_infinite_step(s[1], rtol, s[3], budget) if s[0]
+            else reference_finite_step(s[1], b[i], rtol, s[3], budget)
+            for i, s in enumerate(specs)]
+
+
+def _affordable(batch):
     # a run that cannot converge (rtol <= 0) spends its whole budget, and
-    # a semi-infinite one does so in each of its 200 intervals
-    is_semi, a, width, sing, budget, rtol, family, c = spec
+    # a semi-infinite one does so in each of its 200 intervals: there
+    # only a constant integrand stays semi-infinite
+    specs, budget, rtol = batch
     if rtol <= 0.0:
         budget = min(budget, 60)
-        if is_semi and family != 1:
-            rtol = 1e-8
-    return is_semi, a, width, sing, budget, rtol, family, c
+        specs = [(False,) + s[1:] if s[0] and s[4] != 1 else s
+                 for s in specs]
+    return specs, budget, rtol
 
 
-_SPECS = st.lists(st.tuples(
-    st.booleans(),                                      # semi-infinite
-    st.sampled_from([0.0, -1.5, 0.25, 2.0, 1e17]),      # a; a + 1 == 1e17
-    st.sampled_from([0.0, 1.0, 3.0, "ulp"]),            # b - a
-    st.sampled_from([0.0, -0.3, -0.5, -0.9]),           # singularity
+_BATCHES = st.tuples(
+    st.lists(st.tuples(
+        st.booleans(),                                  # semi-infinite
+        st.sampled_from([0.0, -1.5, 0.25, 2.0, 1e17]),  # a; a + 1 == 1e17
+        st.sampled_from([0.0, 1.0, 3.0, "ulp"]),        # b - a
+        st.sampled_from([0.0, -0.3, -0.5, -0.9]),       # singularity
+        st.integers(0, 3), st.floats(0.1, 2.0),         # integrand
+    ), min_size=1, max_size=8),
     st.integers(2, 10000),                              # panel budget
     # rtol 0 converges only on exact zero error; -1 never does, so a
     # constant integrand sets its zero-error panels aside
     st.sampled_from([1e-3, 1e-8, 1e-12, 0.0, -1.0]),
-    st.integers(0, 3), st.floats(0.1, 2.0),
-).map(_affordable), min_size=1, max_size=8)
+).map(_affordable)
 
 
 def _same(r, s):
@@ -282,18 +311,19 @@ def _recording(kernel, calls):
     return recorded
 
 
-@given(_SPECS, st.data())
-def test_array_engine_equals_the_generator_engine(specs, data):
+@given(_BATCHES, st.data())
+def test_array_engine_equals_the_generator_engine(batch, data):
     # same bits field for field, on a batch in drawn order, from the same
     # kernel calls round by round: numpy's array ** may round an element
     # by its place in the array, so the rows must come in the same order
+    specs, budget, rtol = batch
     specs = data.draw(st.permutations(specs))
     kernel = _mixed_kernel(specs)
     got_calls, want_calls = [], []
-    got = run_steps(_recording(kernel, got_calls),
-                    _make(specs, finite_step, semi_infinite_step))
-    want = reference_run_steps(_recording(kernel, want_calls), _make(
-        specs, reference_finite_step, reference_semi_infinite_step))
+    a, b, sing = _limits(specs)
+    got = run_steps(_recording(kernel, got_calls), a, b, rtol, sing, budget)
+    want = reference_run_steps(_recording(kernel, want_calls),
+                               _reference_steps(specs, rtol, budget))
     assert len(got) == len(want)
     for i, (r, s) in enumerate(zip(got, want)):
         assert _same(r, s), (i, specs[i], r, s)
@@ -306,7 +336,8 @@ def test_array_engine_equals_the_generator_engine(specs, data):
 
 def test_memory_follows_the_panels_held():
     # n semi-infinite steps refine a kink in each doubling interval,
-    # holding a few panels each, for some 1100 rounds; one more step
+    # holding a few panels each, for some 1100 rounds; one more step, on
+    # some 4800 periods of a cosine that its 1150 panels cannot resolve,
     # splits every round.  A table of running steps x widest run, at 48
     # bytes a panel (what the engine keeps), would need over 50 MB.
     n = 1000
@@ -317,14 +348,14 @@ def test_memory_follows_the_panels_held():
         t = np.log2(1.0 + x)
         y = (1.0 + np.abs(t - np.floor(t) - 0.37)) * (1.0 + x) ** -1.5
         long = step == n
-        y[long] = np.sqrt(np.abs(x[long] - 0.3))
+        y[long] = np.cos(3e4 * x[long])
         return y
 
-    steps = [semi_infinite_step(0.0, 1e-11, 0.0, 10000) for _ in range(n)]
-    steps.append(finite_step(0.0, 1.0, 0.0, 0.0, 1150))
+    b = np.full(n + 1, math.inf)
+    b[n] = 1.0
     tracemalloc.start()
     try:
-        run_steps(kernel, steps)
+        run_steps(kernel, np.zeros(n + 1), b, 1e-11, np.zeros(n + 1), 1150)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -342,7 +373,7 @@ def test_non_finite_kernel_ends_within_the_panel_budget(bad):
         return np.where(x < 0.3, bad, np.exp(-x))
 
     with np.errstate(invalid="ignore"):
-        r = run_steps(kernel, [finite_step(0.0, 1.0, 1e-8, 0.0, 8)])[0]
+        r = run_steps(kernel, [0.0], [1.0], 1e-8, [0.0], 8)[0]
     assert not r.converged
     assert r.evaluations <= 15 * (2 * 8 - 1)
     if math.isinf(bad):
