@@ -7,8 +7,8 @@ Every bound ships next to an exact dense-oracle path so dominance can be
 checked entry by entry.
 """
 
-from .bounds import (DecayBoundReport, cauchy_entry_bound, cauchy_shifted_bound,
-                     demko_bound, demko_constant, exp_entry_bound, exp_envelope,
+from .bounds import (DecayBoundReport, cauchy_entry_bound, demko_bound,
+                     demko_constant, exp_entry_bound, exp_envelope,
                      freund_resolvent_bound, invsqrt_closed_bound,
                      laplace_entry_bound)
 from .graphdist import geodesic_from
@@ -30,7 +30,7 @@ __all__ = [
     "EigenDecomposition", "KroneckerSum", "LaplaceMeasure",
     "MatrixFormatError", "QuadratureResult", "SparseHermitianMatrix",
     "SpectralInterval", "banded_from_stencil", "cauchy_catalog",
-    "cauchy_entry_bound", "cauchy_kron_bound", "cauchy_shifted_bound",
+    "cauchy_entry_bound", "cauchy_kron_bound",
     "demko_bound", "demko_constant", "eigendecomposition", "exp_entry_bound",
     "exp_envelope", "exp_kron_bound", "freund_resolvent_bound",
     "function_column", "geodesic_from", "integrate",

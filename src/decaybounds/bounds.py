@@ -139,18 +139,6 @@ def _demko_kernel(lmin, lmax, s):
             (sq - 1.0) / (sq + 1.0))
 
 
-def _freund_kernel(lmin, lmax, zeta, s):
-    """Constant and radius (C, R) of |(M + s I - i zeta I)^{-1}|_{k t}
-    <= C R^{-d}: the ellipse through the origin with foci at the shifted
-    spectral endpoints; vectorized over s."""
-    if lmax <= lmin:
-        raise ValueError("degenerate spectrum: lambda_min must be < lambda_max")
-    delta = lmax - lmin
-    alpha = (np.hypot(lmin + s, zeta) + np.hypot(lmax + s, zeta)) / delta
-    r = alpha + np.sqrt(alpha * alpha - 1.0)
-    return (2.0 * r / delta) * 4.0 * r * r / (r * r - 1.0) ** 2, r
-
-
 def demko_constant(lambda_min, lambda_max):
     """Scale-invariant resolvent constant max{1/lmin, (1+sqrt(k))^2/(2 lmax)}.
 
@@ -181,9 +169,17 @@ def demko_bound(interval, distance, *, diag_max):
 
 
 def freund_resolvent_bound(interval, zeta, distance):
-    """Bound for |(M - i zeta I)^{-1}|_{k t} at distance d > 0."""
+    """Bound C R^{-d} for |(M - i zeta I)^{-1}|_{k t} at distance d > 0,
+    from the ellipse through the origin with foci at the shifted spectral
+    endpoints lambda_min - i zeta and lambda_max - i zeta."""
     d = _positive(distance)
-    c, r = _freund_kernel(interval.lambda_min, interval.lambda_max, zeta, 0.0)
+    lmin, lmax = interval.lambda_min, interval.lambda_max
+    if lmax <= lmin:
+        raise ValueError("degenerate spectrum: lambda_min must be < lambda_max")
+    delta = lmax - lmin
+    alpha = (np.hypot(lmin, zeta) + np.hypot(lmax, zeta)) / delta
+    r = alpha + np.sqrt(alpha * alpha - 1.0)
+    c = (2.0 * r / delta) * 4.0 * r * r / (r * r - 1.0) ** 2
     return float(c * r ** (-d))
 
 
@@ -331,16 +327,24 @@ def laplace_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
                           quad_tol=quad_tol, max_panels=max_panels)[0]
 
 
-def _total_variation_quadrature(kernel, measure, distances, quad_tol,
-                                max_panels):
-    """Reports of the integrals of kernel(s, d) |v(-s)| over
-    [-support_upper, inf), one per distance d, as one lockstep quadrature;
-    ``kernel`` broadcasts s against a column of distances.
+def cauchy_bounds(interval, measure, distances, *, quad_tol=1e-10,
+                  max_panels=10000):
+    """Entry bounds for f(M) with f Markov-type, M HPD, at each of
+    ``distances`` (all >= 0): a list of reports, from one lockstep
+    quadrature.
 
-    When the measure declares a smooth tail envelope (oscillatory
-    densities), the integrand beyond ``tail_start`` is replaced by
-    kernel * envelope: still a rigorous upper bound, but cheap to resolve.
+    Integrates the shifted-resolvent kernel C(s) q(s)^d of (M + s I)^{-1}
+    against the total variation |v(-s)| of the representing measure over
+    [-support_upper, inf).  The diagonal normalization used by the
+    resolvent constant cancels exactly (see :func:`demko_constant`), so
+    the scale-invariant form is integrated.  When the measure declares a
+    smooth tail envelope (oscillatory densities), the integrand beyond
+    ``tail_start`` is replaced by kernel * envelope: still a rigorous
+    upper bound, but cheap to resolve.
     """
+    if not interval.is_positive_definite:
+        raise ValueError("Cauchy-class bounds need a positive definite matrix")
+    lmin, lmax = interval.lambda_min, interval.lambda_max
     s0, sing = -measure.support_upper, measure.singularity_exponent
     if measure.tail_envelope is None or not math.isfinite(measure.tail_start):
         pieces = [(s0, math.inf, sing)]
@@ -350,7 +354,8 @@ def _total_variation_quadrature(kernel, measure, distances, quad_tol,
     dist = np.array(distances, dtype=float)[:, None]
 
     def integrand(s, group, piece):
-        out = kernel(s, dist[group])
+        c, q = _demko_kernel(lmin, lmax, s)
+        out = c * q ** dist[group]
         tail = piece == 1
         out[~tail] *= measure.abs_density_s(s[~tail])
         if tail.any():
@@ -364,29 +369,6 @@ def _total_variation_quadrature(kernel, measure, distances, quad_tol,
         evaluations=sum(r.evaluations for r in rs),
         converged=all(r.converged for r in rs), valid=True)
         for d, rs in zip(distances, results)]
-
-
-def cauchy_bounds(interval, measure, distances, *, quad_tol=1e-10,
-                  max_panels=10000):
-    """Entry bounds for f(M) with f Markov-type, M HPD, at each of
-    ``distances`` (all >= 0): a list of reports, from one lockstep
-    quadrature.
-
-    Integrates the shifted-resolvent kernel C(omega) q(omega)^d against the
-    total variation of the representing measure.  The diagonal
-    normalization used by the resolvent constant cancels exactly (see
-    :func:`demko_constant`), so the scale-invariant form is integrated.
-    """
-    if not interval.is_positive_definite:
-        raise ValueError("Cauchy-class bounds need a positive definite matrix")
-    lmin, lmax = interval.lambda_min, interval.lambda_max
-
-    def kernel(s, d):
-        c, q = _demko_kernel(lmin, lmax, s)
-        return c * q ** d
-
-    return _total_variation_quadrature(kernel, measure, distances, quad_tol,
-                                       max_panels)
 
 
 def cauchy_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
@@ -421,23 +403,3 @@ def invsqrt_closed_bound(interval, distance, *, diag_max=None):
              math.sqrt(1.0 + math.sqrt(kappa)) / 2.0)
     q0 = (math.sqrt(lmax) - math.sqrt(lmin)) / (math.sqrt(lmax) + math.sqrt(lmin))
     return (2.0 / math.pi) * (c0 + c2) * q0 ** d / math.sqrt(s)
-
-
-def cauchy_shifted_bound(interval, measure, zeta, distance, *,
-                         quad_tol=1e-10, max_panels=10000):
-    """Entry bound for |f(M - i zeta I)|_{k t} at distance d > 0, f
-    Markov-type.
-
-    Uses the elliptical resolvent kernel with foci at the shifted spectral
-    endpoints; the kernel radius grows with |zeta| (the spectrum moves away
-    from the integration ray), so the bound improves as |zeta| grows.
-    """
-    d = _positive(distance)
-    lmin, lmax = interval.lambda_min, interval.lambda_max
-
-    def kernel(s, d):
-        c, r = _freund_kernel(lmin, lmax, zeta, s)
-        return c * r ** (-d)
-
-    return _total_variation_quadrature(kernel, measure, (d,), quad_tol,
-                                       max_panels)[0]

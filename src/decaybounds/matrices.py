@@ -243,12 +243,6 @@ class KroneckerSum:
             lin, stride = lin + (comp - 1) * stride, stride * n
         return lin + 1
 
-    def delinearize(self, k):
-        """1-based linear index -> 1-based multi-index tuple."""
-        if not (1 <= k <= self.total_order):
-            raise IndexError(f"linear index {k} outside 1..{self.total_order}")
-        return tuple(self.multi_indices[k - 1].tolist())
-
     def toarray(self):
         """Dense assembly, for the tests only (the oracle works from the
         factors); capped at order 4096."""

@@ -70,13 +70,10 @@ class CauchyMeasure:
         if self.signed and self.variation_transform is None:
             raise ValueError("a signed measure needs a variation_transform")
 
-    def density_s(self, s):
-        """Density in the reflected variable s = -omega >= -support_upper."""
-        return self.density(-np.asarray(s, dtype=float))
-
     def abs_density_s(self, s):
-        """|v(-s)|: the bounds integrate against the total variation."""
-        return np.abs(self.density_s(s))
+        """|v(-s)| in the reflected variable s = -omega >= -support_upper:
+        the bounds integrate against the total variation."""
+        return np.abs(self.density(-np.asarray(s, dtype=float)))
 
     def as_laplace(self):
         """The transform g as a Laplace measure: a Markov function is

@@ -198,7 +198,8 @@ def laplace_transform_of_cauchy(measure, tau, tol=1e-10, use_abs=False):
         raise ValueError("the transform needs tau > 0")
     if measure.laplace_transform is not None and not (use_abs and measure.signed):
         return float(measure.laplace_transform(tau))
-    dens = measure.abs_density_s if use_abs else measure.density_s
+    dens = (measure.abs_density_s if use_abs
+            else lambda s: measure.density(-s))
     return _quad(lambda s: math.exp(-tau * s) * float(dens(s)),
                  -measure.support_upper, math.inf, tol,
                  measure.singularity_exponent,
@@ -246,7 +247,7 @@ def lancaster_column(M, omega, t, tol=1e-8):
 
 def exp_kron_entry_exact(A, tau, k, t):
     """Exact entry of exp(-tau A) as the product of per-factor entries."""
-    km, tm = A.delinearize(k), A.delinearize(t)
+    km, tm = A.multi_indices[k - 1].tolist(), A.multi_indices[t - 1].tolist()
     val = 1.0
     for f, a, b in zip(A.factors, km, tm):
         dec = eigendecomposition(f)
@@ -262,7 +263,7 @@ def sincos_kron_exact(A, k, t, which):
         raise ValueError("the trigonometric identities cover two factors")
     if which not in ("sin", "cos"):
         raise ValueError(f"which must be 'sin' or 'cos', got {which!r}")
-    (k1, k2), (t1, t2) = A.delinearize(k), A.delinearize(t)
+    (k1, k2), (t1, t2) = A.multi_indices[[k - 1, t - 1]].tolist()
 
     def entry(f, fun, a, b):
         dec = eigendecomposition(f)
@@ -306,7 +307,8 @@ def component_distances(A, k, t):
     entry by entry: the loop reference for the column-wide
     ``figures._distances``."""
     return tuple(abs(a - b) / f.beta for a, b, f in
-                 zip(A.delinearize(k), A.delinearize(t), A.factors))
+                 zip(A.multi_indices[k - 1].tolist(),
+                     A.multi_indices[t - 1].tolist(), A.factors))
 
 
 def factor_intervals(A):
@@ -345,7 +347,7 @@ def laplace_reconstruct(measure, x, tol=1e-10):
 
 def cauchy_reconstruct(measure, x, tol=1e-10):
     """Evaluate f(x) = int v(omega)/(x - omega) domega by quadrature."""
-    return _quad(lambda s: float(measure.density_s(s)) / (x + s),
+    return _quad(lambda s: float(measure.density(-s)) / (x + s),
                  -measure.support_upper, math.inf, tol,
                  measure.singularity_exponent,
                  f"reconstruction quadrature for {measure.name}")

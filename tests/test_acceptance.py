@@ -210,7 +210,8 @@ def test_criterion_07_sylvester_kernel_column():
     m = make_test_matrix("tridiag", 10)
     a = KroneckerSum(factors=(m, m))
     omega, t = -1.0, 37
-    col = lancaster_column(m, omega, a.delinearize(t), tol=1e-8)
+    col = lancaster_column(m, omega, tuple(a.multi_indices[t - 1].tolist()),
+                           tol=1e-8)
     rhs = np.zeros(100)
     rhs[t - 1] = 1.0
     direct = np.linalg.solve(a.toarray() - omega * np.eye(100), rhs)

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from decaybounds import (SpectralInterval, banded_from_stencil,
-                         cauchy_catalog, cauchy_entry_bound,
-                         cauchy_shifted_bound, demko_bound, demko_constant,
-                         eigendecomposition, exp_entry_bound, exp_envelope,
+from decaybounds import (KroneckerSum, SpectralInterval, banded_from_stencil,
+                         cauchy_catalog, cauchy_entry_bound, demko_bound,
+                         demko_constant, eigendecomposition, exp_entry_bound,
+                         exp_envelope,
                          freund_resolvent_bound, function_column,
                          invsqrt_closed_bound, laplace_catalog,
                          laplace_entry_bound, make_test_matrix, oracle_floor,
                          parse_matrix_spec, resolvent_column,
                          spectral_interval)
-from reference import (envelope_integral_reference, expm_column_nonneg,
+from decaybounds.bounds import laplace_bounds
+from reference import (component_distances, envelope_integral_reference,
+                       expm_column_nonneg, factor_intervals,
                        gershgorin_interval, tridiag_entry_mp,
                        tridiag_lambda_min)
 
@@ -417,6 +419,39 @@ def test_laplace_shifted_dominates_complex_shift_oracle():
         assert rep.bound >= col[k - 1] * SLACK
 
 
+@pytest.mark.parametrize("case", ["tridiag", "pentadiag", "kron"])
+def test_laplace_bound_dominates_the_shifted_function(case):
+    # the shift i zeta only rotates the semigroup by a unimodular phase, so
+    # the unshifted number bounds |f(M + i zeta I)|_{kt} for every zeta
+    if case == "kron":
+        a = KroneckerSum(factors=(make_test_matrix("tridiag", 12),
+                                  make_test_matrix("pentadiag", 12)))
+        t, ivs = a.linearize((6, 6)), factor_intervals(a)
+        rows = [(k, component_distances(a, k, t))
+                for k in range(1, a.total_order + 1)]
+    else:
+        a, t = make_test_matrix(case, 60), 30
+        ivs = (spectral_interval(a),)
+        rows = [(k, (abs(k - t) / a.beta,)) for k in range(1, a.n + 1)]
+    rows = [(k, ds) for k, ds in rows if min(ds) >= 2]
+    measures = ([laplace_catalog(name)
+                 for name in ("inv_sqrt", "phi1", "log1p_inv")]
+                + [cauchy_catalog(name).as_laplace()
+                   for name in ("log1p_over_z", "expsqrt:1.2")])
+    for measure in measures:
+        reps = laplace_bounds(ivs, measure, [ds for _, ds in rows])
+        assert all(rep.converged and rep.valid for rep in reps)
+        for zeta in (0.0, 0.5, 3.0, 30.0):
+            f = lambda x: measure.closed_form(x + 1j * zeta)
+            col = np.abs(function_column(a, f, t))
+            floor = oracle_floor(a, f)
+            checked = [(rep.bound, col[k - 1]) for (k, _), rep in zip(rows, reps)
+                       if col[k - 1] >= floor]
+            assert checked, (measure.name, zeta)
+            for bound, exact in checked:
+                assert bound >= exact * SLACK, (measure.name, zeta)
+
+
 def test_envelope_integral_reference_agrees_away_from_the_crossing():
     # where no kink falls inside a panel, the adaptive value and the
     # piecewise scipy reference agree far inside the tolerance
@@ -535,42 +570,6 @@ def test_invsqrt_closed_guards():
     iv = spectral_interval(make_test_matrix("tridiag", 10))
     with pytest.raises(ValueError):
         invsqrt_closed_bound(iv, 0.0)
-
-
-# ----------------------------------------------------- shifted Cauchy
-
-def test_cauchy_shifted_reduces_to_freund_kernel_and_dominates():
-    n, t = 50, 25
-    m = make_test_matrix("tridiag", n)
-    iv = spectral_interval(m)
-    measure = cauchy_catalog("inv_sqrt")
-    col = np.abs(function_column(m, measure.closed_form, t))
-    floor = oracle_floor(m, measure.closed_form)
-    for k in range(1, n + 1, 4):
-        if k == t:
-            continue
-        rep = cauchy_shifted_bound(iv, measure, 0.0, abs(k - t))
-        assert rep.converged and np.isfinite(rep.bound)
-        if col[k - 1] >= floor:
-            assert rep.bound >= col[k - 1] * SLACK
-
-
-def test_cauchy_shifted_improves_with_shift():
-    # the kernel radius grows with |zeta|, so the bound decreases
-    iv = spectral_interval(make_test_matrix("tridiag", 50))
-    measure = cauchy_catalog("inv_sqrt")
-    vals = [cauchy_shifted_bound(iv, measure, z, 15.0).bound
-            for z in (0.0, 1.0, 10.0, 100.0)]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_cauchy_shifted_guards():
-    iv = spectral_interval(make_test_matrix("tridiag", 10))
-    measure = cauchy_catalog("inv_sqrt")
-    with pytest.raises(ValueError):
-        cauchy_shifted_bound(iv, measure, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        cauchy_shifted_bound(SpectralInterval(2.0, 2.0), measure, 1.0, 2.0)
 
 
 def test_exp_bound_next_to_diagonal_is_the_trivial_cap():

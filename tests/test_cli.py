@@ -670,11 +670,8 @@ def test_run_compare_evaluates_each_distance_once(monkeypatch, mode, klass,
                                                   function, name):
     # one engine call per column, each distinct distance in it once
     m, t, tol = make_test_matrix("pentadiag", 30), 12, 1e-6
-    if klass == "laplace":
-        calls = _record_engine(monkeypatch, bounds, "laplace_bounds", 2)
-    else:
-        calls = _record_engine(monkeypatch, bounds,
-                               "_total_variation_quadrature", 2)
+    engine = "laplace_bounds" if klass == "laplace" else "cauchy_bounds"
+    calls = _record_engine(monkeypatch, bounds, engine, 2)
     _, _, rows = run_compare(m, t, function, klass, distance_mode=mode,
                              quad_tol=tol)
     bounded = [(k, d, b) for k, d, b, _, _ in rows if b is not None]

@@ -108,7 +108,7 @@ def test_exp_kron_bound_dominates_dense_column():
     col = np.abs(function_column(a, lambda x: np.exp(-tau * x), t))
     # deep check via the cancellation-free series per factor
     m_dense = m.toarray()
-    t1, t2 = a.delinearize(t)
+    t1, t2 = tuple(a.multi_indices[t - 1].tolist())
     c1 = expm_column_nonneg(m_dense, tau, t1)
     c2 = expm_column_nonneg(m_dense, tau, t2)
     floor = oracle_floor(a, lambda x: np.exp(-tau * x))
@@ -117,7 +117,7 @@ def test_exp_kron_bound_dominates_dense_column():
         if k == t:
             continue
         rep = exp_kron_bound(ivs, tau, component_distances(a, k, t))
-        k1, k2 = a.delinearize(k)
+        k1, k2 = tuple(a.multi_indices[k - 1].tolist())
         deep = c1[k1 - 1] * c2[k2 - 1]
         assert rep.bound >= deep * SLACK
         if col[k - 1] >= floor:
@@ -131,13 +131,13 @@ def test_exp_kron_bound_distinct_factor_bandwidths():
     tau, t = 1.0, 66
     col = np.abs(function_column(a, lambda x: np.exp(-tau * x), t))
     floor = oracle_floor(a, lambda x: np.exp(-tau * x))
-    t1, t2 = a.delinearize(t)
+    t1, t2 = tuple(a.multi_indices[t - 1].tolist())
     ivs = factor_intervals(a)
     for k in range(1, 145):
         if k == t or col[k - 1] < floor:
             continue
         rep = exp_kron_bound(ivs, tau, component_distances(a, k, t))
-        k1, k2 = a.delinearize(k)
+        k1, k2 = tuple(a.multi_indices[k - 1].tolist())
         assert rep.distance == (abs(k1 - t1) / 1, abs(k2 - t2) / 2)
         assert rep.bound >= col[k - 1] * SLACK
 
@@ -348,7 +348,9 @@ def test_kron_resolvent_entry_via_sylvester_kernel(kron10):
     m = make_test_matrix("tridiag", 10)
     omega = -1.0
     t = 37
-    col = lancaster_column(m, omega, kron10.delinearize(t), tol=1e-8)
+    col = lancaster_column(m, omega,
+                           tuple(kron10.multi_indices[t - 1].tolist()),
+                           tol=1e-8)
     rhs = np.zeros(100)
     rhs[t - 1] = 1.0
     direct = np.linalg.solve(kron10.toarray() - omega * np.eye(100), rhs)

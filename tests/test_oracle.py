@@ -99,7 +99,8 @@ def test_lancaster_matches_direct_kronecker_solve():
     a = KroneckerSum(factors=(m, m))
     omega = -1.0
     t = 37
-    col = lancaster_column(m, omega, a.delinearize(t), tol=1e-9)
+    col = lancaster_column(m, omega, tuple(a.multi_indices[t - 1].tolist()),
+                           tol=1e-9)
     rhs = np.zeros(100)
     rhs[t - 1] = 1.0
     direct = np.linalg.solve(a.toarray() - omega * np.eye(100), rhs)
@@ -183,8 +184,8 @@ def test_kron_decomposition_is_built_from_cached_factors(tmp_path):
         # first index fastest: entry k is the sum at the multi-index of k
         for k in (1, 2, a.total_order):
             assert dec.eigenvalues[k - 1] == sum(
-                p.eigenvalues[i - 1] for p, i in zip(dec.factors,
-                                                     a.delinearize(k)))
+                p.eigenvalues[i - 1] for p, i in zip(
+                    dec.factors, tuple(a.multi_indices[k - 1].tolist())))
     np.testing.assert_allclose(
         np.sort(eigendecomposition(_kron_cases(tmp_path)[1]).eigenvalues),
         np.linalg.eigvalsh(_kron_cases(tmp_path)[1].toarray()), rtol=1e-14)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -112,6 +113,36 @@ def test_tracer_targets_exist():
                if not hasattr(importlib.import_module(f"decaybounds.{module}"),
                               attribute)]
     assert missing == []
+
+
+def test_every_package_function_has_a_caller():
+    # a function or method that no other code of the package names, and
+    # that the benchmark tracer does not wrap, is reached by tests alone:
+    # delete it rather than keep it beside the routes the drivers take
+    tracer = _load("perfbench_tracer", ROOT / "perfbench/tracer.py")
+    exempt = {attribute for _, _, attribute, _ in tracer.TARGETS}
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src/decaybounds").glob("*.py"))
+             if path.stem not in ("__init__", "__main__")}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    uncalled = []
+    for stem, tree in trees.items():
+        defs = [(None, node) for node in tree.body
+                if isinstance(node, functions)]
+        defs += [(cls.name, node) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, functions)]
+        for owner, node in defs:
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")
+                    or name in named or name in exempt
+                    or (stem, name) == ("cli", "main")):
+                continue
+            uncalled.append(f"{stem}.{owner + '.' if owner else ''}{name}")
+    assert uncalled == []
 
 
 def test_kron_defines_only_the_tracer_names():
