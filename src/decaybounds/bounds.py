@@ -132,11 +132,13 @@ def exp_entry_bound(interval, tau, distance):
 
 def _demko_kernel(lmin, lmax, s):
     """Constant and rate (C, q) of |(M + s I)^{-1}|_{k t} <= C q^d for
-    spectrum(M) in [lmin, lmax], lmin + s > 0; vectorized over s."""
-    kap = (lmax + s) / (lmin + s)
-    sq = np.sqrt(kap)
-    return (np.maximum(1.0 / (lmin + s), (1.0 + sq) ** 2 / (2.0 * (lmax + s))),
-            (sq - 1.0) / (sq + 1.0))
+    spectrum(M) in [lmin, lmax], lmin + s > 0; vectorized over s.  With
+    a^2 = lmin + s and b^2 = lmax + s, q = (b - a)/(b + a) is formed as
+    (lmax - lmin)/(a + b)^2, which subtracts no nearby numbers however
+    large s is."""
+    a2, b2 = lmin + s, lmax + s
+    ab2 = (np.sqrt(a2) + np.sqrt(b2)) ** 2
+    return np.maximum(1.0 / a2, ab2 / (2.0 * a2 * b2)), (lmax - lmin) / ab2
 
 
 def demko_constant(lambda_min, lambda_max):
@@ -210,22 +212,6 @@ def _envelope_breakpoints(d, rho):
     return tuple(pts)
 
 
-def _lockstep(pieces, integrand, quad_tol, max_panels):
-    """One lockstep quadrature over groups of (lo, hi, singularity)
-    pieces, hi may be inf: one step per piece, in group order;
-    ``integrand(x, group, piece)`` gets each abscissa row's group and
-    piece index.  Returns the QuadratureResults regrouped as ``pieces``
-    is."""
-    group, piece, lo, hi, sing = np.array(
-        [(i, j, *p) for i, ps in enumerate(pieces) for j, p in enumerate(ps)],
-        dtype=float).reshape(-1, 5).T
-    group, piece = group.astype(int), piece.astype(int)
-    results = iter(run_steps(
-        lambda x, step: integrand(x, group[step], piece[step]),
-        lo, hi, quad_tol, sing, max_panels))
-    return [[next(results) for _ in ps] for ps in pieces]
-
-
 def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10,
                    max_panels=10000):
     """Entry bounds for f(A) with f completely monotonic, at each tuple of
@@ -271,9 +257,14 @@ def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10,
         edges = [0.0] + cuts + [upper] if weight is not None else [0.0]
         pieces.append([(lo, hi, sing if lo == 0.0 else 0.0)
                        for lo, hi in zip(edges[:-1], edges[1:])])
+    # one lockstep step per piece, in row order; group names its row
+    group, a, b, exponents = np.array(
+        [(i, *p) for i, ps in enumerate(pieces) for p in ps],
+        dtype=float).reshape(-1, 4).T
+    group = group.astype(int)
 
-    def integrand(taus, group, _):
-        ds = rows[group]
+    def integrand(taus, step):
+        ds = rows[group[step]]
         out = 1.0
         if log_weight is None:
             for L, (lmin, rho) in enumerate(terms):
@@ -287,9 +278,10 @@ def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10,
         # a weight past the largest double bounds by inf, not inf * 0 = nan
         return np.where(np.isinf(w), np.inf, out * w)
 
-    results = _lockstep(pieces, integrand, quad_tol, max_panels)
+    results = iter(run_steps(integrand, a, b, quad_tol, exponents, max_panels))
     reports = []
-    for ds, row, segs, rs in zip(distances, rows.tolist(), pieces, results):
+    for ds, row, segs in zip(distances, rows.tolist(), pieces):
+        rs = [next(results) for _ in segs]
         segments = [(lo, hi, r.value) for (lo, hi, _), r in zip(segs, rs)]
         segments += [(loc, loc, mass * math.prod(
             math.exp(-lmin * loc) * exp_envelope(rho * loc, d)
@@ -331,44 +323,44 @@ def cauchy_bounds(interval, measure, distances, *, quad_tol=1e-10,
                   max_panels=10000):
     """Entry bounds for f(M) with f Markov-type, M HPD, at each of
     ``distances`` (all >= 0): a list of reports, from one lockstep
-    quadrature.
+    quadrature with one step per distance.
 
     Integrates the shifted-resolvent kernel C(s) q(s)^d of (M + s I)^{-1}
     against the total variation |v(-s)| of the representing measure over
     [-support_upper, inf).  The diagonal normalization used by the
     resolvent constant cancels exactly (see :func:`demko_constant`), so
-    the scale-invariant form is integrated.  When the measure declares a
-    smooth tail envelope (oscillatory densities), the integrand beyond
-    ``tail_start`` is replaced by kernel * envelope: still a rigorous
-    upper bound, but cheap to resolve.
+    the scale-invariant form is integrated.  A measure with a finite
+    ``tail_start`` (an oscillating density) is integrated up to
+    S = max(tail_start, s0 + 1), s0 = -support_upper, and the rest is
+    added in closed form: past S, with a^2 = lmin + s and b^2 = lmax + s,
+    C <= 2/a^2, q <= min(q(S), (lmax - lmin)/(4 a^2)) and |v(-s)| <= c/s
+    <= c (1 + lmin/S)/a^2 for c = ``tail_bound``, a product whose
+    integral is ``tail`` (a and b taken at S).
     """
     if not interval.is_positive_definite:
         raise ValueError("Cauchy-class bounds need a positive definite matrix")
     lmin, lmax = interval.lambda_min, interval.lambda_max
-    s0, sing = -measure.support_upper, measure.singularity_exponent
-    if measure.tail_envelope is None or not math.isfinite(measure.tail_start):
-        pieces = [(s0, math.inf, sing)]
-    else:
-        split = max(measure.tail_start, s0 + 1.0)
-        pieces = [(s0, split, sing), (split, math.inf, 0.0)]
-    dist = np.array(distances, dtype=float)[:, None]
+    s0, dist = -measure.support_upper, np.array(distances, dtype=float)
+    n = len(dist)
+    upper, tail = math.inf, np.zeros(n)
+    if math.isfinite(measure.tail_start):
+        upper = max(measure.tail_start, s0 + 1.0)
+        a, b = math.sqrt(lmin + upper), math.sqrt(lmax + upper)
+        q = (lmax - lmin) / (a + b) ** 2
+        tail = (2.0 * measure.tail_bound * (1.0 + lmin / upper) * q ** dist
+                * (1.0 + dist * (lmax - lmin) * (3.0 * a + b) / (a + b) ** 3)
+                / ((lmin + upper) * (dist + 1.0)))
 
-    def integrand(s, group, piece):
+    def integrand(s, step):
         c, q = _demko_kernel(lmin, lmax, s)
-        out = c * q ** dist[group]
-        tail = piece == 1
-        out[~tail] *= measure.abs_density_s(s[~tail])
-        if tail.any():
-            out[tail] *= measure.tail_envelope(s[tail])
-        return out
+        return c * q ** dist[step, None] * measure.abs_density_s(s)
 
-    results = _lockstep([pieces] * len(dist), integrand, quad_tol, max_panels)
+    results = run_steps(integrand, np.full(n, s0), np.full(n, upper), quad_tol,
+                        np.full(n, measure.singularity_exponent), max_panels)
     return [DecayBoundReport(
-        distance=float(d), bound=sum(r.value for r in rs),
-        error_estimate=sum(r.error_estimate for r in rs),
-        evaluations=sum(r.evaluations for r in rs),
-        converged=all(r.converged for r in rs), valid=True)
-        for d, rs in zip(distances, results)]
+        distance=float(d), bound=r.value + t, error_estimate=r.error_estimate,
+        evaluations=r.evaluations, converged=r.converged)
+        for d, r, t in zip(distances, results, tail.tolist())]
 
 
 def cauchy_entry_bound(interval, measure, distance, *, quad_tol=1e-10,

@@ -58,10 +58,10 @@ class CauchyMeasure:
     # Signed measures: closed-form upper bound on the transform of the
     # total variation, int exp(-tau s) |v(-s)| ds, as a function of tau.
     variation_transform: object = None
-    # Oscillatory |density| tails make total-variation integrals expensive;
-    # beyond tail_start (in s = -omega) the bounds may integrate this smooth
-    # pointwise upper envelope instead, staying rigorous.
-    tail_envelope: object = None
+    # Oscillatory |density| tails make total-variation integrals expensive:
+    # past a finite tail_start (in s = -omega), |v(-s)| <= tail_bound / s,
+    # and the bounds add a closed-form majorant of the tail there.
+    tail_bound: float = 0.0
     tail_start: float = math.inf
 
     def __post_init__(self):
@@ -69,6 +69,8 @@ class CauchyMeasure:
             raise ValueError("support must lie in (-inf, 0]")
         if self.signed and self.variation_transform is None:
             raise ValueError("a signed measure needs a variation_transform")
+        if math.isfinite(self.tail_start) and not self.tail_bound > 0:
+            raise ValueError("a finite tail_start needs a positive tail_bound")
 
     def abs_density_s(self, s):
         """|v(-s)| in the reflected variable s = -omega >= -support_upper:
@@ -219,9 +221,7 @@ def cauchy_catalog(name):
             variation_transform=lambda tau: (
                 tpar * _special().erf(np.sqrt(tau) / tpar) / np.sqrt(math.pi * tau)
                 + _special().exp1(tau / tpar ** 2) / math.pi),
-            tail_envelope=lambda s: np.minimum(
-                tpar / (math.pi * np.sqrt(np.asarray(s, dtype=float))),
-                1.0 / (math.pi * np.asarray(s, dtype=float))),
+            tail_bound=1.0 / math.pi,   # |sin| <= 1
             tail_start=(32.0 * math.pi / tpar) ** 2,
         )
     if name == "log1p_over_z":

@@ -198,6 +198,26 @@ def test_demko_requires_positive_definite():
         demko_bound(iv, 4.0, diag_max=m.diagonal_max())
 
 
+def test_demko_rate_keeps_its_digits_at_large_shifts():
+    # q = (b - a)/(b + a) with a^2 = lmin + s, b^2 = lmax + s: at large s,
+    # (sqrt(kappa) - 1)/(sqrt(kappa) + 1) loses every digit (kappa - 1
+    # falls below eps), while (lmax - lmin)/(a + b)^2 subtracts nothing
+    import mpmath as mp
+    from decaybounds.bounds import _demko_kernel
+    s = np.concatenate([[0.0], np.logspace(-3, 16, 77)])
+    for lmin, lmax in ((0.0245, 3.9755), (2.4e-4, 3.99976), (1e-6, 1.0),
+                       (2.0, 6.0), (1e-3, 1e4), (0.5, 0.5000001)):
+        c, q = _demko_kernel(lmin, lmax, s)
+        with mp.workdps(60):
+            for si, ci, qi in zip(s.tolist(), c.tolist(), q.tolist()):
+                a2, b2 = lmin + mp.mpf(si), lmax + mp.mpf(si)
+                a, b = mp.sqrt(a2), mp.sqrt(b2)
+                q_mp = float((b - a) / (b + a))
+                c_mp = float(max(1 / a2, (a + b) ** 2 / (2 * a2 * b2)))
+                assert abs(qi - q_mp) <= 4 * math.ulp(q_mp)
+                assert abs(ci - c_mp) <= 8 * math.ulp(c_mp)
+
+
 # ----------------------------------------------------------- Freund bound
 
 def _freund_radius(lmin, lmax, zeta):
@@ -583,18 +603,61 @@ def test_exp_bound_next_to_diagonal_is_the_trivial_cap():
 
 
 def test_cauchy_expsqrt_total_variation_converges_and_dominates():
-    # oscillatory |density|: the smooth tail envelope keeps the integral
-    # cheap while staying a rigorous upper bound
+    # oscillatory |density|: past tail_start the closed-form majorant of
+    # the tail keeps the bound one cheap quadrature per distance while
+    # staying a rigorous upper bound
     m = make_test_matrix("tridiag", 30)
     iv = spectral_interval(m)
-    measure = cauchy_catalog("expsqrt:1.5")
-    col = np.abs(function_column(m, measure.closed_form, 15))
-    floor = oracle_floor(m, measure.closed_form)
-    for k in range(1, 31):
-        rep = cauchy_entry_bound(iv, measure, abs(k - 15), quad_tol=1e-8)
+    for tpar in (1.5, 1e-3, 1e-6):
+        measure = cauchy_catalog(f"expsqrt:{tpar}")
+        col = np.abs(function_column(m, measure.closed_form, 15))
+        floor = oracle_floor(m, measure.closed_form)
+        for k in range(1, 31):
+            rep = cauchy_entry_bound(iv, measure, abs(k - 15), quad_tol=1e-8)
+            assert rep.converged
+            if col[k - 1] >= floor:
+                assert rep.bound >= col[k - 1] * SLACK
+
+
+@pytest.mark.parametrize("matrix, n, tpar, most", [
+    ("tridiag", 200, 1.0, 2.0), ("tridiag", 200, 1e-3, 2.0),
+    # lambda_max far past tail_start: the rate majorant
+    # (lmax - lmin)/(4 (lmin + s)) alone would be some 7e24 times the
+    # tail at d = 20; capping the rate at q(S) keeps it within 20
+    ("tridiag:-1e5,2e5,-1e5", 60, 1.2, 20.0)])
+def test_cauchy_closed_tail_majorizes_the_tail_integral(matrix, n, tpar, most):
+    # the tail past S = (32 pi/t)^2 against an mpmath integral of
+    # C(s) q(s)^d |v(-s)|; |sin| averages 2/pi, so the majorant, which
+    # takes it as 1, sits near pi/2 times the integral on a spectrum
+    # far below S
+    import mpmath as mp
+    from decaybounds.bounds import cauchy_bounds
+    iv = spectral_interval(parse_matrix_spec(matrix, n))
+    lmin, lmax = iv.lambda_min, iv.lambda_max
+    measure = cauchy_catalog(f"expsqrt:{tpar}")
+    # a zero density below S leaves the bound equal to the closed tail
+    tail_only = dataclasses.replace(measure, density=lambda w: 0.0 * w)
+    ds = (0.0, 5.0, 20.0)
+    reports = cauchy_bounds(iv, tail_only, ds)
+    for d, rep in zip(ds, reports):
+        with mp.workdps(15):
+            # s = u^2: |v(-s)| ds = 2 |sin(t u)| / (pi u) du, and sin(t u)
+            # has a zero every pi/t, the first at sqrt(S)
+            def kernel(u):
+                a2, b2 = lmin + u * u, lmax + u * u
+                ab2 = (mp.sqrt(a2) + mp.sqrt(b2)) ** 2
+                c = max(1 / a2, ab2 / (2 * a2 * b2))
+                return c * ((lmax - lmin) / ab2) ** d * 2 / (mp.pi * u)
+            half = mp.pi / tpar
+            near, far = 32 * half, 96 * half
+            # past 64 zeros, |sin| is replaced by its mean 2/pi: a
+            # relative change of about (pi/(t u))^2 < 1e-4 on a piece
+            # worth at most (32/96)^2 of the tail
+            tail = (mp.quad(lambda u: kernel(u) * abs(mp.sin(tpar * u)),
+                            mp.linspace(near, far, 65))
+                    + 2 / mp.pi * mp.quad(kernel, [far, mp.inf]))
         assert rep.converged
-        if col[k - 1] >= floor:
-            assert rep.bound >= col[k - 1] * SLACK
+        assert float(tail) <= rep.bound <= most * float(tail)
 
 
 def test_bounds_remain_valid_on_gershgorin_enclosure():

@@ -63,6 +63,25 @@ def test_compare_self_check_passes(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    # the oscillating expsqrt density, whose integrated tail failed to
+    # converge at small t
+    *(["--matrix", "tridiag", "--n", "200", "--function", f"expsqrt:{t}",
+       "--column", "100"] for t in ("1e-3", "1e-4", "1e-6")),
+    # tight tolerances, which the Demko rate's cancellation defeated
+    *(["--matrix", matrix, "--n", n, "--function", function, "--column",
+       column, "--quad-tol", tol]
+      for matrix, n, function, column in (
+          ("tridiag", "200", "inv_sqrt", "127"),
+          ("tridiag", "1000", "inv_sqrt", "500"),
+          ("pentadiag", "640", "log1p_over_z", "320"))
+      for tol in ("1e-10", "1e-12")),
+], ids=lambda argv: "-".join(argv[1::2]))
+def test_cauchy_compare_converges_with_no_violations(argv, capsys):
+    assert main(["compare", "--class", "cauchy", "--self-check", *argv]) == 0
+    assert "violations 0 " in capsys.readouterr().err
+
+
 def test_identity_matrix_compare_no_violations(tmp_path):
     out = tmp_path / "i.csv"
     code = main(["compare", "--matrix", "tridiag:0,1,0", "--n", "12",
