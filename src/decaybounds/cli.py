@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import figures, oracle
+from . import figures
 from .figures import FIGURE_IDS
 from .matrices import KroneckerSum, parse_matrix_spec
 
@@ -206,11 +206,12 @@ def _cmd_oracle(args):
     M = parse_matrix_spec(args.matrix, args.n)
     if not (1 <= args.column <= M.n):
         raise UsageError(f"--column {args.column} outside 1..{M.n}")
-    f, _, _ = figures.resolve_function(args.function, args.klass, args.tau,
-                                       args.zeta)
-    col = oracle.function_column(M, f, args.column)
-    rows = [(k, float(np.real(col[k - 1])) if np.isrealobj(col) else abs(col[k - 1]))
-            for k in range(1, M.n + 1)]
+    f, kind, _ = figures.resolve_function(args.function, args.klass,
+                                          args.tau, args.zeta)
+    col = figures.oracle_column(M, args.column, f, kind, args.zeta)
+    # a complex column prints its modulus, by the np.abs that compare uses
+    values = col if np.isrealobj(col) else np.abs(col)
+    rows = list(enumerate(values.tolist(), start=1))
     figures._write_csv(args.out, ("k", "value"), rows)
     return 0
 

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import bounds, oracle
 from .graphdist import geodesic_from
-from .matrices import (KroneckerSum, SpectralInterval, banded_from_stencil,
-                       make_test_matrix, spectral_interval)
+from .matrices import (KroneckerSum, SpectralInterval, band_interval,
+                       banded_from_stencil, make_test_matrix,
+                       spectral_interval)
 from .measures import cauchy_catalog, laplace_catalog
 
 FIGURE_IDS = (
@@ -107,7 +108,7 @@ def _closed_form_rows(figure_id, matrix_kind):
         diag_max = M.diagonal_max()
         bounds_at = lambda dss: [bounds.invsqrt_closed_bound(
             iv, d, diag_max=diag_max) for d, in dss]
-    col, floor, bs, _ = _column(M, _T, f, keys, bounds_at)
+    col, floor, bs, _ = _column(_eigen_oracle(M, _T, f), keys, bounds_at)
     rows = [(k, o, b) for k, (o, b) in enumerate(zip(col, bs), start=1)
             if figure_id != "fig1-exp" or o >= floor]
     return rows, floor
@@ -195,6 +196,23 @@ def resolve_function(name, klass, tau, zeta):
     raise ValueError(f"unknown class {klass!r}")
 
 
+def inverse_shift(kind, zeta):
+    """The shift of a bound kind whose f is a shifted inverse 1/(x -
+    shift): 0 for ``demko``, i zeta for ``resolvent``.  None for every
+    other kind."""
+    return {"demko": 0.0, "resolvent": 1j * zeta}.get(kind)
+
+
+def oracle_column(M, t, f, kind, zeta):
+    """Column t of f(M) by the route of ``resolve_function``'s bound
+    ``kind``: one banded solve for a shifted inverse, else the
+    eigendecomposition."""
+    shift = inverse_shift(kind, zeta)
+    if shift is None:
+        return oracle.function_column(M, f, t)
+    return oracle.resolvent_column(M, shift, t)
+
+
 def _summary(pairs, floor, reports, nrows):
     """Dominance statistics plus convergence over the quadrature reports;
     ``nonconverged`` lists the sorted distances whose report did not
@@ -230,14 +248,20 @@ def _distances(A, t, mode="band", drop_tol=0.0):
     return list(map(tuple, d.tolist()))
 
 
-def _column(A, t, f, keys, bounds_at):
-    """The pass behind every printed column: (|column t of f(A)|, its
-    oracle floor, each row's bound, the reports).  A row's bound depends
-    on it only through its key, a distance or a per-factor distance tuple
+def _eigen_oracle(A, t, f):
+    """The eigendecomposition oracle pass: column t of f(A), its floor."""
+    return lambda: (oracle.function_column(A, f, t), oracle.oracle_floor(A, f))
+
+
+def _column(oracle_pass, keys, bounds_at):
+    """The pass behind every printed column: (|oracle column|, its floor,
+    each row's bound, the reports), the column and floor from
+    ``oracle_pass()``, before any bound.  A row's bound depends on it
+    only through its key, a distance or a per-factor distance tuple
     (None: no bound), so the distinct keys go to one ``bounds_at(keys)``
     call, which returns numbers or quadrature reports."""
-    col = np.abs(oracle.function_column(A, f, t)).tolist()
-    floor = oracle.oracle_floor(A, f)
+    col, floor = oracle_pass()
+    col = np.abs(col).tolist()
     distinct = list(dict.fromkeys(k for k in keys if k is not None))
     found = bounds_at(distinct)
     reports = [r for r in found if isinstance(r, bounds.DecayBoundReport)]
@@ -256,18 +280,36 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     quadrature for the quadrature classes), each value shared by all rows
     at that distance; the summary's convergence figures come from one
     quadrature report per distinct distance.  Dominance violations are
-    counted against oracle entries at or above the dense oracle's
-    resolution floor; smaller entries are rounding noise (see
+    counted against oracle entries at or above the oracle's resolution
+    floor; smaller entries are rounding noise (see
     :func:`decaybounds.oracle.oracle_floor`).
+
+    The route is picked here, from the bound kind.  For a shifted inverse
+    (``demko`` and ``resolvent``) the ends come from a band eigenvalue
+    solve (:func:`decaybounds.matrices.band_interval`) and the column
+    from one banded solve, with its floor
+    (:func:`decaybounds.oracle.resolvent_floor`); no eigendecomposition
+    runs and no dense matrix is formed.  Every other kind takes the
+    enclosure and column of the eigendecomposition.
     """
     ds = [d for d, in _distances(M, t, distance_mode, drop_tol)]
     f, kind, measure = resolve_function(function, klass, tau, zeta)
     tau = 1.0 if tau is None else tau
-    iv = spectral_interval(M)
+    shift = inverse_shift(kind, zeta)
+    if shift is None:
+        iv = spectral_interval(M)
+        oracle_pass = _eigen_oracle(M, t, f)
+    else:
+        iv = band_interval(M)
+        oracle_pass = lambda: (oracle_column(M, t, f, kind, zeta),
+                               oracle.resolvent_floor(M.n, iv, shift))
     if kind == "exp":
         bounds_at = lambda ds: bounds.exp_bounds((iv,), tau, [(d,) for d in ds])
     elif kind == "demko":
         diag_max = M.diagonal_max()
+        if not iv.is_positive_definite:
+            # the bound's own message, before a solve that may be singular
+            bounds.demko_bound(iv, 0.0, diag_max=diag_max)
         bounds_at = lambda ds: [bounds.demko_bound(iv, d, diag_max=diag_max)
                                 for d in ds]
     elif kind == "resolvent":
@@ -285,7 +327,7 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     least = 2.0 if kind == "laplace" else 0.0
     keys = [None if math.isinf(d) or d < least
             or (d == 0 and kind in ("exp", "resolvent")) else d for d in ds]
-    col, floor, bs, reports = _column(M, t, f, keys, bounds_at)
+    col, floor, bs, reports = _column(oracle_pass, keys, bounds_at)
     rows = [(k, None if math.isinf(d) else d, b, o,
              b / o if b is not None and o > 0 else None)
             for k, (d, b, o) in enumerate(zip(ds, bs, col), start=1)]
@@ -323,7 +365,7 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
     # the diagonal entry of exp is not covered
     keys = [None if kind == "exp" and k == t else d
             for k, d in enumerate(ds, start=1)]
-    col, floor, bs, reports = _column(A, t, f, keys, bounds_at)
+    col, floor, bs, reports = _column(_eigen_oracle(A, t, f), keys, bounds_at)
     rows = [(k, *km, *d, b, o) for k, (km, d, b, o)
             in enumerate(zip(A.multi_indices.tolist(), ds, bs, col), start=1)]
     header = (["k"] + [f"k{i+1}" for i in range(len(ivs))]

@@ -1,10 +1,16 @@
 """Exact reference computations.
 
-Eigendecomposition is the single reference path for every matrix function
-here; it is the ground truth each decay bound is compared against at desk
-scale.  Decompositions are cached per matrix object and never mutated.
-The spectral enclosure of any matrix that is not real tridiagonal reads
-its ends off this decomposition, so each matrix costs one eigensolve.
+Two reference paths give the ground truth each decay bound is compared
+against at desk scale.  A shifted inverse (M - shift I)^{-1}, the f of
+``--class resolvent`` and of ``--class cauchy --function inv``, takes
+one banded LU solve per column (``resolvent_column``): O(n beta^2) work,
+no eigendecomposition and no dense matrix, and for an M-matrix accurate
+cell by cell down to underflow, where the floor of the eigendecomposition
+path sits near n eps max|f|.  Every other matrix function takes the
+eigendecomposition.  Decompositions are cached per matrix object and
+never mutated.  On that path the spectral enclosure of any matrix that
+is not real tridiagonal reads its ends off this decomposition, so each
+matrix costs one eigensolve.
 A real tridiagonal matrix (``M.tridiagonal``) is never made dense: its
 eigenpairs come from LAPACK's tridiagonal divide and conquer
 (``dstevd``).  numpy's dense ``eigh`` calls ``dsyevd``, whose Householder
@@ -25,13 +31,14 @@ is the one-factor case of the same contraction.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .matrices import KroneckerSum
+from .matrices import KroneckerSum, banded_solver, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,12 +74,8 @@ def eigendecomposition(M):
         tri = M.tridiagonal
         if tri is not None:
             w, u = scipy.linalg.eigh_tridiagonal(*tri, lapack_driver="stevd")
-        elif not np.all(np.isfinite(M.matrix.data)):
-            # LAPACK's answer to one varies: nan eigenvalues, or an error
-            # naming a submatrix
-            raise np.linalg.LinAlgError(
-                "Eigenvalues did not converge: the matrix has a non-finite entry")
         else:
+            require_finite(M)
             # the Fortran-order copy is overwritten, not copied once more
             w, u = scipy.linalg.eigh(M.toarray(), driver="evd",
                                      overwrite_a=True, check_finite=False)
@@ -130,8 +133,39 @@ def function_column(M, f, t):
 
 
 def resolvent_column(M, shift, t):
-    """Column t of (M - shift I)^{-1}; ``shift`` may be complex."""
-    return function_column(M, lambda x: 1.0 / (x - shift), t)
+    """Column t (1-based) of (M - shift I)^{-1}, ``shift`` real or complex:
+    one banded LU solve (LAPACK ``?gbtrf``/``?gbtrs``, complex when the
+    shift or M is), O(n beta^2) work, with no eigendecomposition and no
+    dense matrix.  A shift at which ``?gbcon`` finds M - shift I
+    numerically singular raises ``ValueError``: a reciprocal condition
+    number below n eps, where the solve's error bound n eps / rcond
+    passes 1 and no digit of the column is certain (at a computed
+    eigenvalue it reads a few eps)."""
+    if not 1 <= t <= M.n:
+        raise ValueError(f"column {t} is out of bounds for order {M.n}")
+    solve, rcond = banded_solver(M, shift)
+    if not rcond >= M.n * np.finfo(float).eps:
+        raise ValueError(f"M - ({shift}) I is numerically singular "
+                         f"(reciprocal condition number {rcond:.3g})")
+    e = np.zeros(M.n)
+    e[t - 1] = 1.0
+    return solve(e)
+
+
+def resolvent_floor(n, interval, shift):
+    """Absolute resolution floor of a column of (M - shift I)^{-1} of
+    order n, from the spectral ``interval``: 100 n eps / |dist(Re shift,
+    interval) + i Im shift|.  max|1/(x - shift)| over the spectrum is at
+    most the reciprocal of that distance, so for a positive definite M
+    this is ``oracle_floor``'s level up to the ulps of the ends, and for
+    an indefinite one it is never lower; it is infinite for a real shift
+    inside the interval."""
+    shift = complex(shift)
+    gap = max(interval.lambda_min - shift.real,
+              shift.real - interval.lambda_max, 0.0)
+    distance = abs(complex(gap, shift.imag))
+    fmax = 1.0 / distance if distance else math.inf
+    return 100.0 * n * np.finfo(float).eps * fmax
 
 
 def oracle_floor(M, f):

@@ -15,9 +15,10 @@ from decaybounds import (KroneckerSum, SpectralInterval, banded_from_stencil,
                          parse_matrix_spec, resolvent_column,
                          spectral_interval)
 from decaybounds.bounds import laplace_bounds
+from decaybounds.figures import run_compare
 from reference import (component_distances, envelope_integral_reference,
                        expm_column_nonneg, factor_intervals,
-                       gershgorin_interval, tridiag_entry_mp,
+                       gershgorin_interval, grid_file, tridiag_entry_mp,
                        tridiag_lambda_min)
 
 SLACK = 1.0 - 1e-10
@@ -255,6 +256,26 @@ def test_freund_dominates_resolvent_columns():
             if k == 40 or col[k - 1] < floor:
                 continue
             assert freund_resolvent_bound(iv, zeta, abs(k - 40)) >= col[k - 1] * SLACK
+
+
+@pytest.mark.parametrize("matrix, klass, zeta, t", [
+    ("pentadiag:-0.48,-1.02,3.95,-1.02,-0.48", "resolvent", 0.0, 1000),
+    ("tridiag:-1.03,4.1,-1.03", "resolvent", 0.8, 1000),
+    ("grid", "cauchy", 0.0, 1013)],
+    ids=["resolvent-0", "resolvent-zeta", "graph-cauchy-inv"])
+def test_shifted_inverse_bounds_dominate_every_nonzero_cell(
+        matrix, klass, zeta, t, tmp_path):
+    # the banded-solve column is accurate down to underflow, so the
+    # Demko and Freund bounds must dominate it on every cell the solve
+    # does not flush to zero, not only above the floor
+    graph = matrix == "grid"
+    m = parse_matrix_spec(grid_file(tmp_path, 45) if graph else matrix, 2000)
+    summary, _, rows = run_compare(m, t, "inv", klass, zeta=zeta,
+                                   distance_mode="graph" if graph else "band")
+    cells = [(b, o) for _, _, b, o, _ in rows if b is not None and o > 0]
+    # the band cases reach 1e-239 and the smallest subnormal
+    assert len(cells) >= summary["resolved"] > 0
+    assert all(b >= o * SLACK for b, o in cells)
 
 
 def test_freund_guards():

@@ -16,7 +16,7 @@ from decaybounds import (KroneckerSum, SparseHermitianMatrix,
                          parse_matrix_spec, spectral_interval)
 from decaybounds.cli import main
 from decaybounds.figures import run_compare, run_figure, run_kron_compare
-from reference import stdlib_csv_write
+from reference import grid_file, stdlib_csv_write
 
 def _write_banded_mtx(path, n=12):
     lines = ["%%MatrixMarket matrix coordinate real symmetric",
@@ -838,6 +838,62 @@ def test_non_finite_dense_matrix_exits_one(command, capsys):
     err = capsys.readouterr().err
     assert err.startswith("decay: error: ") and "did not converge" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["compare", "bound", "oracle"])
+@pytest.mark.parametrize("matrix", ["tridiag:-1,nan,-1",
+                                    "pentadiag:-0.5,-1,nan,-1,-0.5"])
+@pytest.mark.parametrize("klass", [["resolvent"], ["resolvent", "--zeta", "2"],
+                                   ["cauchy"]])
+def test_non_finite_matrix_exits_one_on_the_solve_route(command, matrix,
+                                                        klass, capsys):
+    # the shifted inverses' band ends and banded solve reject the entry
+    # before LAPACK runs, with the eigensolve's message
+    argv = [command, "--matrix", matrix, "--n", "30", "--class", *klass,
+            "--function", "inv", "--column", "10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("decay: error: ") and "did not converge" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("matrix, n", [
+    ("tridiag:1,0.3,1", 10), ("pentadiag:0.5,1,0.2,1,0.5", 13),
+    # singular: 0 is an eigenvalue, so the solve at shift 0 would fail
+    ("tridiag:1,0,1", 11)])
+def test_indefinite_resolvent_exits_one_with_positive_definite_message(
+        matrix, n, capsys):
+    for klass in (["resolvent", "--zeta", "0"], ["cauchy"]):
+        assert main(["compare", "--matrix", matrix, "--n", str(n), "--class",
+                     *klass, "--function", "inv", "--column", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err == ("decay: error: the resolvent bound needs a positive "
+                       "definite matrix\n")
+
+
+@pytest.mark.parametrize("spec", ["tridiag", "pentadiag", "grid"])
+@pytest.mark.parametrize("klass", [["resolvent"], ["resolvent", "--zeta", "0.7"],
+                                   ["cauchy"]],
+                         ids=["resolvent-0", "resolvent-zeta", "cauchy-inv"])
+def test_oracle_command_prints_the_compare_oracle_column(spec, klass,
+                                                         tmp_path):
+    # `decay oracle` takes the route of `decay compare`: for a shifted
+    # inverse both print the banded solve, the same bits
+    if spec == "grid":
+        matrix, t, distance = grid_file(tmp_path), "70", ["--distance", "graph"]
+    else:
+        matrix, t, distance = spec, "37", []
+    common = ["--matrix", matrix, "--n", "90", "--class", *klass,
+              "--function", "inv", "--column", t]
+    compared, printed = tmp_path / "c.csv", tmp_path / "o.csv"
+    assert main(["compare", *common, *distance, "--out", str(compared)]) == 0
+    assert main(["oracle", *common, "--out", str(printed)]) == 0
+    _, rows = _read_csv(compared)
+    _, values = _read_csv(printed)
+    assert [r[3] for r in rows] == ["%.17g" % abs(float(v)) for _, v in values]
+    assert len(values) == (144 if spec == "grid" else 90)
 
 
 # The documented (--class, --function) vocabulary of the README.

@@ -14,7 +14,7 @@ from decaybounds import (KroneckerSum, SparseHermitianMatrix,
                          SpectralInterval, banded_from_stencil,
                          eigendecomposition, exp_entry_bound, exp_envelope,
                          function_column, geodesic_from, make_test_matrix,
-                         spectral_interval)
+                         resolvent_column, spectral_interval)
 from decaybounds.bounds import exp_bounds
 from decaybounds.figures import _distances, run_figure
 
@@ -78,6 +78,10 @@ def test_column_outside_the_order_is_rejected():
         for t in (0, order + 1):
             with pytest.raises(ValueError, match="out of bounds"):
                 function_column(a, np.exp, t)
+    # nor can the banded solve's right-hand side e_t
+    for t in (0, 7):
+        with pytest.raises(ValueError, match="out of bounds"):
+            resolvent_column(m, 0.0, t)
 
 
 _INTERVALS = st.builds(lambda lmin, width: SpectralInterval(lmin, lmin + width),
