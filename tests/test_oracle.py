@@ -1,3 +1,8 @@
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -240,3 +245,35 @@ def test_kron_dense_function_capped_and_column_uncapped():
         matrix_function(a, np.exp)
     col = function_column(a, lambda x: np.exp(-x), a.linearize((30, 40)))
     assert col.shape == (65 * 65,)
+
+
+_RESIDENT_AFTER_FREES = textwrap.dedent("""
+    import os
+    import numpy as np
+    import decaybounds
+
+    def resident():
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    before = resident()
+    for _ in range(3):
+        u = np.ones((2000, 2000))   # an eigenvector matrix of order 2000
+        del u
+    print(resident() - before)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
+                    or not os.path.exists("/proc/self/statm"),
+                    reason="glibc's allocator on Linux")
+def test_freed_dense_arrays_leave_the_resident_size():
+    # left dynamic, glibc serves the second 32 MB array from the heap and
+    # keeps it when freed, so the resident size of a run would depend on
+    # the order of its matrices
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _RESIDENT_AFTER_FREES],
+                         env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) < 8 * 2 ** 20
