@@ -33,6 +33,9 @@ from .quadrature import integrate, integrate_semi_infinite  # noqa: F401
 from .quadrature import run_steps
 
 _LOG10 = math.log(10.0)
+# Adaptive panels per quadrature segment of each distance; a step that
+# exhausts them is reported as not converged.  Read at call time.
+_MAX_PANELS = 10000
 
 
 @dataclass(frozen=True)
@@ -180,9 +183,16 @@ def freund_resolvent_bound(interval, zeta, distance):
         raise ValueError("degenerate spectrum: lambda_min must be < lambda_max")
     delta = lmax - lmin
     alpha = (np.hypot(lmin, zeta) + np.hypot(lmax, zeta)) / delta
-    r = alpha + np.sqrt(alpha * alpha - 1.0)
-    c = (2.0 * r / delta) * 4.0 * r * r / (r * r - 1.0) ** 2
-    return float(c * r ** (-d))
+    if alpha < 2.0 ** 255:
+        r = alpha + np.sqrt(alpha * alpha - 1.0)
+        c = (2.0 * r / delta) * 4.0 * r * r / (r * r - 1.0) ** 2
+        return float(c * r ** (-d))
+    # (r^2 - 1)^2 overflows: the same C R^{-d} in logs, by
+    # r^2 - 1 = 2 r sqrt(alpha^2 - 1), so C = 2 r / (delta (alpha^2 - 1))
+    log_alpha, inv2 = math.log(alpha), 1.0 / alpha / alpha
+    log_r = log_alpha + math.log1p(math.sqrt(1.0 - inv2))
+    return math.exp(math.log(2.0) + (1.0 - d) * log_r - math.log(delta)
+                    - 2.0 * log_alpha - math.log1p(-inv2))
 
 
 def _envelope_breakpoints(d, rho):
@@ -212,8 +222,7 @@ def _envelope_breakpoints(d, rho):
     return tuple(pts)
 
 
-def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10,
-                   max_panels=10000):
+def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10):
     """Entry bounds for f(A) with f completely monotonic, at each tuple of
     per-factor distances d_L: a list of reports, from one lockstep
     quadrature.  ``intervals`` holds one SpectralInterval per Kronecker
@@ -278,7 +287,7 @@ def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10,
         # a weight past the largest double bounds by inf, not inf * 0 = nan
         return np.where(np.isinf(w), np.inf, out * w)
 
-    results = iter(run_steps(integrand, a, b, quad_tol, exponents, max_panels))
+    results = iter(run_steps(integrand, a, b, quad_tol, exponents, _MAX_PANELS))
     reports = []
     for ds, row, segs in zip(distances, rows.tolist(), pieces):
         rs = [next(results) for _ in segs]
@@ -311,16 +320,14 @@ def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10,
     return reports
 
 
-def laplace_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
-                        max_panels=10000):
+def laplace_entry_bound(interval, measure, distance, *, quad_tol=1e-10):
     """Entry bound at one distance: the one-factor, one-distance
     laplace_bounds."""
     return laplace_bounds((interval,), measure, [(distance,)],
-                          quad_tol=quad_tol, max_panels=max_panels)[0]
+                          quad_tol=quad_tol)[0]
 
 
-def cauchy_bounds(interval, measure, distances, *, quad_tol=1e-10,
-                  max_panels=10000):
+def cauchy_bounds(interval, measure, distances, *, quad_tol=1e-10):
     """Entry bounds for f(M) with f Markov-type, M HPD, at each of
     ``distances`` (all >= 0): a list of reports, from one lockstep
     quadrature with one step per distance.
@@ -356,18 +363,16 @@ def cauchy_bounds(interval, measure, distances, *, quad_tol=1e-10,
         return c * q ** dist[step, None] * measure.abs_density_s(s)
 
     results = run_steps(integrand, np.full(n, s0), np.full(n, upper), quad_tol,
-                        np.full(n, measure.singularity_exponent), max_panels)
+                        np.full(n, measure.singularity_exponent), _MAX_PANELS)
     return [DecayBoundReport(
         distance=float(d), bound=r.value + t, error_estimate=r.error_estimate,
         evaluations=r.evaluations, converged=r.converged)
         for d, r, t in zip(distances, results, tail.tolist())]
 
 
-def cauchy_entry_bound(interval, measure, distance, *, quad_tol=1e-10,
-                       max_panels=10000):
+def cauchy_entry_bound(interval, measure, distance, *, quad_tol=1e-10):
     """Entry bound at one distance: the one-distance cauchy_bounds."""
-    return cauchy_bounds(interval, measure, (distance,), quad_tol=quad_tol,
-                         max_panels=max_panels)[0]
+    return cauchy_bounds(interval, measure, (distance,), quad_tol=quad_tol)[0]
 
 
 def invsqrt_closed_bound(interval, distance, *, diag_max=None):

@@ -43,19 +43,18 @@ class _Parser(argparse.ArgumentParser):
 _QUAD_TOL_FLOOR = 50 * np.finfo(float).eps
 
 
-def _positive_number(kind):
-    """argparse type of the quadrature settings: a panel count of at least
-    1, or a finite tolerance of at least ``_QUAD_TOL_FLOOR`` (a smaller
-    tolerance, or nan, never stops refining; no panel is a failure)."""
-    least = _QUAD_TOL_FLOOR if kind is float else 1
-    def parse(text):
-        value = kind(text)
-        if not (math.isfinite(value) and value >= least):
-            raise argparse.ArgumentTypeError(
-                f"must be finite and >= {least:.3g}, got {text}")
-        return value
-    parse.__name__ = kind.__name__     # argparse: "invalid float value: ..."
-    return parse
+def _positive_number(text):
+    """argparse type of the quadrature tolerance: a finite float of at
+    least ``_QUAD_TOL_FLOOR`` (a smaller tolerance, or nan, never stops
+    refining)."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= _QUAD_TOL_FLOOR):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= {_QUAD_TOL_FLOOR:.3g}, got {text}")
+    return value
+
+
+_positive_number.__name__ = "float"     # argparse: "invalid float value: ..."
 
 
 def _add_matrix_flags(p):
@@ -67,11 +66,8 @@ def _add_matrix_flags(p):
 
 
 def _add_common_flags(p):
-    p.add_argument("--quad-tol", type=_positive_number(float), default=1e-8,
+    p.add_argument("--quad-tol", type=_positive_number, default=1e-8,
                    help="quadrature tolerance (default 1e-8)")
-    p.add_argument("--quad-max-panels", type=_positive_number(int), default=10000,
-                   help="maximum adaptive panels per adaptive segment of each "
-                        "distinct distance (default 10000)")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
 
@@ -94,9 +90,6 @@ def build_parser():
         p.add_argument("--zeta", type=float, default=0.0)
         p.add_argument("--column", type=int, required=True)
         p.add_argument("--distance", choices=("band", "graph"), default="band")
-        p.add_argument("--pattern-drop-tol", type=float, default=None,
-                       help="--distance graph only: drop pattern edges with "
-                            "|value| <= tol (default 0: exact nonzero pattern)")
         _add_common_flags(p)
         if name == "compare":
             p.add_argument("--self-check", action="store_true",
@@ -131,7 +124,7 @@ def build_parser():
     p.add_argument("figure_id", help=f"one of: {', '.join(FIGURE_IDS)}")
     p.add_argument("--matrix-kind", choices=("tridiag", "pentadiag"),
                    default="tridiag")
-    p.add_argument("--quad-tol", type=_positive_number(float), default=1e-10)
+    p.add_argument("--quad-tol", type=_positive_number, default=1e-10)
     p.add_argument("--out", default=None,
                    help="output CSV path (default <figure-id>-<kind>.csv)")
 
@@ -160,16 +153,12 @@ def _exit_status(summary):
 
 
 def _cmd_bound(args, self_check=False):
-    if args.pattern_drop_tol is not None and args.distance != "graph":
-        raise UsageError("--pattern-drop-tol applies only to --distance graph")
     M = parse_matrix_spec(args.matrix, args.n)
     if not (1 <= args.column <= M.n):
         raise UsageError(f"--column {args.column} outside 1..{M.n}")
     summary, header, rows = figures.run_compare(
         M, args.column, args.function, args.klass, tau=args.tau,
-        zeta=args.zeta, distance_mode=args.distance,
-        drop_tol=args.pattern_drop_tol or 0.0, quad_tol=args.quad_tol,
-        max_panels=args.quad_max_panels)
+        zeta=args.zeta, distance_mode=args.distance, quad_tol=args.quad_tol)
     figures._write_csv(args.out, header, rows)
     if self_check or args.command == "compare":
         s = summary
@@ -196,8 +185,7 @@ def _cmd_kron(args):
     except IndexError as exc:
         raise UsageError(str(exc)) from exc
     summary, header, rows = figures.run_kron_compare(
-        A, t, args.function, args.klass, tau=args.tau,
-        quad_tol=args.quad_tol, max_panels=args.quad_max_panels)
+        A, t, args.function, args.klass, tau=args.tau, quad_tol=args.quad_tol)
     figures._write_csv(args.out, header, rows)
     return _exit_status(summary)
 

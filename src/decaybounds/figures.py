@@ -228,14 +228,14 @@ def _summary(pairs, floor, reports, nrows):
     return summary
 
 
-def _distances(A, t, mode="band", drop_tol=0.0):
+def _distances(A, t, mode="band"):
     """Per-factor distances of every entry (k, t) of column t: a list of
     tuples, row k at index k - 1; a single matrix is the one-factor case.
     Band distances are |k_L - t_L| / beta_L; graph distances (single
     matrices only) are breadth-first distances in the sparsity-pattern
     graph, inf at an unreachable row."""
     if mode == "graph":
-        return [(d,) for d in geodesic_from(A, t, drop_tol=drop_tol).tolist()]
+        return [(d,) for d in geodesic_from(A, t).tolist()]
     if isinstance(A, KroneckerSum):
         factors, km = A.factors, A.multi_indices
     else:
@@ -259,19 +259,21 @@ def _column(oracle_pass, keys, bounds_at):
     ``oracle_pass()``, before any bound.  A row's bound depends on it
     only through its key, a distance or a per-factor distance tuple
     (None: no bound), so the distinct keys go to one ``bounds_at(keys)``
-    call, which returns numbers or quadrature reports."""
+    call, which returns numbers or quadrature reports.  A report that did
+    not converge is no bound: its key gets None."""
     col, floor = oracle_pass()
     col = np.abs(col).tolist()
     distinct = list(dict.fromkeys(k for k in keys if k is not None))
     found = bounds_at(distinct)
     reports = [r for r in found if isinstance(r, bounds.DecayBoundReport)]
-    values = dict(zip(distinct, (getattr(r, "bound", r) for r in found)))
+    values = dict(zip(distinct, (
+        getattr(r, "bound", r) if getattr(r, "converged", True) else None
+        for r in found)))
     return col, floor, [values.get(k) for k in keys], reports
 
 
 def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
-                distance_mode="band", drop_tol=0.0, quad_tol=1e-8,
-                max_panels=10000):
+                distance_mode="band", quad_tol=1e-8):
     """Bound/oracle comparison for one column; returns (summary, header,
     rows) with CSV columns ``k,distance,bound,oracle,ratio``.
 
@@ -292,7 +294,7 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     runs and no dense matrix is formed.  Every other kind takes the
     enclosure and column of the eigendecomposition.
     """
-    ds = [d for d, in _distances(M, t, distance_mode, drop_tol)]
+    ds = [d for d, in _distances(M, t, distance_mode)]
     f, kind, measure = resolve_function(function, klass, tau, zeta)
     tau = 1.0 if tau is None else tau
     shift = inverse_shift(kind, zeta)
@@ -317,11 +319,10 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
                                 for d in ds]
     elif kind == "laplace":
         bounds_at = lambda ds: bounds.laplace_bounds(
-            (iv,), measure, [(d,) for d in ds], quad_tol=quad_tol,
-            max_panels=max_panels)
+            (iv,), measure, [(d,) for d in ds], quad_tol=quad_tol)
     else:
-        bounds_at = lambda ds: bounds.cauchy_bounds(
-            iv, measure, ds, quad_tol=quad_tol, max_panels=max_panels)
+        bounds_at = lambda ds: bounds.cauchy_bounds(iv, measure, ds,
+                                                    quad_tol=quad_tol)
     # No bound at an unreachable row, at d = 0 (row t) for exp and the
     # shifted resolvent, nor below the stated d >= 2 of the Laplace class.
     least = 2.0 if kind == "laplace" else 0.0
@@ -335,8 +336,7 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     return _summary(zip(bs, col), floor, reports, M.n), header, rows
 
 
-def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
-                     max_panels=10000):
+def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8):
     """Kronecker-sum comparison; returns (summary, header, rows) with CSV
     columns ``k,k1,...,d1,...,bound,oracle``.
 
@@ -357,8 +357,8 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
         # density of the same envelope integral
         if kind == "cauchy":
             measure = measure.as_laplace()
-        bounds_at = lambda dss: bounds.laplace_bounds(
-            ivs, measure, dss, quad_tol=quad_tol, max_panels=max_panels)
+        bounds_at = lambda dss: bounds.laplace_bounds(ivs, measure, dss,
+                                                      quad_tol=quad_tol)
     else:
         raise ValueError(f"--class {klass} --function {function} is not "
                          "available for Kronecker sums")

@@ -14,22 +14,20 @@ from collections import deque
 import numpy as np
 
 
-def geodesic_from(M, t, *, drop_tol=0.0):
+def geodesic_from(M, t):
     """Breadth-first distances from node t (1-based) in the pattern graph:
     a float array whose index j - 1 holds d(t, j).
 
-    Edges are off-diagonal stored entries with magnitude above
-    ``drop_tol`` (default 0: the exact nonzero pattern).  Diagonal entries
-    never contribute edges.  Disconnected nodes get distance inf.
+    Edges are the off-diagonal stored entries that are not zero: the
+    pattern of M itself, since (M^j)_{kt} = 0 for every j below d(t, k)
+    only on that graph, and dropping an edge breaks the bound.  Diagonal
+    entries never contribute edges.  Disconnected nodes get distance inf.
     """
-    if not (math.isfinite(drop_tol) and drop_tol >= 0.0):
-        raise ValueError(
-            f"drop tolerance must be finite and >= 0, got {drop_tol}")
     n = M.n
     if not (1 <= t <= n):
         raise IndexError(f"source {t} outside 1..{n}")
     indptr, indices = M.matrix.indptr.tolist(), M.matrix.indices.tolist()
-    edge = (np.abs(M.matrix.data) > drop_tol).tolist()
+    edge = (np.abs(M.matrix.data) > 0).tolist()
     dist = [math.inf] * n
     dist[t - 1] = 0.0
     queue = deque([t - 1])

@@ -24,17 +24,15 @@ def exp_kron_bound(intervals, tau, distances):
     return exp_bounds(intervals, tau, (distances,))[0]
 
 
-def laplace_kron_bound(intervals, measure, distances, *, quad_tol=1e-10,
-                       max_panels=10000):
+def laplace_kron_bound(intervals, measure, distances, *, quad_tol=1e-10):
     """Entry bound at one distance tuple, f completely monotonic: the
     one-tuple laplace_bounds."""
     return laplace_bounds(intervals, measure, (distances,),
-                          quad_tol=quad_tol, max_panels=max_panels)[0]
+                          quad_tol=quad_tol)[0]
 
 
-def cauchy_kron_bound(intervals, measure, distances, *, quad_tol=1e-10,
-                      max_panels=10000):
+def cauchy_kron_bound(intervals, measure, distances, *, quad_tol=1e-10):
     """Entry bound at one distance tuple, f Markov-type: the one-tuple
     laplace_bounds on the measure's transform."""
     return laplace_bounds(intervals, measure.as_laplace(), (distances,),
-                          quad_tol=quad_tol, max_panels=max_panels)[0]
+                          quad_tol=quad_tol)[0]

@@ -350,8 +350,7 @@ def sincos_kron_exact(A, k, t, which):
     return complex(val) if np.iscomplexobj(np.asarray(val)) else float(val)
 
 
-def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
-                             intervals=None):
+def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, intervals=None):
     """Cauchy-Schwarz cross-check for the inverse square root of a
     two-factor sum: pi^{-1/2} prod_L (int E_L(tau)^2 tau^{-1/2} dtau)^{1/2}.
 
@@ -367,8 +366,7 @@ def invsqrt_kron_split_bound(A, k, t, *, quad_tol=1e-10, max_panels=10000,
                              density=lambda taus: taus ** -0.5,
                              singularity_exponent=-0.5)
     for iv, d in zip(ivs, dists):
-        (rep,) = laplace_bounds((iv, iv), squared, [(d, d)],
-                                quad_tol=quad_tol, max_panels=max_panels)
+        (rep,) = laplace_bounds((iv, iv), squared, [(d, d)], quad_tol=quad_tol)
         if not rep.converged:
             raise RuntimeError("split-bound quadrature did not converge")
         out *= math.sqrt(rep.bound)

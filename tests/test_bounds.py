@@ -14,6 +14,7 @@ from decaybounds import (KroneckerSum, SpectralInterval, banded_from_stencil,
                          laplace_entry_bound, make_test_matrix, oracle_floor,
                          parse_matrix_spec, resolvent_column,
                          spectral_interval)
+from decaybounds import bounds
 from decaybounds.bounds import laplace_bounds
 from decaybounds.figures import run_compare
 from reference import (component_distances, envelope_integral_reference,
@@ -246,6 +247,31 @@ def test_freund_radius_grows_with_shift():
     assert all(r2 > r1 for r1, r2 in zip(radii, radii[1:]))
 
 
+@pytest.mark.parametrize("lmin, lmax, zeta", [
+    (-1e-300, 3e-300, 0.5), (-1e-100, 3e-100, 0.5), (1e-80, 2e-80, 1.0),
+    (1.0, 1.1, 5e76), (2.0, 6.0, 1e100)])
+def test_freund_bound_past_the_overflow_matches_mpmath(lmin, lmax, zeta):
+    # alpha >= 2^255, where (r^2 - 1)^2 overflows (the direct form gave
+    # nan, or 0 at (1, 1.1, 5e76)) and the bound is taken in logs: the
+    # same C R^{-d}, C = 8 r^3 / (delta (r^2 - 1)^2)
+    import mpmath as mp
+    mp.mp.dps = 50
+    iv = SpectralInterval(lmin, lmax)
+    lo, hi, z = mp.mpf(lmin), mp.mpf(lmax), mp.mpf(zeta)
+    delta = hi - lo
+    alpha = (mp.hypot(lo, z) + mp.hypot(hi, z)) / delta
+    assert alpha >= 2 ** 255
+    r = alpha + mp.sqrt(alpha ** 2 - 1)
+    c = 8 * r ** 3 / (delta * (r ** 2 - 1) ** 2)
+    for d in (1.0, 2.0, 5.0):
+        expect = c * r ** -mp.mpf(d)
+        if expect < mp.mpf(2.0 ** -1000):
+            continue    # below the normal doubles
+        got = freund_resolvent_bound(iv, zeta, d)
+        assert math.isfinite(got) and got > 0, d
+        assert abs(got - expect) <= 1e-12 * expect, d
+
+
 def test_freund_dominates_resolvent_columns():
     m = make_test_matrix("tridiag", 80)
     iv = spectral_interval(m)
@@ -389,7 +415,7 @@ def test_inv_pow_large_sigma_matches_a_log_space_reference(sigma):
             iv, measure, d, log_density=log_w), rel=1e-12), d
 
 
-def test_overflowing_weight_bounds_by_inf_not_nan():
+def test_overflowing_weight_bounds_by_inf_not_nan(monkeypatch):
     # with lambda_min small the tail reaches tau where the inv_pow:171
     # density itself overflows while the envelope has underflowed to 0;
     # integrated as a plain density, inf is still an upper bound, inf * 0
@@ -397,16 +423,15 @@ def test_overflowing_weight_bounds_by_inf_not_nan():
     iv = SpectralInterval(0.05, 4.05)
     measure = laplace_catalog("inv_pow:171")
     plain = dataclasses.replace(measure, log_density=None)
+    monkeypatch.setattr(bounds, "_MAX_PANELS", 100)
     with np.errstate(over="ignore", invalid="ignore"):
         for d in (2.0, 9.0):
-            rep = laplace_entry_bound(iv, plain, d, quad_tol=1e-8,
-                                      max_panels=100)
+            rep = laplace_entry_bound(iv, plain, d, quad_tol=1e-8)
             assert rep.bound == math.inf, d
     # the catalog's log density joins the exponent: a finite bound, at most
     # the lambda_min^-171 that a unit envelope gives
     for d in (2.0, 9.0):
-        rep = laplace_entry_bound(iv, measure, d, quad_tol=1e-8,
-                                  max_panels=100)
+        rep = laplace_entry_bound(iv, measure, d, quad_tol=1e-8)
         assert rep.converged and 0 < rep.bound <= 0.05 ** -171 * (1 + 1e-7), d
 
 

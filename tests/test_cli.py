@@ -258,17 +258,22 @@ def test_run_compare_library_api():
     assert summary["ratio_min"] is not None and summary["ratio_min"] >= 1.0
 
 
-def test_non_convergence_exits_two(tmp_path, capsys):
+def test_non_convergence_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "_MAX_PANELS", 2)
     out = tmp_path / "n.csv"
     code = main(["bound", "--matrix", "tridiag", "--n", "60", "--function",
                  "inv_sqrt", "--class", "laplace", "--column", "30",
-                 "--quad-max-panels", "2", "--out", str(out)])
+                 "--out", str(out)])
     assert code == 2
     assert out.exists()  # output is still written for inspection
     # one stderr line names the failing distances, the first 10 of them
     summary, _, _ = run_compare(make_test_matrix("tridiag", 60), 30,
-                                "inv_sqrt", "laplace", max_panels=2)
+                                "inv_sqrt", "laplace")
     failed = summary["nonconverged"]
+    # a value that did not converge is no bound: its cell is empty
+    _, rows = _read_csv(out)
+    cells = [r[2] for r in rows if float(r[1]) in failed]
+    assert len(cells) >= len(failed) and set(cells) == {""}
     assert len(failed) > 10 and failed == sorted(failed)
     shown = ", ".join(f"{d:g}" for d in failed[:10])
     assert capsys.readouterr().err.splitlines() == [
@@ -277,37 +282,77 @@ def test_non_convergence_exits_two(tmp_path, capsys):
     # compare prints its ratio line first
     code = main(["compare", "--matrix", "tridiag", "--n", "12", "--function",
                  "inv_sqrt", "--class", "laplace", "--column", "6",
-                 "--quad-max-panels", "2", "--self-check", "--out", str(out)])
+                 "--self-check", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0].startswith("# ratio ")
     assert err[1].startswith("decay: quadrature did not converge at ")
 
 
-def test_kron_non_convergence_exits_two(tmp_path, capsys):
+def test_kron_non_convergence_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bounds, "_MAX_PANELS", 2)
     out = tmp_path / "k.csv"
     code = main(["kron", "--factors", "tridiag,tridiag", "--n", "4",
                  "--function", "inv_sqrt", "--class", "laplace",
-                 "--column", "2,2", "--quad-max-panels", "2", "--out", str(out)])
+                 "--column", "2,2", "--out", str(out)])
     assert code == 2
     assert out.exists()
     assert capsys.readouterr().err.splitlines() == [
         "decay: quadrature did not converge at 3 distance(s): "
         "(0, 2), (2, 0), (2, 2)"]
+    _, rows = _read_csv(out)
+    cells = [r[5] for r in rows
+             if (float(r[3]), float(r[4])) in [(0, 2), (2, 0), (2, 2)]]
+    assert len(cells) >= 3 and set(cells) == {""}
     # more than 10 failing tuples: the first 10, then "..."
     code = main(["kron", "--factors", "tridiag,tridiag", "--n", "6",
                  "--function", "log1p_over_z", "--class", "cauchy",
-                 "--column", "2,2", "--quad-max-panels", "2", "--out", str(out)])
+                 "--column", "2,2", "--out", str(out)])
     assert code == 2
     summary, _, _ = run_kron_compare(
         KroneckerSum(factors=(make_test_matrix("tridiag", 6),) * 2), 8,
-        "log1p_over_z", "cauchy", max_panels=2)
+        "log1p_over_z", "cauchy")
     failed = summary["nonconverged"]
+    _, rows = _read_csv(out)
+    cells = [r[5] for r in rows if (float(r[3]), float(r[4])) in failed]
+    assert len(cells) >= len(failed) and set(cells) == {""}
     assert len(failed) > 10 and failed == sorted(failed)
     shown = ", ".join(f"({d1:g}, {d2:g})" for d1, d2 in failed[:10])
     assert capsys.readouterr().err.splitlines() == [
         f"decay: quadrature did not converge at {len(failed)} distance(s): "
         f"{shown}, ..."]
+
+
+def test_non_convergence_prints_no_bound(tmp_path, capsys):
+    # the semi-infinite doubling gives up near s = 2^200, far short of a
+    # spectrum at 1e200: the truncated integrals lie some 1e70 below the
+    # entries, and are not printed as bounds
+    out = tmp_path / "c.csv"
+    with np.errstate(over="ignore"):
+        code = main(["compare", "--matrix", "tridiag:-1e200,4e200,-1e200",
+                     "--n", "20", "--class", "cauchy", "--function",
+                     "inv_sqrt", "--column", "3", "--self-check",
+                     "--out", str(out)])
+    assert code == 2
+    _, rows = _read_csv(out)
+    assert [r[2] for r in rows] == [""] * 20
+    err = capsys.readouterr().err.splitlines()
+    assert " violations 0 " in err[0]
+    assert err[1].startswith("decay: quadrature did not converge at ")
+
+
+def test_resolvent_bound_of_a_narrow_spectrum_is_finite(tmp_path, capsys):
+    # the spectrum is some 1e-300 wide: alpha^2 and r^2 overflow in the
+    # Freund constant, which is then taken in logs (warnings are errors)
+    out = tmp_path / "r.csv"
+    assert main(["compare", "--matrix", "tridiag:1e-300,1e-300,1e-300",
+                 "--n", "9", "--class", "resolvent", "--zeta", "0.5",
+                 "--column", "3", "--out", str(out)]) == 0
+    _, rows = _read_csv(out)
+    cells = [float(r[2]) for r in rows if r[2]]
+    assert len(cells) == 8 and all(map(math.isfinite, cells))
+    assert all(float(r[2]) >= float(r[3]) for r in rows if r[2])
+    assert " violations 0 " in capsys.readouterr().err
 
 
 def test_kron_exp_command(tmp_path):
@@ -873,20 +918,26 @@ def test_indefinite_resolvent_exits_one_with_positive_definite_message(
                        "definite matrix\n")
 
 
-@pytest.mark.parametrize("spec", ["tridiag", "pentadiag", "grid"])
-@pytest.mark.parametrize("klass", [["resolvent"], ["resolvent", "--zeta", "0.7"],
-                                   ["cauchy"]],
-                         ids=["resolvent-0", "resolvent-zeta", "cauchy-inv"])
+@pytest.mark.parametrize("spec, klass", [
+    pytest.param(spec, [*klass, "--function", "inv"], id=f"{name}-{spec}")
+    for name, klass in [("resolvent-0", ["resolvent"]),
+                        ("resolvent-zeta", ["resolvent", "--zeta", "0.7"]),
+                        ("cauchy-inv", ["cauchy"])]
+    for spec in ("tridiag", "pentadiag", "grid")] + [
+    ("pentadiag", ["laplace", "--function", "inv_sqrt"]),
+    ("pentadiag", ["laplace", "--function", "phi1"]),
+    ("tridiag", ["exp", "--function", "exp", "--tau", "3"]),
+    ("grid", ["cauchy", "--function", "log1p_over_z"])])
 def test_oracle_command_prints_the_compare_oracle_column(spec, klass,
                                                          tmp_path):
     # `decay oracle` takes the route of `decay compare`: for a shifted
-    # inverse both print the banded solve, the same bits
+    # inverse both print the banded solve, for every other f the column of
+    # the eigendecomposition, the same bits
     if spec == "grid":
         matrix, t, distance = grid_file(tmp_path), "70", ["--distance", "graph"]
     else:
         matrix, t, distance = spec, "37", []
-    common = ["--matrix", matrix, "--n", "90", "--class", *klass,
-              "--function", "inv", "--column", t]
+    common = ["--matrix", matrix, "--n", "90", "--class", *klass, "--column", t]
     compared, printed = tmp_path / "c.csv", tmp_path / "o.csv"
     assert main(["compare", *common, *distance, "--out", str(compared)]) == 0
     assert main(["oracle", *common, "--out", str(printed)]) == 0

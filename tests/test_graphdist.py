@@ -38,24 +38,6 @@ def test_disconnected_blocks_are_unreachable():
     assert math.isinf(dv[2])
 
 
-def test_drop_tolerance_removes_weak_edges():
-    a = scipy.sparse.csr_matrix(np.array([
-        [2.0, 1e-9, 0.0],
-        [1e-9, 2.0, 1.0],
-        [0.0, 1.0, 2.0],
-    ]))
-    m = SparseHermitianMatrix(n=3, matrix=a)
-    assert geodesic_from(m, 1)[1] == 1.0
-    assert math.isinf(geodesic_from(m, 1, drop_tol=1e-6)[1])
-
-
-@pytest.mark.parametrize("drop_tol", [math.nan, math.inf, -1.0])
-def test_drop_tolerance_must_be_finite_and_nonnegative(drop_tol):
-    # nan and inf would silently drop every edge
-    with pytest.raises(ValueError):
-        geodesic_from(make_test_matrix("tridiag", 5), 1, drop_tol=drop_tol)
-
-
 @pytest.mark.parametrize("beta", [1, 2, 3])
 def test_full_band_matches_ceiling_exhaustively(beta):
     stencil = [-0.25] * beta + [4.0] + [-0.25] * beta

@@ -37,8 +37,6 @@ def test_single_matrix_graph_distances_keep_unreachable_rows():
     m = SparseHermitianMatrix(n=5, matrix=a)
     assert _distances(m, 1, "graph") == [(0.0,), (1.0,), (math.inf,),
                                          (math.inf,), (math.inf,)]
-    assert _distances(m, 4, "graph", drop_tol=0.5) == [(math.inf,)] * 3 + [
-        (0.0,), (math.inf,)]
     # a diagonal matrix has no band distance, but graph distances
     d = SparseHermitianMatrix(n=3, matrix=scipy.sparse.diags([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="--distance graph"):

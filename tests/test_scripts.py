@@ -24,8 +24,10 @@ def test_reproduce_figures_calls_every_preset(monkeypatch, tmp_path):
 
     def run_figure(*args):
         figure_calls.append(args)
-        return {"rows": 1, "violations": 0, "converged": True,
-                "ratio_min": None, "ratio_max": None}
+        pathlib.Path(args[2]).write_text("k,oracle,bound\r\n1,2,3\r\n"
+                                         "2,1,2\r\n3,0.5,\r\n")
+        return {"rows": 3, "violations": 0, "converged": True,
+                "ratio_min": None, "ratio_max": None, "oracle_floor": 0.0}
 
     monkeypatch.setattr(script, "run_figure", run_figure)
     monkeypatch.setattr(script, "run_surface",
@@ -38,6 +40,19 @@ def test_reproduce_figures_calls_every_preset(monkeypatch, tmp_path):
     assert surface_calls == [
         (function, 5.0, 10, str(tmp_path / f"surface-{function}.csv"))
         for function in ("exp", "inv_sqrt")]
+
+
+def test_reproduce_figures_prints_rank_correlation(monkeypatch, tmp_path,
+                                                  capsys):
+    # the bound follows the decay of the Kronecker presets' entries
+    script = _load("reproduce_figures", SCRIPT)
+    monkeypatch.setattr(script, "FIGURE_IDS",
+                        ("fig6-kron-phi1", "fig7-kron-invsqrt"))
+    assert script.main(["--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    rhos = [float(line.split("spearman=")[1].split()[0])
+            for line in out if "spearman=" in line]
+    assert len(rhos) == 4 and min(rhos) >= 0.95
 
 
 def test_reproduce_figures_rejects_bad_quad_tol(monkeypatch, tmp_path):
