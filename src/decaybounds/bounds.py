@@ -141,7 +141,10 @@ def _demko_kernel(lmin, lmax, s):
     large s is."""
     a2, b2 = lmin + s, lmax + s
     ab2 = (np.sqrt(a2) + np.sqrt(b2)) ** 2
-    return np.maximum(1.0 / a2, ab2 / (2.0 * a2 * b2)), (lmax - lmin) / ab2
+    # where 2 a^2 b^2 overflows the maximum is 1 / a^2 all the same
+    with np.errstate(over="ignore"):
+        c = np.maximum(1.0 / a2, ab2 / (2.0 * a2 * b2))
+    return c, (lmax - lmin) / ab2
 
 
 def demko_constant(lambda_min, lambda_max):
@@ -185,9 +188,12 @@ def freund_resolvent_bound(interval, zeta, distance):
     alpha = (np.hypot(lmin, zeta) + np.hypot(lmax, zeta)) / delta
     if alpha < 2.0 ** 255:
         r = alpha + np.sqrt(alpha * alpha - 1.0)
-        c = (2.0 * r / delta) * 4.0 * r * r / (r * r - 1.0) ** 2
-        return float(c * r ** (-d))
-    # (r^2 - 1)^2 overflows: the same C R^{-d} in logs, by
+        with np.errstate(over="ignore"):
+            c = (2.0 * r / delta) * 4.0 * r * r / (r * r - 1.0) ** 2
+        if math.isfinite(c):
+            return float(c * r ** (-d))
+    # C overflows (a spectrum so narrow that 2 r / delta does), or
+    # (r^2 - 1)^2 does: the same C R^{-d} in logs, by
     # r^2 - 1 = 2 r sqrt(alpha^2 - 1), so C = 2 r / (delta (alpha^2 - 1))
     log_alpha, inv2 = math.log(alpha), 1.0 / alpha / alpha
     log_r = log_alpha + math.log1p(math.sqrt(1.0 - inv2))

@@ -287,9 +287,9 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     :func:`decaybounds.oracle.oracle_floor`).
 
     The route is picked here, from the bound kind.  For a shifted inverse
-    (``demko`` and ``resolvent``) the ends come from a band eigenvalue
-    solve (:func:`decaybounds.matrices.band_interval`) and the column
-    from one banded solve, with its floor
+    (``demko`` and ``resolvent``) the ends come from band Cholesky
+    inertia tests (:func:`decaybounds.matrices.band_interval`) and the
+    column from one banded solve, with its floor
     (:func:`decaybounds.oracle.resolvent_floor`); no eigendecomposition
     runs and no dense matrix is formed.  Every other kind takes the
     enclosure and column of the eigendecomposition.

@@ -223,48 +223,80 @@ def banded_solver(M, shift):
     return (lambda b: gbtrs(lu, beta, beta, b, piv)[0]), rcond
 
 
-def _rayleigh_end(M, w):
-    """The Rayleigh quotient at the vector that two inverse-iteration
-    steps, shifted at the computed end eigenvalue ``w``, make of a fixed
-    start; ``w`` itself when it is an exact eigenvalue or the steps
-    overflow (a spectrum narrower than the rounding of M's entries)."""
-    solve, rcond = banded_solver(M, w)
-    if rcond == 0.0:
-        return w
-    x = np.random.default_rng(0).uniform(1.0, 2.0, M.n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(2):
-            x = solve(x)
-            x = x / np.linalg.norm(x)
-        quotient = float(np.vdot(x, M.matrix @ x).real)
-    return quotient if math.isfinite(quotient) else w
+def _least_eigenvalue(M, sign):
+    """Least eigenvalue of ``sign`` M (+1 or -1) from Cholesky inertia
+    tests: the band Cholesky factorization ``?pbtrf`` of sign M - sigma I
+    succeeds only when sigma lies below the spectrum, O(n beta^2) work.
+
+    The bracket [lo, hi] starts at the Gershgorin lower bound and the
+    least diagonal entry.  A successful factor raises lo to its shift
+    and runs two ``?pbtrs`` inverse-iteration solves from a fixed start;
+    their Rayleigh quotient q lowers hi, and as an eigenvalue lies within
+    the residual norm r of q, the next shift sits at q - r (but no lower
+    than the bracket's midpoint, and at least 1 eps ||M||_1 below hi).  A
+    failed factor lowers hi to its shift and bisects.  The loop stops
+    once the bracket is 2 eps ||M||_1 wide and returns the last finite
+    quotient clamped into it (the least diagonal entry, the quotient at
+    a unit vector, when no solve ran)."""
+    beta = M.beta
+    ab = np.asfortranarray(sign * M.band(0, beta))   # factored in place
+    pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
+                                                  dtype=ab.dtype)
+    a = abs(M.matrix).tocoo()
+    off = a.row != a.col
+    radius = np.bincount(a.row[off], a.data[off], minlength=M.n)
+    diagonal = ab[beta].real
+    lo, hi = float(np.min(diagonal - radius)), float(np.min(diagonal))
+    # 2 eps ||M||_1, scaled before the sum so that it cannot overflow
+    scale = 2.0 * np.finfo(float).eps
+    tol = float(np.max(scale * np.abs(diagonal) + scale * radius))
+    start = np.random.default_rng(0).uniform(1.0, 2.0, M.n)
+    end, shift = hi, lo
+    while hi - lo > tol:
+        shifted = ab.copy(order="F")
+        shifted[beta] -= shift
+        factor, info = pbtrf(shifted, overwrite_ab=True)
+        if info:
+            hi = shift
+            shift = 0.5 * (lo + hi)
+        else:
+            lo, step, x = shift, math.inf, start
+            with np.errstate(all="ignore"):     # non-finite r: no quotient
+                for _ in range(2):
+                    x = pbtrs(factor, x)[0]
+                    x = x / np.linalg.norm(x)
+                y = sign * (M.matrix @ x)
+                q = float(np.vdot(x, y).real)
+                r = float(np.linalg.norm(y - q * x))
+            if math.isfinite(r):
+                end, hi, step = q, min(hi, q), r
+            shift = min(hi - 0.5 * tol, max(end - step, 0.5 * (lo + hi)))
+        if not lo < shift < hi:
+            break       # a bracket only a few subnormal ulps wide
+    return min(max(end, lo), hi)
 
 
 def band_interval(M):
-    """Spectral interval [w_1, w_n] from a band eigenvalue solve, with no
-    eigendecomposition and no dense matrix: the ends of a shifted inverse,
-    whose column is one banded solve.
+    """Spectral interval [w_1, w_n] with no eigendecomposition and no
+    dense matrix: the ends of a shifted inverse, whose column is one
+    banded solve.
 
     A real tridiagonal matrix takes ``spectral_interval``'s ``dstevd``
-    call, so its ends keep their bits.  Any other matrix takes one
-    ``eigvals_banded`` call on its upper band (``?sbevd``/``?hbevd``),
-    O(n^2 beta) work.  Its band reduction leaves the ends several
-    eps ||M||_1 off (72 eps = 6 eps ||M||_1 for the 5-point operator on
-    a 45 x 45 grid, where a dense solve is within 8 eps), so each end is
-    then refined: two inverse-iteration steps shifted at it, O(n beta^2)
-    work, and the Rayleigh quotient of their vector, within 8 eps there.
-    The ends may differ from a dense solve's in the last bits.
+    call, so its ends keep their bits.  Any other matrix brackets each
+    end by band Cholesky inertia tests (``_least_eigenvalue`` on M and
+    on -M): 4 to 30 O(n beta^2) factorizations an end on the benchmark's
+    matrices, where a band eigenvalue solve of the whole spectrum is
+    O(n^2 beta).  Each end is a Rayleigh quotient clamped into a bracket
+    2 eps ||M||_1 wide, and may differ from a dense solve's in the last
+    bits.
     """
     tri = M.tridiagonal
     if tri is not None:
         w = scipy.linalg.eigvalsh_tridiagonal(*tri, lapack_driver="stevd")
-    else:
-        require_finite(M)
-        w = scipy.linalg.eigvals_banded(M.band(0, M.beta), lower=False,
-                                        overwrite_a_band=True,
-                                        check_finite=False)
-        w = [_rayleigh_end(M, w[0]), _rayleigh_end(M, w[-1])]
-    return SpectralInterval(float(w[0]), float(w[-1]))
+        return SpectralInterval(float(w[0]), float(w[-1]))
+    require_finite(M)
+    return SpectralInterval(_least_eigenvalue(M, 1.0),
+                            -_least_eigenvalue(M, -1.0))
 
 
 def spectral_interval(M):

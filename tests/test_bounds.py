@@ -193,6 +193,19 @@ def test_demko_diagonal_dominates():
     assert demko_bound(iv, 0.0, diag_max=m.diagonal_max()) >= inv_diag
 
 
+def test_demko_kernel_past_the_overflow_of_its_second_term():
+    # at s near 1e200, 2 a^2 b^2 overflows and the second term reads 0;
+    # the constant is 1 / a^2 all the same, with no warning (warnings are
+    # errors here)
+    lmin, lmax = 0.5, 7.0
+    s = np.array([1e200, 3e200, 1e250])
+    c, q = bounds._demko_kernel(lmin, lmax, s)
+    assert np.array_equal(c, 1.0 / (lmin + s))
+    assert np.all((q > 0) & (q < 1))
+    c1, _ = bounds._demko_kernel(lmin, lmax, 1e200)
+    assert c1 == 1.0 / (lmin + 1e200)
+
+
 def test_demko_requires_positive_definite():
     m = make_test_matrix("tridiag", 10)
     iv = type(spectral_interval(m))(-1.0, 2.0)
@@ -270,6 +283,46 @@ def test_freund_bound_past_the_overflow_matches_mpmath(lmin, lmax, zeta):
         got = freund_resolvent_bound(iv, zeta, d)
         assert math.isfinite(got) and got > 0, d
         assert abs(got - expect) <= 1e-12 * expect, d
+
+
+@pytest.mark.parametrize("lmin, lmax, zeta", [
+    (-1e-300, 3e-300, 1e-250), (1e-250, 2e-250, 1e-190),
+    (1e-300, 1.5e-300, 1e-280)])
+def test_freund_bound_of_an_overflowing_constant_matches_mpmath(lmin, lmax,
+                                                               zeta):
+    # alpha < 2^255, but the spectrum is so narrow that 2 r / delta
+    # overflows: the direct C is inf and the bound is taken in logs
+    import mpmath as mp
+    iv = SpectralInterval(lmin, lmax)
+    with mp.workdps(50):
+        lo, hi, z = mp.mpf(lmin), mp.mpf(lmax), mp.mpf(zeta)
+        delta = hi - lo
+        alpha = (mp.hypot(lo, z) + mp.hypot(hi, z)) / delta
+        assert alpha < 2 ** 255
+        r = alpha + mp.sqrt(alpha ** 2 - 1)
+        c = 8 * r ** 3 / (delta * (r ** 2 - 1) ** 2)
+        assert 2 * r / delta > np.finfo(float).max
+        for d in (1.0, 2.0, 5.0):
+            expect = c * r ** -mp.mpf(d)
+            if expect < mp.mpf(2.0 ** -1000):
+                continue    # below the normal doubles
+            got = freund_resolvent_bound(iv, zeta, d)
+            assert math.isfinite(got) and got > 0, d
+            assert abs(got - expect) <= 1e-12 * expect, d
+
+
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3), st.floats(0.0, 1e3),
+       st.floats(1.0, 400.0))
+def test_freund_bound_keeps_the_direct_form_where_it_is_finite(lmin, width,
+                                                              zeta, d):
+    # the log form only takes over where the direct constant overflows
+    lmax = lmin + width
+    delta = lmax - lmin
+    alpha = (np.hypot(lmin, zeta) + np.hypot(lmax, zeta)) / delta
+    r = alpha + np.sqrt(alpha * alpha - 1.0)
+    c = (2.0 * r / delta) * 4.0 * r * r / (r * r - 1.0) ** 2
+    assert freund_resolvent_bound(SpectralInterval(lmin, lmax), zeta, d) == \
+        float(c * r ** (-d))
 
 
 def test_freund_dominates_resolvent_columns():

@@ -343,16 +343,19 @@ def test_non_convergence_prints_no_bound(tmp_path, capsys):
 
 def test_resolvent_bound_of_a_narrow_spectrum_is_finite(tmp_path, capsys):
     # the spectrum is some 1e-300 wide: alpha^2 and r^2 overflow in the
-    # Freund constant, which is then taken in logs (warnings are errors)
+    # Freund constant at zeta = 0.5, and 2 r / delta at 1e-250 (oracle
+    # entries up to 1e250); either way the constant is taken in logs
+    # (warnings are errors)
     out = tmp_path / "r.csv"
-    assert main(["compare", "--matrix", "tridiag:1e-300,1e-300,1e-300",
-                 "--n", "9", "--class", "resolvent", "--zeta", "0.5",
-                 "--column", "3", "--out", str(out)]) == 0
-    _, rows = _read_csv(out)
-    cells = [float(r[2]) for r in rows if r[2]]
-    assert len(cells) == 8 and all(map(math.isfinite, cells))
-    assert all(float(r[2]) >= float(r[3]) for r in rows if r[2])
-    assert " violations 0 " in capsys.readouterr().err
+    for zeta in ("0.5", "1e-250"):
+        assert main(["compare", "--matrix", "tridiag:1e-300,1e-300,1e-300",
+                     "--n", "9", "--class", "resolvent", "--zeta", zeta,
+                     "--column", "3", "--out", str(out)]) == 0
+        _, rows = _read_csv(out)
+        cells = [float(r[2]) for r in rows if r[2]]
+        assert len(cells) == 8 and all(map(math.isfinite, cells)), zeta
+        assert all(float(r[2]) >= float(r[3]) for r in rows if r[2]), zeta
+        assert " violations 0 " in capsys.readouterr().err
 
 
 def test_kron_exp_command(tmp_path):

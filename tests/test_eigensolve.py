@@ -1,8 +1,8 @@
 """One dense eigensolve per matrix: the spectral enclosure of a matrix that
 is not real tridiagonal reads its ends off the oracle's decomposition.
 A shifted inverse (``--class resolvent``, ``--class cauchy --function
-inv``) runs none: its column is one banded solve and its ends come from a
-band eigenvalue solve."""
+inv``) runs none: its column is one banded solve and its ends come from
+band Cholesky inertia tests."""
 
 import numpy as np
 import pytest
@@ -71,14 +71,16 @@ def test_graph_compare_on_grid_file_solves_once(tmp_path, monkeypatch):
 
 
 def _forbid_eigensolves(monkeypatch):
-    """Make every eigendecomposition, dense or tridiagonal ``eigh`` and
-    dense matrix fail; eigenvalue-only band solves still run."""
+    """Make every eigendecomposition, dense or tridiagonal ``eigh``, band
+    eigenvalue solve and dense matrix fail; the tridiagonal
+    eigenvalue-only ``dstevd`` and band factorizations still run."""
     def forbidden(*args, **kwargs):
-        raise AssertionError("an eigendecomposition or dense matrix")
+        raise AssertionError("an eigensolve or dense matrix")
 
     monkeypatch.setattr(oracle, "eigendecomposition", forbidden)
     for module, name in [(scipy.linalg, "eigh"), (np.linalg, "eigh"),
-                         (scipy.linalg, "eigh_tridiagonal")]:
+                         (scipy.linalg, "eigh_tridiagonal"),
+                         (scipy.linalg, "eigvals_banded")]:
         monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(SparseHermitianMatrix, "toarray", forbidden)
 
@@ -138,10 +140,12 @@ def test_non_finite_dense_matrix_fails_before_lapack(monkeypatch):
 
 
 def test_non_finite_band_matrix_fails_before_lapack(monkeypatch):
+    # the band routes fetch their LAPACK routines (?pbtrf for the ends,
+    # ?gbtrf for the column) only after the finiteness check
     m = parse_matrix_spec("pentadiag:-0.5,-1,nan,-1,-0.5", 30)
     lapack = []
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded",
-                        lambda *args, **kwargs: lapack.append(1))
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                        lambda *args, **kwargs: lapack.append(args))
     for call in (band_interval, lambda m: resolvent_column(m, 0.0, 3)):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             call(m)
@@ -172,7 +176,7 @@ def test_dense_interval_meets_analytic_extremes(m):
 
 @pytest.mark.parametrize("m", [20, 45])
 def test_band_interval_meets_analytic_extremes(m, monkeypatch):
-    # the ends of a shifted inverse: one band eigenvalue solve
+    # the ends of a shifted inverse: band Cholesky inertia tests
     _forbid_eigensolves(monkeypatch)
     _assert_grid_extremes(m, band_interval)
 
@@ -180,7 +184,72 @@ def test_band_interval_meets_analytic_extremes(m, monkeypatch):
 @pytest.mark.parametrize("spec", ["pentadiag:0,0,3,0,0",
                                   "pentadiag:0,1e-200,3,1e-200,0"])
 def test_band_interval_of_a_scalar_spectrum(spec):
-    # M - 3 I is zero, or so small that inverse iteration overflows: the
-    # refinement keeps the band solver's ends, with no warning
+    # M - 3 I is zero, or so small that the Gershgorin bound rounds to
+    # the diagonal: the bracket starts closed, with no warning
     iv = band_interval(parse_matrix_spec(spec, 30))
     assert (iv.lambda_min, iv.lambda_max) == (3.0, 3.0)
+
+
+def _random_band(rng, n, beta, dtype):
+    """Hermitian band matrix of order n and bandwidth beta with standard
+    normal entries (real and imaginary parts for a complex dtype)."""
+    diagonals = {}
+    for k in range(1, beta + 1):
+        d = rng.standard_normal(n - k)
+        if dtype is complex:
+            d = d + 1j * rng.standard_normal(n - k)
+        diagonals[k], diagonals[-k] = d, np.conj(d)
+    diagonals[0] = rng.standard_normal(n)
+    return SparseHermitianMatrix(n=n, matrix=scipy.sparse.diags(
+        list(diagonals.values()), list(diagonals.keys()), format="csr"))
+
+
+def _doubled_pentadiag():
+    block = parse_matrix_spec("pentadiag", 150).matrix
+    return SparseHermitianMatrix(
+        n=300, matrix=scipy.sparse.block_diag([block, block], format="csr"))
+
+
+def _exact_rayleigh_quotient(m, v):
+    """v* M v / v* v to 60 digits: within |M v - q v|^2 / gap of an
+    eigenvalue, and so a reference well below eps ||M|| wherever v is an
+    eigenvector to working precision."""
+    import mpmath as mp
+    coo = m.matrix.tocoo()
+    with mp.workdps(60):
+        x = [mp.mpc(complex(c)) for c in v]
+        num = mp.fsum(mp.conj(x[i]) * mp.mpc(complex(a)) * x[j]
+                      for a, i, j in zip(coo.data, coo.row, coo.col))
+        return float(mp.re(num) / mp.fsum(abs(c) ** 2 for c in x))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_matrix_spec("pentadiag", 1000),
+    _doubled_pentadiag,
+    lambda: _random_band(np.random.default_rng(3), 200, 3, float),
+    lambda: _random_band(np.random.default_rng(4), 120, 2, complex)],
+    ids=["toeplitz-narrow-top-gap", "doubled-ends", "indefinite-beta3",
+         "complex-hermitian"])
+def test_band_interval_matches_a_dense_solve(make, monkeypatch):
+    # each end within 8 eps ||M||_1 of the dense solve's, and certified by
+    # a band Cholesky factorization just past it.  The dense ends are the
+    # Rayleigh quotients of eigh's extreme eigenvectors, taken exactly: on
+    # the indefinite matrix numpy's eigvalsh puts lambda_min 11 eps ||M||_1
+    # above them, and a 40-digit mpmath eigensolve agrees with them to
+    # 0.04 eps ||M||_1
+    m = make()
+    assert m.tridiagonal is None
+    a = m.toarray()
+    w, v = np.linalg.eigh(a)
+    ends = [_exact_rayleigh_quotient(m, v[:, j]) for j in (0, -1)]
+    tol = 8 * np.finfo(float).eps * np.max(np.sum(np.abs(a), axis=0))
+    assert abs(ends[0] - w[0]) <= 2 * tol and abs(ends[1] - w[-1]) <= 2 * tol
+    ab = m.band(0, m.beta)
+    _forbid_eigensolves(monkeypatch)
+    iv = band_interval(m)
+    assert abs(iv.lambda_min - ends[0]) <= tol
+    assert abs(iv.lambda_max - ends[1]) <= tol
+    for sign, end in ((1.0, iv.lambda_min), (-1.0, iv.lambda_max)):
+        shifted = sign * ab
+        shifted[m.beta] -= sign * end - tol
+        scipy.linalg.cholesky_banded(shifted, lower=False)

@@ -167,8 +167,8 @@ _COMPLEX_MTX = """%%MatrixMarket matrix coordinate complex hermitian
 
 
 def test_complex_hermitian_matrix_takes_the_complex_band_routes(tmp_path):
-    # a complex matrix file: zgbtrf for the column, the Hermitian band
-    # solver and refinement for the ends, against dense LAPACK
+    # a complex matrix file: zgbtrf for the column, zpbtrf inertia tests
+    # for the ends, against dense LAPACK
     from decaybounds.matrices import band_interval
     path = tmp_path / "herm.mtx"
     path.write_text(_COMPLEX_MTX)

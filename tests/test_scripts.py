@@ -112,6 +112,20 @@ def test_quad_rounds_repeat_on_the_figure_presets(perfbench_on_path):
     assert counts() == first
 
 
+def test_cell_moves_of_a_tree_against_itself_are_zero(perfbench_on_path,
+                                                    capsys):
+    # a job whose ends come from band Cholesky inertia tests, run in two
+    # child processes of the same checkout: no cell moves
+    script = _load("cell_moves", ROOT / "scripts/cell_moves.py")
+    assert script.main([str(ROOT), "--job", "resolvent-0/2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "dense-oracle: 0 of 1 jobs moved"]
+    import numpy as np
+    cells = np.array([1.0, np.nan, 0.5])
+    assert script.largest_move(cells, cells) == 0.0
+    assert script.largest_move(cells * (1 + 2 ** -52), cells) == 2 ** -52
+
+
 def test_public_names_resolve_once():
     import decaybounds
     assert [name for name in decaybounds.__all__
