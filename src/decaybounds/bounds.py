@@ -366,7 +366,11 @@ def cauchy_bounds(interval, measure, distances, *, quad_tol=1e-10):
 
     def integrand(s, step):
         c, q = _demko_kernel(lmin, lmax, s)
-        return c * q ** dist[step, None] * measure.abs_density_s(s)
+        # one exponent per abscissa: with a (P, 1) exponent numpy takes a
+        # one-exponent power for each row, whose bits may differ from the
+        # elementwise power's, so a row would round by its place in a batch
+        d = np.repeat(dist[step], s.shape[1]).reshape(s.shape)
+        return c * q ** d * measure.abs_density_s(s)
 
     results = run_steps(integrand, np.full(n, s0), np.full(n, upper), quad_tol,
                         np.full(n, measure.singularity_exponent), _MAX_PANELS)

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import bounds, oracle
 from .graphdist import geodesic_from
-from .matrices import (KroneckerSum, SpectralInterval, band_interval,
-                       banded_from_stencil, make_test_matrix,
-                       spectral_interval)
+from .matrices import (KroneckerSum, SpectralInterval, banded_from_stencil,
+                       make_test_matrix, spectral_interval)
 from .measures import cauchy_catalog, laplace_catalog
 
 FIGURE_IDS = (
@@ -108,7 +107,7 @@ def _closed_form_rows(figure_id, matrix_kind):
         diag_max = M.diagonal_max()
         bounds_at = lambda dss: [bounds.invsqrt_closed_bound(
             iv, d, diag_max=diag_max) for d, in dss]
-    col, floor, bs, _ = _column(_eigen_oracle(M, _T, f), keys, bounds_at)
+    col, floor, bs, _ = _column(_function_oracle(M, _T, f), keys, bounds_at)
     rows = [(k, o, b) for k, (o, b) in enumerate(zip(col, bs), start=1)
             if figure_id != "fig1-exp" or o >= floor]
     return rows, floor
@@ -205,8 +204,9 @@ def inverse_shift(kind, zeta):
 
 def oracle_column(M, t, f, kind, zeta):
     """Column t of f(M) by the route of ``resolve_function``'s bound
-    ``kind``: one banded solve for a shifted inverse, else the
-    eigendecomposition."""
+    ``kind``: one banded solve for a shifted inverse, else
+    ``oracle.function_column`` (a Lanczos column, or the
+    eigendecomposition's)."""
     shift = inverse_shift(kind, zeta)
     if shift is None:
         return oracle.function_column(M, f, t)
@@ -248,8 +248,9 @@ def _distances(A, t, mode="band"):
     return list(map(tuple, d.tolist()))
 
 
-def _eigen_oracle(A, t, f):
-    """The eigendecomposition oracle pass: column t of f(A), its floor."""
+def _function_oracle(A, t, f):
+    """The oracle pass of any f but a shifted inverse: column t of f(A)
+    and its floor."""
     return lambda: (oracle.function_column(A, f, t), oracle.oracle_floor(A, f))
 
 
@@ -286,23 +287,22 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     floor; smaller entries are rounding noise (see
     :func:`decaybounds.oracle.oracle_floor`).
 
-    The route is picked here, from the bound kind.  For a shifted inverse
-    (``demko`` and ``resolvent``) the ends come from band Cholesky
-    inertia tests (:func:`decaybounds.matrices.band_interval`) and the
-    column from one banded solve, with its floor
-    (:func:`decaybounds.oracle.resolvent_floor`); no eigendecomposition
-    runs and no dense matrix is formed.  Every other kind takes the
-    enclosure and column of the eigendecomposition.
+    The enclosure is :func:`decaybounds.matrices.spectral_interval`'s.
+    The oracle route is picked here, from the bound kind.  A shifted
+    inverse (``demko`` and ``resolvent``) takes its column from one banded
+    solve, with its floor (:func:`decaybounds.oracle.resolvent_floor`);
+    every other kind takes :func:`decaybounds.oracle.function_column`.
+    Neither forms a dense matrix unless the Lanczos column falls back to
+    the eigendecomposition.
     """
     ds = [d for d, in _distances(M, t, distance_mode)]
     f, kind, measure = resolve_function(function, klass, tau, zeta)
     tau = 1.0 if tau is None else tau
     shift = inverse_shift(kind, zeta)
+    iv = spectral_interval(M)
     if shift is None:
-        iv = spectral_interval(M)
-        oracle_pass = _eigen_oracle(M, t, f)
+        oracle_pass = _function_oracle(M, t, f)
     else:
-        iv = band_interval(M)
         oracle_pass = lambda: (oracle_column(M, t, f, kind, zeta),
                                oracle.resolvent_floor(M.n, iv, shift))
     if kind == "exp":
@@ -365,7 +365,8 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8):
     # the diagonal entry of exp is not covered
     keys = [None if kind == "exp" and k == t else d
             for k, d in enumerate(ds, start=1)]
-    col, floor, bs, reports = _column(_eigen_oracle(A, t, f), keys, bounds_at)
+    col, floor, bs, reports = _column(_function_oracle(A, t, f), keys,
+                                      bounds_at)
     rows = [(k, *km, *d, b, o) for k, (km, d, b, o)
             in enumerate(zip(A.multi_indices.tolist(), ds, bs, col), start=1)]
     header = (["k"] + [f"k{i+1}" for i in range(len(ivs))]

@@ -1,6 +1,14 @@
 """Matrix arguments: one CSR Hermitian storage class, band and test-matrix
 constructors, spectral enclosures and Kronecker-sum index arithmetic.
 
+The enclosure [lambda_min, lambda_max] (``spectral_interval``) is the one
+spectral input of every bound, and the oracle reads it only to choose its
+Lanczos step count and its floor.  It is computed here with no
+eigenvectors and no dense matrix: LAPACK's eigenvalue-only tridiagonal
+solve for a real tridiagonal matrix, band Cholesky inertia tests for any
+other.  ``require_finite`` rejects, before any LAPACK call or Krylov
+step, a matrix whose entries or 1-norm are not finite.
+
 All row/column indices in the public interface are 1-based, matching the
 usual linear-algebra convention used throughout the package (columns such
 as t=127 or t=94 read the same in code, CSV output and tests).
@@ -10,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +82,14 @@ class SparseHermitianMatrix:
         if coo.nnz == 0:
             return 0
         return int(np.max(np.abs(coo.row - coo.col)))
+
+    @functools.cached_property
+    def norm1(self):
+        """1-norm max_j sum_i |m_ij|; inf where it overflows."""
+        if self.matrix.nnz == 0:
+            return 0.0
+        with np.errstate(over="ignore"):
+            return float(np.max(abs(self.matrix).sum(axis=0)))
 
     @functools.cached_property
     def tridiagonal(self):
@@ -196,10 +213,15 @@ class SpectralInterval:
 def require_finite(M):
     """Raise ``LinAlgError`` on a matrix with a non-finite entry, before
     LAPACK sees it: its answer to one varies (nan eigenvalues, or an error
-    naming a submatrix)."""
+    naming a submatrix).  Raise ``ValueError`` on a matrix whose 1-norm
+    overflows: every route sums its entries (Gershgorin radii, shifted
+    factorizations, Krylov vectors), and would overflow as well."""
     if not np.all(np.isfinite(M.matrix.data)):
         raise np.linalg.LinAlgError(
             "Eigenvalues did not converge: the matrix has a non-finite entry")
+    if not math.isfinite(M.norm1):
+        raise ValueError("the matrix's 1-norm overflows (a column sum of "
+                         "|entries| exceeds the largest double); scale it")
 
 
 def banded_solver(M, shift):
@@ -276,50 +298,37 @@ def _least_eigenvalue(M, sign):
     return min(max(end, lo), hi)
 
 
-def band_interval(M):
-    """Spectral interval [w_1, w_n] with no eigendecomposition and no
-    dense matrix: the ends of a shifted inverse, whose column is one
-    banded solve.
-
-    A real tridiagonal matrix takes ``spectral_interval``'s ``dstevd``
-    call, so its ends keep their bits.  Any other matrix brackets each
-    end by band Cholesky inertia tests (``_least_eigenvalue`` on M and
-    on -M): 4 to 30 O(n beta^2) factorizations an end on the benchmark's
-    matrices, where a band eigenvalue solve of the whole spectrum is
-    O(n^2 beta).  Each end is a Rayleigh quotient clamped into a bracket
-    2 eps ||M||_1 wide, and may differ from a dense solve's in the last
-    bits.
-    """
-    tri = M.tridiagonal
-    if tri is not None:
-        w = scipy.linalg.eigvalsh_tridiagonal(*tri, lapack_driver="stevd")
-        return SpectralInterval(float(w[0]), float(w[-1]))
-    require_finite(M)
-    return SpectralInterval(_least_eigenvalue(M, 1.0),
-                            -_least_eigenvalue(M, -1.0))
+_INTERVALS = weakref.WeakKeyDictionary()
 
 
 def spectral_interval(M):
-    """Spectral interval [w_1, w_n] of a Hermitian matrix from its extreme
-    computed eigenvalues.
+    """Spectral interval [w_1, w_n] of a Hermitian matrix, cached per
+    matrix object, with no eigenvectors and no dense matrix.
 
     A real tridiagonal matrix (``M.tridiagonal``) goes to LAPACK's
     ``dstevd``, which scales it as ``dsyevd`` does and then runs
-    ``dsterf``: O(n^2) work and no dense matrix, and the bits of numpy's
-    dense ``eigvalsh``, whose Householder reduction of a matrix that is
-    already tridiagonal is the identity.  Any other matrix reads its ends
-    off the oracle's cached eigendecomposition, so the oracle pass that
-    follows reuses the one dense solve.
+    ``dsterf``: O(n^2) work, and the bits of numpy's dense ``eigvalsh``,
+    whose Householder reduction of a matrix that is already tridiagonal
+    is the identity.  Any other matrix, Kronecker factors and the figure
+    presets included, brackets each end by band Cholesky inertia tests
+    (``_least_eigenvalue`` on M and on -M): 4 to 30 O(n beta^2)
+    factorizations an end on the benchmark's matrices.  Each such end is
+    a Rayleigh quotient clamped into a bracket 2 eps ||M||_1 wide, and
+    may differ from a dense solve's in the last bits.
     """
+    hit = _INTERVALS.get(M)
+    if hit is not None:
+        return hit
+    require_finite(M)
     tri = M.tridiagonal
     if tri is not None:
         w = scipy.linalg.eigvalsh_tridiagonal(*tri, lapack_driver="stevd")
+        iv = SpectralInterval(float(w[0]), float(w[-1]))
     else:
-        # imported here, as oracle imports this module; the attribute
-        # lookup lets a wrapped or patched eigendecomposition see the call
-        from . import oracle
-        w = oracle.eigendecomposition(M).eigenvalues
-    return SpectralInterval(float(w[0]), float(w[-1]))
+        iv = SpectralInterval(_least_eigenvalue(M, 1.0),
+                              -_least_eigenvalue(M, -1.0))
+    _INTERVALS[M] = iv
+    return iv
 
 
 @dataclass(frozen=True, eq=False)

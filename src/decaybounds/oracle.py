@@ -1,36 +1,42 @@
 """Exact reference computations.
 
-Two reference paths give the ground truth each decay bound is compared
-against at desk scale.  A shifted inverse (M - shift I)^{-1}, the f of
-``--class resolvent`` and of ``--class cauchy --function inv``, takes
-one banded LU solve per column (``resolvent_column``): O(n beta^2) work,
-no eigendecomposition and no dense matrix, and for an M-matrix accurate
-cell by cell down to underflow, where the floor of the eigendecomposition
-path sits near n eps max|f|.  Every other matrix function takes the
-eigendecomposition.  Decompositions are cached per matrix object and
-never mutated.  On that path the spectral enclosure of any matrix that
-is not real tridiagonal reads its ends off this decomposition, so each
-matrix costs one eigensolve.
-A real tridiagonal matrix (``M.tridiagonal``) is never made dense: its
-eigenpairs come from LAPACK's tridiagonal divide and conquer
-(``dstevd``).  numpy's dense ``eigh`` calls ``dsyevd``, whose Householder
-reduction of such a matrix is the identity and which then runs the same
-divide and conquer on the same numbers, so with BLAS on one thread both
-give the same bits.  (Its merges multiply through BLAS, and numpy and
-scipy ship their own builds: under threaded BLAS the eigenvectors may
-differ in the last bits.)  Every other matrix takes one dense
-``dsyevd``/``zheevd`` solve, through scipy on a Fortran-order copy that
-it overwrites: the routine numpy's ``eigh`` calls, on the same numbers,
-without numpy's extra copy of the matrix.  A Kronecker sum is never
-assembled: its eigenpairs are sums of factor eigenvalues and Kronecker
-products of factor eigenvectors, so a column of f(A) is a tensor
-contraction with the factors' U, O(N sum_L n_L) work.  A single matrix
-is the one-factor case of the same contraction.
+Three routes give the ground truth each decay bound is compared against,
+and none of the first two forms a dense matrix or an eigendecomposition
+of order n.
+
+* A shifted inverse (M - shift I)^{-1}, the f of ``--class resolvent``
+  and of ``--class cauchy --function inv``, takes one banded LU solve per
+  column (``resolvent_column``): O(n beta^2) work, and for an M-matrix
+  accurate cell by cell down to underflow.
+* Any other f of a single matrix takes a Lanczos column
+  (``function_column``): m steps from e_t on the CSR matrix, with full
+  reorthogonalisation, give V_m and the tridiagonal T_m, and the column is
+  V_m f(T_m) e_1, with f(T_m) from the eigenpairs of T_m.  For Hermitian
+  M its error is at most twice the best polynomial error of degree m - 1
+  of f on the spectrum (Saad, SIAM J. Numer. Anal. 29, 1992), a bound
+  that survives rounding (Musco, Musco and Sidford, SODA 2018).  m is
+  predicted from the Chebyshev tail of f on the spectral enclosure, and
+  the run stops once two iterates 8 steps apart agree to 1e-15 max|f|
+  over the Ritz values.  The column uses neither the enclosure's bound
+  nor a measure, so it stays an independent check of both.
+* The eigendecomposition, cached per matrix object: the Kronecker sums
+  and dense f(A) of ``matrix_function``, and the fallback of a single
+  matrix whose predicted step count passes min(n / 4, 400), whose
+  iterates do not agree by then, or whose f is not finite inside the
+  enclosure.  A real tridiagonal matrix (``M.tridiagonal``) takes LAPACK's
+  tridiagonal divide and conquer (``dstevd``), the bits of numpy's dense
+  ``eigh`` with BLAS on one thread; every other matrix one dense
+  ``dsyevd``/``zheevd`` solve through scipy, on a Fortran-order copy that
+  it overwrites.  A Kronecker sum is never assembled: its eigenpairs are
+  sums of factor eigenvalues and Kronecker products of factor
+  eigenvectors, so a column of f(A) is a tensor contraction with the
+  factors' U, O(N sum_L n_L) work.
+
+Which route a column takes depends on its inputs alone, never on timing.
 """
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import weakref
@@ -39,37 +45,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .matrices import KroneckerSum, banded_solver, require_finite
+from .matrices import (KroneckerSum, banded_solver, require_finite,
+                       spectral_interval)
 
-# glibc's mallopt parameter numbers
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 16 << 20
-_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
-
-
-def _map_large_blocks():
-    """Pin glibc's mmap threshold at 16 MiB, so that every block that
-    large, such as an eigenvector matrix of order 2000 (32 MB) or its
-    ``dstevd`` workspace, is mapped on its own and goes back to the system
-    when freed.  Left dynamic, glibc raises the threshold to the largest
-    block freed so far (up to 32 MiB) and the trim threshold to twice
-    that; later dense arrays then come from the heap, whose freed top it
-    keeps, and the peak resident size of a process that runs many columns
-    depends on the order of its matrices (135, 165 or 196 MB for the same
-    jobs).  Pinning one threshold pins both, so the trim threshold is set
-    to twice the mmap threshold, as the dynamic rule would: the heap keeps
-    its freed top for the smaller arrays that follow rather than fault
-    them in afresh.  A no-op without glibc."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
-_map_large_blocks()
+# f is sampled at the N + 1 = _GRID + 1 Chebyshev points of the enclosure
+_GRID = 1024
+# a Lanczos column runs at most min(n // 4, _MAX_STEPS) steps, and stops
+# once iterates _STRIDE steps apart agree to _AGREE max|f(theta)|
+_MAX_STEPS = 400
+_STRIDE = 8
+_AGREE = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +130,33 @@ def matrix_function(M, f):
 
 
 def function_column(M, f, t):
-    """Column t (1-based) of f(M) without forming the full matrix: a
-    tensor contraction with the factors' eigenvectors, a single matrix
-    being the one-factor case (where it is ``U (f(w) * conj(U[t-1]))``)."""
+    """Column t (1-based) of f(M) without forming the full matrix.
+
+    A single matrix takes the Lanczos column when the Chebyshev tail of f
+    on its enclosure predicts at most min(n / 4, 400) steps, and its
+    iterates agree by then.  Otherwise, and for a Kronecker sum, the
+    column is ``eigen_column``'s.  ``ValueError`` where f is not finite at
+    an end of the enclosure (or, on the eigendecomposition route, on the
+    spectrum)."""
+    if isinstance(M, KroneckerSum):
+        return eigen_column(M, f, t)
+    if not 1 <= t <= M.n:
+        raise ValueError(f"column {t} is out of bounds for order {M.n}")
+    fx = _on_enclosure(f, spectral_interval(M))
+    cap = min(M.n // 4, _MAX_STEPS)
+    if np.all(np.isfinite(fx)):
+        steps = _predicted_steps(fx, oracle_floor(M, f) / 100)
+        if steps is not None and steps <= cap:
+            col = _lanczos_column(M, f, t, steps, cap)
+            if col is not None:
+                return col
+    return eigen_column(M, f, t)
+
+
+def eigen_column(M, f, t):
+    """Column t (1-based) of f(M) from the eigendecomposition: a tensor
+    contraction with the factors' eigenvectors, a single matrix being the
+    one-factor case (where it is ``U (f(w) * conj(U[t-1]))``)."""
     dec = eigendecomposition(M)
     fw = _on_spectrum(f, dec.eigenvalues)
     parts = dec.factors or (dec,)
@@ -200,13 +209,114 @@ def resolvent_floor(n, interval, shift):
 
 
 def oracle_floor(M, f):
-    """Absolute resolution floor of the eigendecomposition path.
+    """Absolute resolution floor of a column of f(M): 100 n eps max|f|.
 
     Entries of U f(Lambda) U* are sums of n terms of size up to max|f|, so
-    below roughly n * eps * max|f| they consist of rounding noise.  The
-    floor is 100 times that level; dominance checks only compare above it.
+    below roughly n * eps * max|f| they consist of rounding noise, and the
+    Lanczos column is run to within that level.  The floor is 100 times
+    it; dominance checks only compare above it.  For a single matrix
+    max|f| is taken on the spectral enclosure, at its ends and its
+    Chebyshev grid, so that no eigenvalue is needed; where f is not
+    finite inside the enclosure, and for a Kronecker sum, on the
+    eigenvalues.
     """
-    dec = eigendecomposition(M)
-    fmax = float(np.max(np.abs(f(dec.eigenvalues))))
-    n = dec.eigenvalues.size
-    return 100.0 * n * np.finfo(float).eps * fmax
+    fx = None
+    if not isinstance(M, KroneckerSum):
+        fx = _on_enclosure(f, spectral_interval(M))
+    if fx is None or not np.all(np.isfinite(fx)):
+        dec = eigendecomposition(M)
+        fx = f(dec.eigenvalues)
+    n = M.total_order if isinstance(M, KroneckerSum) else M.n
+    return 100.0 * n * np.finfo(float).eps * float(np.max(np.abs(fx)))
+
+
+def _on_enclosure(f, interval):
+    """f at the N + 1 Chebyshev points c + h cos(pi k / N), k = N..0, of
+    the enclosure [c - h, c + h], ascending: both ends and N - 1 interior
+    points.  ``ValueError`` where f is not finite at an end; an interior
+    value may be non-finite (f singular inside an indefinite enclosure)."""
+    lo, hi = interval.lambda_min, interval.lambda_max
+    # cos(pi k / N) as a sine: the grid is symmetric and its midpoint exact
+    y = np.sin(0.5 * np.pi * np.arange(-_GRID, _GRID + 1, 2) / _GRID)
+    x = np.clip((0.5 * lo + 0.5 * hi) + (0.5 * hi - 0.5 * lo) * y, lo, hi)
+    x[0], x[-1] = lo, hi
+    with np.errstate(all="ignore"):
+        fx = np.asarray(f(x))
+    if not (np.isfinite(fx[0]) and np.isfinite(fx[-1])):
+        raise ValueError("function is undefined or non-finite on the spectrum")
+    return fx
+
+
+def _predicted_steps(fx, target):
+    """Least m with 2 sum_{j >= m} |c_j| <= ``target``, where c_j are the
+    Chebyshev coefficients of f on the enclosure, from its values ``fx``
+    on ``_on_enclosure``'s grid (one FFT, a DCT-I).  Twice that tail
+    bounds the error of m Lanczos steps (Saad).  Coefficients at the
+    transform's rounding level, 8 eps max|f|, count as zero; None when
+    the upper half of the coefficients is not at that level, so that the
+    grid does not resolve f."""
+    c = np.abs(np.fft.fft(np.concatenate([fx, fx[-2:0:-1]]))[:_GRID + 1])
+    c /= _GRID
+    noise = 8.0 * np.finfo(float).eps * float(np.max(np.abs(fx)))
+    if np.max(c[_GRID // 2:]) > noise:
+        return None
+    c[c <= noise] = 0.0
+    tail = np.cumsum(c[::-1])[::-1]
+    return int(np.argmax(2.0 * tail <= target))
+
+
+def _lanczos_column(M, f, t, steps, cap):
+    """V_m f(T_m) e_1 of a Lanczos run from e_t with full
+    reorthogonalisation (classical Gram-Schmidt, twice).  Every
+    ``_STRIDE`` steps from ``steps`` - ``_STRIDE`` on, the column is formed;
+    the run returns the first one at or past ``steps`` that agrees with
+    the one before it to ``_AGREE`` max|f(theta)|, or the column at once
+    when the Krylov space is invariant.  max|f(theta)| = ||f(T_m)|| bounds
+    every entry of the column, and V f(T_m) e_1 is formed to a few eps of
+    it; a test against the largest entry, often 10 to 100 times smaller,
+    would sit below that rounding and pass by chance.  None when no iterate
+    agrees within ``cap`` steps, or f is not finite at a Ritz value."""
+    a = M.matrix
+    if np.iscomplexobj(a.data) and not np.any(a.data.imag):
+        a = a.real
+    basis = np.zeros((min(cap, steps + 2 * _STRIDE) + 1, M.n), a.dtype)
+    basis[0, t - 1] = 1.0
+    alpha, beta, last = [], [], None
+    exhausted = np.finfo(float).eps * M.norm1
+    for j in range(cap):
+        v = basis[:j + 1]
+        w = a @ v[j]
+        diagonal = 0.0
+        for _ in range(2):
+            h = np.conj(v @ np.conj(w))
+            w -= h @ v
+            diagonal += h[j].real
+        alpha.append(diagonal)
+        b = float(np.linalg.norm(w))
+        m = j + 1
+        if b <= exhausted or (m % _STRIDE == 0 and m >= steps - _STRIDE):
+            col, scale = _ritz_column(v, alpha, beta, f)
+            if col is None or b <= exhausted:
+                return col
+            if last is not None and m >= steps and (
+                    np.max(np.abs(col - last)) <= _AGREE * scale):
+                return col
+            last = col
+        if m == len(basis):
+            basis = np.concatenate([basis, np.zeros_like(basis)])[:cap + 1]
+        beta.append(b)
+        basis[m] = w / b
+    return None
+
+
+def _ritz_column(v, alpha, beta, f):
+    """(V f(T) e_1, max|f(theta)|) for the Lanczos basis ``v`` (rows) and
+    T = tridiag(beta, alpha, beta): T's eigenpairs S diag(theta) S^T give
+    S f(theta) S^T e_1.  (None, 0) where f is not finite at a Ritz
+    value theta."""
+    theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta)
+    with np.errstate(all="ignore"):
+        ft = np.asarray(f(theta))
+    if not np.all(np.isfinite(ft)):
+        return None, 0.0
+    return (s @ (ft * s[0])) @ v, float(np.max(np.abs(ft)))

@@ -107,6 +107,24 @@ def tridiag_entry_mp(n, f, k, t, dps=80):
         return float(total * 2 / (n + 1))
 
 
+def tridiag_column_mp(n, f, t, dps=30):
+    """Column t of f(M) for M = tridiag(-1, 4, -1) of order n from the same
+    analytic eigenpairs as ``tridiag_entry_mp``, every entry at once: the
+    products j k of the sines take only 2 (n + 1) values mod 2 (n + 1),
+    each evaluated once.  ``f`` takes an mpmath float and returns one."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        h = mp.pi / (n + 1)
+        sines = [mp.sin(r * h) for r in range(2 * (n + 1))]
+        weights = [sines[j * t % (2 * (n + 1))] * f(4 - 2 * mp.cos(j * h))
+                   for j in range(1, n + 1)]
+        return np.array([float(mp.fsum(
+            sines[j * k % (2 * (n + 1))] * w
+            for j, w in enumerate(weights, start=1)) * 2 / (n + 1))
+            for k in range(1, n + 1)])
+
+
 def tridiag_lambda_min(n, dps=50):
     import mpmath as mp
 

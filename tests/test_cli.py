@@ -341,6 +341,23 @@ def test_non_convergence_prints_no_bound(tmp_path, capsys):
     assert err[1].startswith("decay: quadrature did not converge at ")
 
 
+def test_matrix_whose_one_norm_overflows_is_rejected(tmp_path, capsys):
+    # each entry is finite, but a column sum of |entries| is not: every
+    # route (band ends, banded solve, Lanczos column) would overflow, so
+    # the matrix is rejected first, with one message and no numpy warning
+    matrix = ["--matrix", "pentadiag:-4e307,-4e307,1.7e308,-4e307,-4e307",
+              "--n", "40", "--column", "20", "--out", str(tmp_path / "o.csv")]
+    message = ("decay: error: the matrix's 1-norm overflows (a column sum of "
+               "|entries| exceeds the largest double); scale it\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["compare", "--class", "cauchy", "--function", "inv"],
+                     ["compare", "--class", "laplace", "--function", "inv_sqrt"],
+                     ["oracle", "--class", "exp", "--function", "exp"]):
+            assert main(argv + matrix) == 1
+            assert capsys.readouterr().err == message
+
+
 def test_resolvent_bound_of_a_narrow_spectrum_is_finite(tmp_path, capsys):
     # the spectrum is some 1e-300 wide: alpha^2 and r^2 overflow in the
     # Freund constant at zeta = 0.5, and 2 r / delta at 1e-250 (oracle
@@ -935,7 +952,8 @@ def test_oracle_command_prints_the_compare_oracle_column(spec, klass,
                                                          tmp_path):
     # `decay oracle` takes the route of `decay compare`: for a shifted
     # inverse both print the banded solve, for every other f the column of
-    # the eigendecomposition, the same bits
+    # ``oracle.function_column`` (a Lanczos run, or the eigendecomposition it
+    # falls back to), from the same enclosure: the same bits
     if spec == "grid":
         matrix, t, distance = grid_file(tmp_path), "70", ["--distance", "graph"]
     else:

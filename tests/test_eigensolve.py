@@ -1,8 +1,14 @@
-"""One dense eigensolve per matrix: the spectral enclosure of a matrix that
-is not real tridiagonal reads its ends off the oracle's decomposition.
-A shifted inverse (``--class resolvent``, ``--class cauchy --function
-inv``) runs none: its column is one banded solve and its ends come from
-band Cholesky inertia tests."""
+"""No command on a single matrix runs an eigendecomposition of order n.
+
+The spectral enclosure of a real tridiagonal matrix comes from LAPACK's
+eigenvalue-only ``dstevd``, and that of any other matrix from band
+Cholesky inertia tests.  The column of a shifted inverse (``--class
+resolvent``, ``--class cauchy --function inv``) is one banded solve; that
+of any other f is a Lanczos run whose tridiagonal T_m is far smaller than
+n.  Only a Kronecker sum's factors, the dense f(A) of a surface dump, and
+a Lanczos column that falls back (an f whose Chebyshev tail on the
+enclosure predicts more than min(n / 4, 400) steps) decompose a
+matrix."""
 
 import numpy as np
 import pytest
@@ -10,11 +16,11 @@ import scipy.linalg
 import scipy.sparse
 
 from decaybounds import (KroneckerSum, SparseHermitianMatrix,
-                         eigendecomposition, oracle, parse_matrix_spec,
-                         resolvent_column, spectral_interval)
+                         SpectralInterval, eigendecomposition, oracle,
+                         parse_matrix_spec, resolvent_column,
+                         spectral_interval)
 from decaybounds.cli import main
 from decaybounds.figures import run_compare, run_kron_compare
-from decaybounds.matrices import band_interval
 from reference import grid_file as _grid_file
 
 
@@ -37,26 +43,18 @@ def _count_dense_solves(monkeypatch):
     return calls
 
 
-def _assert_interval_is_oracle_ends(m):
-    w = eigendecomposition(m).eigenvalues
-    iv = spectral_interval(m)
-    assert (iv.lambda_min, iv.lambda_max) == (w[0], w[-1])
-
-
-# (function, class, dense solves): the shifted inverse 1/x runs none
-@pytest.mark.parametrize("function, klass, solves", [
-    ("inv_sqrt", "laplace", [60]), ("inv", "cauchy", []), ("exp", "exp", [60])],
+# the shifted inverse 1/x takes a banded solve, inv_sqrt and exp a Lanczos
+# column of 48 and 32 steps; an order of 300 keeps that well under n / 4
+@pytest.mark.parametrize("function, klass", [
+    ("inv_sqrt", "laplace"), ("inv", "cauchy"), ("exp", "exp")],
     ids=["inv_sqrt-laplace", "inv-cauchy", "exp-exp"])
-def test_compare_on_pentadiag_solves_once(function, klass, solves,
-                                          monkeypatch):
-    m = parse_matrix_spec("pentadiag:-0.45,-1.05,4.1,-1.05,-0.45", 60)
+def test_compare_on_pentadiag_solves_once(function, klass, monkeypatch):
+    m = parse_matrix_spec("pentadiag:-0.45,-1.05,4.1,-1.05,-0.45", 300)
     calls = _count_dense_solves(monkeypatch)
-    summary, _, rows = run_compare(m, 25, function, klass, quad_tol=1e-6)
-    assert calls == solves
-    assert len(rows) == 60 and summary["violations"] == 0
-    if solves:
-        _assert_interval_is_oracle_ends(m)
-        assert calls == solves
+    summary, _, rows = run_compare(m, 83, function, klass, quad_tol=1e-6)
+    assert calls == []
+    assert len(rows) == 300 and summary["violations"] == 0
+    assert summary["resolved"] > 0
 
 
 def test_graph_compare_on_grid_file_solves_once(tmp_path, monkeypatch):
@@ -70,18 +68,28 @@ def test_graph_compare_on_grid_file_solves_once(tmp_path, monkeypatch):
     assert len(rows) == 144 and summary["violations"] == 0
 
 
-def _forbid_eigensolves(monkeypatch):
-    """Make every eigendecomposition, dense or tridiagonal ``eigh``, band
-    eigenvalue solve and dense matrix fail; the tridiagonal
-    eigenvalue-only ``dstevd`` and band factorizations still run."""
+def _forbid_eigensolves(monkeypatch, order=None):
+    """Make every eigendecomposition, dense ``eigh``, band eigenvalue solve
+    and dense matrix fail, and every tridiagonal ``eigh`` of order
+    ``order`` or more (of any order when None): a Lanczos run's T_m is
+    smaller.  The tridiagonal eigenvalue-only ``dstevd`` of the enclosure
+    (``eigvalsh_tridiagonal``, which calls scipy's own ``eigh_tridiagonal``
+    and not the patched name) and band factorizations still run."""
     def forbidden(*args, **kwargs):
         raise AssertionError("an eigensolve or dense matrix")
 
+    real = scipy.linalg.eigh_tridiagonal
+
+    def tridiagonal(d, e, *args, **kwargs):
+        if order is None or len(d) >= order:
+            forbidden()
+        return real(d, e, *args, **kwargs)
+
     monkeypatch.setattr(oracle, "eigendecomposition", forbidden)
     for module, name in [(scipy.linalg, "eigh"), (np.linalg, "eigh"),
-                         (scipy.linalg, "eigh_tridiagonal"),
                          (scipy.linalg, "eigvals_banded")]:
         monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", tridiagonal)
     monkeypatch.setattr(SparseHermitianMatrix, "toarray", forbidden)
 
 
@@ -114,6 +122,59 @@ def test_shifted_inverse_runs_no_eigendecomposition(spec, flags, klass, zeta,
                      "--out", str(tmp_path / "o.csv")]) == 0
 
 
+# every f that is not a shifted inverse, by its (--class, --function) flags
+_FUNCTIONS = [["--class", "laplace", "--function", "inv_sqrt"],
+              ["--class", "laplace", "--function", "phi1"],
+              ["--class", "cauchy", "--function", "log1p_over_z"],
+              ["--class", "exp", "--function", "exp", "--tau", "2"]]
+
+
+@pytest.mark.parametrize("spec", ["tridiag", "pentadiag", "grid"])
+@pytest.mark.parametrize("flags", _FUNCTIONS,
+                         ids=["lap-inv_sqrt", "lap-phi1", "cau-log1p_over_z",
+                              "exp"])
+def test_single_matrix_functions_run_no_eigendecomposition(
+        spec, flags, tmp_path, monkeypatch):
+    # the Lanczos column: 24 to 48 steps here, under n / 4 = 75 (100 on
+    # the 20 x 20 grid)
+    if spec == "grid":
+        matrix, order, distance, t = (_grid_file(tmp_path, 20), [],
+                                      ["--distance", "graph"], 190)
+    else:
+        matrix, order, distance, t = spec, ["--n", "300"], [], 121
+    _forbid_eigensolves(monkeypatch, order=300)
+    compared, printed = tmp_path / "c.csv", tmp_path / "o.csv"
+    common = ["--matrix", matrix, *order, *flags, "--column", str(t)]
+    assert main(["compare", *common, *distance, "--self-check",
+                 "--out", str(compared)]) == 0
+    # `decay oracle` prints the column that `decay compare` does
+    assert main(["oracle", *common, "--out", str(printed)]) == 0
+    with open(compared) as fh:
+        column = [line.split(",")[3] for line in fh.read().splitlines()[1:]]
+    with open(printed) as fh:
+        values = [line.split(",")[1] for line in fh.read().splitlines()[1:]]
+    assert column == ["%.17g" % abs(float(v)) for v in values]
+    assert len(column) == (400 if spec == "grid" else 300)
+
+
+def test_ill_conditioned_column_takes_the_dense_route(tmp_path, monkeypatch):
+    # kappa 4e3: the Chebyshev tail of x^-1/2 predicts some 1000 steps, past
+    # the cap of 250, so the column is the eigendecomposition's, bit for bit
+    argv = ["compare", "--matrix", "tridiag:-1,2.001,-1", "--n", "1000",
+            "--class", "laplace", "--function", "inv_sqrt", "--column", "500",
+            "--self-check", "--out", str(tmp_path / "c.csv")]
+    lanczos = []
+    monkeypatch.setattr(oracle, "_lanczos_column",
+                        lambda *args: lanczos.append(args))
+    assert main(argv) == 0
+    assert lanczos == []
+    m = parse_matrix_spec("tridiag:-1,2.001,-1", 1000)
+    dense = np.abs(oracle.eigen_column(m, lambda x: x ** -0.5, 500))
+    with open(tmp_path / "c.csv") as fh:
+        column = [line.split(",")[3] for line in fh.read().splitlines()[1:]]
+    assert column == ["%.17g" % v for v in dense.tolist()]
+
+
 def test_kron_compare_solves_once_per_dense_factor(monkeypatch):
     penta = parse_matrix_spec("pentadiag", 9)
     tri = parse_matrix_spec("tridiag", 8)
@@ -127,7 +188,6 @@ def test_kron_compare_solves_once_per_dense_factor(monkeypatch):
     run_kron_compare(KroneckerSum(factors=(penta, penta)), 40, "inv_sqrt",
                      "cauchy", quad_tol=1e-6)
     assert calls == [9]
-    _assert_interval_is_oracle_ends(penta)
 
 
 def test_non_finite_dense_matrix_fails_before_lapack(monkeypatch):
@@ -146,7 +206,7 @@ def test_non_finite_band_matrix_fails_before_lapack(monkeypatch):
     lapack = []
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
                         lambda *args, **kwargs: lapack.append(args))
-    for call in (band_interval, lambda m: resolvent_column(m, 0.0, 3)):
+    for call in (spectral_interval, lambda m: resolvent_column(m, 0.0, 3)):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             call(m)
     assert lapack == []
@@ -169,16 +229,22 @@ def _assert_grid_extremes(m, interval):
         assert abs(iv.lambda_max - (8 + half)) <= tol
 
 
+def _dense_ends(m):
+    w = eigendecomposition(m).eigenvalues
+    return SpectralInterval(float(w[0]), float(w[-1]))
+
+
 @pytest.mark.parametrize("m", [20, 45])
 def test_dense_interval_meets_analytic_extremes(m):
-    _assert_grid_extremes(m, spectral_interval)
+    # the ends of the eigendecomposition that a Lanczos column falls back to
+    _assert_grid_extremes(m, _dense_ends)
 
 
 @pytest.mark.parametrize("m", [20, 45])
 def test_band_interval_meets_analytic_extremes(m, monkeypatch):
-    # the ends of a shifted inverse: band Cholesky inertia tests
+    # the enclosure: band Cholesky inertia tests
     _forbid_eigensolves(monkeypatch)
-    _assert_grid_extremes(m, band_interval)
+    _assert_grid_extremes(m, spectral_interval)
 
 
 @pytest.mark.parametrize("spec", ["pentadiag:0,0,3,0,0",
@@ -186,7 +252,7 @@ def test_band_interval_meets_analytic_extremes(m, monkeypatch):
 def test_band_interval_of_a_scalar_spectrum(spec):
     # M - 3 I is zero, or so small that the Gershgorin bound rounds to
     # the diagonal: the bracket starts closed, with no warning
-    iv = band_interval(parse_matrix_spec(spec, 30))
+    iv = spectral_interval(parse_matrix_spec(spec, 30))
     assert (iv.lambda_min, iv.lambda_max) == (3.0, 3.0)
 
 
@@ -246,7 +312,7 @@ def test_band_interval_matches_a_dense_solve(make, monkeypatch):
     assert abs(ends[0] - w[0]) <= 2 * tol and abs(ends[1] - w[-1]) <= 2 * tol
     ab = m.band(0, m.beta)
     _forbid_eigensolves(monkeypatch)
-    iv = band_interval(m)
+    iv = spectral_interval(m)
     assert abs(iv.lambda_min - ends[0]) <= tol
     assert abs(iv.lambda_max - ends[1]) <= tol
     for sign, end in ((1.0, iv.lambda_min), (-1.0, iv.lambda_max)):

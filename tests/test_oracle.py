@@ -1,18 +1,15 @@
-import os
-import platform
-import subprocess
-import sys
-import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
-from decaybounds import (KroneckerSum, banded_from_stencil, eigendecomposition,
-                         function_column, load_matrix_market, make_test_matrix,
-                         matrix_function, oracle_floor, resolvent_column)
-from reference import (banded_inverse_column_mp, exact_inverse,
-                       lancaster_column)
+from decaybounds import (KroneckerSum, banded_from_stencil, cauchy_catalog,
+                         eigendecomposition, function_column, laplace_catalog,
+                         load_matrix_market, make_test_matrix, matrix_function,
+                         oracle, oracle_floor, parse_matrix_spec,
+                         resolvent_column, spectral_interval)
+from reference import (banded_inverse_column_mp, exact_inverse, grid_file,
+                       lancaster_column, tridiag_column_mp)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +64,89 @@ def test_function_column_matches_full(tridiag50):
     f = matrix_function(tridiag50, np.exp)
     col = function_column(tridiag50, np.exp, 17)
     assert np.max(np.abs(f[:, 16] - col)) <= 1e-10 * np.max(np.abs(f))
+
+
+# (f, its mpmath form): the functions the Lanczos column is checked on
+_LANCZOS_CASES = {
+    "phi1": (laplace_catalog("phi1").closed_form,
+             lambda mp, x: -mp.expm1(-x) / x),
+    "inv_sqrt": (lambda x: x ** -0.5, lambda mp, x: x ** -0.5),
+    "log1p_over_z": (cauchy_catalog("log1p_over_z").closed_form,
+                     lambda mp, x: mp.log1p(x) / x),
+    "exp": (lambda x: np.exp(-2.5 * x), lambda mp, x: mp.exp(-2.5 * x)),
+}
+
+
+def _lanczos_columns(monkeypatch, m, f, columns):
+    """function_column at ``columns`` with the eigendecomposition
+    forbidden, so that each is a Lanczos column, with the floor.  The
+    orders below leave the 24 to 72 steps these columns take well under
+    the cap of n / 4."""
+    def forbidden(*args):
+        raise AssertionError("the Lanczos column fell back")
+
+    monkeypatch.setattr(oracle, "eigendecomposition", forbidden)
+    out = [function_column(m, f, t) for t in columns]
+    floor = oracle_floor(m, f)
+    monkeypatch.undo()
+    return out, floor
+
+
+def _assert_within_floor(col, exact, floor):
+    # every cell above the floor within a hundredth of it
+    above = np.abs(exact) >= floor
+    assert above.sum() >= 10
+    assert np.max(np.abs(col - exact)[above]) <= floor / 100
+
+
+@pytest.mark.parametrize("name", sorted(_LANCZOS_CASES))
+def test_lanczos_column_meets_the_analytic_tridiagonal_column(name,
+                                                              monkeypatch):
+    import mpmath as mp
+    f, f_mp = _LANCZOS_CASES[name]
+    m, columns = make_test_matrix("tridiag", 240), (1, 80, 240)
+    cols, floor = _lanczos_columns(monkeypatch, m, f, columns)
+    for t, col in zip(columns, cols):
+        exact = tridiag_column_mp(240, lambda x: f_mp(mp, x), t)
+        _assert_within_floor(col, exact, floor)
+
+
+def _complex_hermitian_file(tmp_path):
+    """A complex Hermitian pentadiagonal matrix of order 300, positive
+    definite by diagonal dominance, as a Matrix Market file."""
+    import scipy.io
+    import scipy.sparse
+    rng = np.random.default_rng(7)
+    n = 300
+    diagonals = {0: 4.0 + rng.uniform(-0.2, 0.2, n)}
+    for k, size in ((1, 0.8), (2, 0.5)):
+        d = size * np.exp(2j * np.pi * rng.uniform(size=n - k))
+        diagonals[k], diagonals[-k] = d, np.conj(d)
+    a = scipy.sparse.diags(list(diagonals.values()), list(diagonals.keys()),
+                           format="coo")
+    path = tmp_path / "herm300.mtx"
+    scipy.io.mmwrite(str(path), a, symmetry="hermitian")
+    return str(path)
+
+
+@pytest.mark.parametrize("spec", ["pentadiag", "grid", "complex"])
+@pytest.mark.parametrize("name", sorted(_LANCZOS_CASES))
+def test_lanczos_column_meets_the_dense_column(spec, name, tmp_path,
+                                               monkeypatch):
+    f, _ = _LANCZOS_CASES[name]
+    if spec == "grid":
+        m = parse_matrix_spec(grid_file(tmp_path, 20))
+    elif spec == "complex":
+        m = parse_matrix_spec(_complex_hermitian_file(tmp_path))
+        assert np.iscomplexobj(m.matrix.data) and m.tridiagonal is None
+    else:
+        m = make_test_matrix("pentadiag", 300)
+    columns = (1, m.n // 3, m.n)
+    dense = [oracle.eigen_column(m, f, t) for t in columns]
+    cols, floor = _lanczos_columns(monkeypatch, m, f, columns)
+    for col, exact in zip(cols, dense):
+        assert np.iscomplexobj(col) == (spec == "complex")
+        _assert_within_floor(col, exact, floor)
 
 
 def test_undefined_function_rejected():
@@ -169,14 +249,13 @@ _COMPLEX_MTX = """%%MatrixMarket matrix coordinate complex hermitian
 def test_complex_hermitian_matrix_takes_the_complex_band_routes(tmp_path):
     # a complex matrix file: zgbtrf for the column, zpbtrf inertia tests
     # for the ends, against dense LAPACK
-    from decaybounds.matrices import band_interval
     path = tmp_path / "herm.mtx"
     path.write_text(_COMPLEX_MTX)
     m = load_matrix_market(path)
     a = m.toarray()
     assert np.iscomplexobj(a) and m.tridiagonal is None
     w = np.linalg.eigvalsh(a)
-    iv = band_interval(m)
+    iv = spectral_interval(m)
     assert abs(iv.lambda_min - w[0]) <= 8 * np.finfo(float).eps * w[-1]
     assert abs(iv.lambda_max - w[-1]) <= 8 * np.finfo(float).eps * w[-1]
     for shift in (0.0, 0.5j, 2.0):
@@ -245,35 +324,3 @@ def test_kron_dense_function_capped_and_column_uncapped():
         matrix_function(a, np.exp)
     col = function_column(a, lambda x: np.exp(-x), a.linearize((30, 40)))
     assert col.shape == (65 * 65,)
-
-
-_RESIDENT_AFTER_FREES = textwrap.dedent("""
-    import os
-    import numpy as np
-    import decaybounds
-
-    def resident():
-        with open("/proc/self/statm") as fh:
-            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-
-    before = resident()
-    for _ in range(3):
-        u = np.ones((2000, 2000))   # an eigenvector matrix of order 2000
-        del u
-    print(resident() - before)
-""")
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc"
-                    or not os.path.exists("/proc/self/statm"),
-                    reason="glibc's allocator on Linux")
-def test_freed_dense_arrays_leave_the_resident_size():
-    # left dynamic, glibc serves the second 32 MB array from the heap and
-    # keeps it when freed, so the resident size of a run would depend on
-    # the order of its matrices
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", _RESIDENT_AFTER_FREES],
-                         env=env, capture_output=True, text=True, check=True)
-    assert int(out.stdout) < 8 * 2 ** 20

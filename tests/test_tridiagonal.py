@@ -117,13 +117,15 @@ def test_real_valued_complex_tridiagonal_takes_tridiagonal_route():
     parse_matrix_spec("pentadiag", 30),
 ], ids=["complex-hermitian", "pentadiag"])
 def test_other_matrices_keep_dense_route(m, monkeypatch):
-    # one dense matrix: the enclosure reads the oracle's eigenvalues
+    # one dense matrix, the eigendecomposition's: the enclosure (Cholesky
+    # brackets) forms none
     assert m.tridiagonal is None
     calls = []
     dense = SparseHermitianMatrix.toarray
     monkeypatch.setattr(SparseHermitianMatrix, "toarray",
                         lambda self: calls.append(1) or dense(self))
     spectral_interval(m)
+    assert calls == []
     eigendecomposition(m)
     assert len(calls) == 1
 
