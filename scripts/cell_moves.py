@@ -6,22 +6,28 @@
 Runs benchmark jobs (every job of ``perfbench.workloads.all_variants``,
 or those named) in this checkout and in the checkout at OTHER_ROOT, with
 each checkout's own job runner (``perfbench/run.py``'s ``Runner``: in
-process through ``decaybounds.cli.main``, BLAS pinned to one thread), as
-``scripts/job_digests.py`` does.  Each checkout runs in a child process
-of its own, since one process imports one ``decaybounds``.  A job whose
-exit code, CSV bytes and output text are equal in both counts as the
-same; for every other job one line follows:
+process through ``decaybounds.cli.main``, BLAS pinned to one thread).
+Each checkout runs in a child process of its own, since one process
+imports one ``decaybounds``.  A job whose exit code, CSV bytes and output
+text (with the run directory masked) are equal in both counts as the
+same, so "0 of N jobs moved" on every workload is the byte-identity gate
+between two checkouts.  For every other job one line follows:
 
     <workload> <key> bound <move> margin <m> oracle <move> margin <m> check <verdict>
 
 ``bound`` is the largest relative move of a bound cell, |this - other| /
-|other|, and its margin is ``perfbench/check.py``'s tolerance for the job
-(``CLOSED_RTOL`` or ``QUAD_FACTOR`` times its ``--quad-tol``) over that
-move.  ``oracle`` is the same over the oracle cells that the committed
-reference keeps (at or above its floor), against ``CLOSED_RTOL``;
-surface dumps report their value cells there.  ``check`` is check.py's
-verdict on this checkout's CSV against the committed reference.  A
-summary line per workload counts the moved jobs.
+|other|.  ``oracle`` is the same over the oracle cells that the committed
+reference keeps (at or above its floor); surface dumps report their value
+cells there.  Each margin is the smallest ratio, over the cells that
+moved, of the cell's own tolerance in ``perfbench/check.py`` to its move
+|this - other|: for a bound cell the job's relative tolerance
+(``CLOSED_RTOL``, or ``QUAD_FACTOR`` times its ``--quad-tol``) times
+|other|, for an oracle cell ``CLOSED_RTOL`` |other| plus the reference
+floor / 100, for a surface cell ``CLOSED_RTOL`` |other| plus its rounding
+level n eps max|f|.  A margin below 1 means some cell moved by more than
+check.py allows.  ``check`` is check.py's verdict on this checkout's CSV
+against the committed reference.  A summary line per workload counts the
+moved jobs.
 
 It reads ``perfbench/`` of both checkouts and writes only under a
 temporary directory.
@@ -29,7 +35,6 @@ temporary directory.
 
 import argparse
 import json
-import math
 import pathlib
 import subprocess
 import sys
@@ -89,6 +94,21 @@ def largest_move(this, other):
     return float(np.max(rel))
 
 
+def least_margin(this, other, rtol, atol):
+    """Smallest ratio of a cell's tolerance, rtol |other| + atol, to its
+    move |this - other|, over cells filled in both (inf when none moved);
+    None when no cell is filled in both."""
+    import numpy as np
+
+    both = ~np.isnan(this) & ~np.isnan(other)
+    if not both.any():
+        return None
+    diff = np.abs(this[both] - other[both])
+    tol = rtol * np.abs(other[both]) + atol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.min(np.where(diff == 0, np.inf, tol / diff)))
+
+
 def _surface_values(path):
     import numpy as np
 
@@ -97,11 +117,11 @@ def _surface_values(path):
         return np.array([float(line.rsplit(",", 1)[1]) for line in fh])
 
 
-def _fmt(move, rtol):
+def _fmt(this, other, rtol, atol=0.0):
+    move = largest_move(this, other)
     if move is None:
         return "- margin -"
-    margin = math.inf if move == 0 else rtol / move
-    return f"{move:.3g} margin {margin:.3g}"
+    return f"{move:.3g} margin {least_margin(this, other, rtol, atol):.3g}"
 
 
 def job_line(workload, job, this, other, this_dir, other_dir, ref):
@@ -122,9 +142,11 @@ def job_line(workload, job, this, other, this_dir, other_dir, ref):
         return f"{head} exit {other['rc']} -> {this['rc']}"
     a, b = this_dir / this["csv"], other_dir / other["csv"]
     if job.layout == "surface":
-        move = largest_move(_surface_values(a), _surface_values(b))
-        return (f"{head} bound - margin - "
-                f"oracle {_fmt(move, check.CLOSED_RTOL)} "
+        _, fmax = check.grid_function(*job.surface)
+        rounding = job.surface[2] ** 2 * np.finfo(float).eps * fmax
+        moves = _fmt(_surface_values(a), _surface_values(b),
+                     check.CLOSED_RTOL, rounding)
+        return (f"{head} bound - margin - oracle {moves} "
                 f"check {check.check_surface(a, job) or 'ok'}")
     _, bound, oracle = check.read_cells(a, job.layout)
     _, bound0, oracle0 = check.read_cells(b, job.layout)
@@ -132,15 +154,15 @@ def job_line(workload, job, this, other, this_dir, other_dir, ref):
         return f"{head} empty bound cells differ"
     rtol = (check.CLOSED_RTOL if job.quad_tol is None
             else check.QUAD_FACTOR * job.quad_tol)
-    kept = np.ones(oracle.shape, bool)
+    kept, floor = np.ones(oracle.shape, bool), 0.0
     verdict = f"no reference for {job.key}"
     if ref is not None:
-        kept = ~np.isnan(ref["oracle"])
+        kept, floor = ~np.isnan(ref["oracle"]), float(ref["floor"][0])
         verdict = check.check_bounds(a, job, ref)[0] or "ok"
-    oracle_move = largest_move(np.where(kept, oracle, np.nan),
-                               np.where(kept, oracle0, np.nan))
-    return (f"{head} bound {_fmt(largest_move(bound, bound0), rtol)} "
-            f"oracle {_fmt(oracle_move, check.CLOSED_RTOL)} check {verdict}")
+    moves = _fmt(np.where(kept, oracle, np.nan),
+                 np.where(kept, oracle0, np.nan), check.CLOSED_RTOL, floor / 100)
+    return (f"{head} bound {_fmt(bound, bound0, rtol)} "
+            f"oracle {moves} check {verdict}")
 
 
 def compare(other_root, workload, keys):

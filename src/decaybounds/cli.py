@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from . import figures
+from . import figures, oracle
 from .figures import FIGURE_IDS
 from .matrices import KroneckerSum, parse_matrix_spec
 
@@ -194,9 +194,9 @@ def _cmd_oracle(args):
     M = parse_matrix_spec(args.matrix, args.n)
     if not (1 <= args.column <= M.n):
         raise UsageError(f"--column {args.column} outside 1..{M.n}")
-    f, kind, _ = figures.resolve_function(args.function, args.klass,
-                                          args.tau, args.zeta)
-    col = figures.oracle_column(M, args.column, f, kind, args.zeta)
+    f, _, _ = figures.resolve_function(args.function, args.klass, args.tau,
+                                       args.zeta)
+    col = oracle.function_column(M, f, args.column)
     # a complex column prints its modulus, by the np.abs that compare uses
     values = col if np.isrealobj(col) else np.abs(col)
     rows = list(enumerate(values.tolist(), start=1))

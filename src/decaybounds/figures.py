@@ -90,7 +90,7 @@ _DRIVER_PRESETS = {
 
 
 def _closed_form_rows(figure_id, matrix_kind):
-    """Rows (k, oracle, bound) and oracle floor of the presets no comparison
+    """Summary and rows (k, oracle, bound) of the presets no comparison
     class covers: the shifted exponential and the closed-form M^{-1/2}."""
     M = make_test_matrix(matrix_kind, _N)
     iv = spectral_interval(M)
@@ -107,10 +107,10 @@ def _closed_form_rows(figure_id, matrix_kind):
         diag_max = M.diagonal_max()
         bounds_at = lambda dss: [bounds.invsqrt_closed_bound(
             iv, d, diag_max=diag_max) for d, in dss]
-    col, floor, bs, _ = _column(_function_oracle(M, _T, f), keys, bounds_at)
+    col, bs, summary = _column(M, _T, f, keys, bounds_at)
     rows = [(k, o, b) for k, (o, b) in enumerate(zip(col, bs), start=1)
-            if figure_id != "fig1-exp" or o >= floor]
-    return rows, floor
+            if figure_id != "fig1-exp" or o >= summary["oracle_floor"]]
+    return summary, rows
 
 
 def run_figure(figure_id, matrix_kind, out_path, quad_tol):
@@ -127,9 +127,8 @@ def run_figure(figure_id, matrix_kind, out_path, quad_tol):
         raise ValueError(f"unknown figure id {figure_id!r}; "
                          f"known: {', '.join(FIGURE_IDS)}")
     if figure_id not in _DRIVER_PRESETS:
-        rows, floor = _closed_form_rows(figure_id, matrix_kind)
+        summary, rows = _closed_form_rows(figure_id, matrix_kind)
         header = ("k", "oracle", "bound")
-        summary = _summary([(b, o) for _, o, b in rows], floor, [], len(rows))
     elif _DRIVER_PRESETS[figure_id][0] == "compare":
         M = make_test_matrix(matrix_kind, _N)
         summary, _, out = run_compare(M, _T, *_DRIVER_PRESETS[figure_id][1:],
@@ -154,11 +153,12 @@ def run_figure(figure_id, matrix_kind, out_path, quad_tol):
 
 def resolve_function(name, klass, tau, zeta):
     """Map (--function, --class) to (scalar oracle function, bound kind,
-    measure).  The oracle function of a resolvent with zeta != 0 is the
-    shifted inverse 1/(x - i zeta).  ``tau`` is None unless given; --class
-    exp then takes tau = 1.  Raises ValueError on contradictory
-    combinations, among them a nonzero --zeta outside --class resolvent and
-    a --tau outside --class exp."""
+    measure).  The oracle function of the ``demko`` and ``resolvent``
+    kinds is a :class:`decaybounds.oracle.ShiftedInverse`, 1/x or 1/(x -
+    i zeta), whose column the oracle takes from one banded solve.
+    ``tau`` is None unless given; --class exp then takes tau = 1.  Raises
+    ValueError on contradictory combinations, among them a nonzero --zeta
+    outside --class resolvent and a --tau outside --class exp."""
     if zeta != 0.0 and klass != "resolvent":
         raise ValueError("--zeta applies only to --class resolvent")
     if tau is not None and klass != "exp":
@@ -174,9 +174,8 @@ def resolve_function(name, klass, tau, zeta):
             raise ValueError("--class resolvent bounds the (shifted) inverse; "
                              f"--function {name} contradicts it")
         if zeta == 0.0:
-            return (lambda x: 1.0 / x), "demko", None
-        shift = 1j * zeta
-        return (lambda x: 1.0 / (x - shift)), "resolvent", None
+            return oracle.ShiftedInverse(0.0), "demko", None
+        return oracle.ShiftedInverse(1j * zeta), "resolvent", None
     if klass in ("laplace", "cauchy") and name is None:
         raise ValueError(f"--class {klass} needs --function")
     if klass == "laplace":
@@ -189,28 +188,10 @@ def resolve_function(name, klass, tau, zeta):
         if name == "inv":
             # 1/x is the Markov function of a unit mass at 0: the bound is
             # exactly the resolvent constant times q^d.
-            return (lambda x: 1.0 / x), "demko", None
+            return oracle.ShiftedInverse(0.0), "demko", None
         measure = cauchy_catalog(name)
         return measure.closed_form, "cauchy", measure
     raise ValueError(f"unknown class {klass!r}")
-
-
-def inverse_shift(kind, zeta):
-    """The shift of a bound kind whose f is a shifted inverse 1/(x -
-    shift): 0 for ``demko``, i zeta for ``resolvent``.  None for every
-    other kind."""
-    return {"demko": 0.0, "resolvent": 1j * zeta}.get(kind)
-
-
-def oracle_column(M, t, f, kind, zeta):
-    """Column t of f(M) by the route of ``resolve_function``'s bound
-    ``kind``: one banded solve for a shifted inverse, else
-    ``oracle.function_column`` (a Lanczos column, or the
-    eigendecomposition's)."""
-    shift = inverse_shift(kind, zeta)
-    if shift is None:
-        return oracle.function_column(M, f, t)
-    return oracle.resolvent_column(M, shift, t)
 
 
 def _summary(pairs, floor, reports, nrows):
@@ -248,29 +229,25 @@ def _distances(A, t, mode="band"):
     return list(map(tuple, d.tolist()))
 
 
-def _function_oracle(A, t, f):
-    """The oracle pass of any f but a shifted inverse: column t of f(A)
-    and its floor."""
-    return lambda: (oracle.function_column(A, f, t), oracle.oracle_floor(A, f))
-
-
-def _column(oracle_pass, keys, bounds_at):
-    """The pass behind every printed column: (|oracle column|, its floor,
-    each row's bound, the reports), the column and floor from
-    ``oracle_pass()``, before any bound.  A row's bound depends on it
-    only through its key, a distance or a per-factor distance tuple
-    (None: no bound), so the distinct keys go to one ``bounds_at(keys)``
-    call, which returns numbers or quadrature reports.  A report that did
-    not converge is no bound: its key gets None."""
-    col, floor = oracle_pass()
-    col = np.abs(col).tolist()
+def _column(A, t, f, keys, bounds_at):
+    """The pass behind every printed column: (|column t of f(A)|, each
+    row's bound, the summary).  The oracle, ``oracle.function_column``
+    with ``oracle.oracle_floor``, runs before any bound.  A row's bound
+    depends on it only through its key, a distance or a per-factor
+    distance tuple (None: no bound), so the distinct keys go to one
+    ``bounds_at(keys)`` call, which returns numbers or quadrature reports.
+    A report that did not converge is no bound: its key gets None.  The
+    summary is ``_summary``'s, over one row per key."""
+    col = np.abs(oracle.function_column(A, f, t)).tolist()
+    floor = oracle.oracle_floor(A, f)
     distinct = list(dict.fromkeys(k for k in keys if k is not None))
     found = bounds_at(distinct)
     reports = [r for r in found if isinstance(r, bounds.DecayBoundReport)]
     values = dict(zip(distinct, (
         getattr(r, "bound", r) if getattr(r, "converged", True) else None
         for r in found)))
-    return col, floor, [values.get(k) for k in keys], reports
+    bs = [values.get(k) for k in keys]
+    return col, bs, _summary(zip(bs, col), floor, reports, len(keys))
 
 
 def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
@@ -288,23 +265,16 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     :func:`decaybounds.oracle.oracle_floor`).
 
     The enclosure is :func:`decaybounds.matrices.spectral_interval`'s.
-    The oracle route is picked here, from the bound kind.  A shifted
-    inverse (``demko`` and ``resolvent``) takes its column from one banded
-    solve, with its floor (:func:`decaybounds.oracle.resolvent_floor`);
-    every other kind takes :func:`decaybounds.oracle.function_column`.
+    The oracle column is :func:`decaybounds.oracle.function_column`'s,
+    which picks its own route from f: one banded solve for the shifted
+    inverse of ``demko`` and ``resolvent``, else a Lanczos column.
     Neither forms a dense matrix unless the Lanczos column falls back to
-    the eigendecomposition.
+    a dense eigensolve.
     """
     ds = [d for d, in _distances(M, t, distance_mode)]
     f, kind, measure = resolve_function(function, klass, tau, zeta)
     tau = 1.0 if tau is None else tau
-    shift = inverse_shift(kind, zeta)
     iv = spectral_interval(M)
-    if shift is None:
-        oracle_pass = _function_oracle(M, t, f)
-    else:
-        oracle_pass = lambda: (oracle_column(M, t, f, kind, zeta),
-                               oracle.resolvent_floor(M.n, iv, shift))
     if kind == "exp":
         bounds_at = lambda ds: bounds.exp_bounds((iv,), tau, [(d,) for d in ds])
     elif kind == "demko":
@@ -328,12 +298,12 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     least = 2.0 if kind == "laplace" else 0.0
     keys = [None if math.isinf(d) or d < least
             or (d == 0 and kind in ("exp", "resolvent")) else d for d in ds]
-    col, floor, bs, reports = _column(oracle_pass, keys, bounds_at)
+    col, bs, summary = _column(M, t, f, keys, bounds_at)
     rows = [(k, None if math.isinf(d) else d, b, o,
              b / o if b is not None and o > 0 else None)
             for k, (d, b, o) in enumerate(zip(ds, bs, col), start=1)]
     header = ("k", "distance", "bound", "oracle", "ratio")
-    return _summary(zip(bs, col), floor, reports, M.n), header, rows
+    return summary, header, rows
 
 
 def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8):
@@ -365,13 +335,12 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8):
     # the diagonal entry of exp is not covered
     keys = [None if kind == "exp" and k == t else d
             for k, d in enumerate(ds, start=1)]
-    col, floor, bs, reports = _column(_function_oracle(A, t, f), keys,
-                                      bounds_at)
+    col, bs, summary = _column(A, t, f, keys, bounds_at)
     rows = [(k, *km, *d, b, o) for k, (km, d, b, o)
             in enumerate(zip(A.multi_indices.tolist(), ds, bs, col), start=1)]
     header = (["k"] + [f"k{i+1}" for i in range(len(ivs))]
               + [f"d{i+1}" for i in range(len(ivs))] + ["bound", "oracle"])
-    return _summary(zip(bs, col), floor, reports, len(rows)), header, rows
+    return summary, header, rows
 
 
 def run_surface(function, tau, grid_n, out_path):

@@ -34,7 +34,9 @@ class MatrixFormatError(ValueError):
 @dataclass(frozen=True, eq=False)
 class SparseHermitianMatrix:
     """Hermitian matrix in CSR storage with a symmetric pattern; band
-    matrices are the case whose pattern is the offsets -beta..beta."""
+    matrices are the case whose pattern is the offsets -beta..beta.
+    Complex input whose imaginary parts are all zero is stored as its
+    real part, so every route reads a real matrix as real."""
 
     n: int
     matrix: object  # scipy CSR
@@ -47,15 +49,14 @@ class SparseHermitianMatrix:
         scale = max(1.0, abs(m).max() if m.nnz else 1.0)
         if skew.nnz and abs(skew).max() > 1e-12 * scale:
             raise ValueError("matrix is not Hermitian")
+        if np.iscomplexobj(m.data) and not np.any(m.data.imag):
+            m = m.real
         object.__setattr__(self, "matrix", m)
 
     def toarray(self):
-        """Dense copy, real when no stored entry has a nonzero imaginary
-        part; in Fortran order, the layout LAPACK reads, so an eigensolve
-        can overwrite it instead of copying it."""
-        m = self.matrix
-        real = np.iscomplexobj(m.data) and not np.any(m.data.imag)
-        return (m.real if real else m).toarray(order="F")
+        """Dense copy in Fortran order, the layout LAPACK reads, so an
+        eigensolve can overwrite it instead of copying it."""
+        return self.matrix.toarray(order="F")
 
     def diagonal_max(self):
         return float(np.max(self.matrix.diagonal().real))
@@ -63,12 +64,9 @@ class SparseHermitianMatrix:
     def band(self, lower, upper):
         """LAPACK band storage of the stored entries at offsets i - j from
         -``upper`` to ``lower``: row upper + i - j of column j holds entry
-        (i, j), and rows with no entry are zero.  Real when ``toarray``
-        is, else complex."""
+        (i, j), and rows with no entry are zero."""
         coo = self.matrix.tocoo()
         data = coo.data
-        if not (np.iscomplexobj(data) and np.any(data.imag)):
-            data = data.real
         keep = (coo.row - coo.col <= lower) & (coo.col - coo.row <= upper)
         ab = np.zeros((lower + upper + 1, self.n), dtype=data.dtype)
         np.add.at(ab, (upper + coo.row[keep] - coo.col[keep], coo.col[keep]),
@@ -94,17 +92,15 @@ class SparseHermitianMatrix:
     @functools.cached_property
     def tridiagonal(self):
         """(diagonal, subdiagonal) float arrays of a real, finite matrix of
-        bandwidth at most 1; None for any other matrix.  Real means what
-        ``toarray`` means: no stored entry has a nonzero imaginary part.
-        The subdiagonal is the lower triangle, which the dense LAPACK
-        solvers read.  A non-finite entry keeps the dense path, and its
-        error message."""
+        bandwidth at most 1; None for any other matrix, a non-finite one
+        included.  The subdiagonal is the lower triangle, which the dense
+        LAPACK solvers read."""
         data = self.matrix.data
         if (self.beta > 1 or not np.all(np.isfinite(data))
-                or (np.iscomplexobj(data) and np.any(data.imag))):
+                or np.iscomplexobj(data)):
             return None
-        return (self.matrix.diagonal().real.astype(float),
-                self.matrix.diagonal(-1).real.astype(float))
+        return (self.matrix.diagonal().astype(float),
+                self.matrix.diagonal(-1).astype(float))
 
 
 def banded_from_stencil(stencil, n):

@@ -1,38 +1,37 @@
 """Exact reference computations.
 
 Three routes give the ground truth each decay bound is compared against,
-and none of the first two forms a dense matrix or an eigendecomposition
-of order n.
+and ``function_column`` picks one from its inputs alone, never from
+timing; none of the first two forms a dense matrix or an
+eigendecomposition of order n.
 
-* A shifted inverse (M - shift I)^{-1}, the f of ``--class resolvent``
-  and of ``--class cauchy --function inv``, takes one banded LU solve per
-  column (``resolvent_column``): O(n beta^2) work, and for an M-matrix
-  accurate cell by cell down to underflow.
-* Any other f of a single matrix takes a Lanczos column
-  (``function_column``): m steps from e_t on the CSR matrix, with full
-  reorthogonalisation, give V_m and the tridiagonal T_m, and the column is
-  V_m f(T_m) e_1, with f(T_m) from the eigenpairs of T_m.  For Hermitian
-  M its error is at most twice the best polynomial error of degree m - 1
-  of f on the spectrum (Saad, SIAM J. Numer. Anal. 29, 1992), a bound
-  that survives rounding (Musco, Musco and Sidford, SODA 2018).  m is
-  predicted from the Chebyshev tail of f on the spectral enclosure, and
-  the run stops once two iterates 8 steps apart agree to 1e-15 max|f|
-  over the Ritz values.  The column uses neither the enclosure's bound
-  nor a measure, so it stays an independent check of both.
+* A shifted inverse, f = ``ShiftedInverse(shift)``, which is 1 / (x -
+  shift): the f of ``--class resolvent`` and of ``--class cauchy
+  --function inv``.  Its column is one banded LU solve
+  (``resolvent_column``): O(n beta^2) work, and for an M-matrix accurate
+  cell by cell down to underflow; its floor is ``resolvent_floor``.  A
+  plain function with the same values, such as ``lambda x: 1 / x``, is
+  not recognised and takes the next route.
+* Any other f of a single matrix takes a Lanczos column: m steps from e_t
+  on the CSR matrix, with full reorthogonalisation, give V_m and the
+  tridiagonal T_m, and the column is V_m f(T_m) e_1, with f(T_m) from the
+  eigenpairs of T_m.  For Hermitian M its error is at most twice the best
+  polynomial error of degree m - 1 of f on the spectrum (Saad, SIAM J.
+  Numer. Anal. 29, 1992), a bound that survives rounding (Musco, Musco
+  and Sidford, SODA 2018).  m is predicted from the Chebyshev tail of f on
+  the spectral enclosure, and the run stops once two iterates 8 steps
+  apart agree to 1e-15 max|f| over the Ritz values.  The column uses
+  neither the enclosure's bound nor a measure, so it stays an independent
+  check of both.
 * The eigendecomposition, cached per matrix object: the Kronecker sums
   and dense f(A) of ``matrix_function``, and the fallback of a single
   matrix whose predicted step count passes min(n / 4, 400), whose
   iterates do not agree by then, or whose f is not finite inside the
-  enclosure.  A real tridiagonal matrix (``M.tridiagonal``) takes LAPACK's
-  tridiagonal divide and conquer (``dstevd``), the bits of numpy's dense
-  ``eigh`` with BLAS on one thread; every other matrix one dense
-  ``dsyevd``/``zheevd`` solve through scipy, on a Fortran-order copy that
-  it overwrites.  A Kronecker sum is never assembled: its eigenpairs are
-  sums of factor eigenvalues and Kronecker products of factor
-  eigenvectors, so a column of f(A) is a tensor contraction with the
-  factors' U, O(N sum_L n_L) work.
-
-Which route a column takes depends on its inputs alone, never on timing.
+  enclosure.  A single matrix takes one dense ``dsyevd``/``zheevd`` solve
+  through scipy, on a Fortran-order copy that it overwrites.  A Kronecker
+  sum is never assembled: its eigenpairs are sums of factor eigenvalues
+  and Kronecker products of factor eigenvectors, so a column of f(A) is a
+  tensor contraction with the factors' U, O(N sum_L n_L) work.
 """
 
 from __future__ import annotations
@@ -55,6 +54,17 @@ _GRID = 1024
 _MAX_STEPS = 400
 _STRIDE = 8
 _AGREE = 1e-15
+
+
+@dataclass(frozen=True)
+class ShiftedInverse:
+    """The scalar function 1 / (x - shift), ``shift`` real or complex: an f
+    whose column and floor the oracle takes from one banded solve."""
+
+    shift: complex
+
+    def __call__(self, x):
+        return 1.0 / (x - self.shift)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,14 +97,10 @@ def eigendecomposition(M):
         w = _combine(np.add.outer, [p.eigenvalues for p in parts]).ravel()
         dec = EigenDecomposition(eigenvalues=w, eigenvectors=None, factors=parts)
     else:
-        tri = M.tridiagonal
-        if tri is not None:
-            w, u = scipy.linalg.eigh_tridiagonal(*tri, lapack_driver="stevd")
-        else:
-            require_finite(M)
-            # the Fortran-order copy is overwritten, not copied once more
-            w, u = scipy.linalg.eigh(M.toarray(), driver="evd",
-                                     overwrite_a=True, check_finite=False)
+        require_finite(M)
+        # the Fortran-order copy is overwritten, not copied once more
+        w, u = scipy.linalg.eigh(M.toarray(), driver="evd",
+                                 overwrite_a=True, check_finite=False)
         # C order, as numpy's eigh returns it: the contraction in
         # function_column then adds its terms in the same order
         u = np.ascontiguousarray(u)
@@ -132,14 +138,17 @@ def matrix_function(M, f):
 def function_column(M, f, t):
     """Column t (1-based) of f(M) without forming the full matrix.
 
-    A single matrix takes the Lanczos column when the Chebyshev tail of f
-    on its enclosure predicts at most min(n / 4, 400) steps, and its
+    A shifted inverse f of a single matrix takes ``resolvent_column``.
+    Any other f takes the Lanczos column when the Chebyshev tail of f on
+    the enclosure predicts at most min(n / 4, 400) steps, and its
     iterates agree by then.  Otherwise, and for a Kronecker sum, the
     column is ``eigen_column``'s.  ``ValueError`` where f is not finite at
     an end of the enclosure (or, on the eigendecomposition route, on the
     spectrum)."""
     if isinstance(M, KroneckerSum):
         return eigen_column(M, f, t)
+    if isinstance(f, ShiftedInverse):
+        return resolvent_column(M, f.shift, t)
     if not 1 <= t <= M.n:
         raise ValueError(f"column {t} is out of bounds for order {M.n}")
     fx = _on_enclosure(f, spectral_interval(M))
@@ -214,14 +223,17 @@ def oracle_floor(M, f):
     Entries of U f(Lambda) U* are sums of n terms of size up to max|f|, so
     below roughly n * eps * max|f| they consist of rounding noise, and the
     Lanczos column is run to within that level.  The floor is 100 times
-    it; dominance checks only compare above it.  For a single matrix
-    max|f| is taken on the spectral enclosure, at its ends and its
+    it; dominance checks only compare above it.  A shifted inverse of a
+    single matrix takes ``resolvent_floor``.  For any other f of a single
+    matrix max|f| is taken on the spectral enclosure, at its ends and its
     Chebyshev grid, so that no eigenvalue is needed; where f is not
     finite inside the enclosure, and for a Kronecker sum, on the
     eigenvalues.
     """
     fx = None
     if not isinstance(M, KroneckerSum):
+        if isinstance(f, ShiftedInverse):
+            return resolvent_floor(M.n, spectral_interval(M), f.shift)
         fx = _on_enclosure(f, spectral_interval(M))
     if fx is None or not np.all(np.isfinite(fx)):
         dec = eigendecomposition(M)
@@ -277,8 +289,6 @@ def _lanczos_column(M, f, t, steps, cap):
     would sit below that rounding and pass by chance.  None when no iterate
     agrees within ``cap`` steps, or f is not finite at a Ritz value."""
     a = M.matrix
-    if np.iscomplexobj(a.data) and not np.any(a.data.imag):
-        a = a.real
     basis = np.zeros((min(cap, steps + 2 * _STRIDE) + 1, M.n), a.dtype)
     basis[0, t - 1] = 1.0
     alpha, beta, last = [], [], None

@@ -20,7 +20,9 @@ from decaybounds import (KroneckerSum, SparseHermitianMatrix,
                          parse_matrix_spec, resolvent_column,
                          spectral_interval)
 from decaybounds.cli import main
-from decaybounds.figures import run_compare, run_kron_compare
+from decaybounds.figures import (FIGURE_IDS, run_compare, run_figure,
+                                 run_kron_compare)
+from decaybounds.oracle import ShiftedInverse
 from reference import grid_file as _grid_file
 
 
@@ -122,6 +124,67 @@ def test_shifted_inverse_runs_no_eigendecomposition(spec, flags, klass, zeta,
                      "--out", str(tmp_path / "o.csv")]) == 0
 
 
+@pytest.mark.parametrize("spec", ["tridiag", "pentadiag", "grid"])
+@pytest.mark.parametrize("shift", [0.0, 0.7j], ids=["0", "0.7j"])
+def test_oracle_recognises_a_shifted_inverse_from_f(spec, shift, tmp_path,
+                                                     monkeypatch):
+    # the banded solve's column and floor, bit for bit, with no
+    # eigendecomposition
+    matrix = _grid_file(tmp_path) if spec == "grid" else spec
+    m, f = parse_matrix_spec(matrix, 80), ShiftedInverse(shift)
+    _forbid_eigensolves(monkeypatch)
+    for t in (1, 33, m.n):
+        assert np.array_equal(oracle.function_column(m, f, t),
+                              resolvent_column(m, shift, t))
+    assert oracle.oracle_floor(m, f) == oracle.resolvent_floor(
+        m.n, spectral_interval(m), shift)
+
+
+def test_plain_inverse_takes_the_lanczos_column(monkeypatch):
+    # the same values from a plain function: not a shifted inverse
+    m = parse_matrix_spec("tridiag", 300)
+    lanczos = []
+    real = oracle._lanczos_column
+
+    def recorded(*args):
+        col = real(*args)
+        lanczos.append(col is not None)
+        return col
+
+    def forbidden(*args):
+        raise AssertionError("the banded solve ran")
+
+    monkeypatch.setattr(oracle, "_lanczos_column", recorded)
+    monkeypatch.setattr(oracle, "resolvent_column", forbidden)
+    col = oracle.function_column(m, lambda x: 1.0 / x, 121)
+    assert lanczos == [True] and col.shape == (300,)
+
+
+@pytest.mark.parametrize("kind", ["tridiag", "pentadiag"])
+@pytest.mark.parametrize("figure_id", FIGURE_IDS[:4])
+def test_figure_presets_take_the_lanczos_column(figure_id, kind, tmp_path,
+                                               monkeypatch):
+    # the order-200 presets run near the cap of n / 4 = 50 steps (48 steps
+    # for fig2 and fig4 on pentadiag): a fallback to the eigendecomposition
+    # must not pass silently
+    lanczos = []
+    real = oracle._lanczos_column
+
+    def recorded(*args):
+        col = real(*args)
+        lanczos.append(col is not None)
+        return col
+
+    def forbidden(*args):
+        raise AssertionError("the Lanczos column fell back")
+
+    monkeypatch.setattr(oracle, "_lanczos_column", recorded)
+    monkeypatch.setattr(oracle, "eigendecomposition", forbidden)
+    summary = run_figure(figure_id, kind, str(tmp_path / "f.csv"), 1e-10)
+    assert lanczos == [True]
+    assert summary["violations"] == 0
+
+
 # every f that is not a shifted inverse, by its (--class, --function) flags
 _FUNCTIONS = [["--class", "laplace", "--function", "inv_sqrt"],
               ["--class", "laplace", "--function", "phi1"],
@@ -179,15 +242,15 @@ def test_kron_compare_solves_once_per_dense_factor(monkeypatch):
     penta = parse_matrix_spec("pentadiag", 9)
     tri = parse_matrix_spec("tridiag", 8)
     calls = _count_dense_solves(monkeypatch)
-    # the tridiagonal factor takes LAPACK's tridiagonal route
+    # each factor, the tridiagonal one too, takes one dense solve
     summary, _, rows = run_kron_compare(KroneckerSum(factors=(penta, tri)),
                                         40, "phi1", "laplace", quad_tol=1e-6)
-    assert calls == [9]
+    assert calls == [9, 8]
     assert len(rows) == 72 and summary["violations"] == 0
     # a factor repeated as one object is solved once
     run_kron_compare(KroneckerSum(factors=(penta, penta)), 40, "inv_sqrt",
                      "cauchy", quad_tol=1e-6)
-    assert calls == [9]
+    assert calls == [9, 8]
 
 
 def test_non_finite_dense_matrix_fails_before_lapack(monkeypatch):

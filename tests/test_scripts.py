@@ -83,16 +83,24 @@ def perfbench_on_path(monkeypatch):
             del sys.modules[name]
 
 
-def test_job_digests_repeat_on_the_figure_presets(perfbench_on_path):
-    # the byte-identity gate between two checkouts needs digests that do
-    # not change from one run to the next
-    script = _load("job_digests", ROOT / "scripts/job_digests.py")
-    jobs = script.workloads.figure_jobs()
-    first = script.digest_lines("figures-kron", jobs)
-    assert len(first) == 12
-    assert [line.split()[:3] for line in first] == [
-        ["figures-kron", job.key, "0"] for job in jobs]
-    assert script.digest_lines("figures-kron", jobs) == first
+def test_cell_moves_repeat_on_the_figure_presets(perfbench_on_path,
+                                                monkeypatch, capsys):
+    # the byte-identity gate between two checkouts needs jobs that do not
+    # change from one run to the next: the 12 presets of this checkout,
+    # run twice, exit 0 and move no byte
+    script = _load("cell_moves", ROOT / "scripts/cell_moves.py")
+    import workloads
+    keys = [job.key for job in workloads.figure_jobs()]
+    runs = []
+    real = script._run_child
+    monkeypatch.setattr(script, "_run_child",
+                        lambda *args: runs.append(real(*args)) or runs[-1])
+    argv = [str(ROOT), "--workload", "figures-kron"]
+    assert script.main(argv + [a for key in keys for a in ("--job", key)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "figures-kron: 0 of 12 jobs moved"]
+    assert len(runs) == 2
+    assert [[run[key]["rc"] for key in keys] for run in runs] == [[0] * 12] * 2
 
 
 def test_quad_rounds_repeat_on_the_figure_presets(perfbench_on_path):
@@ -124,6 +132,26 @@ def test_cell_moves_of_a_tree_against_itself_are_zero(perfbench_on_path,
     cells = np.array([1.0, np.nan, 0.5])
     assert script.largest_move(cells, cells) == 0.0
     assert script.largest_move(cells * (1 + 2 ** -52), cells) == 2 ** -52
+
+
+def test_cell_moves_margin_counts_the_oracle_floor():
+    # check.py allows an oracle cell CLOSED_RTOL |ref| + floor / 100: a
+    # move inside that slack reads a margin of at least 1, one past it
+    # less than 1, though both pass CLOSED_RTOL many times over
+    import numpy as np
+    script = _load("cell_moves", ROOT / "scripts/cell_moves.py")
+    rtol, floor = 1e-12, 1e-10
+    other = np.array([1.0, 1e-9, np.nan, 0.25])
+    inside = other + np.array([0.0, 0.9 * floor / 100, 0.0, 0.0])
+    past = other + np.array([0.0, 1.1 * floor / 100, 0.0, 0.0])
+    assert script.least_margin(inside, other, rtol, floor / 100) >= 1
+    assert script.least_margin(past, other, rtol, floor / 100) < 1
+    assert script.least_margin(other, other, rtol, floor / 100) == np.inf
+    assert script.least_margin(other[2:3], other[2:3], rtol, 0.0) is None
+    # with no floor the margin is rtol over the largest relative move
+    moved = other * (1 + 4e-13)
+    assert script.least_margin(moved, other, rtol, 0.0) == pytest.approx(
+        rtol / script.largest_move(moved, other), rel=1e-6)
 
 
 def test_public_names_resolve_once():
