@@ -3,13 +3,17 @@
 
 Runs benchmark jobs with the benchmark's own job runner
 (``perfbench/run.py``: in-process through ``decaybounds.cli.main``, BLAS
-pinned to one thread) while ``decaybounds.bounds.run_steps`` and the
-kernel it is handed are wrapped, and prints one line per job:
+pinned to one thread) while ``decaybounds.bounds.run_steps``, the kernel
+it is handed and ``bounds._orbits`` are wrapped, and prints one line per
+job:
 
-    <workload> <key> <calls> <steps> <rounds> <panels> <run_steps s> <kernel s>
+    <workload> <key> <calls> <tuples> <orbits> <steps> <rounds> <panels> <run_steps s> <kernel s>
 
-``calls`` counts lockstep runs, ``steps`` their integration steps,
-``rounds`` their kernel calls and ``panels`` the abscissa rows handed to
+``calls`` counts lockstep runs, ``tuples`` the distance tuples handed to
+``laplace_bounds`` and ``orbits`` the ones it integrates (one per
+permutation orbit over factors with equal enclosures; a Cauchy-class
+single matrix counts neither), ``steps`` the integration steps,
+``rounds`` the kernel calls and ``panels`` the abscissa rows handed to
 the kernel.  The seconds are spent inside ``run_steps`` and, of those,
 inside the kernel; their difference is the engine's own bookkeeping.
 Every job of a workload runs (all pool variants and, for figures-kron,
@@ -39,12 +43,13 @@ import workloads  # noqa: E402
 
 from decaybounds import bounds, cli  # noqa: E402
 
-FIELDS = ("calls", "steps", "rounds", "panels", "run_steps_s", "kernel_s")
+FIELDS = ("calls", "tuples", "orbits", "steps", "rounds", "panels",
+          "run_steps_s", "kernel_s")
 
 
 class Counter:
-    """Counts and times of every ``bounds.run_steps`` call made while it
-    is installed."""
+    """Counts and times of every ``bounds.run_steps`` and
+    ``bounds._orbits`` call made while it is installed."""
 
     def __init__(self):
         self.totals = dict.fromkeys(FIELDS, 0)
@@ -72,6 +77,16 @@ class Counter:
                 totals["run_steps_s"] += clock() - t0
         return counted
 
+    def wrap_orbits(self, orbits):
+        totals = self.totals
+
+        def counted(terms, distances):
+            found = orbits(terms, distances)
+            totals["tuples"] += len(found[1])
+            totals["orbits"] += len(found[0])
+            return found
+        return counted
+
     def take(self):
         """The totals since the last take, reset to zero."""
         out = dict(self.totals)
@@ -80,15 +95,17 @@ class Counter:
 
 
 def _line(workload, key, c):
-    return (f"{workload} {key} {c['calls']} {c['steps']} {c['rounds']} "
-            f"{c['panels']} {c['run_steps_s']:.4f} {c['kernel_s']:.4f}")
+    return (f"{workload} {key} {c['calls']} {c['tuples']} {c['orbits']} "
+            f"{c['steps']} {c['rounds']} {c['panels']} "
+            f"{c['run_steps_s']:.4f} {c['kernel_s']:.4f}")
 
 
 def job_lines(workload, jobs):
     """One line per job of ``workload`` plus a total line."""
     counter = Counter()
-    original = bounds.run_steps
-    bounds.run_steps = counter.wrap(original)
+    original = bounds.run_steps, bounds._orbits
+    bounds.run_steps = counter.wrap(original[0])
+    bounds._orbits = counter.wrap_orbits(original[1])
     lines, total = [], dict.fromkeys(FIELDS, 0)
     try:
         with tempfile.TemporaryDirectory(prefix="quad-rounds-") as tmp:
@@ -105,7 +122,7 @@ def job_lines(workload, jobs):
                 if out.exists():
                     out.unlink()
     finally:
-        bounds.run_steps = original
+        bounds.run_steps, bounds._orbits = original
     lines.append(_line(workload, "total", total))
     return lines
 

@@ -23,7 +23,7 @@ The callers compute it (``figures._distances``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -228,6 +228,24 @@ def _envelope_breakpoints(d, rho):
     return tuple(pts)
 
 
+def _orbits(terms, distances):
+    """(representatives, index) of the distance tuples under the
+    permutations of distances among factors with equal ``terms``
+    (lambda_min, rho): the distinct orbits, each as its tuple with the
+    distances of every such group of factors in ascending order, and for
+    each input tuple the index of its orbit."""
+    groups = [[L for L, t in enumerate(terms) if t == term]
+              for term in dict.fromkeys(terms)]
+    found, index = {}, []
+    for ds in distances:
+        rep = list(ds)
+        for g in groups:
+            for L, x in zip(g, sorted(ds[L] for L in g)):
+                rep[L] = x
+        index.append(found.setdefault(tuple(rep), len(found)))
+    return list(found), index
+
+
 def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10):
     """Entry bounds for f(A) with f completely monotonic, at each tuple of
     per-factor distances d_L: a list of reports, from one lockstep
@@ -238,8 +256,12 @@ def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10):
 
     Integrates the product envelope prod_L exp(-lambda_min_L tau)
     E(rho_L tau, d_L) against the measure's density on (0, support_upper],
-    plus the envelope at each atom.  Each tuple's quadrature is split at
-    its own factors' envelope breakpoints, and the density's exponent at 0
+    plus the envelope at each atom.  That product, and so the bound, is
+    the same for every permutation of the distances among factors with
+    equal (lambda_min, rho): such tuples form one orbit (``_orbits``),
+    which is integrated once, and each of its tuples gets a report of its
+    own carrying the orbit's numbers.  Each orbit's quadrature is split at
+    its factors' envelope breakpoints, and the density's exponent at 0
     applies to the first segment.  A ``log_density`` joins the exponent
     -sum_L lambda_min_L tau before it is exponentiated, so the integrand is
     formed where the density alone overflows.  A one-factor report carries
@@ -262,7 +284,8 @@ def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10):
     if any(len(ds) != len(intervals) for ds in distances):
         raise ValueError("each distance tuple needs one distance per factor")
     terms = [(iv.lambda_min, iv.rho) for iv in intervals]
-    rows = np.array(distances, dtype=float).reshape(len(distances), len(terms))
+    orbits, orbit_of = _orbits(terms, distances)
+    rows = np.array(orbits, dtype=float).reshape(len(orbits), len(terms))
     weight, log_weight = measure.density, measure.log_density
     upper, sing = measure.support_upper, measure.singularity_exponent
     pieces = []
@@ -294,8 +317,8 @@ def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10):
         return np.where(np.isinf(w), np.inf, out * w)
 
     results = iter(run_steps(integrand, a, b, quad_tol, exponents, _MAX_PANELS))
-    reports = []
-    for ds, row, segs in zip(distances, rows.tolist(), pieces):
+    found = []
+    for row, segs in zip(rows.tolist(), pieces):
         rs = [next(results) for _ in segs]
         segments = [(lo, hi, r.value) for (lo, hi, _), r in zip(segs, rs)]
         segments += [(loc, loc, mass * math.prod(
@@ -314,16 +337,20 @@ def laplace_bounds(intervals, measure, distances, *, quad_tol=1e-10):
                     parts["III"] += value
             total = parts["I"] + parts["II"] + parts["III"]
         else:
-            d, parts, total = ds, {}, 0.0
+            d, parts, total = tuple(row), {}, 0.0
             for _, _, value in segments:
                 total += value
-        reports.append(DecayBoundReport(
+        found.append(DecayBoundReport(
             distance=d, bound=total, pieces=parts,
             error_estimate=sum((r.error_estimate for r in rs), 0.0),
             evaluations=sum(r.evaluations for r in rs),
             converged=all(r.converged for r in rs),
             valid=all(x >= 2.0 for x in row)))
-    return reports
+    if len(terms) == 1:
+        return [found[i] for i in orbit_of]
+    # a Kronecker report carries the tuple it was asked for
+    return [replace(found[i], distance=ds)
+            for ds, i in zip(distances, orbit_of)]
 
 
 def laplace_entry_bound(interval, measure, distance, *, quad_tol=1e-10):

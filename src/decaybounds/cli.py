@@ -173,7 +173,11 @@ def _cmd_bound(args, self_check=False):
 
 
 def _cmd_kron(args):
-    factors = tuple(parse_matrix_spec(s, args.n) for s in args.factors.split(","))
+    # one object per distinct spec: a repeated factor shares its cached
+    # enclosure and eigendecomposition
+    specs = args.factors.split(",")
+    parsed = {s: parse_matrix_spec(s, args.n) for s in dict.fromkeys(specs)}
+    factors = tuple(parsed[s] for s in specs)
     try:
         A = KroneckerSum(factors=factors)
         if "," in args.column:

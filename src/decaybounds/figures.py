@@ -356,21 +356,20 @@ def run_surface(function, tau, grid_n, out_path):
     else:
         raise ValueError(f"unknown surface function {function!r}")
     F = oracle.matrix_function(A, f)
-    _write_csv(out_path, ("i", "j", "value"), lines=_symmetric_lines(F))
+    _write_csv(out_path, ("i", "j", "value"), lines=_matrix_lines(F))
     return {"rows": F.size, "order": len(F)}
 
 
-def _symmetric_lines(F):
-    """Lazy CSV lines ``i,j,value``, one matrix row per item, of F with
-    F == F.T bitwise (matrix_function re-Hermitianizes): each value of
-    the upper triangle is formatted once, for both of its entries."""
+def _matrix_lines(F):
+    """Lazy CSV lines ``i,j,value``, one matrix row per item, of the float
+    matrix F: each distinct double (bit pattern, so -0.0 and each NaN
+    apart) is formatted once by the per-cell ``%.17g``, and each row is
+    assembled by one template."""
     n = len(F)
-    upper = np.triu_indices(n)
-    cells = np.empty((n, n), dtype=object)
-    cells[upper] = cells[upper[::-1]] = (",".join(["%.17g"] * upper[0].size)
-                                         % tuple(F[upper].tolist())).split(",")
-    template = "".join(f"%d,{j},%s\r\n" for j in range(1, n + 1))
-    for i, row in enumerate(cells.tolist(), start=1):
-        args = [i] * (2 * n)
-        args[1::2] = row
-        yield template % tuple(args)
+    bits = np.ascontiguousarray(F, dtype=float).view(np.int64)
+    bits, where = np.unique(bits, return_inverse=True)
+    text = ",".join(["%.17g"] * bits.size) % tuple(bits.view(float).tolist())
+    text = np.array(text.split(","), dtype=object)
+    parts = [f",{j},%s\r\n" for j in range(1, n + 1)]
+    for i, row in enumerate(text[where.reshape(n, n)].tolist(), start=1):
+        yield (str(i) + str(i).join(parts)) % tuple(row)

@@ -31,7 +31,8 @@ eigendecomposition of order n.
   through scipy, on a Fortran-order copy that it overwrites.  A Kronecker
   sum is never assembled: its eigenpairs are sums of factor eigenvalues
   and Kronecker products of factor eigenvectors, so a column of f(A) is a
-  tensor contraction with the factors' U, O(N sum_L n_L) work.
+  tensor contraction with the factors' U, O(N sum_L n_L) work, and the
+  dense f(A) one with their pair products U_L[i, a] conj(U_L[j, a]).
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ _GRID = 1024
 _MAX_STEPS = 400
 _STRIDE = 8
 _AGREE = 1e-15
+# entries of a factor's pair products formed at a time in matrix_function
+_PAIR_BLOCK = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -119,20 +122,78 @@ def _on_spectrum(f, w):
 
 
 def matrix_function(M, f):
-    """f(M) = U f(Lambda) U* for Hermitian M; output re-Hermitianized.
+    """f(M) = U f(Lambda) U* for Hermitian M; re-Hermitianized where
+    f(Lambda) is real, and complex where f is.
 
     ``f`` is a scalar function applied to the eigenvalue array; it must be
     finite on the spectrum (e.g. an inverse square root of an indefinite
-    matrix is rejected).  A Kronecker sum's U is formed up to order 4096.
+    matrix is rejected).  A Kronecker sum's f(A) is formed up to order
+    4096, and never its U: entry ((k_L), (t_L)) is the contraction of
+    G = f(w_1 (+) ... (+) w_L) with each factor's pair products
+    P_L[(k_L, t_L), a] = U_L[k_L, a] conj(U_L[t_L, a]) (``_pair_contraction``),
+    O(N^2 max n_L) work.  A real factor's products are formed for k_L <=
+    t_L only and gathered for both orders, so f(A) is bitwise symmetric
+    under each factor's own transposition, and a factor repeated as one
+    object makes it bitwise symmetric under swapping its places too.
     """
     dec = eigendecomposition(M)
     fw = _on_spectrum(f, dec.eigenvalues)
-    if dec.factors and fw.size > 4096:
+    if not dec.factors:
+        u = dec.eigenvectors
+        out = (u * fw) @ u.conj().T
+    elif fw.size > 4096:
         raise ValueError("dense f(A) of a Kronecker sum capped at order "
                          f"4096; requested {fw.size}")
-    u = _combine(np.kron, [p.eigenvectors for p in dec.factors or (dec,)])
-    out = (u * fw) @ u.conj().T
-    return 0.5 * (out + out.conj().T)
+    else:
+        # as in eigen_column: each factor in turn contracts the last axis
+        # and puts its pair axis first, so the pairs end in (p_L, ..., p_1)
+        c = fw.reshape([p.eigenvalues.size for p in reversed(dec.factors)])
+        gather = []
+        for p in dec.factors:
+            c, index = _pair_contraction(p.eigenvectors, c)
+            gather.insert(0, index.ravel())
+        # the pairs of a factor repeated as one decomposition object may
+        # trade places without changing the exact entry: every such
+        # permutation reads its value from the one with ascending pairs
+        axes = dec.factors[::-1]
+        pick = list(np.indices(c.shape, sparse=True))
+        for p in dict.fromkeys(axes):
+            at = [i for i, q in enumerate(axes) if q is p]
+            if len(at) > 1:
+                ordered = np.sort(np.broadcast_arrays(*(pick[i] for i in at)),
+                                  axis=0)
+                for i, g in zip(at, ordered):
+                    pick[i] = g
+        # axes (k_L, t_L, ..., k_1, t_1), then rows (k_L..k_1), columns
+        # (t_L..t_1): the first factor's index runs fastest in both
+        c = c[tuple(pick)][np.ix_(*gather)].reshape(
+            [n for p in axes for n in (p.eigenvalues.size,) * 2])
+        L = len(dec.factors)
+        out = c.transpose([*range(0, 2 * L, 2), *range(1, 2 * L, 2)]).reshape(
+            fw.size, fw.size)
+    return 0.5 * (out + out.conj().T) if np.isrealobj(fw) else out
+
+
+def _pair_contraction(u, c):
+    """(sum_a P[(i, j), a] c[..., a] on a new first axis, index): the
+    contraction of the last axis of ``c`` with the products P[(i, j), a]
+    = u[i, a] conj(u[j, a]) of pairs of rows of ``u``, and index[i, j],
+    the position of the pair (i, j) on that axis.  A real u has one pair
+    per i <= j, shared by (i, j) and (j, i); a complex one has every
+    ordered pair.  P is formed ``_PAIR_BLOCK`` entries at a time, so a
+    factor of order n never holds its n^3 / 2 products at once."""
+    n = len(u)
+    if np.iscomplexobj(u):
+        index = np.arange(n * n).reshape(n, n)
+        i, j = np.divmod(index.ravel(), n)
+    else:
+        i, j = np.triu_indices(n)
+        index = np.empty((n, n), dtype=np.intp)
+        index[i, j] = index[j, i] = np.arange(i.size)
+    step = max(1, _PAIR_BLOCK // n)
+    return np.concatenate([
+        np.tensordot(u[i[s:s + step]] * np.conj(u[j[s:s + step]]), c,
+                     axes=(1, -1)) for s in range(0, i.size, step)]), index
 
 
 def function_column(M, f, t):

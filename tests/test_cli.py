@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from decaybounds import (KroneckerSum, SparseHermitianMatrix,
                          banded_from_stencil, bounds, cauchy_catalog, figures,
@@ -207,13 +207,20 @@ _SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e308, -1e308,
             math.nan, math.inf, -math.inf]
 
 
+_NEGATIVE_NAN = np.array([-0x8000000000000], dtype=np.int64).view(float)[0]
+
+
 @given(st.lists(st.integers(-2 ** 62, 2 ** 62) | st.floats(allow_nan=True)
-                | st.sampled_from(_SPECIAL), min_size=1, max_size=40))
-def test_symmetric_lines_match_per_cell_format(values):
+                | st.sampled_from(_SPECIAL + [_NEGATIVE_NAN]),
+                min_size=1, max_size=40))
+@example(_SPECIAL + [_NEGATIVE_NAN, 1.0, 0.1, 5e-324, 0.0, -0.0, math.nan, 1.0])
+def test_matrix_lines_match_per_cell_format(values):
+    # any square matrix, symmetric or not: each distinct bit pattern is
+    # formatted once, -0.0 apart from 0.0, and two NaNs apart, yet the
+    # bytes are those of the per-cell format
     n = math.isqrt(len(values))
-    a = np.array(values[:n * n], dtype=float).reshape(n, n)
-    f = np.where(np.triu(np.ones((n, n), dtype=bool)), a, a.T)  # F == F.T
-    assert "".join(figures._symmetric_lines(f)) == "".join(
+    f = np.array(values[:n * n], dtype=float).reshape(n, n)
+    assert "".join(figures._matrix_lines(f)) == "".join(
         f"{i},{j},{v:.17g}\r\n" for i, row in enumerate(f.tolist(), start=1)
         for j, v in enumerate(row, start=1))
 

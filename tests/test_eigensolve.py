@@ -19,6 +19,7 @@ from decaybounds import (KroneckerSum, SparseHermitianMatrix,
                          SpectralInterval, eigendecomposition, oracle,
                          parse_matrix_spec, resolvent_column,
                          spectral_interval)
+from decaybounds import cli
 from decaybounds.cli import main
 from decaybounds.figures import (FIGURE_IDS, run_compare, run_figure,
                                  run_kron_compare)
@@ -251,6 +252,27 @@ def test_kron_compare_solves_once_per_dense_factor(monkeypatch):
     run_kron_compare(KroneckerSum(factors=(penta, penta)), 40, "inv_sqrt",
                      "cauchy", quad_tol=1e-6)
     assert calls == [9, 8]
+
+
+def test_kron_parses_a_repeated_factor_spec_once(monkeypatch, tmp_path):
+    # one object per distinct --factors spec, so a factor named three
+    # times takes one enclosure and one dense solve
+    parsed = []
+    real = cli.parse_matrix_spec
+    monkeypatch.setattr(cli, "parse_matrix_spec",
+                        lambda *args: parsed.append(args) or real(*args))
+    calls = _count_dense_solves(monkeypatch)
+    out = tmp_path / "k.csv"
+    assert cli.main(["kron", "--factors", "tridiag,pentadiag,tridiag",
+                     "--n", "5", "--class", "laplace", "--function", "phi1",
+                     "--column", "63", "--out", str(out)]) == 0
+    assert parsed == [("tridiag", 5), ("pentadiag", 5)]
+    assert calls == [5, 5]
+    calls.clear()
+    assert cli.main(["kron", "--factors", "tridiag,tridiag,tridiag",
+                     "--n", "5", "--class", "exp", "--column", "63",
+                     "--out", str(out)]) == 0
+    assert calls == [5]
 
 
 def test_non_finite_dense_matrix_fails_before_lapack(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from decaybounds import (KroneckerSum, LaplaceMeasure, SparseHermitianMatrix,
                          function_column, laplace_catalog, laplace_entry_bound,
                          laplace_kron_bound, make_test_matrix,
                          banded_from_stencil, oracle_floor, spectral_interval)
-from decaybounds.bounds import exp_bounds
+from decaybounds import bounds
+from decaybounds.bounds import exp_bounds, laplace_bounds
 from decaybounds.figures import _distances, run_kron_compare
 from reference import (component_distances, exp_kron_entry_exact,
                        expm_column_nonneg, factor_intervals,
@@ -388,3 +390,84 @@ def test_column_distances_match_entrywise_reference():
     for t in (1, 17, a.total_order):
         assert _distances(a, t) == [
             component_distances(a, k, t) for k in range(1, a.total_order + 1)]
+
+
+# ------------------------------------------- permutation orbits of tuples
+
+@pytest.mark.parametrize("nfac", [2, 3])
+@pytest.mark.parametrize("klass,name", [("laplace", "phi1"),
+                                        ("cauchy", "inv_sqrt")])
+def test_permuted_tuples_over_equal_factors_share_a_bound(nfac, klass, name):
+    # equal enclosures: every permutation of a tuple gets the same bits,
+    # and each report carries the tuple it was asked for
+    iv = spectral_interval(make_test_matrix("tridiag", 10))
+    measure = (laplace_catalog(name) if klass == "laplace"
+               else cauchy_catalog(name).as_laplace())
+    base = [(0.0, 2.0, 5.0), (1.0, 3.0, 3.0), (2.0, 4.0, 7.0)]
+    tuples = list(dict.fromkeys(
+        p for ds in base for p in itertools.permutations(ds[:nfac])))
+    reports = laplace_bounds((iv,) * nfac, measure, tuples, quad_tol=1e-8)
+    assert [r.distance for r in reports] == tuples
+    by_orbit = {}
+    for ds, r in zip(tuples, reports):
+        by_orbit.setdefault(tuple(sorted(ds)), set()).add(
+            (r.bound, r.error_estimate, r.evaluations, r.converged, r.valid))
+    assert all(len(v) == 1 for v in by_orbit.values())
+    # an orbit's bound is the one its sorted tuple gets on its own
+    for orbit, (fields,) in by_orbit.items():
+        alone = laplace_bounds((iv,) * nfac, measure, [orbit[::-1]],
+                               quad_tol=1e-8)[0]
+        assert alone.bound == fields[0]
+
+
+class _Stop(Exception):
+    pass
+
+
+def _handed_steps(monkeypatch, call):
+    """The (a, b) step arrays ``call`` hands to the lockstep engine, which
+    is not run."""
+    handed = []
+
+    def record(kernel, a, b, *rest):
+        handed.append((a.tolist(), b.tolist()))
+        raise _Stop
+
+    monkeypatch.setattr(bounds, "run_steps", record)
+    with pytest.raises(_Stop):
+        call()
+    (steps,) = handed
+    return steps
+
+
+@pytest.mark.parametrize("factors,t,tuples,orbits", [
+    # fig6/fig7 at column 94; the 3-factor benchmark column
+    ((make_test_matrix("tridiag", 20),) * 2, 94, 224, 133),
+    ((make_test_matrix("tridiag", 10),) * 3, 546, 216, 56),
+    # different enclosures: (d1, d2) and (d2, d1) are integrated apart
+    ((make_test_matrix("tridiag", 20), make_test_matrix("pentadiag", 20)),
+     210, 121, 121),
+])
+def test_laplace_bounds_integrate_one_step_set_per_orbit(
+        monkeypatch, factors, t, tuples, orbits):
+    a = KroneckerSum(factors=factors)
+    handed = []
+    real = bounds.laplace_bounds
+
+    def wrapped(ivs, measure, dss, **kwargs):
+        handed.append((ivs, measure, list(dss)))
+        return real(ivs, measure, dss, **kwargs)
+
+    monkeypatch.setattr(bounds, "laplace_bounds", wrapped)
+    steps = _handed_steps(monkeypatch, lambda: run_kron_compare(
+        a, t, "inv_sqrt", "cauchy", quad_tol=1e-8))
+    (ivs, measure, dss), = handed
+    assert len(dss) == len(set(dss)) == tuples
+    equal = len(set(ivs)) == 1
+    reps = list(dict.fromkeys(tuple(sorted(ds)) if equal else ds
+                              for ds in dss))
+    assert len(reps) == orbits
+    # the engine gets the steps of the orbits' representatives, one set each
+    alone = [_handed_steps(monkeypatch, lambda: real(ivs, measure, [rep]))
+             for rep in reps]
+    assert steps == tuple(sum((s[i] for s in alone), []) for i in (0, 1))

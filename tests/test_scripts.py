@@ -111,7 +111,7 @@ def test_quad_rounds_repeat_on_the_figure_presets(perfbench_on_path):
             if job.key.startswith("fig3-")]
 
     def counts():
-        return [line.split()[:6]
+        return [line.split()[:8]
                 for line in script.job_lines("figures-kron", jobs)]
 
     first = counts()
