@@ -20,7 +20,7 @@ from .matrices import (KroneckerSum, MatrixFormatError, SparseHermitianMatrix,
 from .measures import (CauchyMeasure, LaplaceMeasure, cauchy_catalog,
                        laplace_catalog)
 from .oracle import (EigenDecomposition, eigendecomposition, function_column,
-                     matrix_function, oracle_floor, resolvent_column)
+                     matrix_function, resolvent_column)
 from .quadrature import QuadratureResult, integrate, integrate_semi_infinite
 
 __version__ = "0.1.0"
@@ -36,6 +36,6 @@ __all__ = [
     "function_column", "geodesic_from", "integrate",
     "integrate_semi_infinite", "invsqrt_closed_bound", "laplace_catalog",
     "laplace_entry_bound", "laplace_kron_bound", "load_matrix_market",
-    "make_test_matrix", "matrix_function", "oracle_floor",
-    "parse_matrix_spec", "resolvent_column", "spectral_interval",
+    "make_test_matrix", "matrix_function", "parse_matrix_spec",
+    "resolvent_column", "spectral_interval",
 ]

@@ -412,23 +412,21 @@ def cauchy_entry_bound(interval, measure, distance, *, quad_tol=1e-10):
     return cauchy_bounds(interval, measure, (distance,), quad_tol=quad_tol)[0]
 
 
-def invsqrt_closed_bound(interval, distance, *, diag_max=None):
+def invsqrt_closed_bound(interval, distance, *, diag_max):
     """Closed-form bound for |M^{-1/2}|_{k t} at distance d > 0:
 
         (2/pi) (C(0) + C2) q0^d,
         q0 = (sqrt(lmax) - sqrt(lmin)) / (sqrt(lmax) + sqrt(lmin)).
 
     ``C2`` is the conservative maximum of the two circulating variants
-    of the constant.  When ``diag_max`` is supplied the diagonal is normalized to
-    at most one first and the bound is rescaled by diag_max^{-1/2}
-    (inverse square roots scale with power -1/2).
+    of the constant.  The diagonal, whose largest entry is ``diag_max``,
+    is normalized to at most one first and the bound is rescaled by the
+    normalizer^{-1/2} (inverse square roots scale with power -1/2).
     """
     if interval.lambda_min <= 0:
         raise ValueError("the inverse square root needs a positive definite matrix")
     d = _positive(distance)
-    s = 1.0
-    if diag_max is not None and diag_max > 1.0:
-        s = float(diag_max)
+    s = float(diag_max) if diag_max > 1.0 else 1.0
     lmin, lmax = interval.lambda_min / s, interval.lambda_max / s
     kappa = lmax / lmin
     c0 = demko_constant(lmin, lmax)

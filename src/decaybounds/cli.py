@@ -54,7 +54,17 @@ def _positive_number(text):
     return value
 
 
-_positive_number.__name__ = "float"     # argparse: "invalid float value: ..."
+def _finite_number(text):
+    """argparse type of --tau and --zeta: a finite float (exp(-inf x) is
+    an all-zero column, and 1j * inf is nan + inf j)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+# argparse: "invalid float value: ..."
+_positive_number.__name__ = _finite_number.__name__ = "float"
 
 
 def _add_matrix_flags(p):
@@ -85,9 +95,9 @@ def build_parser():
                             "log1p_inv | expsqrt:t | log1p_over_z")
         p.add_argument("--class", dest="klass", required=True,
                        choices=("laplace", "cauchy", "exp", "resolvent"))
-        p.add_argument("--tau", type=float, default=None,
+        p.add_argument("--tau", type=_finite_number, default=None,
                        help="--class exp only: exp(-tau M) (default 1)")
-        p.add_argument("--zeta", type=float, default=0.0)
+        p.add_argument("--zeta", type=_finite_number, default=0.0)
         p.add_argument("--column", type=int, required=True)
         p.add_argument("--distance", choices=("band", "graph"), default="band")
         _add_common_flags(p)
@@ -103,7 +113,7 @@ def build_parser():
     p.add_argument("--function", default=None)
     p.add_argument("--class", dest="klass", required=True,
                    choices=("laplace", "cauchy", "exp"))
-    p.add_argument("--tau", type=float, default=None,
+    p.add_argument("--tau", type=_finite_number, default=None,
                    help="--class exp only: exp(-tau M) (default 1)")
     p.add_argument("--column", required=True,
                    help="linear index t, or components k1,k2[,k3]")
@@ -114,9 +124,9 @@ def build_parser():
     p.add_argument("--function", required=True)
     p.add_argument("--class", dest="klass", default="laplace",
                    choices=("laplace", "cauchy", "exp", "resolvent"))
-    p.add_argument("--tau", type=float, default=None,
+    p.add_argument("--tau", type=_finite_number, default=None,
                    help="--class exp only: exp(-tau M) (default 1)")
-    p.add_argument("--zeta", type=float, default=0.0)
+    p.add_argument("--zeta", type=_finite_number, default=0.0)
     p.add_argument("--column", type=int, required=True)
     p.add_argument("--out", default=None)
 
@@ -130,7 +140,7 @@ def build_parser():
 
     p = sub.add_parser("surface", help="full-matrix dump of f(grid operator)")
     p.add_argument("--function", choices=("exp", "inv_sqrt"), default="exp")
-    p.add_argument("--tau", type=float, default=5.0)
+    p.add_argument("--tau", type=_finite_number, default=5.0)
     p.add_argument("--grid-n", type=int, default=10)
     p.add_argument("--out", required=True)
 
@@ -174,7 +184,7 @@ def _cmd_bound(args, self_check=False):
 
 def _cmd_kron(args):
     # one object per distinct spec: a repeated factor shares its cached
-    # enclosure and eigendecomposition
+    # enclosure and is solved once in the eigendecomposition
     specs = args.factors.split(",")
     parsed = {s: parse_matrix_spec(s, args.n) for s in dict.fromkeys(specs)}
     factors = tuple(parsed[s] for s in specs)
@@ -200,7 +210,7 @@ def _cmd_oracle(args):
         raise UsageError(f"--column {args.column} outside 1..{M.n}")
     f, _, _ = figures.resolve_function(args.function, args.klass, args.tau,
                                        args.zeta)
-    col = oracle.function_column(M, f, args.column)
+    col, _ = oracle.function_column(M, f, args.column)
     # a complex column prints its modulus, by the np.abs that compare uses
     values = col if np.isrealobj(col) else np.abs(col)
     rows = list(enumerate(values.tolist(), start=1))

@@ -137,15 +137,13 @@ def run_figure(figure_id, matrix_kind, out_path, quad_tol):
         rows = [(k, o, b) for k, _, b, o, _ in out]
     else:
         M = make_test_matrix(matrix_kind, _FACTOR_N)
+        # rows below the stated validity d_L >= 2 get no bound
         summary, _, out = run_kron_compare(
             KroneckerSum(factors=(M, M)), _T_KRON,
-            *_DRIVER_PRESETS[figure_id][1:], quad_tol=quad_tol)
+            *_DRIVER_PRESETS[figure_id][1:], quad_tol=quad_tol,
+            least_distance=2.0)
         header = ("k", "k1", "k2", "oracle", "bound")
-        # the extended bounds of rows below the stated validity are blanked
-        rows = [(k, k1, k2, o, b if min(d1, d2) >= 2.0 else None)
-                for k, k1, k2, d1, d2, b, o in out]
-        summary.update(_ratio_stats([(r[-1], r[-2]) for r in rows],
-                                    summary["oracle_floor"]))
+        rows = [(k, k1, k2, o, b) for k, k1, k2, _, _, b, o in out]
     _write_csv(out_path, header, rows)
     summary.update(figure_id=figure_id, matrix_kind=matrix_kind, rows=len(rows))
     return summary
@@ -231,15 +229,16 @@ def _distances(A, t, mode="band"):
 
 def _column(A, t, f, keys, bounds_at):
     """The pass behind every printed column: (|column t of f(A)|, each
-    row's bound, the summary).  The oracle, ``oracle.function_column``
-    with ``oracle.oracle_floor``, runs before any bound.  A row's bound
-    depends on it only through its key, a distance or a per-factor
-    distance tuple (None: no bound), so the distinct keys go to one
-    ``bounds_at(keys)`` call, which returns numbers or quadrature reports.
-    A report that did not converge is no bound: its key gets None.  The
-    summary is ``_summary``'s, over one row per key."""
-    col = np.abs(oracle.function_column(A, f, t)).tolist()
-    floor = oracle.oracle_floor(A, f)
+    row's bound, the summary).  The oracle, one
+    ``oracle.function_column`` call for the column and its floor, runs
+    before any bound.  A row's bound depends on it only through its key,
+    a distance or a per-factor distance tuple (None: no bound), so the
+    distinct keys go to one ``bounds_at(keys)`` call, which returns
+    numbers or quadrature reports.  A report that did not converge is no
+    bound: its key gets None.  The summary is ``_summary``'s, over one
+    row per key."""
+    col, floor = oracle.function_column(A, f, t)
+    col = np.abs(col).tolist()
     distinct = list(dict.fromkeys(k for k in keys if k is not None))
     found = bounds_at(distinct)
     reports = [r for r in found if isinstance(r, bounds.DecayBoundReport)]
@@ -262,7 +261,7 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     quadrature report per distinct distance.  Dominance violations are
     counted against oracle entries at or above the oracle's resolution
     floor; smaller entries are rounding noise (see
-    :func:`decaybounds.oracle.oracle_floor`).
+    :func:`decaybounds.oracle.function_column`).
 
     The enclosure is :func:`decaybounds.matrices.spectral_interval`'s.
     The oracle column is :func:`decaybounds.oracle.function_column`'s,
@@ -306,7 +305,8 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     return summary, header, rows
 
 
-def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8):
+def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8,
+                     least_distance=0.0):
     """Kronecker-sum comparison; returns (summary, header, rows) with CSV
     columns ``k,k1,...,d1,...,bound,oracle``.
 
@@ -314,7 +314,9 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8):
     per-factor distances, so the column's distinct tuples are evaluated in
     one call, each value shared by all rows with that tuple; (d1, d2) and
     (d2, d1) are different tuples.  The summary's convergence figures come
-    from one report per distinct tuple.
+    from one report per distinct tuple.  A row with a per-factor distance
+    below ``least_distance`` gets no bound (the figure presets: the
+    paper's d_L >= 2).
     """
     ds = _distances(A, t)
     f, kind, measure = resolve_function(function, klass, tau, 0.0)
@@ -333,8 +335,8 @@ def run_kron_compare(A, t, function, klass, *, tau=None, quad_tol=1e-8):
         raise ValueError(f"--class {klass} --function {function} is not "
                          "available for Kronecker sums")
     # the diagonal entry of exp is not covered
-    keys = [None if kind == "exp" and k == t else d
-            for k, d in enumerate(ds, start=1)]
+    keys = [None if (kind == "exp" and k == t) or min(d) < least_distance
+            else d for k, d in enumerate(ds, start=1)]
     col, bs, summary = _column(A, t, f, keys, bounds_at)
     rows = [(k, *km, *d, b, o) for k, (km, d, b, o)
             in enumerate(zip(A.multi_indices.tolist(), ds, bs, col), start=1)]

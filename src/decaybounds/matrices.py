@@ -93,8 +93,7 @@ class SparseHermitianMatrix:
     def tridiagonal(self):
         """(diagonal, subdiagonal) float arrays of a real, finite matrix of
         bandwidth at most 1; None for any other matrix, a non-finite one
-        included.  The subdiagonal is the lower triangle, which the dense
-        LAPACK solvers read."""
+        included: the input of ``spectral_interval``'s ``dstevd``."""
         data = self.matrix.data
         if (self.beta > 1 or not np.all(np.isfinite(data))
                 or np.iscomplexobj(data)):
@@ -368,18 +367,3 @@ class KroneckerSum:
                 raise IndexError(f"component {comp} outside 1..{n}")
             lin, stride = lin + (comp - 1) * stride, stride * n
         return lin + 1
-
-    def toarray(self):
-        """Dense assembly, for the tests only (the oracle works from the
-        factors); capped at order 4096."""
-        if self.total_order > 4096:
-            raise ValueError("dense assembly capped at order 4096; "
-                             f"requested {self.total_order}")
-        eyes = [np.eye(n) for n in self.orders]
-        acc = np.zeros((self.total_order, self.total_order))
-        for pos, f in enumerate(self.factors):
-            mats = list(eyes)
-            mats[pos] = f.toarray()
-            acc = acc + functools.reduce(np.kron, mats[::-1])
-        return acc
-

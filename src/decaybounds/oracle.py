@@ -1,9 +1,11 @@
 """Exact reference computations.
 
-Three routes give the ground truth each decay bound is compared against,
-and ``function_column`` picks one from its inputs alone, never from
-timing; none of the first two forms a dense matrix or an
-eigendecomposition of order n.
+``function_column(M, f, t)`` returns column t of f(M) together with its
+resolution floor, 100 n eps max|f|, from one dispatch on (M, f): the
+floor is where dominance checks start, and the Lanczos column is run to
+a hundredth of it, so the two are one computation.  It picks one of
+three routes from its inputs alone, never from timing; none of the
+first two forms a dense matrix or an eigendecomposition of order n.
 
 * A shifted inverse, f = ``ShiftedInverse(shift)``, which is 1 / (x -
   shift): the f of ``--class resolvent`` and of ``--class cauchy
@@ -12,34 +14,37 @@ eigendecomposition of order n.
   cell by cell down to underflow; its floor is ``resolvent_floor``.  A
   plain function with the same values, such as ``lambda x: 1 / x``, is
   not recognised and takes the next route.
-* Any other f of a single matrix takes a Lanczos column: m steps from e_t
-  on the CSR matrix, with full reorthogonalisation, give V_m and the
-  tridiagonal T_m, and the column is V_m f(T_m) e_1, with f(T_m) from the
-  eigenpairs of T_m.  For Hermitian M its error is at most twice the best
-  polynomial error of degree m - 1 of f on the spectrum (Saad, SIAM J.
-  Numer. Anal. 29, 1992), a bound that survives rounding (Musco, Musco
-  and Sidford, SODA 2018).  m is predicted from the Chebyshev tail of f on
-  the spectral enclosure, and the run stops once two iterates 8 steps
-  apart agree to 1e-15 max|f| over the Ritz values.  The column uses
-  neither the enclosure's bound nor a measure, so it stays an independent
-  check of both.
-* The eigendecomposition, cached per matrix object: the Kronecker sums
-  and dense f(A) of ``matrix_function``, and the fallback of a single
-  matrix whose predicted step count passes min(n / 4, 400), whose
-  iterates do not agree by then, or whose f is not finite inside the
-  enclosure.  A single matrix takes one dense ``dsyevd``/``zheevd`` solve
-  through scipy, on a Fortran-order copy that it overwrites.  A Kronecker
-  sum is never assembled: its eigenpairs are sums of factor eigenvalues
-  and Kronecker products of factor eigenvectors, so a column of f(A) is a
-  tensor contraction with the factors' U, O(N sum_L n_L) work, and the
-  dense f(A) one with their pair products U_L[i, a] conj(U_L[j, a]).
+* Any other f of a single matrix is evaluated once on a Chebyshev grid
+  of the spectral enclosure; max|f| there gives the floor.  The column
+  is a Lanczos one: m steps from e_t on the CSR matrix, with full
+  reorthogonalisation, give V_m and the tridiagonal T_m, and the column
+  is V_m f(T_m) e_1, with f(T_m) from the eigenpairs of T_m.  For
+  Hermitian M its error is at most twice the best polynomial error of
+  degree m - 1 of f on the spectrum (Saad, SIAM J. Numer. Anal. 29,
+  1992), a bound that survives rounding (Musco, Musco and Sidford, SODA
+  2018).  m is predicted from the Chebyshev tail of f on the grid, and
+  the run stops once two iterates 8 steps apart agree to 1e-15 max|f|
+  over the Ritz values.  The column uses neither the enclosure's bound
+  nor a measure, so it stays an independent check of both.
+* The eigendecomposition: the Kronecker sums and dense f(A) of
+  ``matrix_function``, and the fallback of a single matrix whose
+  predicted step count passes min(n / 4, 400), whose iterates do not
+  agree by then, or whose f is not finite inside the enclosure (its
+  floor then comes from f on the eigenvalues).  A single matrix takes
+  one dense ``dsyevd``/``zheevd`` solve through scipy, on a
+  Fortran-order copy that it overwrites.  A Kronecker sum is never
+  assembled: its eigenpairs are sums of factor eigenvalues and Kronecker
+  products of factor eigenvectors, one solve per distinct factor
+  object, so a column of f(A) is a tensor contraction with the factors'
+  U, O(N sum_L n_L) work, and the dense f(A) one with their pair
+  products U_L[i, a] conj(U_L[j, a]).  Nothing is kept between calls:
+  each call solves what it needs once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,36 +85,30 @@ class EigenDecomposition:
     factors: tuple = ()
 
 
-_CACHE = weakref.WeakKeyDictionary()
-
-
 def _combine(op, per_factor):
     """op(x_L, ... op(x_2, x_1)): the first factor's index runs fastest."""
     return functools.reduce(lambda acc, x: op(x, acc), per_factor)
 
 
 def eigendecomposition(M):
-    """Eigendecomposition of a Hermitian matrix object, cached per object;
-    for a Kronecker sum, built from the factors' (each cached itself)."""
-    hit = _CACHE.get(M)
-    if hit is not None:
-        return hit
+    """Eigendecomposition of a Hermitian matrix object; for a Kronecker
+    sum, built from one decomposition per distinct factor object, so a
+    factor repeated as one object shares one decomposition."""
     if isinstance(M, KroneckerSum):
         # through the module global, so a wrapped name sees factor calls
-        parts = tuple(eigendecomposition(f) for f in M.factors)
+        solved = {f: eigendecomposition(f) for f in dict.fromkeys(M.factors)}
+        parts = tuple(solved[f] for f in M.factors)
         w = _combine(np.add.outer, [p.eigenvalues for p in parts]).ravel()
-        dec = EigenDecomposition(eigenvalues=w, eigenvectors=None, factors=parts)
-    else:
-        require_finite(M)
-        # the Fortran-order copy is overwritten, not copied once more
-        w, u = scipy.linalg.eigh(M.toarray(), driver="evd",
-                                 overwrite_a=True, check_finite=False)
-        # C order, as numpy's eigh returns it: the contraction in
-        # function_column then adds its terms in the same order
-        u = np.ascontiguousarray(u)
-        dec = EigenDecomposition(eigenvalues=w, eigenvectors=u)
-    _CACHE[M] = dec
-    return dec
+        return EigenDecomposition(eigenvalues=w, eigenvectors=None,
+                                  factors=parts)
+    require_finite(M)
+    # the Fortran-order copy is overwritten, not copied once more
+    w, u = scipy.linalg.eigh(M.toarray(), driver="evd",
+                             overwrite_a=True, check_finite=False)
+    # C order, as numpy's eigh returns it: the contraction in eigen_column
+    # then adds its terms in the same order
+    return EigenDecomposition(eigenvalues=w,
+                              eigenvectors=np.ascontiguousarray(u))
 
 
 def _on_spectrum(f, w):
@@ -197,34 +196,50 @@ def _pair_contraction(u, c):
 
 
 def function_column(M, f, t):
-    """Column t (1-based) of f(M) without forming the full matrix.
+    """(column t (1-based) of f(M), its resolution floor), without forming
+    the full matrix, from one dispatch on (M, f).
 
-    A shifted inverse f of a single matrix takes ``resolvent_column``.
-    Any other f takes the Lanczos column when the Chebyshev tail of f on
-    the enclosure predicts at most min(n / 4, 400) steps, and its
-    iterates agree by then.  Otherwise, and for a Kronecker sum, the
-    column is ``eigen_column``'s.  ``ValueError`` where f is not finite at
-    an end of the enclosure (or, on the eigendecomposition route, on the
-    spectrum)."""
+    The floor is 100 n eps max|f|: entries of U f(Lambda) U* are sums of
+    n terms of size up to max|f|, so below roughly n eps max|f| they are
+    rounding noise, and dominance checks only compare above the floor.
+    A shifted inverse f of a single matrix takes ``resolvent_column`` and
+    ``resolvent_floor``.  Any other f of a single matrix is evaluated once
+    on the enclosure's Chebyshev grid; max|f| there gives the floor, with
+    no eigenvalue, and its Chebyshev tail the Lanczos step count m for an
+    error of floor / 100.  The column is the Lanczos one when m is at
+    most min(n / 4, 400) and its iterates agree by then.  Otherwise, and
+    for a Kronecker sum, it is ``eigen_column``'s, whose floor (max|f| on
+    the eigenvalues) is taken where f is not finite inside the enclosure.
+    ``ValueError`` where f is not finite at an end of the enclosure (or,
+    on the eigendecomposition route, on the spectrum)."""
     if isinstance(M, KroneckerSum):
         return eigen_column(M, f, t)
     if isinstance(f, ShiftedInverse):
-        return resolvent_column(M, f.shift, t)
+        return (resolvent_column(M, f.shift, t),
+                resolvent_floor(M.n, spectral_interval(M), f.shift))
     if not 1 <= t <= M.n:
         raise ValueError(f"column {t} is out of bounds for order {M.n}")
     fx = _on_enclosure(f, spectral_interval(M))
+    if not np.all(np.isfinite(fx)):
+        return eigen_column(M, f, t)
+    floor = _floor(M.n, fx)
     cap = min(M.n // 4, _MAX_STEPS)
-    if np.all(np.isfinite(fx)):
-        steps = _predicted_steps(fx, oracle_floor(M, f) / 100)
-        if steps is not None and steps <= cap:
-            col = _lanczos_column(M, f, t, steps, cap)
-            if col is not None:
-                return col
-    return eigen_column(M, f, t)
+    steps = _predicted_steps(fx, floor / 100)
+    if steps is not None and steps <= cap:
+        col = _lanczos_column(M, f, t, steps, cap)
+        if col is not None:
+            return col, floor
+    return eigen_column(M, f, t)[0], floor
+
+
+def _floor(n, fx):
+    """100 n eps max|f| from values ``fx`` of f."""
+    return 100.0 * n * np.finfo(float).eps * float(np.max(np.abs(fx)))
 
 
 def eigen_column(M, f, t):
-    """Column t (1-based) of f(M) from the eigendecomposition: a tensor
+    """(column t (1-based) of f(M), 100 n eps max|f(w)|) from the
+    eigendecomposition, f taken once on its eigenvalues w: a tensor
     contraction with the factors' eigenvectors, a single matrix being the
     one-factor case (where it is ``U (f(w) * conj(U[t-1]))``)."""
     dec = eigendecomposition(M)
@@ -239,7 +254,7 @@ def eigen_column(M, f, t):
     c = fw.reshape(c.shape) * c
     for p in parts:
         c = np.tensordot(p.eigenvectors, c, axes=(1, -1))
-    return c.ravel()
+    return c.ravel(), _floor(fw.size, fw)
 
 
 def resolvent_column(M, shift, t):
@@ -267,40 +282,14 @@ def resolvent_floor(n, interval, shift):
     order n, from the spectral ``interval``: 100 n eps / |dist(Re shift,
     interval) + i Im shift|.  max|1/(x - shift)| over the spectrum is at
     most the reciprocal of that distance, so for a positive definite M
-    this is ``oracle_floor``'s level up to the ulps of the ends, and for
-    an indefinite one it is never lower; it is infinite for a real shift
-    inside the interval."""
+    this is the level 100 n eps max|f| of ``function_column`` up to the
+    ulps of the ends, and for an indefinite one it is never lower; it is
+    infinite for a real shift inside the interval."""
     shift = complex(shift)
     gap = max(interval.lambda_min - shift.real,
               shift.real - interval.lambda_max, 0.0)
     distance = abs(complex(gap, shift.imag))
-    fmax = 1.0 / distance if distance else math.inf
-    return 100.0 * n * np.finfo(float).eps * fmax
-
-
-def oracle_floor(M, f):
-    """Absolute resolution floor of a column of f(M): 100 n eps max|f|.
-
-    Entries of U f(Lambda) U* are sums of n terms of size up to max|f|, so
-    below roughly n * eps * max|f| they consist of rounding noise, and the
-    Lanczos column is run to within that level.  The floor is 100 times
-    it; dominance checks only compare above it.  A shifted inverse of a
-    single matrix takes ``resolvent_floor``.  For any other f of a single
-    matrix max|f| is taken on the spectral enclosure, at its ends and its
-    Chebyshev grid, so that no eigenvalue is needed; where f is not
-    finite inside the enclosure, and for a Kronecker sum, on the
-    eigenvalues.
-    """
-    fx = None
-    if not isinstance(M, KroneckerSum):
-        if isinstance(f, ShiftedInverse):
-            return resolvent_floor(M.n, spectral_interval(M), f.shift)
-        fx = _on_enclosure(f, spectral_interval(M))
-    if fx is None or not np.all(np.isfinite(fx)):
-        dec = eigendecomposition(M)
-        fx = f(dec.eigenvalues)
-    n = M.total_order if isinstance(M, KroneckerSum) else M.n
-    return 100.0 * n * np.finfo(float).eps * float(np.max(np.abs(fx)))
+    return _floor(n, 1.0 / distance if distance else math.inf)
 
 
 def _on_enclosure(f, interval):

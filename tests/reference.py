@@ -28,6 +28,8 @@ call them; their behaviour is unchanged:
   band distances of one entry;
 * ``gershgorin_interval`` (the former ``spectral_interval(M,
   "gershgorin")``): the Gershgorin disc enclosure;
+* ``kron_toarray`` (the former ``KroneckerSum.toarray``): the dense
+  assembly of a Kronecker sum;
 * ``laplace_reconstruct`` and ``cauchy_reconstruct`` (the former
   ``LaplaceMeasure.reconstruct`` and ``CauchyMeasure.reconstruct``):
   f(x) from a measure by ``scipy.integrate.quad``.
@@ -47,6 +49,7 @@ field for field.
 
 import contextlib
 import csv
+import functools
 import heapq
 import math
 import sys
@@ -404,6 +407,22 @@ def factor_intervals(A):
     """Spectral intervals of the factors of a Kronecker sum, the first
     argument of the Kronecker bounds."""
     return tuple(spectral_interval(f) for f in A.factors)
+
+
+def kron_toarray(A):
+    """Dense assembly sum_L I (x) ... (x) M_L (x) ... (x) I of a Kronecker
+    sum, the first factor's index fastest (the package works from the
+    factors); capped at order 4096."""
+    if A.total_order > 4096:
+        raise ValueError("dense assembly capped at order 4096; "
+                         f"requested {A.total_order}")
+    eyes = [np.eye(n) for n in A.orders]
+    acc = np.zeros((A.total_order, A.total_order))
+    for pos, f in enumerate(A.factors):
+        mats = list(eyes)
+        mats[pos] = f.toarray()
+        acc = acc + functools.reduce(np.kron, mats[::-1])
+    return acc
 
 
 def gershgorin_interval(M):

@@ -3,8 +3,8 @@ stated tolerance, printing a pass line when it holds.
 
 Dominance comparisons against the dense eigendecomposition oracle apply
 above that oracle's resolution floor (roughly n * eps * max|f| -- below
-it the computed column is rounding noise; see
-decaybounds.oracle.oracle_floor).  For the matrix exponential the check
+it the computed column is rounding noise; ``function_column`` returns it
+with the column).  For the matrix exponential the check
 additionally runs at EVERY covered index against a cancellation-free
 nonnegative-series oracle that stays accurate at any magnitude.
 """
@@ -19,13 +19,13 @@ from decaybounds import (KroneckerSum, cauchy_catalog, cauchy_kron_bound,
                          demko_bound, exp_entry_bound, function_column,
                          geodesic_from, invsqrt_closed_bound,
                          laplace_catalog, laplace_entry_bound,
-                         laplace_kron_bound, make_test_matrix, oracle_floor,
+                         laplace_kron_bound, make_test_matrix,
                          banded_from_stencil, cauchy_entry_bound,
                          spectral_interval)
 from reference import (cauchy_reconstruct, component_distances,
-                       expm_column_nonneg, factor_intervals, lancaster_column,
-                       laplace_reconstruct, laplace_transform_of_cauchy,
-                       sincos_kron_exact)
+                       expm_column_nonneg, factor_intervals, kron_toarray,
+                       lancaster_column, laplace_reconstruct,
+                       laplace_transform_of_cauchy, sincos_kron_exact)
 
 SLACK = 1.0 - 1e-10
 KINDS = ("tridiag", "pentadiag")
@@ -59,9 +59,9 @@ def test_criterion_02_exponential_dominance_and_superexponential_decay():
         m = make_test_matrix(kind, 200)
         iv = spectral_interval(m)
         f = lambda x: np.exp(-tau * x)
-        col_eig = np.abs(function_column(m, f, t))
+        col_eig, floor = function_column(m, f, t)
+        col_eig = np.abs(col_eig)
         col_deep = expm_column_nonneg(m.toarray(), tau, t)
-        floor = oracle_floor(m, f)
         lo = math.sqrt(4.0 * iv.rho * tau) * m.beta
         bounds = {}
         for k in range(1, 201):
@@ -94,8 +94,8 @@ def test_criterion_03_laplace_bounds_dominate(fname):
     for kind in KINDS:
         m = make_test_matrix(kind, 200)
         iv = spectral_interval(m)
-        col = np.abs(function_column(m, measure.closed_form, t))
-        floor = oracle_floor(m, measure.closed_form)
+        col, floor = function_column(m, measure.closed_form, t)
+        col = np.abs(col)
         for k in range(1, 201):
             if abs(k - t) < 2 * m.beta:
                 continue
@@ -120,8 +120,8 @@ def test_criterion_04_cauchy_closed_bound_superiority():
     for kind in KINDS:
         m = make_test_matrix(kind, 200)
         iv = spectral_interval(m)
-        col = np.abs(function_column(m, lambda x: x ** -0.5, t))
-        floor = oracle_floor(m, lambda x: x ** -0.5)
+        col, floor = function_column(m, lambda x: x ** -0.5, t)
+        col = np.abs(col)
         kind_tighter = kind_total = 0
         for k in range(1, 201):
             if abs(k - t) < 2 * m.beta:
@@ -145,7 +145,7 @@ def test_criterion_05_kronecker_identity_suite():
     import scipy.linalg
     m = make_test_matrix("tridiag", 10)
     a = KroneckerSum(factors=(m, m))
-    ad = a.toarray()
+    ad = kron_toarray(a)
     md = m.toarray()
     worst = 0.0
     for tau in (0.5, 1.0, 4.0):
@@ -155,7 +155,7 @@ def test_criterion_05_kronecker_identity_suite():
     assert worst <= 1e-10
     m8 = make_test_matrix("tridiag", 8)
     a8 = KroneckerSum(factors=(m8, m8))
-    w, u = np.linalg.eigh(a8.toarray())
+    w, u = np.linalg.eigh(kron_toarray(a8))
     worst_tr = 0.0
     for which, fun in (("sin", np.sin), ("cos", np.cos)):
         dense = (u * fun(w)) @ u.T
@@ -178,8 +178,8 @@ def test_criterion_06_kron_bounds_dominate_and_oscillate():
         a = KroneckerSum(factors=(m, m))
         t1 = (t - 1) % 20 + 1
         for route, measure in cases:
-            col = np.abs(function_column(a, measure.closed_form, t))
-            floor = oracle_floor(a, measure.closed_form)
+            col, floor = function_column(a, measure.closed_form, t)
+            col = np.abs(col)
             bounds = np.empty(400)
             bound = (laplace_kron_bound if route == "laplace"
                      else cauchy_kron_bound)
@@ -214,7 +214,7 @@ def test_criterion_07_sylvester_kernel_column():
                            tol=1e-8)
     rhs = np.zeros(100)
     rhs[t - 1] = 1.0
-    direct = np.linalg.solve(a.toarray() - omega * np.eye(100), rhs)
+    direct = np.linalg.solve(kron_toarray(a) - omega * np.eye(100), rhs)
     dev = float(np.max(np.abs(col - direct)))
     assert dev <= 1e-6
     _report(7, f"quadrature column matches the direct solve to {dev:.2e} "

@@ -11,7 +11,7 @@ from decaybounds import (KroneckerSum, SpectralInterval, banded_from_stencil,
                          exp_envelope,
                          freund_resolvent_bound, function_column,
                          invsqrt_closed_bound, laplace_catalog,
-                         laplace_entry_bound, make_test_matrix, oracle_floor,
+                         laplace_entry_bound, make_test_matrix,
                          parse_matrix_spec, resolvent_column,
                          spectral_interval)
 from decaybounds import bounds
@@ -174,8 +174,8 @@ def test_demko_normalization_cancels():
 def test_demko_dominates_inverse_column():
     m = make_test_matrix("tridiag", 200)
     iv = spectral_interval(m)
-    inv_col = np.abs(function_column(m, lambda x: 1.0 / x, 127))
-    floor = oracle_floor(m, lambda x: 1.0 / x)
+    inv_col, floor = function_column(m, lambda x: 1.0 / x, 127)
+    inv_col = np.abs(inv_col)
     ratios = []
     for k in range(1, 201):
         b = demko_bound(iv, abs(k - 127), diag_max=m.diagonal_max())
@@ -189,7 +189,7 @@ def test_demko_dominates_inverse_column():
 def test_demko_diagonal_dominates():
     m = make_test_matrix("pentadiag", 50)
     iv = spectral_interval(m)
-    inv_diag = abs(function_column(m, lambda x: 1.0 / x, 25)[24])
+    inv_diag = abs(function_column(m, lambda x: 1.0 / x, 25)[0][24])
     assert demko_bound(iv, 0.0, diag_max=m.diagonal_max()) >= inv_diag
 
 
@@ -330,7 +330,8 @@ def test_freund_dominates_resolvent_columns():
     iv = spectral_interval(m)
     for zeta in (0.0, 1.0, 10.0):
         col = np.abs(resolvent_column(m, 1j * zeta, 40))
-        floor = oracle_floor(m, lambda x: 1.0 / np.abs(x - 1j * zeta))
+        floor = function_column(m, lambda x: 1.0 / np.abs(x - 1j * zeta),
+                                40)[1]
         for k in range(1, 81):
             if k == 40 or col[k - 1] < floor:
                 continue
@@ -392,8 +393,8 @@ def test_shifted_kernel_never_worse_than_unshifted(width, shift):
 def test_laplace_bound_dominates_oracle(fname, test_matrix_200):
     m, iv = test_matrix_200
     measure = laplace_catalog(fname)
-    col = np.abs(function_column(m, measure.closed_form, 127))
-    floor = oracle_floor(m, measure.closed_form)
+    col, floor = function_column(m, measure.closed_form, 127)
+    col = np.abs(col)
     for k in range(1, m.n + 1):
         if abs(k - 127) < 2 * m.beta:
             continue
@@ -529,7 +530,8 @@ def test_laplace_shifted_dominates_complex_shift_oracle():
     dec = eigendecomposition(m)
     fvals = (dec.eigenvalues + 1j * zeta) ** -0.5
     col = np.abs(dec.eigenvectors @ (fvals * dec.eigenvectors[t - 1, :]))
-    floor = oracle_floor(m, lambda x: np.abs((x + 1j * zeta) ** -0.5))
+    floor = function_column(m, lambda x: np.abs((x + 1j * zeta) ** -0.5),
+                            t)[1]
     measure = laplace_catalog("inv_sqrt")
     for k in range(1, n + 1):
         if abs(k - t) < 2 or col[k - 1] < floor:
@@ -562,8 +564,8 @@ def test_laplace_bound_dominates_the_shifted_function(case):
         assert all(rep.converged and rep.valid for rep in reps)
         for zeta in (0.0, 0.5, 3.0, 30.0):
             f = lambda x: measure.closed_form(x + 1j * zeta)
-            col = np.abs(function_column(a, f, t))
-            floor = oracle_floor(a, f)
+            col, floor = function_column(a, f, t)
+            col = np.abs(col)
             checked = [(rep.bound, col[k - 1]) for (k, _), rep in zip(rows, reps)
                        if col[k - 1] >= floor]
             assert checked, (measure.name, zeta)
@@ -602,8 +604,8 @@ def test_laplace_bound_not_below_envelope_integral_at_the_crossing():
 def test_cauchy_bound_dominates_oracle(test_matrix_200):
     m, iv = test_matrix_200
     measure = cauchy_catalog("inv_sqrt")
-    col = np.abs(function_column(m, measure.closed_form, 127))
-    floor = oracle_floor(m, measure.closed_form)
+    col, floor = function_column(m, measure.closed_form, 127)
+    col = np.abs(col)
     for k in range(1, m.n + 1, 3):
         rep = cauchy_entry_bound(iv, measure, abs(k - 127) / m.beta)
         assert rep.converged
@@ -637,8 +639,8 @@ def test_cauchy_log1p_bound_dominates():
     m = make_test_matrix("tridiag", 50)
     iv = spectral_interval(m)
     measure = cauchy_catalog("log1p_over_z")
-    col = np.abs(function_column(m, measure.closed_form, 25))
-    floor = oracle_floor(m, measure.closed_form)
+    col, floor = function_column(m, measure.closed_form, 25)
+    col = np.abs(col)
     for k in range(1, 51, 2):
         rep = cauchy_entry_bound(iv, measure, abs(k - 25))
         if col[k - 1] >= floor:
@@ -649,8 +651,8 @@ def test_cauchy_log1p_bound_dominates():
 
 def test_invsqrt_closed_bound_dominates(test_matrix_200):
     m, iv = test_matrix_200
-    col = np.abs(function_column(m, lambda x: x ** -0.5, 127))
-    floor = oracle_floor(m, lambda x: x ** -0.5)
+    col, floor = function_column(m, lambda x: x ** -0.5, 127)
+    col = np.abs(col)
     for k in range(1, m.n + 1):
         if abs(k - 127) < 2 * m.beta or col[k - 1] < floor:
             continue
@@ -673,7 +675,8 @@ def test_invsqrt_closed_bound_deep_highprec():
 def test_invsqrt_closed_scaled_identity():
     from decaybounds import banded_from_stencil
     iv = spectral_interval(banded_from_stencil((0.0, 2.0, 0.0), 8))
-    assert invsqrt_closed_bound(iv, 4.0) == pytest.approx(0.0, abs=1e-14)
+    assert invsqrt_closed_bound(iv, 4.0, diag_max=2.0) == pytest.approx(
+        0.0, abs=1e-14)
 
 
 def test_invsqrt_closed_exponent_uses_band_distance():
@@ -688,7 +691,7 @@ def test_invsqrt_closed_exponent_uses_band_distance():
 def test_invsqrt_closed_guards():
     iv = spectral_interval(make_test_matrix("tridiag", 10))
     with pytest.raises(ValueError):
-        invsqrt_closed_bound(iv, 0.0)
+        invsqrt_closed_bound(iv, 0.0, diag_max=4.0)
 
 
 def test_exp_bound_next_to_diagonal_is_the_trivial_cap():
@@ -709,8 +712,8 @@ def test_cauchy_expsqrt_total_variation_converges_and_dominates():
     iv = spectral_interval(m)
     for tpar in (1.5, 1e-3, 1e-6):
         measure = cauchy_catalog(f"expsqrt:{tpar}")
-        col = np.abs(function_column(m, measure.closed_form, 15))
-        floor = oracle_floor(m, measure.closed_form)
+        col, floor = function_column(m, measure.closed_form, 15)
+        col = np.abs(col)
         for k in range(1, 31):
             rep = cauchy_entry_bound(iv, measure, abs(k - 15), quad_tol=1e-8)
             assert rep.converged
@@ -767,10 +770,10 @@ def test_bounds_remain_valid_on_gershgorin_enclosure():
     t = 60
     lm = laplace_catalog("inv_sqrt")
     cm = cauchy_catalog("inv_sqrt")
-    col = np.abs(function_column(m, lambda x: x ** -0.5, t))
-    floor = oracle_floor(m, lambda x: x ** -0.5)
-    col_exp = np.abs(function_column(m, lambda x: np.exp(-4.0 * x), t))
-    floor_exp = oracle_floor(m, lambda x: np.exp(-4.0 * x))
+    col, floor = function_column(m, lambda x: x ** -0.5, t)
+    col = np.abs(col)
+    col_exp, floor_exp = function_column(m, lambda x: np.exp(-4.0 * x), t)
+    col_exp = np.abs(col_exp)
     for k in range(1, 121, 2):
         d = abs(k - t) / 2
         if k != t and col_exp[k - 1] >= floor_exp:
@@ -790,8 +793,8 @@ def test_bounds_on_complex_hermitian_storage():
     iv = spectral_interval(h)
     assert iv.lambda_min > 0
     t = 40
-    col = np.abs(function_column(h, lambda x: x ** -0.5, t))
-    floor = oracle_floor(h, lambda x: x ** -0.5)
+    col, floor = function_column(h, lambda x: x ** -0.5, t)
+    col = np.abs(col)
     lm = laplace_catalog("inv_sqrt")
     cm = cauchy_catalog("inv_sqrt")
     for k in range(1, 81, 3):

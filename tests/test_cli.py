@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from decaybounds import (KroneckerSum, SparseHermitianMatrix,
                          banded_from_stencil, bounds, cauchy_catalog, figures,
-                         kron, make_test_matrix, oracle, oracle_floor,
+                         function_column, kron, make_test_matrix, oracle,
                          parse_matrix_spec, spectral_interval)
 from decaybounds.cli import main
 from decaybounds.figures import run_compare, run_figure, run_kron_compare
@@ -137,6 +137,29 @@ def test_kron_figure_csv(tmp_path):
     assert (k, k1, k2) == (94, 14, 5)
 
 
+@pytest.mark.parametrize("kind", ["tridiag", "pentadiag"])
+@pytest.mark.parametrize("figure_id", figures.FIGURE_IDS)
+def test_figure_preset_takes_one_ratio_stats_pass(figure_id, kind, tmp_path,
+                                                  monkeypatch):
+    # the dominance statistics come from the one column pass: fig6 and
+    # fig7 blank the rows below d_L >= 2 through their keys, so those
+    # rows get no bound and are not integrated
+    calls = []
+    real = figures._ratio_stats
+    monkeypatch.setattr(figures, "_ratio_stats",
+                        lambda *args: calls.append(args) or real(*args))
+    out = tmp_path / "f.csv"
+    summary = run_figure(figure_id, kind, str(out), 1e-10)
+    assert len(calls) == 1
+    assert summary["resolved"] > 0 and summary["violations"] == 0
+    if figure_id.startswith(("fig6", "fig7")):
+        beta = make_test_matrix(kind, 20).beta
+        _, rows = _read_csv(out)
+        for k, k1, k2, _, b in rows:
+            least = min(abs(int(k1) - 14), abs(int(k2) - 5)) / beta
+            assert (b == "") == (least < 2), k
+
+
 def test_graph_mode_banded_file_matches_band_mode(tmp_path):
     mtx = tmp_path / "band.mtx"
     _write_banded_mtx(mtx)
@@ -174,9 +197,8 @@ def test_oracle_command_matches_library(tmp_path):
                  "exp", "--class", "exp", "--tau", "2.0", "--column", "4",
                  "--out", str(out)]) == 0
     _, rows = _read_csv(out)
-    from decaybounds import function_column
     m = make_test_matrix("tridiag", 10)
-    col = function_column(m, lambda x: np.exp(-2.0 * x), 4)
+    col, _ = function_column(m, lambda x: np.exp(-2.0 * x), 4)
     for (k, v), expect in zip(rows, col):
         assert float(v) == pytest.approx(expect, abs=1e-15)
 
@@ -396,15 +418,19 @@ def test_kron_exp_command(tmp_path):
 
 
 def test_kron_never_assembles_the_sum(monkeypatch, tmp_path):
-    def no_assembly(self):
-        raise AssertionError("decay kron assembled the Kronecker sum")
-
-    monkeypatch.setattr(KroneckerSum, "toarray", no_assembly)
+    # the package has no dense assembly of a sum (the tests' own is
+    # reference.kron_toarray): every dense matrix it forms is a factor's
+    assert not hasattr(KroneckerSum, "toarray")
+    orders = []
+    real = SparseHermitianMatrix.toarray
+    monkeypatch.setattr(SparseHermitianMatrix, "toarray",
+                        lambda self: orders.append(self.n) or real(self))
     for klass in (["--class", "exp"], ["--class", "laplace", "--function",
                                        "phi1"]):
         assert main(["kron", "--factors", "tridiag,pentadiag", "--n", "8",
                      *klass, "--column", "3,4",
                      "--out", str(tmp_path / "k.csv")]) == 0
+    assert orders == [8, 8] * 2
 
 
 def test_kron_order_64000_column(tmp_path):
@@ -421,7 +447,9 @@ def test_kron_order_64000_column(tmp_path):
     got = np.array([float(r[8]) for r in rows])
     assert np.max(np.abs(got - expect)) <= 100 * np.finfo(float).eps * expect.max()
     m = make_test_matrix("tridiag", 40)
-    floor = oracle_floor(KroneckerSum(factors=(m, m, m)), lambda x: np.exp(-x))
+    a = KroneckerSum(factors=(m, m, m))
+    floor = function_column(a, lambda x: np.exp(-x),
+                            a.linearize((20, 20, 20)))[1]
     resolved = [(r[7], float(r[8])) for r in rows if float(r[8]) >= floor]
     assert len(resolved) > 1000
     assert all(float(b) >= o * (1 - 1e-10) for b, o in resolved if b)
@@ -531,8 +559,8 @@ def test_kron_cauchy_signed_measure_command(tmp_path):
     _, rows = _read_csv(out)
     assert len(rows) == 400
     m = make_test_matrix("tridiag", 20)
-    floor = oracle_floor(KroneckerSum(factors=(m, m)),
-                         cauchy_catalog("expsqrt:1").closed_form)
+    floor = function_column(KroneckerSum(factors=(m, m)),
+                            cauchy_catalog("expsqrt:1").closed_form, 94)[1]
     resolved = 0
     for row in rows:
         b, o = float(row[5]), float(row[6])
@@ -718,6 +746,44 @@ def test_tau_needs_exp_class(monkeypatch, capsys):
                     tau=2.0)
 
 
+# a non-finite --zeta would reach the banded solve as 1j * inf = nan + inf
+# j, and --tau inf would print an all-zero column
+_SHIFT_COMMANDS = {
+    "--zeta": [["bound", "--matrix", "tridiag", "--n", "40", "--class",
+                "resolvent", "--column", "20"],
+               ["compare", "--matrix", "tridiag", "--n", "40", "--class",
+                "resolvent", "--column", "20"],
+               ["oracle", "--matrix", "tridiag", "--n", "40", "--class",
+                "resolvent", "--function", "inv", "--column", "20"]],
+    "--tau": [["bound", "--matrix", "tridiag", "--n", "40", "--class", "exp",
+               "--column", "20"],
+              ["compare", "--matrix", "tridiag", "--n", "40", "--class",
+               "exp", "--column", "20"],
+              ["oracle", "--matrix", "tridiag", "--n", "40", "--class", "exp",
+               "--function", "exp", "--column", "20"],
+              ["kron", "--factors", "tridiag,tridiag", "--n", "5", "--class",
+               "exp", "--column", "13"],
+              ["surface", "--function", "exp", "--grid-n", "4"]],
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("flag", sorted(_SHIFT_COMMANDS))
+def test_non_finite_zeta_or_tau_is_a_usage_error(flag, value, tmp_path,
+                                                 capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in _SHIFT_COMMANDS[flag]:
+            out = tmp_path / f"{argv[0]}.csv"
+            # (``=``: argparse would read a bare -inf as an option)
+            assert main([*argv, f"{flag}={value}",
+                         "--out", str(out)]) == 1, argv
+            assert capsys.readouterr().err == (
+                f"decay: error: argument {flag}: must be finite, "
+                f"got {value}\n")
+            assert not out.exists()
+
+
 def test_exp_class_tau_defaults_to_one():
     m = make_test_matrix("tridiag", 30)
     _, _, implicit = run_compare(m, 10, "exp", "exp")
@@ -731,7 +797,8 @@ def test_shifted_resolvent_floor_comes_from_the_shifted_inverse(tmp_path,
     # but |1/(x - i)| <= 1 on its spectrum
     m = parse_matrix_spec("tridiag:1,0,1", 11)
     summary, _, _ = run_compare(m, 3, None, "resolvent", zeta=1.0)
-    assert summary["oracle_floor"] == oracle_floor(m, lambda x: 1.0 / (x - 1j))
+    assert summary["oracle_floor"] == function_column(
+        m, lambda x: 1.0 / (x - 1j), 3)[1]
     assert summary["resolved"] == 10 and summary["violations"] == 0
     assert main(["compare", "--matrix", "tridiag:1,0,1", "--n", "11",
                  "--column", "3", "--class", "resolvent", "--zeta", "1",
@@ -837,7 +904,7 @@ def test_figure_fig4_evaluates_each_distance_once(monkeypatch, tmp_path,
     assert sorted(calls) == sorted(set(ds) - {0.0})
     assert len(calls) == 126
     iv, diag_max = spectral_interval(m), m.diagonal_max()
-    col = np.abs(oracle.function_column(m, lambda x: x ** -0.5, t))
+    col = np.abs(oracle.function_column(m, lambda x: x ** -0.5, t)[0])
     expect = tmp_path / "expect.csv"
     figures._write_csv(str(expect), ("k", "oracle", "bound"), [
         (k, float(col[k - 1]),

@@ -135,10 +135,10 @@ def test_oracle_recognises_a_shifted_inverse_from_f(spec, shift, tmp_path,
     m, f = parse_matrix_spec(matrix, 80), ShiftedInverse(shift)
     _forbid_eigensolves(monkeypatch)
     for t in (1, 33, m.n):
-        assert np.array_equal(oracle.function_column(m, f, t),
-                              resolvent_column(m, shift, t))
-    assert oracle.oracle_floor(m, f) == oracle.resolvent_floor(
-        m.n, spectral_interval(m), shift)
+        col, floor = oracle.function_column(m, f, t)
+        assert np.array_equal(col, resolvent_column(m, shift, t))
+        assert floor == oracle.resolvent_floor(m.n, spectral_interval(m),
+                                               shift)
 
 
 def test_plain_inverse_takes_the_lanczos_column(monkeypatch):
@@ -157,7 +157,7 @@ def test_plain_inverse_takes_the_lanczos_column(monkeypatch):
 
     monkeypatch.setattr(oracle, "_lanczos_column", recorded)
     monkeypatch.setattr(oracle, "resolvent_column", forbidden)
-    col = oracle.function_column(m, lambda x: 1.0 / x, 121)
+    col, _ = oracle.function_column(m, lambda x: 1.0 / x, 121)
     assert lanczos == [True] and col.shape == (300,)
 
 
@@ -233,7 +233,7 @@ def test_ill_conditioned_column_takes_the_dense_route(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert lanczos == []
     m = parse_matrix_spec("tridiag:-1,2.001,-1", 1000)
-    dense = np.abs(oracle.eigen_column(m, lambda x: x ** -0.5, 500))
+    dense = np.abs(oracle.eigen_column(m, lambda x: x ** -0.5, 500)[0])
     with open(tmp_path / "c.csv") as fh:
         column = [line.split(",")[3] for line in fh.read().splitlines()[1:]]
     assert column == ["%.17g" % v for v in dense.tolist()]
@@ -248,10 +248,11 @@ def test_kron_compare_solves_once_per_dense_factor(monkeypatch):
                                         40, "phi1", "laplace", quad_tol=1e-6)
     assert calls == [9, 8]
     assert len(rows) == 72 and summary["violations"] == 0
-    # a factor repeated as one object is solved once
+    # a factor repeated as one object is solved once per call
+    calls.clear()
     run_kron_compare(KroneckerSum(factors=(penta, penta)), 40, "inv_sqrt",
                      "cauchy", quad_tol=1e-6)
-    assert calls == [9, 8]
+    assert calls == [9]
 
 
 def test_kron_parses_a_repeated_factor_spec_once(monkeypatch, tmp_path):
@@ -273,6 +274,42 @@ def test_kron_parses_a_repeated_factor_spec_once(monkeypatch, tmp_path):
                      "--n", "5", "--class", "exp", "--column", "63",
                      "--out", str(out)]) == 0
     assert calls == [5]
+
+
+def test_kron_command_decomposes_the_sum_once(monkeypatch, tmp_path):
+    # one eigendecomposition of the sum gives the column and its floor,
+    # and it solves each distinct factor object once
+    seen = []
+    real = oracle.eigendecomposition
+    monkeypatch.setattr(oracle, "eigendecomposition",
+                        lambda M: seen.append(M) or real(M))
+    calls = _count_dense_solves(monkeypatch)
+    assert cli.main(["kron", "--factors", "tridiag,pentadiag,tridiag",
+                     "--n", "5", "--class", "laplace", "--function", "phi1",
+                     "--column", "63", "--out", str(tmp_path / "k.csv")]) == 0
+    assert len(seen) == 3 and isinstance(seen[0], KroneckerSum)
+    assert seen[1:] == list(seen[0].factors[:2])
+    assert calls == [5, 5]
+
+
+def test_lanczos_column_evaluates_f_on_the_enclosure_once(monkeypatch):
+    # the floor, and the Lanczos target a hundredth of it, come from the
+    # one evaluation of f on the enclosure grid
+    m = parse_matrix_spec("pentadiag", 300)
+    sizes = []
+    f = lambda x: sizes.append(np.size(x)) or x ** -0.5
+    _forbid_eigensolves(monkeypatch, order=300)
+    col, floor = oracle.function_column(m, f, 121)
+    assert sizes.count(oracle._GRID + 1) == 1 and len(sizes) > 1
+    assert floor == 100 * 300 * np.finfo(float).eps * (
+        spectral_interval(m).lambda_min ** -0.5)
+    # and the compare driver makes that one oracle call
+    grids = []
+    real = oracle._on_enclosure
+    monkeypatch.setattr(oracle, "_on_enclosure",
+                        lambda *args: grids.append(args) or real(*args))
+    summary, _, _ = run_compare(m, 121, "inv_sqrt", "laplace")
+    assert len(grids) == 1 and summary["oracle_floor"] == floor
 
 
 def test_non_finite_dense_matrix_fails_before_lapack(monkeypatch):

@@ -111,7 +111,7 @@ def test_arrowhead_pattern_no_decay():
     iv = spectral_interval(m)
     dv = geodesic_from(m, 2)
     assert all(dv[j - 1] == 2.0 for j in range(3, n + 1))
-    inv = np.abs(function_column(m, lambda x: 1.0 / x, 2))
+    inv = np.abs(function_column(m, lambda x: 1.0 / x, 2)[0])
     bounds = [demko_bound(iv, dv[j - 1], diag_max=m.diagonal_max())
               for j in range(3, n + 1)]
     assert len(set(bounds)) == 1  # flat bound along the family

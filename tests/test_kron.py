@@ -12,14 +12,14 @@ from decaybounds import (KroneckerSum, LaplaceMeasure, SparseHermitianMatrix,
                          exp_envelope, exp_kron_bound,
                          function_column, laplace_catalog, laplace_entry_bound,
                          laplace_kron_bound, make_test_matrix,
-                         banded_from_stencil, oracle_floor, spectral_interval)
+                         banded_from_stencil, spectral_interval)
 from decaybounds import bounds
 from decaybounds.bounds import exp_bounds, laplace_bounds
 from decaybounds.figures import _distances, run_kron_compare
 from reference import (component_distances, exp_kron_entry_exact,
                        expm_column_nonneg, factor_intervals,
-                       invsqrt_kron_split_bound, lancaster_column,
-                       sincos_kron_exact)
+                       invsqrt_kron_split_bound, kron_toarray,
+                       lancaster_column, sincos_kron_exact)
 
 SLACK = 1.0 - 1e-10
 
@@ -37,12 +37,12 @@ def test_exp_kron_identity_dense(tau):
     m = make_test_matrix("tridiag", 10)
     a = KroneckerSum(factors=(m, m))
     em = scipy.linalg.expm(-tau * m.toarray())
-    dense = scipy.linalg.expm(-tau * a.toarray())
+    dense = scipy.linalg.expm(-tau * kron_toarray(a))
     assert np.max(np.abs(dense - np.kron(em, em))) <= 1e-10
 
 
 def test_exp_kron_entry_matches_dense(kron10):
-    dense = scipy.linalg.expm(-1.0 * kron10.toarray())
+    dense = scipy.linalg.expm(-1.0 * kron_toarray(kron10))
     for k, t in ((1, 1), (37, 94), (94, 37), (100, 55)):
         assert exp_kron_entry_exact(kron10, 1.0, k, t) == pytest.approx(
             dense[k - 1, t - 1], abs=1e-10)
@@ -56,7 +56,7 @@ def test_exp_kron_entry_tau_zero_is_identity(kron10):
 def test_exp_kron_three_factors_matches_dense():
     m = make_test_matrix("tridiag", 5)
     a = KroneckerSum(factors=(m, m, m))
-    dense = scipy.linalg.expm(-0.5 * a.toarray())
+    dense = scipy.linalg.expm(-0.5 * kron_toarray(a))
     for k, t in ((1, 125), (63, 2), (88, 88)):
         assert exp_kron_entry_exact(a, 0.5, k, t) == pytest.approx(
             dense[k - 1, t - 1], abs=1e-10)
@@ -66,7 +66,7 @@ def test_sincos_identities_dense():
     m1 = make_test_matrix("tridiag", 8)
     m2 = make_test_matrix("pentadiag", 8)
     a = KroneckerSum(factors=(m1, m2))
-    ad = a.toarray()
+    ad = kron_toarray(a)
     w, u = np.linalg.eigh(ad)
     dense_sin = (u * np.sin(w)) @ u.T
     dense_cos = (u * np.cos(w)) @ u.T
@@ -107,13 +107,13 @@ def test_exp_kron_bound_dominates_dense_column():
     m = make_test_matrix("tridiag", 20)
     a = KroneckerSum(factors=(m, m))
     tau, t = 5.0, 94
-    col = np.abs(function_column(a, lambda x: np.exp(-tau * x), t))
+    col, floor = function_column(a, lambda x: np.exp(-tau * x), t)
+    col = np.abs(col)
     # deep check via the cancellation-free series per factor
     m_dense = m.toarray()
     t1, t2 = tuple(a.multi_indices[t - 1].tolist())
     c1 = expm_column_nonneg(m_dense, tau, t1)
     c2 = expm_column_nonneg(m_dense, tau, t2)
-    floor = oracle_floor(a, lambda x: np.exp(-tau * x))
     ivs = factor_intervals(a)
     for k in range(1, 401):
         if k == t:
@@ -131,8 +131,8 @@ def test_exp_kron_bound_distinct_factor_bandwidths():
     m2 = make_test_matrix("pentadiag", 12)
     a = KroneckerSum(factors=(m1, m2))
     tau, t = 1.0, 66
-    col = np.abs(function_column(a, lambda x: np.exp(-tau * x), t))
-    floor = oracle_floor(a, lambda x: np.exp(-tau * x))
+    col, floor = function_column(a, lambda x: np.exp(-tau * x), t)
+    col = np.abs(col)
     t1, t2 = tuple(a.multi_indices[t - 1].tolist())
     ivs = factor_intervals(a)
     for k in range(1, 145):
@@ -210,8 +210,8 @@ def test_laplace_kron_phi1_dominates_and_oscillates(kind):
     a = KroneckerSum(factors=(m, m))
     measure = laplace_catalog("phi1")
     t = 94
-    col = np.abs(function_column(a, measure.closed_form, t))
-    floor = oracle_floor(a, measure.closed_form)
+    col, floor = function_column(a, measure.closed_form, t)
+    col = np.abs(col)
     bounds = np.empty(400)
     ivs = factor_intervals(a)
     for k in range(1, 401):
@@ -238,8 +238,8 @@ def test_cauchy_kron_invsqrt_dominates():
     a = KroneckerSum(factors=(m, m))
     measure = cauchy_catalog("inv_sqrt")
     t = 94
-    col = np.abs(function_column(a, measure.closed_form, t))
-    floor = oracle_floor(a, measure.closed_form)
+    col, floor = function_column(a, measure.closed_form, t)
+    col = np.abs(col)
     ivs = factor_intervals(a)
     for k in range(1, 401, 2):
         rep = cauchy_kron_bound(ivs, measure, component_distances(a, k, t),
@@ -293,8 +293,8 @@ def test_laplace_kron_three_factors_dominates():
     a = KroneckerSum(factors=(m, m, m))
     measure = laplace_catalog("phi1")
     t = 63
-    col = np.abs(function_column(a, measure.closed_form, t))
-    floor = oracle_floor(a, measure.closed_form)
+    col, floor = function_column(a, measure.closed_form, t)
+    col = np.abs(col)
     ivs = factor_intervals(a)
     for k in range(1, 126, 2):
         rep = laplace_kron_bound(ivs, measure, component_distances(a, k, t))
@@ -355,7 +355,7 @@ def test_kron_resolvent_entry_via_sylvester_kernel(kron10):
                            tol=1e-8)
     rhs = np.zeros(100)
     rhs[t - 1] = 1.0
-    direct = np.linalg.solve(kron10.toarray() - omega * np.eye(100), rhs)
+    direct = np.linalg.solve(kron_toarray(kron10) - omega * np.eye(100), rhs)
     assert np.max(np.abs(col - direct)) <= 1e-6
 
 

@@ -59,7 +59,7 @@ def test_single_matrix_column_is_the_matmul_bit_for_bit(kind, n, f):
     dec = eigendecomposition(m)
     u, fw = dec.eigenvectors, f(dec.eigenvalues)
     for t in (1, n // 3, n):
-        assert np.array_equal(eigen_column(m, f, t),
+        assert np.array_equal(eigen_column(m, f, t)[0],
                               u @ (fw * np.conj(u[t - 1])))
 
 
@@ -67,7 +67,7 @@ def test_complex_typed_matrix_column_is_the_matmul_bit_for_bit():
     m = banded_from_stencil((0.3 - 0.2j, -1.0j, 4.0, 1.0j, 0.3 + 0.2j), 80)
     dec = eigendecomposition(m)
     u, fw = dec.eigenvectors, np.exp(-dec.eigenvalues)
-    assert np.array_equal(eigen_column(m, lambda x: np.exp(-x), 33),
+    assert np.array_equal(eigen_column(m, lambda x: np.exp(-x), 33)[0],
                           u @ (fw * np.conj(u[32])))
 
 
