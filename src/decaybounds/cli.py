@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -33,6 +34,13 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-1e1", "-inf" or "-nan" for an option, not a
+        # value, unless this pattern matches it: widen it to float's forms
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -162,7 +170,7 @@ def _exit_status(summary):
     return 2
 
 
-def _cmd_bound(args, self_check=False):
+def _cmd_bound(args):
     M = parse_matrix_spec(args.matrix, args.n)
     if not (1 <= args.column <= M.n):
         raise UsageError(f"--column {args.column} outside 1..{M.n}")
@@ -170,15 +178,15 @@ def _cmd_bound(args, self_check=False):
         M, args.column, args.function, args.klass, tau=args.tau,
         zeta=args.zeta, distance_mode=args.distance, quad_tol=args.quad_tol)
     figures._write_csv(args.out, header, rows)
-    if self_check or args.command == "compare":
+    if args.command == "compare":
         s = summary
         fmt = lambda v: "n/a" if v is None else f"{v:.6g}"
         print(f"# ratio min/median/max {fmt(s['ratio_min'])}/"
               f"{fmt(s['ratio_median'])}/{fmt(s['ratio_max'])} "
               f"violations {s['violations']} resolved {s['resolved']}",
               file=sys.stderr)
-    if self_check and summary["converged"] and summary["violations"] > 0:
-        return 3
+        if args.self_check and s["converged"] and s["violations"] > 0:
+            return 3
     return _exit_status(summary)
 
 
@@ -233,23 +241,15 @@ def _cmd_surface(args):
     return 0
 
 
+_COMMANDS = {"bound": _cmd_bound, "compare": _cmd_bound, "kron": _cmd_kron,
+             "oracle": _cmd_oracle, "figure": _cmd_figure,
+             "surface": _cmd_surface}
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "bound":
-            return _cmd_bound(args)
-        if args.command == "compare":
-            return _cmd_bound(args, self_check=args.self_check)
-        if args.command == "kron":
-            return _cmd_kron(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
-        if args.command == "surface":
-            return _cmd_surface(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"decay: error: {exc}", file=sys.stderr)
         return 1

@@ -261,14 +261,8 @@ def run_compare(M, t, function, klass, *, tau=None, zeta=0.0,
     quadrature report per distinct distance.  Dominance violations are
     counted against oracle entries at or above the oracle's resolution
     floor; smaller entries are rounding noise (see
-    :func:`decaybounds.oracle.function_column`).
-
-    The enclosure is :func:`decaybounds.matrices.spectral_interval`'s.
-    The oracle column is :func:`decaybounds.oracle.function_column`'s,
-    which picks its own route from f: one banded solve for the shifted
-    inverse of ``demko`` and ``resolvent``, else a Lanczos column.
-    Neither forms a dense matrix unless the Lanczos column falls back to
-    a dense eigensolve.
+    :func:`decaybounds.oracle.function_column`, which also picks the
+    oracle's route from f).
     """
     ds = [d for d, in _distances(M, t, distance_mode)]
     f, kind, measure = resolve_function(function, klass, tau, zeta)

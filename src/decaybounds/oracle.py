@@ -14,31 +14,29 @@ first two forms a dense matrix or an eigendecomposition of order n.
   cell by cell down to underflow; its floor is ``resolvent_floor``.  A
   plain function with the same values, such as ``lambda x: 1 / x``, is
   not recognised and takes the next route.
-* Any other f of a single matrix is evaluated once on a Chebyshev grid
-  of the spectral enclosure; max|f| there gives the floor.  The column
-  is a Lanczos one: m steps from e_t on the CSR matrix, with full
-  reorthogonalisation, give V_m and the tridiagonal T_m, and the column
-  is V_m f(T_m) e_1, with f(T_m) from the eigenpairs of T_m.  For
-  Hermitian M its error is at most twice the best polynomial error of
-  degree m - 1 of f on the spectrum (Saad, SIAM J. Numer. Anal. 29,
-  1992), a bound that survives rounding (Musco, Musco and Sidford, SODA
-  2018).  m is predicted from the Chebyshev tail of f on the grid, and
-  the run stops once two iterates 8 steps apart agree to 1e-15 max|f|
-  over the Ritz values.  The column uses neither the enclosure's bound
-  nor a measure, so it stays an independent check of both.
+* Any other f of a single matrix is evaluated once on the Chebyshev grid
+  of the spectral enclosure (``chebyshev.tail``); max|f| there gives the
+  floor, with no eigenvalue.  The column is a Lanczos one: m steps from
+  e_t on the CSR matrix, with full reorthogonalisation, give V_m and the
+  tridiagonal T_m, and the column is V_m f(T_m) e_1, with f(T_m) from
+  the eigenpairs of T_m.  For Hermitian M its error is at most twice the
+  best polynomial error of degree m - 1 of f on the spectrum (Saad, SIAM
+  J. Numer. Anal. 29, 1992), a bound that survives rounding (Musco,
+  Musco and Sidford, SODA 2018).  m is the least with 2 S(m) <= floor /
+  100, S the Chebyshev tail of f on that grid, and the run stops once
+  two iterates 8 steps apart agree to 1e-15 max|f| over the Ritz
+  values.  The column uses neither the enclosure's bound nor a measure,
+  so it stays an independent check of both.
 * The eigendecomposition: the Kronecker sums and dense f(A) of
-  ``matrix_function``, and the fallback of a single matrix whose
-  predicted step count passes min(n / 4, 400), whose iterates do not
-  agree by then, or whose f is not finite inside the enclosure (its
-  floor then comes from f on the eigenvalues).  A single matrix takes
-  one dense ``dsyevd``/``zheevd`` solve through scipy, on a
+  ``matrix_function``, and the fallback of a single matrix whose grid
+  does not resolve f, whose step count passes min(n / 4, 400), whose
+  iterates do not agree by then, or whose f is not finite inside the
+  enclosure (its floor then comes from f on the eigenvalues).  A single
+  matrix takes one dense ``dsyevd``/``zheevd`` solve through scipy, on a
   Fortran-order copy that it overwrites.  A Kronecker sum is never
-  assembled: its eigenpairs are sums of factor eigenvalues and Kronecker
-  products of factor eigenvectors, one solve per distinct factor
-  object, so a column of f(A) is a tensor contraction with the factors'
-  U, O(N sum_L n_L) work, and the dense f(A) one with their pair
-  products U_L[i, a] conj(U_L[j, a]).  Nothing is kept between calls:
-  each call solves what it needs once.
+  assembled: one solve per distinct factor object gives its eigenpairs,
+  and its column (O(N sum_L n_L) work) and dense f(A) are contractions
+  with the factors' U.  Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -50,11 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import chebyshev
 from .matrices import (KroneckerSum, banded_solver, require_finite,
                        spectral_interval)
 
-# f is sampled at the N + 1 = _GRID + 1 Chebyshev points of the enclosure
-_GRID = 1024
 # a Lanczos column runs at most min(n // 4, _MAX_STEPS) steps, and stops
 # once iterates _STRIDE steps apart agree to _AGREE max|f(theta)|
 _MAX_STEPS = 400
@@ -196,22 +193,12 @@ def _pair_contraction(u, c):
 
 
 def function_column(M, f, t):
-    """(column t (1-based) of f(M), its resolution floor), without forming
-    the full matrix, from one dispatch on (M, f).
-
-    The floor is 100 n eps max|f|: entries of U f(Lambda) U* are sums of
-    n terms of size up to max|f|, so below roughly n eps max|f| they are
-    rounding noise, and dominance checks only compare above the floor.
-    A shifted inverse f of a single matrix takes ``resolvent_column`` and
-    ``resolvent_floor``.  Any other f of a single matrix is evaluated once
-    on the enclosure's Chebyshev grid; max|f| there gives the floor, with
-    no eigenvalue, and its Chebyshev tail the Lanczos step count m for an
-    error of floor / 100.  The column is the Lanczos one when m is at
-    most min(n / 4, 400) and its iterates agree by then.  Otherwise, and
-    for a Kronecker sum, it is ``eigen_column``'s, whose floor (max|f| on
-    the eigenvalues) is taken where f is not finite inside the enclosure.
-    ``ValueError`` where f is not finite at an end of the enclosure (or,
-    on the eigendecomposition route, on the spectrum)."""
+    """(column t (1-based) of f(M), its resolution floor 100 n eps max|f|)
+    by the route the module docstring gives for (M, f).  Entries of U
+    f(Lambda) U* are sums of n terms of size up to max|f|, so below about
+    n eps max|f| they are rounding noise: dominance checks compare only
+    above the floor.  ``ValueError`` where f is not finite at an end of
+    the enclosure (or, on the eigendecomposition route, on the spectrum)."""
     if isinstance(M, KroneckerSum):
         return eigen_column(M, f, t)
     if isinstance(f, ShiftedInverse):
@@ -219,14 +206,14 @@ def function_column(M, f, t):
                 resolvent_floor(M.n, spectral_interval(M), f.shift))
     if not 1 <= t <= M.n:
         raise ValueError(f"column {t} is out of bounds for order {M.n}")
-    fx = _on_enclosure(f, spectral_interval(M))
-    if not np.all(np.isfinite(fx)):
+    fmax, tail = chebyshev.tail(f, (spectral_interval(M),))
+    if math.isinf(fmax):
         return eigen_column(M, f, t)
-    floor = _floor(M.n, fx)
-    cap = min(M.n // 4, _MAX_STEPS)
-    steps = _predicted_steps(fx, floor / 100)
-    if steps is not None and steps <= cap:
-        col = _lanczos_column(M, f, t, steps, cap)
+    floor, cap = _floor(M.n, fmax), min(M.n // 4, _MAX_STEPS)
+    if tail is not None:
+        # the least m with 2 S(m) <= floor / 100: Saad's error bound
+        steps = int(np.argmax(2.0 * tail <= floor / 100))
+        col = _lanczos_column(M, f, t, steps, cap) if steps <= cap else None
         if col is not None:
             return col, floor
     return eigen_column(M, f, t)[0], floor
@@ -290,41 +277,6 @@ def resolvent_floor(n, interval, shift):
               shift.real - interval.lambda_max, 0.0)
     distance = abs(complex(gap, shift.imag))
     return _floor(n, 1.0 / distance if distance else math.inf)
-
-
-def _on_enclosure(f, interval):
-    """f at the N + 1 Chebyshev points c + h cos(pi k / N), k = N..0, of
-    the enclosure [c - h, c + h], ascending: both ends and N - 1 interior
-    points.  ``ValueError`` where f is not finite at an end; an interior
-    value may be non-finite (f singular inside an indefinite enclosure)."""
-    lo, hi = interval.lambda_min, interval.lambda_max
-    # cos(pi k / N) as a sine: the grid is symmetric and its midpoint exact
-    y = np.sin(0.5 * np.pi * np.arange(-_GRID, _GRID + 1, 2) / _GRID)
-    x = np.clip((0.5 * lo + 0.5 * hi) + (0.5 * hi - 0.5 * lo) * y, lo, hi)
-    x[0], x[-1] = lo, hi
-    with np.errstate(all="ignore"):
-        fx = np.asarray(f(x))
-    if not (np.isfinite(fx[0]) and np.isfinite(fx[-1])):
-        raise ValueError("function is undefined or non-finite on the spectrum")
-    return fx
-
-
-def _predicted_steps(fx, target):
-    """Least m with 2 sum_{j >= m} |c_j| <= ``target``, where c_j are the
-    Chebyshev coefficients of f on the enclosure, from its values ``fx``
-    on ``_on_enclosure``'s grid (one FFT, a DCT-I).  Twice that tail
-    bounds the error of m Lanczos steps (Saad).  Coefficients at the
-    transform's rounding level, 8 eps max|f|, count as zero; None when
-    the upper half of the coefficients is not at that level, so that the
-    grid does not resolve f."""
-    c = np.abs(np.fft.fft(np.concatenate([fx, fx[-2:0:-1]]))[:_GRID + 1])
-    c /= _GRID
-    noise = 8.0 * np.finfo(float).eps * float(np.max(np.abs(fx)))
-    if np.max(c[_GRID // 2:]) > noise:
-        return None
-    c[c <= noise] = 0.0
-    tail = np.cumsum(c[::-1])[::-1]
-    return int(np.argmax(2.0 * tail <= target))
 
 
 def _lanczos_column(M, f, t, steps, cap):

@@ -45,6 +45,11 @@ field for field.
 
 ``stdlib_csv_write`` renders a CSV through the standard library's
 ``csv.writer``, the reference for the package's own CSV writer.
+
+``chebyshev_tail_bound`` is the Chebyshev tail S of f on the enclosure,
+read from ``decaybounds.chebyshev``'s one transform: the bound that is to
+replace the envelope integrals, checked here before any command prints
+it.
 """
 
 import contextlib
@@ -57,8 +62,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from decaybounds import chebyshev
 from decaybounds.bounds import laplace_bounds
-from decaybounds.matrices import SpectralInterval, spectral_interval
+from decaybounds.figures import _distances
+from decaybounds.matrices import (KroneckerSum, SpectralInterval,
+                                  spectral_interval)
 from decaybounds.measures import LaplaceMeasure
 from decaybounds.oracle import eigendecomposition
 from decaybounds.quadrature import (_MAX_INTERVALS, _NODES, _W_GAUSS, _W_KRONROD,
@@ -205,6 +213,32 @@ def banded_kron_estimate(A, t, measure, quad_tol):
     ds = [(abs(k - t) / beta,) for k in range(1, A.total_order + 1)]
     return [r.bound for r in laplace_bounds((iv,), measure, ds,
                                             quad_tol=quad_tol)]
+
+
+def chebyshev_tail_bound(A, f, t, mode="band"):
+    """S(m) for every row k of column t (1-based) of f(A), A a single
+    matrix or a Kronecker sum of L factors: a list, None at an unreachable
+    row.  S(m) is the sum over J >= m of |c_J|, the coefficients of f(x_1
+    + ... + x_L) on the factors' enclosures (``chebyshev.tail``), and m_L
+    = min(N, ceil(d_L)) for the row's per-factor distances d_L
+    (``figures._distances``, band or graph).  T_j of a factor mapped onto
+    [-1, 1] vanishes at (k_L, t_L) for j < d_L and is at most 1 in
+    modulus, so the exact coefficients would make S an entrywise bound.
+
+    S is not yet rigorous: the computed coefficients differ from c_J by
+    aliasing and rounding, neither of which is charged, and coefficients
+    at 8 eps max|f| count as zero.  The DCT-I's c_0 is twice the T_0
+    coefficient (and c_N twice T_N's), so S overstates where some m_L =
+    0, which is the safe direction.  ``ValueError`` where the grid does
+    not resolve f."""
+    factors = A.factors if isinstance(A, KroneckerSum) else (A,)
+    _, tail = chebyshev.tail(f, tuple(spectral_interval(m) for m in factors))
+    if tail is None:
+        raise ValueError("the Chebyshev grid does not resolve f")
+    n = len(tail) - 1
+    return [None if math.isinf(max(ds)) else
+            float(tail[tuple(min(n, math.ceil(d)) for d in ds)])
+            for ds in _distances(A, t, mode)]
 
 
 def grid_file(tmp_path, m=12):

@@ -15,13 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from decaybounds import (KroneckerSum, cauchy_catalog, cauchy_kron_bound,
-                         demko_bound, exp_entry_bound, function_column,
-                         geodesic_from, invsqrt_closed_bound,
-                         laplace_catalog, laplace_entry_bound,
-                         laplace_kron_bound, make_test_matrix,
-                         banded_from_stencil, cauchy_entry_bound,
-                         spectral_interval)
+from decaybounds import (KroneckerSum, banded_from_stencil, cauchy_catalog,
+                         demko_bound, function_column, geodesic_from,
+                         invsqrt_closed_bound, laplace_catalog,
+                         make_test_matrix, spectral_interval)
+from decaybounds.bounds import (cauchy_entry_bound, exp_entry_bound,
+                                laplace_entry_bound)
+from decaybounds.kron import cauchy_kron_bound, laplace_kron_bound
 from reference import (cauchy_reconstruct, component_distances,
                        expm_column_nonneg, factor_intervals, kron_toarray,
                        lancaster_column, laplace_reconstruct,

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from decaybounds import (KroneckerSum, SpectralInterval, banded_from_stencil,
-                         cauchy_catalog, cauchy_entry_bound, demko_bound,
-                         demko_constant, eigendecomposition, exp_entry_bound,
-                         exp_envelope,
+                         cauchy_catalog, demko_bound, demko_constant,
+                         eigendecomposition, exp_envelope,
                          freund_resolvent_bound, function_column,
                          invsqrt_closed_bound, laplace_catalog,
-                         laplace_entry_bound, make_test_matrix,
-                         parse_matrix_spec, resolvent_column,
+                         make_test_matrix, parse_matrix_spec, resolvent_column,
                          spectral_interval)
 from decaybounds import bounds
-from decaybounds.bounds import laplace_bounds
+from decaybounds.bounds import (cauchy_entry_bound, exp_entry_bound,
+                                laplace_bounds, laplace_entry_bound)
 from decaybounds.figures import run_compare
 from reference import (component_distances, envelope_integral_reference,
                        expm_column_nonneg, factor_intervals,

@@ -775,13 +775,27 @@ def test_non_finite_zeta_or_tau_is_a_usage_error(flag, value, tmp_path,
         warnings.simplefilter("error")
         for argv in _SHIFT_COMMANDS[flag]:
             out = tmp_path / f"{argv[0]}.csv"
-            # (``=``: argparse would read a bare -inf as an option)
+            # (the ``=`` form; the bare form is the test below)
             assert main([*argv, f"{flag}={value}",
                          "--out", str(out)]) == 1, argv
             assert capsys.readouterr().err == (
                 f"decay: error: argument {flag}: must be finite, "
                 f"got {value}\n")
             assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["--class", "exp", "--tau", "-1e1"], 1, "rho * tau must be nonnegative"),
+    (["--class", "resolvent", "--zeta", "-1e-3"], 0, "violations 0 "),
+    (["--class", "exp", "--tau", "-inf"], 1, "must be finite, got -inf"),
+    (["--class", "exp", "--tau", "-nan"], 1, "must be finite, got -nan")])
+def test_negative_value_in_any_float_form_is_a_value(argv, code, message,
+                                                     tmp_path, capsys):
+    # argparse's own pattern takes -5 and -.5 for values, but -1e1, -inf
+    # and -nan for options: "argument --tau: expected one argument"
+    assert main(["compare", "--matrix", "tridiag", "--n", "20", *argv,
+                 "--column", "10", "--out", str(tmp_path / "c.csv")]) == code
+    assert message in capsys.readouterr().err
 
 
 def test_exp_class_tau_defaults_to_one():

@@ -19,7 +19,7 @@ from decaybounds import (KroneckerSum, SparseHermitianMatrix,
                          SpectralInterval, eigendecomposition, oracle,
                          parse_matrix_spec, resolvent_column,
                          spectral_interval)
-from decaybounds import cli
+from decaybounds import chebyshev, cli
 from decaybounds.cli import main
 from decaybounds.figures import (FIGURE_IDS, run_compare, run_figure,
                                  run_kron_compare)
@@ -300,13 +300,14 @@ def test_lanczos_column_evaluates_f_on_the_enclosure_once(monkeypatch):
     f = lambda x: sizes.append(np.size(x)) or x ** -0.5
     _forbid_eigensolves(monkeypatch, order=300)
     col, floor = oracle.function_column(m, f, 121)
-    assert sizes.count(oracle._GRID + 1) == 1 and len(sizes) > 1
+    assert sizes.count(chebyshev.grid_size(1) + 1) == 1 and len(sizes) > 1
+    assert chebyshev.grid_size(1) == 1024
     assert floor == 100 * 300 * np.finfo(float).eps * (
         spectral_interval(m).lambda_min ** -0.5)
     # and the compare driver makes that one oracle call
     grids = []
-    real = oracle._on_enclosure
-    monkeypatch.setattr(oracle, "_on_enclosure",
+    real = chebyshev.transform
+    monkeypatch.setattr(chebyshev, "transform",
                         lambda *args: grids.append(args) or real(*args))
     summary, _, _ = run_compare(m, 121, "inv_sqrt", "laplace")
     assert len(grids) == 1 and summary["oracle_floor"] == floor

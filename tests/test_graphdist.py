@@ -6,10 +6,11 @@ import scipy.sparse
 from hypothesis import given, strategies as st
 
 from decaybounds import (SparseHermitianMatrix, banded_from_stencil,
-                         cauchy_catalog, cauchy_entry_bound, demko_bound,
-                         exp_entry_bound, function_column, geodesic_from,
-                         laplace_catalog, laplace_entry_bound,
-                         make_test_matrix, spectral_interval)
+                         cauchy_catalog, demko_bound, function_column,
+                         geodesic_from, laplace_catalog, make_test_matrix,
+                         spectral_interval)
+from decaybounds.bounds import (cauchy_entry_bound, exp_entry_bound,
+                                laplace_entry_bound)
 from decaybounds.figures import run_compare
 from reference import floyd_warshall
 

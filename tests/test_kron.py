@@ -8,14 +8,14 @@ import scipy.sparse
 from hypothesis import given, strategies as st
 
 from decaybounds import (KroneckerSum, LaplaceMeasure, SparseHermitianMatrix,
-                         SpectralInterval, cauchy_catalog, cauchy_kron_bound,
-                         exp_envelope, exp_kron_bound,
-                         function_column, laplace_catalog, laplace_entry_bound,
-                         laplace_kron_bound, make_test_matrix,
-                         banded_from_stencil, spectral_interval)
+                         SpectralInterval, banded_from_stencil, cauchy_catalog,
+                         exp_envelope, function_column, laplace_catalog,
+                         make_test_matrix, spectral_interval)
 from decaybounds import bounds
-from decaybounds.bounds import exp_bounds, laplace_bounds
+from decaybounds.bounds import exp_bounds, laplace_bounds, laplace_entry_bound
 from decaybounds.figures import _distances, run_kron_compare
+from decaybounds.kron import (cauchy_kron_bound, exp_kron_bound,
+                              laplace_kron_bound)
 from reference import (component_distances, exp_kron_entry_exact,
                        expm_column_nonneg, factor_intervals,
                        invsqrt_kron_split_bound, kron_toarray,

@@ -10,12 +10,11 @@ import pytest
 import scipy.sparse
 from hypothesis import given, strategies as st
 
-from decaybounds import (KroneckerSum, SparseHermitianMatrix,
-                         SpectralInterval, banded_from_stencil,
-                         eigendecomposition, exp_entry_bound, exp_envelope,
+from decaybounds import (KroneckerSum, SparseHermitianMatrix, SpectralInterval,
+                         banded_from_stencil, eigendecomposition, exp_envelope,
                          function_column, geodesic_from, make_test_matrix,
                          resolvent_column, spectral_interval)
-from decaybounds.bounds import exp_bounds
+from decaybounds.bounds import exp_bounds, exp_entry_bound
 from decaybounds.figures import _distances, run_figure
 from decaybounds.oracle import eigen_column
 
